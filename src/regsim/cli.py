@@ -5,7 +5,7 @@
     regsim check <trace.log>    re-verify a persisted trace
     regsim report <csv...>      summarize operation CSVs
 
-Exit codes: 0 ok, 2 config error, 3 atomicity violation, 4 liveness cap hit.
+Exit codes: 0 ok, 2 config or input error, 3 atomicity violation, 4 liveness cap hit.
 """
 
 from __future__ import annotations
@@ -104,7 +104,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    trace = trace_from_text(Path(args.trace).read_text())
+    try:
+        trace = trace_from_text(Path(args.trace).read_text())
+    except ValueError as exc:
+        print("input error: %s: %s" % (args.trace, exc), file=sys.stderr)
+        return EXIT_CONFIG
     verdict = check_atomicity_tagged(extract_history(trace), strict=args.strict)
     if not verdict.ok:
         print("atomicity VIOLATED (%s): %s (witness %s)"
@@ -177,7 +181,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_report.set_defaults(fn=_cmd_report)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # an input that is missing or unreadable
+        print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -66,20 +66,6 @@ class Tag:
 INITIAL_TAG = Tag(0, 0)
 
 
-class Comparison(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-def compare_tags(a: Tag, b: Tag) -> Comparison:
-    if (a.ts, a.wid) < (b.ts, b.wid):
-        return Comparison.LESS
-    if (a.ts, a.wid) > (b.ts, b.wid):
-        return Comparison.GREATER
-    return Comparison.EQUAL
-
-
 class MessageKind(enum.Enum):
     READ_REQUEST = "readRequest"
     READ_RELAY = "readRelay"
@@ -88,11 +74,6 @@ class MessageKind(enum.Enum):
     WRITE_ACK = "writeAck"
     WRITE_DISCOVER = "writeDiscover"
     DISCOVER_ACK = "discoverAck"
-
-
-READ_KINDS = frozenset(
-    {MessageKind.READ_REQUEST, MessageKind.READ_RELAY, MessageKind.READ_ACK}
-)
 
 
 @dataclass(frozen=True)

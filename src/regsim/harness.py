@@ -79,53 +79,62 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def trace_from_text(text: str) -> Trace:
+    """Parse a trace log; a malformed line raises ValueError("line N: ...")."""
     trace = Trace()
     ordinal: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line:
             continue
-        parts = line.split("\t")
-        kind = parts[0]
-        if kind == "run":
-            for part in parts[1:]:
-                key, _, val = part.partition("=")
-                if key == "algorithm":
-                    trace.algorithm = val
-                elif key == "seed":
-                    trace.seed = int(val)
-                else:
-                    trace.meta[key] = val
-            continue
-        converters = _REC_TYPES.get(kind)
-        if converters is None or len(parts) - 1 != len(converters):
-            raise ValueError("line %d: bad trace record %r" % (lineno, line))
-        rec = (kind,) + tuple(conv(p) for conv, p in zip(converters, parts[1:]))
-        trace.records.append(rec)
-        if kind == "inv":
-            _, t, pid, op_id, op_kind, value_hex = rec
-            value = bytes.fromhex(value_hex) if value_hex != "-" else None
-            trace.ops[op_id] = OperationRecord(op_id, pid, op_kind, t, value=value)
-            ordinal[pid] = ordinal.get(pid, 0) + 1
-            trace.invocations[(pid, ordinal[pid])] = op_id
-        elif kind == "res":
-            _, t, pid, op_id, exchanges, ts, wid, value_hex = rec
-            op = trace.ops[op_id]
-            op.responded_at = t
-            op.exchanges = exchanges
-            op.tag = Tag(ts, wid)
-            op.value = bytes.fromhex(value_hex)
-        elif kind == "wtag":
-            _, t, pid, op_id, ts, wid = rec
-            trace.ops[op_id].tag = Tag(ts, wid)
-        elif kind == "crs":
-            _, t, pid = rec
-            trace.crash_at[pid] = min(t, trace.crash_at.get(pid, t))
-        elif kind == "end":
-            _, t, status, stale, skipped = rec
-            trace.end_time = t
-            trace.incomplete = status == "incomplete"
-            trace.stale_drops = stale
-            trace.skipped_invokes = skipped
+        try:
+            parts = line.split("\t")
+            kind = parts[0]
+            if kind == "run":
+                for part in parts[1:]:
+                    key, _, val = part.partition("=")
+                    if key == "algorithm":
+                        trace.algorithm = val
+                    elif key == "seed":
+                        trace.seed = int(val)
+                    else:
+                        trace.meta[key] = val
+                continue
+            converters = _REC_TYPES.get(kind)
+            if converters is None or len(parts) - 1 != len(converters):
+                raise ValueError("bad trace record %r" % line)
+            rec = (kind,) + tuple(conv(p) for conv, p in zip(converters, parts[1:]))
+            trace.records.append(rec)
+            if kind == "inv":
+                _, t, pid, op_id, op_kind, value_hex = rec
+                value = bytes.fromhex(value_hex) if value_hex != "-" else None
+                trace.ops[op_id] = OperationRecord(op_id, pid, op_kind, t, value=value)
+                ordinal[pid] = ordinal.get(pid, 0) + 1
+                trace.invocations[(pid, ordinal[pid])] = op_id
+            elif kind == "res":
+                _, t, pid, op_id, exchanges, ts, wid, value_hex = rec
+                op = trace.ops.get(op_id)
+                if op is None:
+                    raise ValueError("res for op %d with no earlier inv" % op_id)
+                op.responded_at = t
+                op.exchanges = exchanges
+                op.tag = Tag(ts, wid)
+                op.value = bytes.fromhex(value_hex)
+            elif kind == "wtag":
+                _, t, pid, op_id, ts, wid = rec
+                op = trace.ops.get(op_id)
+                if op is None:
+                    raise ValueError("wtag for op %d with no earlier inv" % op_id)
+                op.tag = Tag(ts, wid)
+            elif kind == "crs":
+                _, t, pid = rec
+                trace.crash_at[pid] = min(t, trace.crash_at.get(pid, t))
+            elif kind == "end":
+                _, t, status, stale, skipped = rec
+                trace.end_time = t
+                trace.incomplete = status == "incomplete"
+                trace.stale_drops = stale
+                trace.skipped_invokes = skipped
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc)) from None
     return trace
 
 

@@ -184,7 +184,10 @@ def run(
 ) -> Trace:
     rng = random.Random("%d:net" % seed)
     trace = Trace(algorithm=algorithm.name, seed=seed)
-    states = {pid: algorithm.make(pid, qs) for pid in network.nodes()}
+    makers = (algorithm.make_reader, algorithm.make_writer, algorithm.make_server)
+    steps = (algorithm.reader_step, algorithm.writer_step, algorithm.server_step)
+    states = {pid: makers[pid.role](pid, qs) for pid in network.nodes()}
+    step_of = {pid: steps[pid.role] for pid in states}
     for pid, t in crash_schedule:
         trace.crash_at[pid] = min(t, trace.crash_at.get(pid, t))
 
@@ -275,13 +278,13 @@ def run(
                 ("inv", t, pid, op_id, item.kind, value.hex() if value is not None else "-")
             )
             event = Invoke(item.value if item.kind == "write" else None)
-            handle_output(pid, t, algorithm.step(pid.role, states[pid], event, qs))
+            handle_output(pid, t, step_of[pid](states[pid], event, qs))
             continue
         dst, msg = payload
         if dead(dst, t):
             continue
         trace.records.append(("dlv", t, dst, msg.sender, msg.kind.value, msg.client, msg.op_seq))
-        handle_output(dst, t, algorithm.step(dst.role, states[dst], Deliver(msg), qs))
+        handle_output(dst, t, step_of[dst](states[dst], Deliver(msg), qs))
 
     trace.end_time = min(last_t, cap_s) if not heap else cap_s
     pending_live = any(

@@ -10,17 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from regsim.core import ProcessId, Role
-from regsim.protocols import abd, broken, erato, erato_mw, ohsam
-from regsim.protocols.abd import baseline_abd_step
+from regsim.core import ProcessId
+from regsim.protocols import abd, base, broken, erato, erato_mw, ohsam
 from regsim.protocols.base import Deliver, Event, Invoke, Response, StepOutput
-from regsim.protocols.erato import erato_reader_step, erato_server_step, erato_writer_step
-from regsim.protocols.erato_mw import (
-    eratomw_reader_step,
-    eratomw_server_step,
-    eratomw_writer_step,
-)
-from regsim.protocols.ohsam import baseline_ohsam_step
+from regsim.protocols.readers import relay_reader_step
 from regsim.quorum import QuorumSystem
 
 StepFn = Callable[[object, Event, QuorumSystem], StepOutput]
@@ -40,71 +33,45 @@ class Algorithm:
     writer_step: StepFn
     server_step: StepFn
 
-    def make(self, pid: ProcessId, qs: QuorumSystem):
-        return {
-            Role.READER: self.make_reader,
-            Role.WRITER: self.make_writer,
-            Role.SERVER: self.make_server,
-        }[pid.role](pid, qs)
-
-    def step(self, role: Role, state, event: Event, qs: QuorumSystem) -> StepOutput:
-        return {
-            Role.READER: self.reader_step,
-            Role.WRITER: self.writer_step,
-            Role.SERVER: self.server_step,
-        }[role](state, event, qs)
-
-
-def _variant(fn, role: Role, variant: str) -> StepFn:
-    return lambda state, event, qs: fn(role, state, event, qs, variant)
-
 
 ALGORITHMS: dict[str, Algorithm] = {
     "erato": Algorithm(
         "erato", False, 1, 1,
         erato.make_reader, erato.make_writer, erato.make_server,
-        erato_reader_step, erato_writer_step, erato_server_step,
+        erato.erato_reader_step, base.swmr_writer_step, base.relay_server_step,
     ),
     "erato_mw": Algorithm(
         "erato_mw", True, 1, 2,
         erato_mw.make_reader, erato_mw.make_writer, erato_mw.make_server,
-        eratomw_reader_step, eratomw_writer_step, eratomw_server_step,
+        erato_mw.eratomw_reader_step, base.mw_writer_step, base.relay_server_step,
     ),
     "abd": Algorithm(
         "abd", False, 2, 1,
         abd.make_reader,
         lambda pid, qs: abd.make_writer(pid, qs, mw=False),
         lambda pid, qs: abd.make_server(pid, qs, mw=False),
-        _variant(baseline_abd_step, Role.READER, "swmr"),
-        _variant(baseline_abd_step, Role.WRITER, "swmr"),
-        _variant(baseline_abd_step, Role.SERVER, "swmr"),
+        abd.query_reader_step, base.swmr_writer_step, base.plain_server_step,
     ),
     "abd_mw": Algorithm(
         "abd_mw", True, 2, 2,
         abd.make_reader,
         lambda pid, qs: abd.make_writer(pid, qs, mw=True),
         lambda pid, qs: abd.make_server(pid, qs, mw=True),
-        _variant(baseline_abd_step, Role.READER, "mwmr"),
-        _variant(baseline_abd_step, Role.WRITER, "mwmr"),
-        _variant(baseline_abd_step, Role.SERVER, "mwmr"),
+        abd.query_reader_step, base.mw_writer_step, base.plain_server_step,
     ),
     "ohsam": Algorithm(
         "ohsam", False, 1, 1,
         ohsam.make_reader,
         lambda pid, qs: ohsam.make_writer(pid, qs, mw=False),
         lambda pid, qs: ohsam.make_server(pid, qs, mw=False),
-        _variant(baseline_ohsam_step, Role.READER, "swmr"),
-        _variant(baseline_ohsam_step, Role.WRITER, "swmr"),
-        _variant(baseline_ohsam_step, Role.SERVER, "swmr"),
+        relay_reader_step, base.swmr_writer_step, base.relay_server_step,
     ),
     "ohmam": Algorithm(
         "ohmam", True, 1, 2,
         ohsam.make_reader,
         lambda pid, qs: ohsam.make_writer(pid, qs, mw=True),
         lambda pid, qs: ohsam.make_server(pid, qs, mw=True),
-        _variant(baseline_ohsam_step, Role.READER, "mwmr"),
-        _variant(baseline_ohsam_step, Role.WRITER, "mwmr"),
-        _variant(baseline_ohsam_step, Role.SERVER, "mwmr"),
+        relay_reader_step, base.mw_writer_step, base.relay_server_step,
     ),
 }
 
@@ -113,7 +80,7 @@ EXTRA_ALGORITHMS: dict[str, Algorithm] = {
     "erato_broken": Algorithm(
         "erato_broken", False, 1, 1,
         broken.make_reader, broken.make_writer, broken.make_server,
-        broken.broken_reader_step, broken.broken_writer_step, broken.broken_server_step,
+        broken.broken_reader_step, base.swmr_writer_step, broken.broken_server_step,
     ),
 }
 
@@ -135,13 +102,5 @@ __all__ = [
     "Invoke",
     "Response",
     "StepOutput",
-    "baseline_abd_step",
-    "baseline_ohsam_step",
-    "erato_reader_step",
-    "erato_server_step",
-    "erato_writer_step",
-    "eratomw_reader_step",
-    "eratomw_server_step",
-    "eratomw_writer_step",
     "get_algorithm",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from regsim.core import Message, MessageKind, ProcessId, Role, Tag
+from regsim.core import Message, MessageKind, ProcessId, Tag
 from regsim.protocols import base
 from regsim.protocols.base import Deliver, Event, Invoke, Response, StepOutput, bits, broadcast
 from regsim.quorum import QuorumSystem
@@ -82,13 +82,3 @@ def make_writer(pid: ProcessId, qs: QuorumSystem, mw: bool):
 
 def make_server(pid: ProcessId, qs: QuorumSystem, mw: bool) -> base.PlainServerState:
     return base.PlainServerState(pid, mw)
-
-
-def baseline_abd_step(role: Role, state, event: Event, qs: QuorumSystem, variant: str = "swmr") -> StepOutput:
-    if role is Role.READER:
-        return query_reader_step(state, event, qs)
-    if role is Role.WRITER:
-        if variant == "mwmr":
-            return base.mw_writer_step(state, event, qs)
-        return base.swmr_writer_step(state, event, qs)
-    return base.plain_server_step(state, event, qs)

@@ -33,9 +33,6 @@ def broken_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) 
     return relay_reader_step(state, event, qs, erato._analyze, on_acks=_respond_max_acks)
 
 
-broken_writer_step = erato.erato_writer_step
-
-
 def broken_server_step(state: base.RelayServerState, event: Event, qs: QuorumSystem) -> StepOutput:
     assert isinstance(event, Deliver)
     msg = event.msg

@@ -63,11 +63,3 @@ def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int
 
 def erato_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) -> StepOutput:
     return relay_reader_step(state, event, qs, _analyze)
-
-
-def erato_writer_step(state: base.SWMRWriterState, event: Event, qs: QuorumSystem) -> StepOutput:
-    return base.swmr_writer_step(state, event, qs)
-
-
-def erato_server_step(state: base.RelayServerState, event: Event, qs: QuorumSystem) -> StepOutput:
-    return base.relay_server_step(state, event, qs)

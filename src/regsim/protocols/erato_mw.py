@@ -41,11 +41,3 @@ def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int
 
 def eratomw_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) -> StepOutput:
     return relay_reader_step(state, event, qs, _analyze)
-
-
-def eratomw_writer_step(state: base.MWWriterState, event: Event, qs: QuorumSystem) -> StepOutput:
-    return base.mw_writer_step(state, event, qs)
-
-
-def eratomw_server_step(state: base.RelayServerState, event: Event, qs: QuorumSystem) -> StepOutput:
-    return base.relay_server_step(state, event, qs)

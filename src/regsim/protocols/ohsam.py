@@ -9,10 +9,9 @@ plain timestamp in single-writer mode, discover/put in multi-writer mode.
 
 from __future__ import annotations
 
-from regsim.core import ProcessId, Role
+from regsim.core import ProcessId
 from regsim.protocols import base
-from regsim.protocols.base import Event, StepOutput
-from regsim.protocols.readers import RelayReaderState, relay_reader_step
+from regsim.protocols.readers import RelayReaderState
 from regsim.quorum import QuorumSystem
 
 
@@ -26,13 +25,3 @@ def make_writer(pid: ProcessId, qs: QuorumSystem, mw: bool):
 
 def make_server(pid: ProcessId, qs: QuorumSystem, mw: bool) -> base.RelayServerState:
     return base.make_relay_server(pid, qs, mw=mw, relay_to_reader=False)
-
-
-def baseline_ohsam_step(role: Role, state, event: Event, qs: QuorumSystem, variant: str = "swmr") -> StepOutput:
-    if role is Role.READER:
-        return relay_reader_step(state, event, qs, analyze=None)
-    if role is Role.WRITER:
-        if variant == "mwmr":
-            return base.mw_writer_step(state, event, qs)
-        return base.swmr_writer_step(state, event, qs)
-    return base.relay_server_step(state, event, qs)

@@ -4,7 +4,8 @@ A relay read broadcasts one request and then watches two responder sets:
 relays echoed directly to the reader (RR) and post-synchronisation
 acknowledgements (RA).  The acknowledgement quorum is always checked first;
 how a completed relay quorum is analysed is what distinguishes the
-protocols, so that part is injected as a callable.
+protocols, so that part is injected as a callable.  Without one (the ohsam
+and ohmam baselines) every read waits for the acknowledgement quorum.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def relay_reader_step(
     state: RelayReaderState,
     event: Event,
     qs: QuorumSystem,
-    analyze: Optional[Analyzer],
+    analyze: Optional[Analyzer] = None,
     on_acks: AckResponder = respond_min_acks,
 ) -> StepOutput:
     out = StepOutput()

@@ -12,12 +12,9 @@ work on bitmasks over those indices.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
-
-from regsim import _maskops_py, kernels
+from typing import Iterable, Optional
 
 
 @dataclass
@@ -28,22 +25,11 @@ class QuorumSystem:
     members: list[int] = field(init=False, repr=False)
     masks: list[int] = field(init=False, repr=False)
     _bit_of: dict[int, int] = field(init=False, repr=False)
-    _masks_seq: Sequence[int] = field(init=False, repr=False)
-    _fc = None
-    _v3 = None
 
     def __post_init__(self) -> None:
         self.members = sorted(self.universe)
         self._bit_of = {m: i for i, m in enumerate(self.members)}
         self.masks = [self.mask_of(q) for q in self.quorums]
-        if len(self.members) <= 64 and kernels.BACKEND == "c":
-            self._masks_seq = array("Q", self.masks)
-            self._fc = kernels.first_contained
-            self._v3 = kernels.view3_exists
-        else:
-            self._masks_seq = self.masks
-            self._fc = _maskops_py.first_contained
-            self._v3 = _maskops_py.view3_exists
 
     @property
     def n(self) -> int:
@@ -79,10 +65,22 @@ class QuorumSystem:
 
     def first_contained_mask(self, responders: int) -> int:
         """Index of the first quorum fully inside the responder mask, or -1."""
-        return self._fc(self._masks_seq, responders)
+        for i, m in enumerate(self.masks):
+            if m & ~responders == 0:
+                return i
+        return -1
 
     def view3_mask(self, current: int, maxset: int) -> bool:
-        return self._v3(self._masks_seq, current, maxset)
+        """True when some quorum other than `current` intersects it only in maxset.
+
+        `current` may be a shrunken remainder of a quorum, so an intersection
+        can be empty; the subset test is then vacuously true, which is the
+        conservative behaviour the iterative read analysis wants.
+        """
+        for m in self.masks:
+            if m != current and (m & current) & ~maxset == 0:
+                return True
+        return False
 
     def relay_mask(self, bit: int) -> int:
         """Mask of every server sharing a quorum with server bit `bit`."""

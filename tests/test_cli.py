@@ -100,6 +100,28 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
     assert "pending" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("check", "bogus\t0.5", "line 2: bad trace record"),
+        ("check", "inv\tnotafloat\tr0\t1\tread\t-", "line 2: could not convert string to float"),
+        ("check", "res\t0.5\tr0\t1\t2\t0\t0\t", "line 2: res for op 1 with no earlier inv"),
+        ("run", None, "No such file"),
+        ("sweep", None, "No such file"),
+        ("check", None, "No such file"),
+        ("report", None, "No such file"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsys) -> None:
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text("run\talgorithm=erato\tseed=0\n" + text + "\n")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
 def test_sweep_and_report(tmp_path, capsys) -> None:
     grid = tmp_path / "grid.ini"
     grid.write_text(GRID)

@@ -5,11 +5,9 @@ from regsim.core import (
     HEADER_OCTETS,
     INITIAL_TAG,
     INITIAL_VALUE,
-    Comparison,
     Message,
     MessageKind,
     Tag,
-    compare_tags,
     reader,
     server,
     writer,
@@ -18,23 +16,15 @@ from regsim.core import (
 tags = st.builds(Tag, ts=st.integers(0, 50), wid=st.integers(0, 8))
 
 
-def test_compare_tags_examples():
-    assert compare_tags(Tag(1, 5), Tag(2, 1)) is Comparison.LESS  # ts dominates
-    assert compare_tags(Tag(3, 2), Tag(3, 1)) is Comparison.GREATER  # wid breaks ties
-    assert compare_tags(Tag(4, 0), Tag(4, 0)) is Comparison.EQUAL
+def test_tag_order_examples():
+    assert Tag(1, 5) < Tag(2, 1)  # ts dominates
+    assert Tag(3, 2) > Tag(3, 1)  # wid breaks ties
+    assert Tag(4, 0) == Tag(4, 0)
 
 
 def test_initial_register_state():
     assert INITIAL_TAG == Tag(0, 0)
     assert INITIAL_VALUE == b""
-
-
-@given(tags, tags)
-def test_compare_matches_dataclass_order(a, b):
-    cmp = compare_tags(a, b)
-    assert (cmp is Comparison.LESS) == (a < b)
-    assert (cmp is Comparison.GREATER) == (a > b)
-    assert (cmp is Comparison.EQUAL) == (a == b)
 
 
 @given(tags, tags, tags)

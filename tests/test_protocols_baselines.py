@@ -1,16 +1,9 @@
 """Step-level traces of the query/write-back and relay-sync baselines."""
 
-from regsim.core import Message, MessageKind, Role, Tag, reader, server, writer
-from regsim.protocols import (
-    ALGORITHMS,
-    EXTRA_ALGORITHMS,
-    Deliver,
-    Invoke,
-    baseline_abd_step,
-    baseline_ohsam_step,
-    get_algorithm,
-)
-from regsim.protocols import abd, broken, ohsam
+from regsim.core import Message, MessageKind, Tag, reader, server, writer
+from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, Deliver, Invoke, get_algorithm
+from regsim.protocols import abd, base, broken, ohsam
+from regsim.protocols.readers import relay_reader_step
 from regsim.quorum import build_majority
 
 QS3 = build_majority(3)
@@ -24,87 +17,86 @@ def rack(b, tag, value, op):
 
 def test_abd_read_is_always_two_round_trips():
     r = abd.make_reader(R0, QS3)
-    out = baseline_abd_step(Role.READER, r, Invoke(), QS3)
+    out = abd.query_reader_step(r, Invoke(), QS3)
     assert len(out.sends) == 3 and out.sends[0][1].op_seq == 1
 
-    baseline_abd_step(Role.READER, r, Deliver(rack(0, Tag(2, 0), b"v2", 1)), QS3)
-    out = baseline_abd_step(Role.READER, r, Deliver(rack(1, Tag(5, 0), b"v5", 1)), QS3)
+    abd.query_reader_step(r, Deliver(rack(0, Tag(2, 0), b"v2", 1)), QS3)
+    out = abd.query_reader_step(r, Deliver(rack(1, Tag(5, 0), b"v5", 1)), QS3)
     # Quorum maximum goes out as a write-back on a fresh op_seq.
     assert out.response is None and len(out.sends) == 3
     wb = out.sends[0][1]
     assert wb.kind is MessageKind.READ_RELAY and wb.op_seq == 2
     assert wb.tag == Tag(5, 0) and wb.value == b"v5"
 
-    baseline_abd_step(Role.READER, r, Deliver(rack(0, Tag(5, 0), b"v5", 2)), QS3)
-    out = baseline_abd_step(Role.READER, r, Deliver(rack(2, Tag(5, 0), b"v5", 2)), QS3)
+    abd.query_reader_step(r, Deliver(rack(0, Tag(5, 0), b"v5", 2)), QS3)
+    out = abd.query_reader_step(r, Deliver(rack(2, Tag(5, 0), b"v5", 2)), QS3)
     assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v5", Tag(5, 0), 4)
 
 
 def test_abd_read_uniform_tags_still_four_exchanges():
     r = abd.make_reader(R0, QS3)
-    baseline_abd_step(Role.READER, r, Invoke(), QS3)
+    abd.query_reader_step(r, Invoke(), QS3)
     for b in (0, 1):
-        baseline_abd_step(Role.READER, r, Deliver(rack(b, Tag(1, 0), b"v", 1)), QS3)
+        abd.query_reader_step(r, Deliver(rack(b, Tag(1, 0), b"v", 1)), QS3)
     assert r.phase == "writeback"
     for b in (0, 1):
-        out = baseline_abd_step(Role.READER, r, Deliver(rack(b, Tag(1, 0), b"v", 2)), QS3)
+        out = abd.query_reader_step(r, Deliver(rack(b, Tag(1, 0), b"v", 2)), QS3)
     assert out.response.exchanges == 4
 
 
 def test_abd_server_answers_queries_and_write_backs():
     s = abd.make_server(server(1), QS3, mw=False)
-    out = baseline_abd_step(Role.SERVER, s, Deliver(Message(MessageKind.READ_REQUEST, R0, R0, 1)), QS3)
+    out = base.plain_server_step(s, Deliver(Message(MessageKind.READ_REQUEST, R0, R0, 1)), QS3)
     assert len(out.sends) == 1 and out.sends[0][0] == R0
     assert out.sends[0][1].tag == Tag(0, 0)
 
     wb = Message(MessageKind.READ_RELAY, R0, R0, 2, Tag(7, 0), b"v7")
-    out = baseline_abd_step(Role.SERVER, s, Deliver(wb), QS3)
+    out = base.plain_server_step(s, Deliver(wb), QS3)
     assert s.tag == Tag(7, 0) and s.value == b"v7"  # adopted from the write-back
     assert out.sends[0][1].kind is MessageKind.READ_ACK and out.sends[0][1].op_seq == 2
 
 
 def test_abd_writer_variants():
+    step = get_algorithm("abd").writer_step
     w = abd.make_writer(W0, QS3, mw=False)
-    baseline_abd_step(Role.WRITER, w, Invoke(b"v"), QS3)
+    step(w, Invoke(b"v"), QS3)
     for b in (0, 1):
-        out = baseline_abd_step(
-            Role.WRITER, w, Deliver(Message(MessageKind.WRITE_ACK, server(b), W0, 1, Tag(1, 0))), QS3
-        )
+        out = step(w, Deliver(Message(MessageKind.WRITE_ACK, server(b), W0, 1, Tag(1, 0))), QS3)
     assert out.response.exchanges == 2
 
     w = abd.make_writer(writer(1), QS3, mw=True)
-    out = baseline_abd_step(Role.WRITER, w, Invoke(b"v"), QS3, variant="mwmr")
+    out = get_algorithm("abd_mw").writer_step(w, Invoke(b"v"), QS3)
     assert out.sends[0][1].kind is MessageKind.WRITE_DISCOVER
 
 
 def test_ohsam_server_relays_to_servers_only():
     s = ohsam.make_server(server(0), QS3, mw=False)
-    out = baseline_ohsam_step(Role.SERVER, s, Deliver(Message(MessageKind.READ_REQUEST, R0, R0, 1)), QS3)
+    out = base.relay_server_step(s, Deliver(Message(MessageKind.READ_REQUEST, R0, R0, 1)), QS3)
     assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2)]
 
 
 def test_ohsam_read_three_exchanges_min_tag():
     r = ohsam.make_reader(R0, QS3)
-    out = baseline_ohsam_step(Role.READER, r, Invoke(), QS3)
+    out = relay_reader_step(r, Invoke(), QS3)
     assert len(out.sends) == 3
-    baseline_ohsam_step(Role.READER, r, Deliver(rack(0, Tag(5, 0), b"v5", 1)), QS3)
-    out = baseline_ohsam_step(Role.READER, r, Deliver(rack(1, Tag(4, 0), b"v4", 1)), QS3)
+    relay_reader_step(r, Deliver(rack(0, Tag(5, 0), b"v5", 1)), QS3)
+    out = relay_reader_step(r, Deliver(rack(1, Tag(4, 0), b"v4", 1)), QS3)
     assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v4", Tag(4, 0), 3)
 
 
 def test_ohsam_read_uniform_still_three_exchanges():
     r = ohsam.make_reader(R0, QS3)
-    baseline_ohsam_step(Role.READER, r, Invoke(), QS3)
-    baseline_ohsam_step(Role.READER, r, Deliver(rack(0, Tag(1, 0), b"v", 1)), QS3)
-    out = baseline_ohsam_step(Role.READER, r, Deliver(rack(1, Tag(1, 0), b"v", 1)), QS3)
+    relay_reader_step(r, Invoke(), QS3)
+    relay_reader_step(r, Deliver(rack(0, Tag(1, 0), b"v", 1)), QS3)
+    out = relay_reader_step(r, Deliver(rack(1, Tag(1, 0), b"v", 1)), QS3)
     assert out.response.exchanges == 3
 
 
 def test_ohmam_min_uses_writer_id_tiebreak():
     r = ohsam.make_reader(R0, QS3)
-    baseline_ohsam_step(Role.READER, r, Invoke(), QS3, variant="mwmr")
-    baseline_ohsam_step(Role.READER, r, Deliver(rack(0, Tag(4, 2), b"b", 1)), QS3)
-    out = baseline_ohsam_step(Role.READER, r, Deliver(rack(1, Tag(4, 1), b"a", 1)), QS3)
+    relay_reader_step(r, Invoke(), QS3)
+    relay_reader_step(r, Deliver(rack(0, Tag(4, 2), b"b", 1)), QS3)
+    out = relay_reader_step(r, Deliver(rack(1, Tag(4, 1), b"a", 1)), QS3)
     assert out.response.tag == Tag(4, 1)
 
 

@@ -4,8 +4,8 @@ from copy import deepcopy
 
 from regsim.core import Message, MessageKind, Tag, reader, server, writer
 from regsim.protocols import Deliver, Invoke
-from regsim.protocols import erato
-from regsim.protocols.erato import erato_reader_step, erato_server_step, erato_writer_step
+from regsim.protocols import base, erato
+from regsim.protocols.erato import erato_reader_step
 from regsim.quorum import build_majority
 
 QS3 = build_majority(3)
@@ -28,47 +28,47 @@ def wack(b, ts):
 
 def test_write_broadcast_and_quorum_ack():
     w = erato.make_writer(W0, QS3)
-    out = erato_writer_step(w, Invoke(b"v1"), QS3)
+    out = base.swmr_writer_step(w, Invoke(b"v1"), QS3)
     assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2)]
     m = out.sends[0][1]
     assert m.kind is MessageKind.WRITE_REQUEST and m.tag == Tag(1, 0) and m.value == b"v1"
     assert ("wtag", Tag(1, 0)) in out.notes
 
-    assert erato_writer_step(w, Deliver(wack(0, 1)), QS3).response is None
-    out = erato_writer_step(w, Deliver(wack(1, 1)), QS3)
+    assert base.swmr_writer_step(w, Deliver(wack(0, 1)), QS3).response is None
+    out = base.swmr_writer_step(w, Deliver(wack(1, 1)), QS3)
     assert out.response is not None
     assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v1", Tag(1, 0), 2)
     # Trailing ack for the answered write: ignored, not stale.
-    out = erato_writer_step(w, Deliver(wack(2, 1)), QS3)
+    out = base.swmr_writer_step(w, Deliver(wack(2, 1)), QS3)
     assert out.response is None and not out.stale
 
 
 def test_fourth_write_acked_by_any_quorum():
     w = erato.make_writer(W0, QS3)
     for k in range(1, 4):
-        erato_writer_step(w, Invoke(b"x%d" % k), QS3)
-        erato_writer_step(w, Deliver(wack(0, k)), QS3)
-        erato_writer_step(w, Deliver(wack(1, k)), QS3)
-    out = erato_writer_step(w, Invoke(b"v4"), QS3)
+        base.swmr_writer_step(w, Invoke(b"x%d" % k), QS3)
+        base.swmr_writer_step(w, Deliver(wack(0, k)), QS3)
+        base.swmr_writer_step(w, Deliver(wack(1, k)), QS3)
+    out = base.swmr_writer_step(w, Invoke(b"v4"), QS3)
     assert out.sends[0][1].tag == Tag(4, 0)
-    erato_writer_step(w, Deliver(wack(1, 4)), QS3)
-    out = erato_writer_step(w, Deliver(wack(2, 4)), QS3)  # quorum {2,3}
+    base.swmr_writer_step(w, Deliver(wack(1, 4)), QS3)
+    out = base.swmr_writer_step(w, Deliver(wack(2, 4)), QS3)  # quorum {2,3}
     assert out.response is not None and out.response.exchanges == 2
 
 
 def test_stale_write_ack_flagged():
     w = erato.make_writer(W0, QS3)
-    erato_writer_step(w, Invoke(b"a"), QS3)
+    base.swmr_writer_step(w, Invoke(b"a"), QS3)
     for b in (0, 1):
-        erato_writer_step(w, Deliver(wack(b, 1)), QS3)
-    erato_writer_step(w, Invoke(b"b"), QS3)
-    assert erato_writer_step(w, Deliver(wack(2, 1)), QS3).stale
+        base.swmr_writer_step(w, Deliver(wack(b, 1)), QS3)
+    base.swmr_writer_step(w, Invoke(b"b"), QS3)
+    assert base.swmr_writer_step(w, Deliver(wack(2, 1)), QS3).stale
 
 
 def test_server_relays_to_quorum_peers_and_reader():
     s = erato.make_server(server(0), QS3)
     req = Message(MessageKind.READ_REQUEST, R0, R0, 1)
-    out = erato_server_step(s, Deliver(req), QS3)
+    out = base.relay_server_step(s, Deliver(req), QS3)
     assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2), R0]
     m = out.sends[0][1]
     assert m.kind is MessageKind.READ_RELAY and m.tag == Tag(0, 0) and m.value == b""
@@ -76,22 +76,22 @@ def test_server_relays_to_quorum_peers_and_reader():
 
 def test_server_acks_once_after_relay_quorum():
     s = erato.make_server(server(0), QS3)
-    out = erato_server_step(s, Deliver(relay(1, 3, b"v3")), QS3)
+    out = base.relay_server_step(s, Deliver(relay(1, 3, b"v3")), QS3)
     assert out.sends == [] and s.tag == Tag(3, 0) and s.value == b"v3"  # adopted
-    out = erato_server_step(s, Deliver(relay(2, 0, b"")), QS3)  # completes quorum {2,3}
+    out = base.relay_server_step(s, Deliver(relay(2, 0, b"")), QS3)  # completes quorum {2,3}
     assert len(out.sends) == 1
     dst, m = out.sends[0]
     assert dst == R0 and m.kind is MessageKind.READ_ACK
     assert m.tag == Tag(3, 0) and m.value == b"v3"  # ack carries adopted pair
     # Third relay arrives: no duplicate ack for the same read.
-    out = erato_server_step(s, Deliver(relay(0, 0, b"")), QS3)
+    out = base.relay_server_step(s, Deliver(relay(0, 0, b"")), QS3)
     assert out.sends == []
 
 
 def test_server_adoption_is_monotone():
     s = erato.make_server(server(0), QS3)
-    erato_server_step(s, Deliver(relay(1, 3, b"v3")), QS3)
-    erato_server_step(s, Deliver(relay(2, 2, b"v2")), QS3)
+    base.relay_server_step(s, Deliver(relay(1, 3, b"v3")), QS3)
+    base.relay_server_step(s, Deliver(relay(2, 2, b"v2")), QS3)
     assert s.tag == Tag(3, 0) and s.value == b"v3"
 
 

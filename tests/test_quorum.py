@@ -95,6 +95,43 @@ def test_first_contained_monotone_in_responders(n, data):
         assert after is not None and after <= before
 
 
+def test_mask_scan_semantics():
+    qs = QuorumSystem(frozenset({0, 1, 2}), [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
+    assert qs.masks == [0b011, 0b101, 0b110]
+    assert qs.first_contained_mask(0b111) == 0
+    assert qs.first_contained_mask(0b110) == 2
+    assert qs.first_contained_mask(0b001) == -1
+    # current={bit0}, maxset={bit0}: quorum 0b101 intersects only inside maxset
+    assert qs.view3_mask(0b001, 0b001)
+    # empty intersection counts as contained
+    split = QuorumSystem(frozenset({0, 1, 2}), [frozenset({2}), frozenset({0, 1})])
+    assert split.masks == [0b100, 0b011]
+    assert split.view3_mask(0b011, 0)
+
+
+@st.composite
+def quorum_systems(draw):
+    """Arbitrary quorums over servers 0..n-1, possibly empty or disjoint."""
+    n = draw(st.integers(1, 10))
+    ids = st.sets(st.integers(0, n - 1)).map(frozenset)
+    return QuorumSystem(frozenset(range(n)), draw(st.lists(ids, min_size=1, max_size=20)))
+
+
+@given(quorum_systems(), st.data())
+def test_first_contained_mask_matches_set_definition(qs, data):
+    responders = data.draw(st.sets(st.sampled_from(qs.members)))
+    expected = next((i for i, q in enumerate(qs.quorums) if q <= responders), -1)
+    assert qs.first_contained_mask(qs.mask_of(responders)) == expected
+
+
+@given(quorum_systems(), st.data())
+def test_view3_mask_matches_set_definition(qs, data):
+    current = data.draw(st.sets(st.sampled_from(qs.members)))
+    maxset = data.draw(st.sets(st.sampled_from(qs.members)))
+    expected = any(q != current and q & current <= maxset for q in qs.quorums)
+    assert qs.view3_mask(qs.mask_of(current), qs.mask_of(maxset)) == expected
+
+
 def test_relay_destinations_majority():
     qs = build_majority(3)
     assert relay_destinations(qs, 1) == frozenset({1, 2, 3})

@@ -13,7 +13,7 @@ from regsim.checker import (
     check_atomicity_tagged,
     extract_history,
 )
-from regsim.config import ConfigError, ScenarioConfig, parse_config, validate, with_overrides
+from regsim.config import ConfigError, ScenarioConfig, parse_config, parse_grid, validate, with_overrides
 from regsim.core import (
     INITIAL_TAG,
     INITIAL_VALUE,
@@ -30,7 +30,6 @@ from regsim.core import (
 )
 from regsim.harness import (
     RunResult,
-    parse_grid,
     run_scenario,
     sweep,
     trace_from_text,

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from regsim.checker import check_atomicity_tagged, extract_history
-from regsim.config import ConfigError, parse_config, with_overrides
+from regsim.config import ConfigError, parse_config, parse_grid, with_overrides
 from regsim.core import parse_pid
 from regsim.harness import (
     CSV_HEADER,
@@ -25,9 +25,7 @@ from regsim.harness import (
     EXIT_CONFIG,
     EXIT_LIVENESS,
     EXIT_OK,
-    RunResult,
     SweepError,
-    parse_grid,
     run_scenario,
     sweep,
     trace_from_text,

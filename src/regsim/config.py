@@ -1,4 +1,5 @@
-"""Scenario configuration: INI text in, validated ScenarioConfig out.
+"""Scenario configuration: INI text in, validated ScenarioConfig (or, for
+a grid file, a list of them) out.
 
 All constraint violations in a document are collected and reported
 together with their section.key path, so a bad file needs only one fix
@@ -8,6 +9,7 @@ round.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -79,6 +81,8 @@ _SCHEMA: dict[str, dict[str, str]] = {
     },
 }
 
+_KEY_TYPE = {key: typ for keys in _SCHEMA.values() for key, typ in keys.items()}
+
 _KEY_TO_FIELD = {
     ("crashes", "servers"): "crash_servers",
     ("crashes", "readers"): "crash_readers",
@@ -98,15 +102,23 @@ def _parse_crash_list(text: str) -> CrashList:
     return tuple(out)
 
 
-def parse_fields(text: str, ignore_sections: tuple[str, ...] = ()) -> dict:
-    """Parse INI text into a ScenarioConfig field dict, without validating
-    inter-field constraints."""
+# One converter per schema type; each raises ValueError on a bad value.
+_CONVERT = {"int": int, "float": float, "crashes": _parse_crash_list, "str": str.strip}
+
+
+def _read_ini(text: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(["not parseable: %s" % exc]) from exc
+    return parser
 
+
+def parse_fields(text: str, ignore_sections: tuple[str, ...] = ()) -> dict:
+    """Parse INI text into a ScenarioConfig field dict, without validating
+    inter-field constraints."""
+    parser = _read_ini(text)
     errors: list[str] = []
     values: dict = {}
     for section in parser.sections():
@@ -124,14 +136,7 @@ def parse_fields(text: str, ignore_sections: tuple[str, ...] = ()) -> dict:
                 continue
             field_name = _KEY_TO_FIELD.get((section, key), key)
             try:
-                if typ == "int":
-                    values[field_name] = int(raw)
-                elif typ == "float":
-                    values[field_name] = float(raw)
-                elif typ == "crashes":
-                    values[field_name] = _parse_crash_list(raw)
-                else:
-                    values[field_name] = raw.strip()
+                values[field_name] = _CONVERT[typ](raw)
             except ValueError:
                 errors.append("%s: expected %s, got %r" % (path, typ, raw))
     if errors:
@@ -141,6 +146,50 @@ def parse_fields(text: str, ignore_sections: tuple[str, ...] = ()) -> dict:
 
 def parse_config(text: str) -> ScenarioConfig:
     return validate(ScenarioConfig(**parse_fields(text)))
+
+
+def parse_grid(text: str) -> list[ScenarioConfig]:
+    """A grid file is a scenario file plus a [grid] section whose keys hold
+    comma-separated alternatives; `seeds = N` expands to seeds 0..N-1.
+    Returns the cross product in file order, seeds innermost.  Constraint
+    validation happens per expanded cell, since the base alone may be
+    incomplete (e.g. the algorithm axis lives in [grid])."""
+    parser = _read_ini(text)
+    if not parser.has_section("grid"):
+        raise ConfigError(["grid: missing section"])
+    base = ScenarioConfig(**parse_fields(text, ignore_sections=("grid",)))
+
+    seeds = list(range(10))
+    axes: list[tuple[str, list]] = []
+    errors: list[str] = []
+    for key, raw in parser.items("grid"):
+        typ = "int" if key == "seeds" else _KEY_TYPE.get(key)
+        if typ is None:
+            errors.append("grid.%s: unknown key" % key)
+            continue
+        try:
+            if key == "seeds":
+                seeds = list(range(int(raw)))
+            else:
+                axes.append((key, [_CONVERT[typ](part.strip()) for part in raw.split(",")]))
+        except ValueError:
+            errors.append("grid.%s: expected %s, got %r" % (key, typ, raw))
+    if errors:
+        raise ConfigError(errors)
+
+    configs = []
+    for combo in itertools.product(*(vals for _, vals in axes)):
+        assigned = dict(zip((k for k, _ in axes), combo))
+        for s in seeds:
+            try:
+                configs.append(validate(replace(base, seed=s, **assigned)))
+            except ConfigError as exc:
+                cell = ", ".join("%s=%s" % kv for kv in assigned.items())
+                errors.append("cell (%s): %s" % (cell, exc))
+                break  # every seed of this cell fails identically
+    if errors:
+        raise ConfigError(errors)
+    return configs
 
 
 def validate(config: ScenarioConfig) -> ScenarioConfig:

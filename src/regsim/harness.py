@@ -15,23 +15,13 @@ Operation CSV: one row per completed operation, fixed column schema
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from regsim.checker import Verdict, check_atomicity_tagged, extract_history
-from regsim.config import (
-    ConfigError,
-    ScenarioConfig,
-    build_quorum_system,
-    parse_fields,
-    validate,
-    _SCHEMA,
-    _parse_crash_list,
-)
-from regsim.core import OperationRecord, Tag, parse_pid, reader, server, writer
+from regsim.config import ScenarioConfig, build_quorum_system
+from regsim.core import parse_pid, reader, server, writer
 from regsim.metrics import OpStats, Summary, per_operation_stats, summarize
 from regsim.netsim import Network, TopologySpec, Trace, build_topology, run
 from regsim.protocols import get_algorithm
@@ -79,9 +69,9 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def trace_from_text(text: str) -> Trace:
-    """Parse a trace log; a malformed line raises ValueError("line N: ...")."""
+    """Parse a trace log; a malformed line, or one that contradicts an
+    earlier line (see Trace.add), raises ValueError("line N: ...")."""
     trace = Trace()
-    ordinal: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line:
             continue
@@ -102,37 +92,10 @@ def trace_from_text(text: str) -> Trace:
             if converters is None or len(parts) - 1 != len(converters):
                 raise ValueError("bad trace record %r" % line)
             rec = (kind,) + tuple(conv(p) for conv, p in zip(converters, parts[1:]))
-            trace.records.append(rec)
-            if kind == "inv":
-                _, t, pid, op_id, op_kind, value_hex = rec
-                value = bytes.fromhex(value_hex) if value_hex != "-" else None
-                trace.ops[op_id] = OperationRecord(op_id, pid, op_kind, t, value=value)
-                ordinal[pid] = ordinal.get(pid, 0) + 1
-                trace.invocations[(pid, ordinal[pid])] = op_id
-            elif kind == "res":
-                _, t, pid, op_id, exchanges, ts, wid, value_hex = rec
-                op = trace.ops.get(op_id)
-                if op is None:
-                    raise ValueError("res for op %d with no earlier inv" % op_id)
-                op.responded_at = t
-                op.exchanges = exchanges
-                op.tag = Tag(ts, wid)
-                op.value = bytes.fromhex(value_hex)
-            elif kind == "wtag":
-                _, t, pid, op_id, ts, wid = rec
-                op = trace.ops.get(op_id)
-                if op is None:
-                    raise ValueError("wtag for op %d with no earlier inv" % op_id)
-                op.tag = Tag(ts, wid)
-            elif kind == "crs":
-                _, t, pid = rec
-                trace.crash_at[pid] = min(t, trace.crash_at.get(pid, t))
-            elif kind == "end":
-                _, t, status, stale, skipped = rec
-                trace.end_time = t
-                trace.incomplete = status == "incomplete"
-                trace.stale_drops = stale
-                trace.skipped_invokes = skipped
+            if kind in ("snd", "dlv", "tag"):
+                trace.records.append(rec)
+            else:
+                trace.add(rec)
         except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc)) from None
     return trace
@@ -235,63 +198,6 @@ class SweepError(RuntimeError):
         super().__init__("\n".join(report))
         self.report = report
         self.exit_code = exit_code
-
-
-def _grid_value(key: str, raw: str):
-    for section, keys in _SCHEMA.items():
-        typ = keys.get(key)
-        if typ is None:
-            continue
-        if typ == "int":
-            return int(raw)
-        if typ == "float":
-            return float(raw)
-        if typ == "crashes":
-            return _parse_crash_list(raw)
-        return raw.strip()
-    raise ConfigError(["grid.%s: unknown key" % key])
-
-
-def parse_grid(text: str) -> list[ScenarioConfig]:
-    """A grid file is a scenario file plus a [grid] section whose keys hold
-    comma-separated alternatives; `seeds = N` expands to seeds 0..N-1.
-    Returns the cross product in file order, seeds innermost.  Constraint
-    validation happens per expanded cell, since the base alone may be
-    incomplete (e.g. the algorithm axis lives in [grid])."""
-    import configparser
-
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(["not parseable: %s" % exc]) from exc
-    if not parser.has_section("grid"):
-        raise ConfigError(["grid: missing section"])
-    grid_items = list(parser.items("grid"))
-    base = ScenarioConfig(**parse_fields(text, ignore_sections=("grid",)))
-
-    seeds = list(range(10))
-    axes: list[tuple[str, list]] = []
-    for key, raw in grid_items:
-        if key == "seeds":
-            seeds = list(range(int(raw)))
-            continue
-        axes.append((key, [_grid_value(key, part.strip()) for part in raw.split(",")]))
-
-    configs = []
-    errors: list[str] = []
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        assigned = dict(zip((k for k, _ in axes), combo))
-        for s in seeds:
-            try:
-                configs.append(validate(replace(base, seed=s, **assigned)))
-            except ConfigError as exc:
-                cell = ", ".join("%s=%s" % kv for kv in assigned.items())
-                errors.append("cell (%s): %s" % (cell, exc))
-                break  # every seed of this cell fails identically
-    if errors:
-        raise ConfigError(errors)
-    return configs
 
 
 def _cell_key(config: ScenarioConfig) -> tuple:

@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Optional
 
-from regsim.core import ProcessId, Role
+from regsim.core import ProcessId
 from regsim.netsim import Trace
 from regsim.protocols import get_algorithm
 

@@ -22,15 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from regsim.core import (
-    Message,
-    OperationRecord,
-    ProcessId,
-    Role,
-    reader,
-    server,
-    writer,
-)
+from regsim.core import OperationRecord, ProcessId, Tag, reader, server, writer
 from regsim.protocols import Algorithm, Deliver, Invoke
 from regsim.quorum import QuorumSystem
 
@@ -158,6 +150,46 @@ class Trace:
     incomplete: bool = False
     end_time: float = 0.0
     meta: dict[str, str] = field(default_factory=dict)  # config echo for reports
+    _invoked: dict[ProcessId, int] = field(default_factory=dict, init=False, repr=False)
+
+    def add(self, rec: tuple) -> None:
+        """Append one record; inv/res/wtag/crs/end records also update the
+        operation index and run status.  A record that contradicts the
+        index (a second inv or res for one op id, a res or wtag with no
+        earlier inv) raises ValueError."""
+        self.records.append(rec)
+        kind = rec[0]
+        if kind == "inv":
+            _, t, pid, op_id, op_kind, value_hex = rec
+            if op_id in self.ops:
+                raise ValueError("second inv for op %s" % op_id)
+            value = bytes.fromhex(value_hex) if value_hex != "-" else None
+            self.ops[op_id] = OperationRecord(op_id, pid, op_kind, t, value=value)
+            self._invoked[pid] = ordinal = self._invoked.get(pid, 0) + 1
+            self.invocations[(pid, ordinal)] = op_id
+        elif kind == "res":
+            _, t, pid, op_id, exchanges, ts, wid, value_hex = rec
+            op = self.ops.get(op_id)
+            if op is None:
+                raise ValueError("res for op %s with no earlier inv" % op_id)
+            if op.responded_at is not None:
+                raise ValueError("second res for op %s" % op_id)
+            op.responded_at = t
+            op.exchanges = exchanges
+            op.tag = Tag(ts, wid)
+            op.value = bytes.fromhex(value_hex)
+        elif kind == "wtag":
+            _, t, pid, op_id, ts, wid = rec
+            op = self.ops.get(op_id)
+            if op is None:
+                raise ValueError("wtag for op %s with no earlier inv" % op_id)
+            op.tag = Tag(ts, wid)
+        elif kind == "crs":
+            _, t, pid = rec
+            self.crash_at[pid] = min(t, self.crash_at.get(pid, t))
+        elif kind == "end":
+            _, self.end_time, status, self.stale_drops, self.skipped_invokes = rec
+            self.incomplete = status == "incomplete"
 
     def live(self, pid: ProcessId) -> bool:
         return pid not in self.crash_at
@@ -184,9 +216,8 @@ def run(
 ) -> Trace:
     rng = random.Random("%d:net" % seed)
     trace = Trace(algorithm=algorithm.name, seed=seed)
-    makers = (algorithm.make_reader, algorithm.make_writer, algorithm.make_server)
     steps = (algorithm.reader_step, algorithm.writer_step, algorithm.server_step)
-    states = {pid: makers[pid.role](pid, qs) for pid in network.nodes()}
+    states = {pid: algorithm.new_state(pid, qs) for pid in network.nodes()}
     step_of = {pid: steps[pid.role] for pid in states}
     for pid, t in crash_schedule:
         trace.crash_at[pid] = min(t, trace.crash_at.get(pid, t))
@@ -208,18 +239,15 @@ def run(
         return trace.crash_at.get(pid, float("inf")) <= t
 
     current_op: dict[ProcessId, Optional[int]] = {pid: None for pid in states}
-    ordinal: dict[ProcessId, int] = {pid: 0 for pid in states}
     next_op = 1
 
     def handle_output(pid: ProcessId, t: float, out) -> None:
-        nonlocal seq
         if out.stale:
             trace.stale_drops += 1
         op_id = current_op[pid]
         for note in out.notes:
             if note[0] == "wtag" and op_id is not None:
-                trace.ops[op_id].tag = note[1]
-                trace.records.append(("wtag", t, pid, op_id, note[1].ts, note[1].wid))
+                trace.add(("wtag", t, pid, op_id, note[1].ts, note[1].wid))
             elif note[0] == "adopt":
                 trace.records.append(("tag", t, pid, note[1].ts, note[1].wid))
             elif note[0] == "view":
@@ -234,19 +262,10 @@ def run(
                 ("snd", t, pid, dst, msg.kind.value, msg.client, msg.op_seq, arrive)
             )
             push(arrive, "deliver", (dst, msg))
-        if out.response is not None:
-            assert op_id is not None, "response outside an operation"
-            op = trace.ops[op_id]
-            assert op.responded_at is None, "second response for one operation"
-            op.responded_at = t
-            op.tag = out.response.tag
-            op.value = out.response.value
-            op.exchanges = out.response.exchanges
+        res = out.response
+        if res is not None:
             current_op[pid] = None
-            trace.records.append(
-                ("res", t, pid, op_id, out.response.exchanges, out.response.tag.ts,
-                 out.response.tag.wid, out.response.value.hex())
-            )
+            trace.add(("res", t, pid, op_id, res.exchanges, res.tag.ts, res.tag.wid, res.value.hex()))
 
     last_t = 0.0
     while heap:
@@ -255,7 +274,7 @@ def run(
         t, _, kind, payload = heapq.heappop(heap)
         last_t = t
         if kind == "crash":
-            trace.records.append(("crs", t, payload))
+            trace.add(("crs", t, payload))
             continue
         if kind == "invoke":
             item: WorkItem = payload
@@ -265,20 +284,13 @@ def run(
             if current_op[pid] is not None:
                 trace.skipped_invokes += 1
                 continue
-            op_id = next_op
-            next_op += 1
-            ordinal[pid] += 1
             # Writes carry their intended value from invocation on, so a
             # crashed write still shows what it was writing.
             value = item.value if item.kind == "write" else None
-            trace.ops[op_id] = OperationRecord(op_id, pid, item.kind, t, value=value)
-            trace.invocations[(pid, ordinal[pid])] = op_id
-            current_op[pid] = op_id
-            trace.records.append(
-                ("inv", t, pid, op_id, item.kind, value.hex() if value is not None else "-")
-            )
-            event = Invoke(item.value if item.kind == "write" else None)
-            handle_output(pid, t, step_of[pid](states[pid], event, qs))
+            trace.add(("inv", t, pid, next_op, item.kind, value.hex() if value is not None else "-"))
+            current_op[pid] = next_op
+            next_op += 1
+            handle_output(pid, t, step_of[pid](states[pid], Invoke(value), qs))
             continue
         dst, msg = payload
         if dead(dst, t):
@@ -286,12 +298,12 @@ def run(
         trace.records.append(("dlv", t, dst, msg.sender, msg.kind.value, msg.client, msg.op_seq))
         handle_output(dst, t, step_of[dst](states[dst], Deliver(msg), qs))
 
-    trace.end_time = min(last_t, cap_s) if not heap else cap_s
+    end_time = min(last_t, cap_s) if not heap else cap_s
     pending_live = any(
         op.responded_at is None and trace.live(op.process) for op in trace.ops.values()
     )
     unreached = [e for e in heap if e[2] == "invoke" and not dead(e[3].pid, e[0])]
-    trace.incomplete = pending_live or bool(unreached)
-    trace.records.append(("end", trace.end_time, "incomplete" if trace.incomplete else "complete",
-                          trace.stale_drops, trace.skipped_invokes))
+    incomplete = pending_live or bool(unreached)
+    trace.add(("end", end_time, "incomplete" if incomplete else "complete",
+               trace.stale_drops, trace.skipped_invokes))
     return trace

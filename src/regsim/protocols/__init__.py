@@ -1,8 +1,13 @@
-"""Protocol registry: name -> (state factories, step functions, metadata).
+"""Protocol registry: one row per protocol naming its reader state, its
+three step functions and two flags.
 
-read_phases/write_phases say how many op_seq increments one client
+mw selects the writer: the one-phase timestamp broadcast, or the
+two-phase discover/put.  relay_to_reader says whether relaying servers
+echo each relay to the reader as well as to the other servers.
+read_phases and write_phases say how many op_seq increments one client
 operation consumes (two-phase reads and writes burn two), which is what
-maps message op_seq values back to operations for attribution.
+maps message op_seq values back to operations for attribution;
+write_phases follows from mw.
 """
 
 from __future__ import annotations
@@ -10,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from regsim.core import ProcessId
-from regsim.protocols import abd, base, broken, erato, erato_mw, ohsam
+from regsim.core import ProcessId, Role
+from regsim.protocols import abd, base, broken, erato, erato_mw
 from regsim.protocols.base import Deliver, Event, Invoke, Response, StepOutput
-from regsim.protocols.readers import relay_reader_step
+from regsim.protocols.readers import RelayReaderState, relay_reader_step
 from regsim.quorum import QuorumSystem
 
 StepFn = Callable[[object, Event, QuorumSystem], StepOutput]
-MakeFn = Callable[[ProcessId, QuorumSystem], object]
 
 
 @dataclass(frozen=True)
@@ -25,62 +29,60 @@ class Algorithm:
     name: str
     mw: bool
     read_phases: int
-    write_phases: int
-    make_reader: MakeFn
-    make_writer: MakeFn
-    make_server: MakeFn
+    reader_state: Callable[[ProcessId], object]
     reader_step: StepFn
     writer_step: StepFn
     server_step: StepFn
+    relay_to_reader: bool
+
+    @property
+    def write_phases(self) -> int:
+        return 2 if self.mw else 1
+
+    def new_state(self, pid: ProcessId, qs: QuorumSystem):
+        """Initial state of node pid under this protocol."""
+        if pid.role is Role.READER:
+            return self.reader_state(pid)
+        if pid.role is Role.WRITER:
+            return base.MWWriterState(pid) if self.mw else base.SWMRWriterState(pid)
+        return base.ServerState(pid, qs.relay_mask(pid.index), self.relay_to_reader)
 
 
 ALGORITHMS: dict[str, Algorithm] = {
     "erato": Algorithm(
-        "erato", False, 1, 1,
-        erato.make_reader, erato.make_writer, erato.make_server,
-        erato.erato_reader_step, base.swmr_writer_step, base.relay_server_step,
+        "erato", False, 1, RelayReaderState,
+        erato.erato_reader_step, base.swmr_writer_step, base.relay_server_step, True,
     ),
     "erato_mw": Algorithm(
-        "erato_mw", True, 1, 2,
-        erato_mw.make_reader, erato_mw.make_writer, erato_mw.make_server,
-        erato_mw.eratomw_reader_step, base.mw_writer_step, base.relay_server_step,
+        "erato_mw", True, 1, RelayReaderState,
+        erato_mw.eratomw_reader_step, base.mw_writer_step, base.relay_server_step, True,
     ),
     "abd": Algorithm(
-        "abd", False, 2, 1,
-        abd.make_reader,
-        lambda pid, qs: abd.make_writer(pid, qs, mw=False),
-        lambda pid, qs: abd.make_server(pid, qs, mw=False),
-        abd.query_reader_step, base.swmr_writer_step, base.plain_server_step,
+        "abd", False, 2, abd.QueryReaderState,
+        abd.query_reader_step, base.swmr_writer_step, base.plain_server_step, False,
     ),
     "abd_mw": Algorithm(
-        "abd_mw", True, 2, 2,
-        abd.make_reader,
-        lambda pid, qs: abd.make_writer(pid, qs, mw=True),
-        lambda pid, qs: abd.make_server(pid, qs, mw=True),
-        abd.query_reader_step, base.mw_writer_step, base.plain_server_step,
+        "abd_mw", True, 2, abd.QueryReaderState,
+        abd.query_reader_step, base.mw_writer_step, base.plain_server_step, False,
     ),
+    # Relay-synchronised baselines without the fast path: servers relay
+    # among themselves only and the reader always waits for the
+    # acknowledgement quorum, so every read costs exactly 3 exchanges.
     "ohsam": Algorithm(
-        "ohsam", False, 1, 1,
-        ohsam.make_reader,
-        lambda pid, qs: ohsam.make_writer(pid, qs, mw=False),
-        lambda pid, qs: ohsam.make_server(pid, qs, mw=False),
-        relay_reader_step, base.swmr_writer_step, base.relay_server_step,
+        "ohsam", False, 1, RelayReaderState,
+        relay_reader_step, base.swmr_writer_step, base.relay_server_step, False,
     ),
     "ohmam": Algorithm(
-        "ohmam", True, 1, 2,
-        ohsam.make_reader,
-        lambda pid, qs: ohsam.make_writer(pid, qs, mw=True),
-        lambda pid, qs: ohsam.make_server(pid, qs, mw=True),
-        relay_reader_step, base.mw_writer_step, base.relay_server_step,
+        "ohmam", True, 1, RelayReaderState,
+        relay_reader_step, base.mw_writer_step, base.relay_server_step, False,
     ),
 }
 
 # Known-unsafe variant for checker validation; excluded from config parsing.
 EXTRA_ALGORITHMS: dict[str, Algorithm] = {
     "erato_broken": Algorithm(
-        "erato_broken", False, 1, 1,
-        broken.make_reader, broken.make_writer, broken.make_server,
-        broken.broken_reader_step, base.swmr_writer_step, broken.broken_server_step,
+        "erato_broken", False, 1, RelayReaderState,
+        broken.broken_reader_step, base.swmr_writer_step, broken.broken_server_step, True,
     ),
 }
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from regsim.core import Message, MessageKind, ProcessId, Tag
-from regsim.protocols import base
-from regsim.protocols.base import Deliver, Event, Invoke, Response, StepOutput, bits, broadcast
+from regsim.protocols.base import Event, Invoke, Response, StepOutput, broadcast
+from regsim.protocols.readers import quorum_extreme
 from regsim.quorum import QuorumSystem
 
 
@@ -54,7 +54,7 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
     if qi < 0:
         return out
     if state.phase == "query":
-        best = max((state.acks[b] for b in bits(qs.masks[qi])), key=lambda m: m.tag)
+        best = quorum_extreme(state.acks, qs.masks[qi], smallest=False)
         state.chosen_tag = best.tag
         state.chosen_value = best.value
         state.read_op += 1
@@ -70,15 +70,3 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         state.phase = "idle"
         out.response = Response(state.chosen_value, state.chosen_tag, 4)
     return out
-
-
-def make_reader(pid: ProcessId, qs: QuorumSystem) -> QueryReaderState:
-    return QueryReaderState(pid)
-
-
-def make_writer(pid: ProcessId, qs: QuorumSystem, mw: bool):
-    return base.MWWriterState(pid) if mw else base.SWMRWriterState(pid)
-
-
-def make_server(pid: ProcessId, qs: QuorumSystem, mw: bool) -> base.PlainServerState:
-    return base.PlainServerState(pid, mw)

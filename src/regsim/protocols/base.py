@@ -174,24 +174,23 @@ def adopt(state, msg: Message, out: StepOutput) -> None:
         out.notes.append(("adopt", state.tag))
 
 
-def handle_write_request(state, msg: Message, out: StepOutput, mw: bool) -> None:
-    if mw:
-        # Adoption is gated on per-writer freshness; the ack is not.
-        if state.write_ops.get(msg.client, 0) < msg.op_seq:
-            state.write_ops[msg.client] = msg.op_seq
-            adopt(state, msg, out)
-    else:
+def handle_write_request(state: ServerState, msg: Message, out: StepOutput) -> None:
+    # Adoption is gated on per-writer freshness; the ack is not.  A single
+    # writer's op_seq is its timestamp, so the gate drops only requests
+    # whose tag adopt would ignore anyway.
+    if state.write_ops.get(msg.client, 0) < msg.op_seq:
+        state.write_ops[msg.client] = msg.op_seq
         adopt(state, msg, out)
     out.sends.append((msg.client, Message(MessageKind.WRITE_ACK, state.pid, msg.client, msg.op_seq, state.tag)))
 
 
 @dataclass
-class RelayServerState:
-    """Server for the relay-based reads (with or without reader echo)."""
+class ServerState:
+    """Server of every protocol.  Only relay_server_step reads d_mask and
+    the relay bookkeeping; under plain_server_step they stay empty."""
 
     pid: ProcessId
     d_mask: int  # servers sharing a quorum with this one
-    mw: bool
     relay_to_reader: bool
     tag: Tag = INITIAL_TAG
     value: bytes = INITIAL_VALUE
@@ -201,11 +200,7 @@ class RelayServerState:
     write_ops: dict[ProcessId, int] = field(default_factory=dict)
 
 
-def make_relay_server(pid: ProcessId, qs: QuorumSystem, mw: bool, relay_to_reader: bool) -> RelayServerState:
-    return RelayServerState(pid, qs.relay_mask(pid.index), mw, relay_to_reader)
-
-
-def relay_server_step(state: RelayServerState, event: Event, qs: QuorumSystem) -> StepOutput:
+def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
     out = StepOutput()
     assert isinstance(event, Deliver)
     msg = event.msg
@@ -226,24 +221,13 @@ def relay_server_step(state: RelayServerState, event: Event, qs: QuorumSystem) -
                 state.acked[r] = ro  # at most one ack per (reader, read_op)
                 out.sends.append((r, Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)))
     elif msg.kind is MessageKind.WRITE_REQUEST:
-        handle_write_request(state, msg, out, state.mw)
-    elif msg.kind is MessageKind.WRITE_DISCOVER and state.mw:
+        handle_write_request(state, msg, out)
+    elif msg.kind is MessageKind.WRITE_DISCOVER:
         out.sends.append((msg.client, Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag)))
     return out
 
 
-@dataclass
-class PlainServerState:
-    """Server for the query/write-back reads: replies straight to the client."""
-
-    pid: ProcessId
-    mw: bool
-    tag: Tag = INITIAL_TAG
-    value: bytes = INITIAL_VALUE
-    write_ops: dict[ProcessId, int] = field(default_factory=dict)
-
-
-def plain_server_step(state: PlainServerState, event: Event, qs: QuorumSystem) -> StepOutput:
+def plain_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
     out = StepOutput()
     assert isinstance(event, Deliver)
     msg = event.msg
@@ -254,7 +238,7 @@ def plain_server_step(state: PlainServerState, event: Event, qs: QuorumSystem) -
         adopt(state, msg, out)
         out.sends.append((msg.client, Message(MessageKind.READ_ACK, state.pid, msg.client, msg.op_seq, state.tag, state.value)))
     elif msg.kind is MessageKind.WRITE_REQUEST:
-        handle_write_request(state, msg, out, state.mw)
-    elif msg.kind is MessageKind.WRITE_DISCOVER and state.mw:
+        handle_write_request(state, msg, out)
+    elif msg.kind is MessageKind.WRITE_DISCOVER:
         out.sends.append((msg.client, Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag)))
     return out

@@ -12,16 +12,11 @@ Never use this outside tests.
 
 from __future__ import annotations
 
-from regsim.core import Message, MessageKind, ProcessId
+from regsim.core import Message, MessageKind
 from regsim.protocols import base, erato
 from regsim.protocols.base import Deliver, Event, Response, StepOutput
 from regsim.protocols.readers import RelayReaderState, quorum_extreme, relay_reader_step
 from regsim.quorum import QuorumSystem
-
-make_reader = erato.make_reader
-make_writer = erato.make_writer
-make_server = erato.make_server
-
 
 def _respond_max_acks(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int) -> None:
     m = quorum_extreme(state.ra, qs.masks[qi], smallest=False)
@@ -33,7 +28,7 @@ def broken_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) 
     return relay_reader_step(state, event, qs, erato._analyze, on_acks=_respond_max_acks)
 
 
-def broken_server_step(state: base.RelayServerState, event: Event, qs: QuorumSystem) -> StepOutput:
+def broken_server_step(state: base.ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
     assert isinstance(event, Deliver)
     msg = event.msg
     if msg.kind is not MessageKind.READ_RELAY:

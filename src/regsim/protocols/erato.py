@@ -12,7 +12,6 @@ round's minimum, giving 2 or 3 exchanges per read.
 
 from __future__ import annotations
 
-from regsim.core import ProcessId
 from regsim.protocols import base
 from regsim.protocols.base import Event, Response, StepOutput
 from regsim.protocols.readers import (
@@ -23,18 +22,6 @@ from regsim.protocols.readers import (
 )
 from regsim.quorum import QuorumSystem
 from regsim.views import TagView, ViewClass, classify
-
-
-def make_reader(pid: ProcessId, qs: QuorumSystem) -> RelayReaderState:
-    return RelayReaderState(pid)
-
-
-def make_writer(pid: ProcessId, qs: QuorumSystem) -> base.SWMRWriterState:
-    return base.SWMRWriterState(pid)
-
-
-def make_server(pid: ProcessId, qs: QuorumSystem) -> base.RelayServerState:
-    return base.make_relay_server(pid, qs, mw=False, relay_to_reader=True)
 
 
 def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int) -> None:

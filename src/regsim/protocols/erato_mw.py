@@ -9,24 +9,10 @@ at 2 exchanges or ambiguity sends the read to the acknowledgement round.
 
 from __future__ import annotations
 
-from regsim.core import ProcessId
-from regsim.protocols import base
 from regsim.protocols.base import Event, Response, StepOutput
 from regsim.protocols.readers import RelayReaderState, relay_reader_step, relay_tag_view
 from regsim.quorum import QuorumSystem
 from regsim.views import ReturnTag, TagView, iterative_analyze
-
-
-def make_reader(pid: ProcessId, qs: QuorumSystem) -> RelayReaderState:
-    return RelayReaderState(pid)
-
-
-def make_writer(pid: ProcessId, qs: QuorumSystem) -> base.MWWriterState:
-    return base.MWWriterState(pid)
-
-
-def make_server(pid: ProcessId, qs: QuorumSystem) -> base.RelayServerState:
-    return base.make_relay_server(pid, qs, mw=True, relay_to_reader=True)
 
 
 def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from regsim.core import Message, MessageKind, ProcessId, Tag
-from regsim.protocols.base import Deliver, Event, Invoke, Response, StepOutput, bits, broadcast
+from regsim.protocols.base import Event, Invoke, Response, StepOutput, bits, broadcast
 from regsim.quorum import QuorumSystem
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from regsim.config import ScenarioConfig
-from regsim.core import ProcessId, reader, writer
+from regsim.core import reader, writer
 from regsim.netsim import WorkItem
 
 

@@ -106,6 +106,9 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
         ("check", "bogus\t0.5", "line 2: bad trace record"),
         ("check", "inv\tnotafloat\tr0\t1\tread\t-", "line 2: could not convert string to float"),
         ("check", "res\t0.5\tr0\t1\t2\t0\t0\t", "line 2: res for op 1 with no earlier inv"),
+        ("check", "inv\t0.1\tw0\t1\twrite\t76\ninv\t0.2\tr0\t1\tread\t-", "line 3: second inv for op 1"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t\nres\t0.3\tr0\t1\t2\t0\t0\t",
+         "line 4: second res for op 1"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),
@@ -120,6 +123,20 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
     err = capsys.readouterr().err
     assert message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("algorithm = erato, ohsam", "n_readers = 1, two", "grid.n_readers: expected int, got '1, two'"),
+        ("seeds = 1", "seeds = many", "grid.seeds: expected int, got 'many'"),
+    ],
+)
+def test_bad_grid_value_exits_2_with_one_line(old, new, message, tmp_path, capsys) -> None:
+    grid = tmp_path / "grid.ini"
+    grid.write_text(GRID.replace(old, new))
+    assert main(["sweep", str(grid), "--out-dir", str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
 
 
 def test_sweep_and_report(tmp_path, capsys) -> None:

@@ -4,8 +4,8 @@ sweeps aggregate and fail loudly."""
 
 import pytest
 
-from regsim.config import ConfigError, ScenarioConfig, validate
-from regsim.core import Tag, reader, server, writer
+from regsim.config import ConfigError, ScenarioConfig, parse_grid, validate
+from regsim.core import reader, server
 from regsim.harness import (
     AGGREGATE_HEADER,
     CSV_HEADER,
@@ -13,7 +13,6 @@ from regsim.harness import (
     EXIT_LIVENESS,
     EXIT_OK,
     SweepError,
-    parse_grid,
     run_scenario,
     sweep,
     trace_from_text,

@@ -1,9 +1,11 @@
 """Step-level traces of the query/write-back and relay-sync baselines."""
 
+import pytest
+
 from regsim.core import Message, MessageKind, Tag, reader, server, writer
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, Deliver, Invoke, get_algorithm
-from regsim.protocols import abd, base, broken, ohsam
-from regsim.protocols.readers import relay_reader_step
+from regsim.protocols import abd, base, broken
+from regsim.protocols.readers import RelayReaderState, relay_reader_step
 from regsim.quorum import build_majority
 
 QS3 = build_majority(3)
@@ -16,7 +18,7 @@ def rack(b, tag, value, op):
 
 
 def test_abd_read_is_always_two_round_trips():
-    r = abd.make_reader(R0, QS3)
+    r = abd.QueryReaderState(R0)
     out = abd.query_reader_step(r, Invoke(), QS3)
     assert len(out.sends) == 3 and out.sends[0][1].op_seq == 1
 
@@ -34,7 +36,7 @@ def test_abd_read_is_always_two_round_trips():
 
 
 def test_abd_read_uniform_tags_still_four_exchanges():
-    r = abd.make_reader(R0, QS3)
+    r = abd.QueryReaderState(R0)
     abd.query_reader_step(r, Invoke(), QS3)
     for b in (0, 1):
         abd.query_reader_step(r, Deliver(rack(b, Tag(1, 0), b"v", 1)), QS3)
@@ -45,7 +47,7 @@ def test_abd_read_uniform_tags_still_four_exchanges():
 
 
 def test_abd_server_answers_queries_and_write_backs():
-    s = abd.make_server(server(1), QS3, mw=False)
+    s = get_algorithm("abd").new_state(server(1), QS3)
     out = base.plain_server_step(s, Deliver(Message(MessageKind.READ_REQUEST, R0, R0, 1)), QS3)
     assert len(out.sends) == 1 and out.sends[0][0] == R0
     assert out.sends[0][1].tag == Tag(0, 0)
@@ -58,25 +60,25 @@ def test_abd_server_answers_queries_and_write_backs():
 
 def test_abd_writer_variants():
     step = get_algorithm("abd").writer_step
-    w = abd.make_writer(W0, QS3, mw=False)
+    w = get_algorithm("abd").new_state(W0, QS3)
     step(w, Invoke(b"v"), QS3)
     for b in (0, 1):
         out = step(w, Deliver(Message(MessageKind.WRITE_ACK, server(b), W0, 1, Tag(1, 0))), QS3)
     assert out.response.exchanges == 2
 
-    w = abd.make_writer(writer(1), QS3, mw=True)
+    w = get_algorithm("abd_mw").new_state(writer(1), QS3)
     out = get_algorithm("abd_mw").writer_step(w, Invoke(b"v"), QS3)
     assert out.sends[0][1].kind is MessageKind.WRITE_DISCOVER
 
 
 def test_ohsam_server_relays_to_servers_only():
-    s = ohsam.make_server(server(0), QS3, mw=False)
+    s = get_algorithm("ohsam").new_state(server(0), QS3)
     out = base.relay_server_step(s, Deliver(Message(MessageKind.READ_REQUEST, R0, R0, 1)), QS3)
     assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2)]
 
 
 def test_ohsam_read_three_exchanges_min_tag():
-    r = ohsam.make_reader(R0, QS3)
+    r = RelayReaderState(R0)
     out = relay_reader_step(r, Invoke(), QS3)
     assert len(out.sends) == 3
     relay_reader_step(r, Deliver(rack(0, Tag(5, 0), b"v5", 1)), QS3)
@@ -85,7 +87,7 @@ def test_ohsam_read_three_exchanges_min_tag():
 
 
 def test_ohsam_read_uniform_still_three_exchanges():
-    r = ohsam.make_reader(R0, QS3)
+    r = RelayReaderState(R0)
     relay_reader_step(r, Invoke(), QS3)
     relay_reader_step(r, Deliver(rack(0, Tag(1, 0), b"v", 1)), QS3)
     out = relay_reader_step(r, Deliver(rack(1, Tag(1, 0), b"v", 1)), QS3)
@@ -93,7 +95,7 @@ def test_ohsam_read_uniform_still_three_exchanges():
 
 
 def test_ohmam_min_uses_writer_id_tiebreak():
-    r = ohsam.make_reader(R0, QS3)
+    r = RelayReaderState(R0)
     relay_reader_step(r, Invoke(), QS3)
     relay_reader_step(r, Deliver(rack(0, Tag(4, 2), b"b", 1)), QS3)
     out = relay_reader_step(r, Deliver(rack(1, Tag(4, 1), b"a", 1)), QS3)
@@ -101,16 +103,30 @@ def test_ohmam_min_uses_writer_id_tiebreak():
 
 
 def test_broken_variant_acks_eagerly_and_returns_max():
-    s = broken.make_server(server(0), QS3)
+    s = get_algorithm("erato_broken").new_state(server(0), QS3)
     one_relay = Message(MessageKind.READ_RELAY, server(1), R0, 1, Tag(3, 0), b"v3")
     out = broken.broken_server_step(s, Deliver(one_relay), QS3)
     assert len(out.sends) == 1 and out.sends[0][1].kind is MessageKind.READ_ACK
 
-    r = broken.make_reader(R0, QS3)
+    r = RelayReaderState(R0)
     broken.broken_reader_step(r, Invoke(), QS3)
     broken.broken_reader_step(r, Deliver(rack(0, Tag(5, 0), b"v5", 1)), QS3)
     out = broken.broken_reader_step(r, Deliver(rack(1, Tag(4, 0), b"v4", 1)), QS3)
     assert out.response.tag == Tag(5, 0)  # max instead of min
+
+
+@pytest.mark.parametrize("name", ["erato", "abd"])
+def test_single_writer_server_acks_reordered_write_requests(name):
+    alg = get_algorithm(name)
+    s = alg.new_state(server(0), QS3)
+    notes = []
+    for op in (2, 1):
+        req = Message(MessageKind.WRITE_REQUEST, W0, W0, op, Tag(op, 0), b"v%d" % op)
+        out = alg.server_step(s, Deliver(req), QS3)
+        assert [(dst, m.kind, m.op_seq) for dst, m in out.sends] == [(W0, MessageKind.WRITE_ACK, op)]
+        notes += out.notes
+    assert s.tag == Tag(2, 0) and s.value == b"v2"
+    assert notes == [("adopt", Tag(2, 0))]
 
 
 def test_registry_contents():

@@ -3,15 +3,16 @@
 from copy import deepcopy
 
 from regsim.core import Message, MessageKind, Tag, reader, server, writer
-from regsim.protocols import Deliver, Invoke
-from regsim.protocols import base, erato
+from regsim.protocols import Deliver, Invoke, base, get_algorithm
 from regsim.protocols.erato import erato_reader_step
+from regsim.protocols.readers import RelayReaderState
 from regsim.quorum import build_majority
 
 QS3 = build_majority(3)
 QS4 = build_majority(4)
 R0 = reader(0)
 W0 = writer(0)
+ERATO = get_algorithm("erato")
 
 
 def relay(b, ts, value, op=1, r=R0):
@@ -27,7 +28,7 @@ def wack(b, ts):
 
 
 def test_write_broadcast_and_quorum_ack():
-    w = erato.make_writer(W0, QS3)
+    w = base.SWMRWriterState(W0)
     out = base.swmr_writer_step(w, Invoke(b"v1"), QS3)
     assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2)]
     m = out.sends[0][1]
@@ -44,7 +45,7 @@ def test_write_broadcast_and_quorum_ack():
 
 
 def test_fourth_write_acked_by_any_quorum():
-    w = erato.make_writer(W0, QS3)
+    w = base.SWMRWriterState(W0)
     for k in range(1, 4):
         base.swmr_writer_step(w, Invoke(b"x%d" % k), QS3)
         base.swmr_writer_step(w, Deliver(wack(0, k)), QS3)
@@ -57,7 +58,7 @@ def test_fourth_write_acked_by_any_quorum():
 
 
 def test_stale_write_ack_flagged():
-    w = erato.make_writer(W0, QS3)
+    w = base.SWMRWriterState(W0)
     base.swmr_writer_step(w, Invoke(b"a"), QS3)
     for b in (0, 1):
         base.swmr_writer_step(w, Deliver(wack(b, 1)), QS3)
@@ -66,7 +67,7 @@ def test_stale_write_ack_flagged():
 
 
 def test_server_relays_to_quorum_peers_and_reader():
-    s = erato.make_server(server(0), QS3)
+    s = ERATO.new_state(server(0), QS3)
     req = Message(MessageKind.READ_REQUEST, R0, R0, 1)
     out = base.relay_server_step(s, Deliver(req), QS3)
     assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2), R0]
@@ -75,7 +76,7 @@ def test_server_relays_to_quorum_peers_and_reader():
 
 
 def test_server_acks_once_after_relay_quorum():
-    s = erato.make_server(server(0), QS3)
+    s = ERATO.new_state(server(0), QS3)
     out = base.relay_server_step(s, Deliver(relay(1, 3, b"v3")), QS3)
     assert out.sends == [] and s.tag == Tag(3, 0) and s.value == b"v3"  # adopted
     out = base.relay_server_step(s, Deliver(relay(2, 0, b"")), QS3)  # completes quorum {2,3}
@@ -89,14 +90,14 @@ def test_server_acks_once_after_relay_quorum():
 
 
 def test_server_adoption_is_monotone():
-    s = erato.make_server(server(0), QS3)
+    s = ERATO.new_state(server(0), QS3)
     base.relay_server_step(s, Deliver(relay(1, 3, b"v3")), QS3)
     base.relay_server_step(s, Deliver(relay(2, 2, b"v2")), QS3)
     assert s.tag == Tag(3, 0) and s.value == b"v3"
 
 
 def test_read_fast_path_uniform_relays():
-    r = erato.make_reader(R0, QS3)
+    r = RelayReaderState(R0)
     out = erato_reader_step(r, Invoke(), QS3)
     assert len(out.sends) == 3 and out.sends[0][1].kind is MessageKind.READ_REQUEST
     assert erato_reader_step(r, Deliver(relay(0, 5, b"v5")), QS3).response is None
@@ -106,7 +107,7 @@ def test_read_fast_path_uniform_relays():
 
 
 def test_read_ack_quorum_returns_minimum():
-    r = erato.make_reader(R0, QS3)
+    r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS3)
     erato_reader_step(r, Deliver(ack(0, 5, b"v5")), QS3)
     out = erato_reader_step(r, Deliver(ack(1, 4, b"v4")), QS3)
@@ -114,7 +115,7 @@ def test_read_ack_quorum_returns_minimum():
 
 
 def test_read_incomplete_max_returns_previous_timestamp():
-    r = erato.make_reader(R0, QS4)
+    r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS4)
     erato_reader_step(r, Deliver(relay(0, 5, b"v5")), QS4)
     erato_reader_step(r, Deliver(relay(1, 4, b"v4")), QS4)
@@ -124,7 +125,7 @@ def test_read_incomplete_max_returns_previous_timestamp():
 
 
 def test_read_view2_without_previous_holder_waits_for_acks():
-    r = erato.make_reader(R0, QS4)
+    r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS4)
     erato_reader_step(r, Deliver(relay(0, 5, b"v5")), QS4)
     erato_reader_step(r, Deliver(relay(1, 3, b"v3")), QS4)
@@ -137,7 +138,7 @@ def test_read_view2_without_previous_holder_waits_for_acks():
 
 
 def test_read_ambiguous_view_waits_for_acks():
-    r = erato.make_reader(R0, QS4)
+    r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS4)
     erato_reader_step(r, Deliver(relay(0, 5, b"v5")), QS4)
     erato_reader_step(r, Deliver(relay(1, 5, b"v5")), QS4)
@@ -149,7 +150,7 @@ def test_read_ambiguous_view_waits_for_acks():
 
 
 def test_stale_and_trailing_read_messages():
-    r = erato.make_reader(R0, QS3)
+    r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS3)
     erato_reader_step(r, Deliver(relay(0, 1, b"a")), QS3)
     out = erato_reader_step(r, Deliver(relay(1, 1, b"a")), QS3)
@@ -163,7 +164,7 @@ def test_stale_and_trailing_read_messages():
 
 
 def test_steps_replay_identically():
-    r = erato.make_reader(R0, QS3)
+    r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS3)
     erato_reader_step(r, Deliver(relay(0, 2, b"x")), QS3)
     twin = deepcopy(r)

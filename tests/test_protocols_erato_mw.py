@@ -1,15 +1,16 @@
 """Step-level traces of the multi-writer variant."""
 
 from regsim.core import Message, MessageKind, Tag, reader, server, writer
-from regsim.protocols import Deliver, Invoke
-from regsim.protocols import base, erato_mw
+from regsim.protocols import Deliver, Invoke, base, get_algorithm
 from regsim.protocols.erato_mw import eratomw_reader_step
+from regsim.protocols.readers import RelayReaderState
 from regsim.quorum import build_majority
 
 QS3 = build_majority(3)
 QS4 = build_majority(4)
 R0 = reader(0)
 W1 = writer(1)
+ERATO_MW = get_algorithm("erato_mw")
 
 
 def dack(b, tag, op, w=W1):
@@ -29,7 +30,7 @@ def ack(b, tag, value, op=1, r=R0):
 
 
 def test_write_discovers_then_places_max_plus_one():
-    w = erato_mw.make_writer(W1, QS4)
+    w = base.MWWriterState(W1)
     out = base.mw_writer_step(w, Invoke(b"v"), QS4)
     assert len(out.sends) == 4
     assert out.sends[0][1].kind is MessageKind.WRITE_DISCOVER and out.sends[0][1].op_seq == 1
@@ -50,7 +51,7 @@ def test_write_discovers_then_places_max_plus_one():
 
 
 def test_write_ignores_stale_phase_acks():
-    w = erato_mw.make_writer(W1, QS3)
+    w = base.MWWriterState(W1)
     base.mw_writer_step(w, Invoke(b"v"), QS3)
     base.mw_writer_step(w, Deliver(dack(0, Tag(0, 0), 1)), QS3)
     base.mw_writer_step(w, Deliver(dack(1, Tag(0, 0), 1)), QS3)  # now in put phase
@@ -59,7 +60,7 @@ def test_write_ignores_stale_phase_acks():
 
 
 def test_server_write_freshness_guard():
-    s = erato_mw.make_server(server(0), QS3)
+    s = ERATO_MW.new_state(server(0), QS3)
     req = Message(MessageKind.WRITE_REQUEST, W1, W1, 2, Tag(4, 1), b"new")
     out = base.relay_server_step(s, Deliver(req), QS3)
     assert s.tag == Tag(4, 1)
@@ -72,7 +73,7 @@ def test_server_write_freshness_guard():
 
 
 def test_server_discover_ack_reports_current_tag():
-    s = erato_mw.make_server(server(2), QS3)
+    s = ERATO_MW.new_state(server(2), QS3)
     s.tag = Tag(7, 0)
     out = base.relay_server_step(s, Deliver(Message(MessageKind.WRITE_DISCOVER, W1, W1, 3)), QS3)
     dst, m = out.sends[0]
@@ -82,14 +83,14 @@ def test_server_discover_ack_reports_current_tag():
 
 
 def test_server_adopts_on_writer_id_tiebreak():
-    s = erato_mw.make_server(server(0), QS3)
+    s = ERATO_MW.new_state(server(0), QS3)
     base.relay_server_step(s, Deliver(relay(1, Tag(4, 1), b"a")), QS3)
     base.relay_server_step(s, Deliver(relay(2, Tag(4, 2), b"b")), QS3)
     assert s.tag == Tag(4, 2) and s.value == b"b"
 
 
 def test_read_discards_incomplete_max_then_answers():
-    r = erato_mw.make_reader(R0, QS4)
+    r = RelayReaderState(R0)
     eratomw_reader_step(r, Invoke(), QS4)
     eratomw_reader_step(r, Deliver(relay(0, Tag(5, 2), b"new")), QS4)
     eratomw_reader_step(r, Deliver(relay(1, Tag(4, 1), b"old")), QS4)
@@ -98,7 +99,7 @@ def test_read_discards_incomplete_max_then_answers():
 
 
 def test_read_ambiguity_falls_back_to_ack_minimum():
-    r = erato_mw.make_reader(R0, QS4)
+    r = RelayReaderState(R0)
     eratomw_reader_step(r, Invoke(), QS4)
     eratomw_reader_step(r, Deliver(relay(0, Tag(5, 2), b"new")), QS4)
     eratomw_reader_step(r, Deliver(relay(1, Tag(5, 2), b"new")), QS4)
@@ -111,7 +112,7 @@ def test_read_ambiguity_falls_back_to_ack_minimum():
 
 
 def test_read_uniform_relays_fast():
-    r = erato_mw.make_reader(R0, QS3)
+    r = RelayReaderState(R0)
     eratomw_reader_step(r, Invoke(), QS3)
     eratomw_reader_step(r, Deliver(relay(0, Tag(2, 1), b"x")), QS3)
     out = eratomw_reader_step(r, Deliver(relay(1, Tag(2, 1), b"x")), QS3)

@@ -104,10 +104,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     try:
         trace = trace_from_text(Path(args.trace).read_text())
+        # Raises ValueError on a malformed history (overlapping operations
+        # of one client), which only a hand-edited trace can hold.
+        verdict = check_atomicity_tagged(extract_history(trace), strict=args.strict)
     except ValueError as exc:
         print("input error: %s: %s" % (args.trace, exc), file=sys.stderr)
         return EXIT_CONFIG
-    verdict = check_atomicity_tagged(extract_history(trace), strict=args.strict)
     if not verdict.ok:
         print("atomicity VIOLATED (%s): %s (witness %s)"
               % (verdict.violated, verdict.detail, list(verdict.witness)), file=sys.stderr)
@@ -130,16 +132,22 @@ def _cmd_report(args) -> int:
                       % (path, ",".join(reader.fieldnames or [])), file=sys.stderr)
                 return EXIT_CONFIG
             for row in reader:
-                stats.append(OpStats(
-                    algorithm=row["algorithm"],
-                    op_id=int(row["op_id"]),
-                    process=parse_pid(row["process"]),
-                    kind=row["op_kind"],
-                    invoked_at=float(row["invoked_at"]),
-                    latency_s=float(row["latency_s"]),
-                    exchanges=int(row["exchanges"]),
-                    messages=int(row["messages"]),
-                ))
+                try:
+                    if None in row or None in row.values():
+                        raise ValueError("expected %d fields" % len(reader.fieldnames))
+                    stats.append(OpStats(
+                        algorithm=row["algorithm"],
+                        op_id=int(row["op_id"]),
+                        process=parse_pid(row["process"]),
+                        kind=row["op_kind"],
+                        invoked_at=float(row["invoked_at"]),
+                        latency_s=float(row["latency_s"]),
+                        exchanges=int(row["exchanges"]),
+                        messages=int(row["messages"]),
+                    ))
+                except ValueError as exc:
+                    print("%s: line %d: %s" % (path, reader.line_num, exc), file=sys.stderr)
+                    return EXIT_CONFIG
     if not stats:
         print("no operations found", file=sys.stderr)
         return EXIT_OK

@@ -167,6 +167,11 @@ def parse_grid(text: str) -> list[ScenarioConfig]:
         if typ is None:
             errors.append("grid.%s: unknown key" % key)
             continue
+        if typ == "crashes":
+            # The comma separating grid alternatives also separates the
+            # crashes of one schedule, so a schedule cannot be an axis.
+            errors.append("grid.%s: crash schedules go in [crashes], not [grid]" % key)
+            continue
         try:
             if key == "seeds":
                 seeds = list(range(int(raw)))

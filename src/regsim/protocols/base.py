@@ -14,7 +14,7 @@ current operation arriving after the response are ignored silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from regsim.core import (
     INITIAL_TAG,
@@ -25,7 +25,7 @@ from regsim.core import (
     Tag,
     server,
 )
-from regsim.quorum import QuorumSystem
+from regsim.quorum import QuorumSystem, bits
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,6 @@ class StepOutput:
     response: Optional[Response] = None
     stale: bool = False
     notes: list[tuple] = field(default_factory=list)
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Set bit positions of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def broadcast(out: StepOutput, qs: QuorumSystem, msg: Message) -> None:

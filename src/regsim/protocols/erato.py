@@ -12,34 +12,26 @@ round's minimum, giving 2 or 3 exchanges per read.
 
 from __future__ import annotations
 
-from regsim.protocols import base
 from regsim.protocols.base import Event, Response, StepOutput
-from regsim.protocols.readers import (
-    RelayReaderState,
-    quorum_extreme,
-    relay_reader_step,
-    relay_tag_view,
-)
-from regsim.quorum import QuorumSystem
-from regsim.views import TagView, ViewClass, classify
+from regsim.protocols.readers import RelayReaderState, relay_reader_step
+from regsim.quorum import QuorumSystem, bits
+from regsim.views import ViewClass, classify
 
 
 def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int) -> None:
-    tag_by, _ = relay_tag_view(state, qs, qi)
-    cls = classify(qs, TagView(qi, tag_by))
-    maxtag = max(tag_by.values())
-    out.notes.append(("view", cls.name, maxtag))
+    qmask = qs.masks[qi]
+    cls, top = classify(qs, state.rr, qmask)
+    out.notes.append(("view", cls.name, top.tag))
     if cls is ViewClass.VIEW1:
-        m = quorum_extreme(state.rr, qs.masks[qi], smallest=False)
         state.mode = "idle"
-        out.response = Response(m.value, m.tag, 2)
+        out.response = Response(top.value, top.tag, 2)
         return
     if cls is ViewClass.VIEW2:
         # The max write is provably incomplete; answer with the preceding
         # timestamp if some quorum member still reports it.
-        for b in base.bits(qs.masks[qi]):
+        for b in bits(qmask):
             m = state.rr[b]
-            if m.tag.ts == maxtag.ts - 1:
+            if m.tag.ts == top.tag.ts - 1:
                 state.mode = "idle"
                 out.response = Response(m.value, m.tag, 2)
                 return

@@ -10,19 +10,18 @@ at 2 exchanges or ambiguity sends the read to the acknowledgement round.
 from __future__ import annotations
 
 from regsim.protocols.base import Event, Response, StepOutput
-from regsim.protocols.readers import RelayReaderState, relay_reader_step, relay_tag_view
+from regsim.protocols.readers import RelayReaderState, relay_reader_step
 from regsim.quorum import QuorumSystem
-from regsim.views import ReturnTag, TagView, iterative_analyze
+from regsim.views import iterative_analyze
 
 
 def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int) -> None:
-    tag_by, value_by = relay_tag_view(state, qs, qi)
-    decision = iterative_analyze(qs, TagView(qi, tag_by, value_by))
-    if isinstance(decision, ReturnTag):
-        state.mode = "idle"
-        out.response = Response(decision.value, decision.tag, 2)
-    else:
+    m = iterative_analyze(qs, state.rr, qs.masks[qi])
+    if m is None:
         state.mode = "await"
+    else:
+        state.mode = "idle"
+        out.response = Response(m.value, m.tag, 2)
 
 
 def eratomw_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) -> StepOutput:

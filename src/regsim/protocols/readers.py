@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from regsim.core import Message, MessageKind, ProcessId, Tag
-from regsim.protocols.base import Event, Invoke, Response, StepOutput, bits, broadcast
-from regsim.quorum import QuorumSystem
+from regsim.core import Message, MessageKind, ProcessId
+from regsim.protocols.base import Event, Invoke, Response, StepOutput, broadcast
+from regsim.quorum import QuorumSystem, bits
 
 
 @dataclass
@@ -89,14 +89,3 @@ def relay_reader_step(
         if qi >= 0:
             analyze(state, out, qs, qi)
     return out
-
-
-def relay_tag_view(state: RelayReaderState, qs: QuorumSystem, qi: int) -> tuple[dict[int, Tag], dict[int, bytes]]:
-    """Per-universe-id tag and value maps for the completed relay quorum."""
-    tag_by = {}
-    value_by = {}
-    for b in bits(qs.masks[qi]):
-        m = state.rr[b]
-        tag_by[qs.members[b]] = m.tag
-        value_by[qs.members[b]] = m.value
-    return tag_by, value_by

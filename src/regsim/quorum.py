@@ -5,16 +5,26 @@ floor(n/2)+1 over servers 1..n, in lexicographic order) and matrix quorums
 (servers 0..rows*cols-1 laid out row-major, one quorum per (row, column)
 pair, the union of that row and column, rows enumerated before columns).
 
-Member ids are whatever the construction used; the simulator maps the i-th
-smallest universe id to server process index i.  All hot-path operations
-work on bitmasks over those indices.
+Member ids are whatever the construction used; they appear only while a
+system is built and validated.  The i-th smallest universe id becomes bit
+i, which is also the simulator's server process index i, and everything
+after construction (quorum scans, relay sets, read views) works on
+bitmasks over those bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Set bit positions of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass
@@ -40,9 +50,6 @@ class QuorumSystem:
         for s in ids:
             m |= 1 << self._bit_of[s]
         return m
-
-    def ids_of(self, mask: int) -> frozenset[int]:
-        return frozenset(self.members[i] for i in range(self.n) if mask >> i & 1)
 
     def validate(self) -> None:
         """Raise ValueError unless every pair of quorums intersects."""
@@ -89,19 +96,6 @@ class QuorumSystem:
             if qm >> bit & 1:
                 m |= qm
         return m
-
-
-def first_contained_quorum(qs: QuorumSystem, responders: Iterable[int]) -> Optional[int]:
-    """First quorum (enumeration order) whose members all responded, if any."""
-    idx = qs.first_contained_mask(qs.mask_of(responders))
-    return None if idx < 0 else idx
-
-
-def relay_destinations(qs: QuorumSystem, s: int) -> frozenset[int]:
-    """Union of the quorums containing s; always includes s itself."""
-    if s not in qs.universe:
-        raise ValueError("server %r not in universe" % (s,))
-    return qs.ids_of(qs.relay_mask(qs._bit_of[s]))
 
 
 def build_majority(n: int) -> QuorumSystem:

@@ -1,6 +1,6 @@
 """Classification of the tag distribution a read observed across a quorum.
 
-Given one relay/ack tag per member of a responding quorum Q:
+Given one relay/ack message per member of a responding quorum Q:
 
   VIEW1  every member reported the maximum tag; the write behind it reached
          a full quorum, so returning it is safe.
@@ -14,18 +14,21 @@ iterative_analyze repeats the classification for the multi-writer read:
 on VIEW2 the max-tag holders are discarded from Q and the remainder is
 reclassified (intersections are taken against that remainder, and an
 emptied intersection counts as contained).  The loop strictly shrinks Q,
-so it decides within |Q| rounds: VIEW1 returns the surviving tag, VIEW3
-awaits acknowledgements.
+so it decides within |Q| rounds: VIEW1 returns the surviving maximum,
+VIEW3 awaits acknowledgements.
+
+Everything here works on server bit indices: messages are keyed by the
+sender's bit and quorums, remainders and holder sets are bitmasks, as in
+the reader state that collects them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
-from regsim.core import Tag
-from regsim.quorum import QuorumSystem
+from regsim.core import Message
+from regsim.quorum import QuorumSystem, bits
 
 
 class ViewClass(enum.Enum):
@@ -34,43 +37,19 @@ class ViewClass(enum.Enum):
     VIEW3 = 3
 
 
-@dataclass(frozen=True)
-class TagView:
-    """Tags reported by the members of one responding quorum."""
-
-    quorum_index: int
-    tag_by_server: Mapping[int, Tag]
-    value_by_server: Optional[Mapping[int, bytes]] = None
-
-
-@dataclass(frozen=True)
-class ReturnTag:
-    tag: Tag
-    value: Optional[bytes] = None
-
-
-@dataclass(frozen=True)
-class AwaitAcks:
-    pass
-
-
-IterativeDecision = Union[ReturnTag, AwaitAcks]
-
-
-def _check_view(qs: QuorumSystem, view: TagView) -> None:
-    if not 0 <= view.quorum_index < len(qs.quorums):
-        raise ValueError("quorum index %d out of range" % view.quorum_index)
-    members = qs.quorums[view.quorum_index]
-    if set(view.tag_by_server) != members:
-        raise ValueError(
-            "view servers %s do not match quorum %s"
-            % (sorted(view.tag_by_server), sorted(members))
-        )
-
-
-def _max_holders(view: TagView, cur_ids: list[int]) -> tuple[Tag, list[int]]:
-    maxtag = max(view.tag_by_server[s] for s in cur_ids)
-    return maxtag, [s for s in cur_ids if view.tag_by_server[s] == maxtag]
+def _max_holders(msgs: Mapping[int, Message], mask: int) -> tuple[Message, int]:
+    """The first (lowest-bit) message with the greatest tag among the bits
+    of a non-empty mask, and the mask of every bit reporting that tag."""
+    top: Optional[Message] = None
+    holders = 0
+    for b in bits(mask):
+        m = msgs[b]
+        if top is None or m.tag > top.tag:
+            top, holders = m, 1 << b
+        elif m.tag == top.tag:
+            holders |= 1 << b
+    assert top is not None
+    return top, holders
 
 
 def _classify_masks(qs: QuorumSystem, cur: int, maxset: int) -> ViewClass:
@@ -81,28 +60,24 @@ def _classify_masks(qs: QuorumSystem, cur: int, maxset: int) -> ViewClass:
     return ViewClass.VIEW2
 
 
-def classify(qs: QuorumSystem, view: TagView) -> ViewClass:
-    """Classify a full-quorum view; raises ValueError on a malformed view."""
-    _check_view(qs, view)
-    maxtag, holders = _max_holders(view, sorted(view.tag_by_server))
-    return _classify_masks(qs, qs.masks[view.quorum_index], qs.mask_of(holders))
+def classify(qs: QuorumSystem, msgs: Mapping[int, Message], qmask: int) -> tuple[ViewClass, Message]:
+    """Class of the quorum `qmask`'s view, and its first max-tag message."""
+    top, holders = _max_holders(msgs, qmask)
+    return _classify_masks(qs, qmask, holders), top
 
 
-def iterative_analyze(qs: QuorumSystem, view: TagView) -> IterativeDecision:
-    """Shrink the quorum past incomplete writes until a decision falls out."""
-    _check_view(qs, view)
-    cur_ids = sorted(view.tag_by_server)
-    while cur_ids:
-        maxtag, holders = _max_holders(view, cur_ids)
-        cls = _classify_masks(qs, qs.mask_of(cur_ids), qs.mask_of(holders))
+def iterative_analyze(qs: QuorumSystem, msgs: Mapping[int, Message], qmask: int) -> Optional[Message]:
+    """Shrink the quorum past incomplete writes until a decision falls out:
+    the message to answer with, or None to await acknowledgements."""
+    cur = qmask
+    while cur:
+        top, holders = _max_holders(msgs, cur)
+        cls = _classify_masks(qs, cur, holders)
         if cls is ViewClass.VIEW1:
-            value = None
-            if view.value_by_server is not None:
-                value = view.value_by_server[holders[0]]
-            return ReturnTag(maxtag, value)
+            return top
         if cls is ViewClass.VIEW3:
-            return AwaitAcks()
-        cur_ids = [s for s in cur_ids if view.tag_by_server[s] != maxtag]
+            return None
+        cur &= ~holders
     # Unreachable: VIEW1 fires once every remaining tag is maximal, and the
     # remainder above is never empty because VIEW2 implies a smaller tag.
     raise AssertionError("quorum exhausted without a decision")

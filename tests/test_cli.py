@@ -109,6 +109,8 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
         ("check", "inv\t0.1\tw0\t1\twrite\t76\ninv\t0.2\tr0\t1\tread\t-", "line 3: second inv for op 1"),
         ("check", "inv\t0.1\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t\nres\t0.3\tr0\t1\t2\t0\t0\t",
          "line 4: second res for op 1"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\ninv\t0.2\tr0\t2\tread\t-",
+         "malformed history: process r0: operations 1 and 2 overlap"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),
@@ -130,6 +132,10 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
     [
         ("algorithm = erato, ohsam", "n_readers = 1, two", "grid.n_readers: expected int, got '1, two'"),
         ("seeds = 1", "seeds = many", "grid.seeds: expected int, got 'many'"),
+        ("seeds = 1", "seeds = 1\nservers = 0@0.5", "grid.servers: crash schedules go in [crashes], not [grid]"),
+        ("seeds = 1", "seeds = 1\nwriters = 0@0.5, 0@0.7",
+         "grid.writers: crash schedules go in [crashes], not [grid]"),
+        ("seeds = 1", "seeds = 1\ncrash_readers = 0@0.5", "grid.crash_readers: unknown key"),
     ],
 )
 def test_bad_grid_value_exits_2_with_one_line(old, new, message, tmp_path, capsys) -> None:
@@ -159,6 +165,25 @@ def test_sweep_and_report(tmp_path, capsys) -> None:
     # misparsed.
     assert main(["report", str(out / "aggregate.csv")]) == 2
     assert "not a per-operation csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("x,r0,read,0.1,0.2,2,10", "line 3: invalid literal for int() with base 10: 'x'"),
+        ("1,r0,read", "line 3: expected 14 fields"),
+        ("1,r0,read,0.1,0.2,2,10,extra", "line 3: expected 14 fields"),
+        ("1,q7,read,0.1,0.2,2,10", "line 3: not a process id: 'q7'"),
+    ],
+)
+def test_report_bad_row_exits_2_with_one_line(row, message, tmp_path, capsys) -> None:
+    from regsim.harness import CSV_HEADER
+
+    prefix = "erato,series,3,1,1,fixed,0,"
+    p = tmp_path / "ops.csv"
+    p.write_text("%s\n%s1,w0,write,0.1,0.2,2,10\n%s%s\n" % (CSV_HEADER, prefix, prefix, row))
+    assert main(["report", str(p)]) == 2
+    assert capsys.readouterr().err == "%s: %s\n" % (p, message)
 
 
 def test_report_empty(tmp_path, capsys) -> None:

@@ -1,0 +1,77 @@
+"""Golden trace and CSV hashes, one small scenario per algorithm.
+
+Each scenario runs majority(5) quorums on a star, three readers, stochastic
+operations and one server crash at seed 0.  The hashes pin the exact bytes
+of `trace_to_text` and `RunResult.csv_text`, so a refactor that claims
+byte-identical outputs fails here if it changes a single record.  Refresh
+them only for a change that is meant to alter the outputs, and say so.
+"""
+
+import hashlib
+
+import pytest
+
+from regsim.config import ScenarioConfig, validate
+from regsim.harness import run_scenario, trace_to_text
+from regsim.protocols import ALGORITHMS
+
+# algorithm -> (sha256 of the trace text, sha256 of the CSV text)
+GOLDEN = {
+    "erato": (
+        "f01031d6e662ce72f5043a113d661c4db03ec36090edd4186af387fe6d0b6151",
+        "bf46838ef75e274f65c51a7df9422939ca1560c21615f485f972d07c28727b23",
+    ),
+    "erato_mw": (
+        "d6465ea736bd48fd8aada7bd94954f3d2c803e54a450d6fd79033a6606f001b7",
+        "5d90d47c3b2be204519cf7e8e34d53394fa93f9f378b683a930f543bb94fa7db",
+    ),
+    "abd": (
+        "c64760555d33525bf961855073556ba5fa936aa0a504b0637bec1d5029c06b6d",
+        "47580999033ec4781dd87cfe390528041a55d72ff60c748df8986d30303b3409",
+    ),
+    "abd_mw": (
+        "9652bd99206bd3e21e9170a603f5acb9b5277f600d78f6d7a72545a1da3c7ac4",
+        "86e4cdd396144fa2bd430301d2b29bc0486b6c3894600ef3171d886cece68c23",
+    ),
+    "ohsam": (
+        "13b27760452ae376cf165962a316b9773baefefb58103a90c69333d05d844ef3",
+        "b878c220485b34ac75dc6aecf75185d147fd100ed48e765bd648cd3b959071dd",
+    ),
+    "ohmam": (
+        "e688e8b0e9cb98af4020937c8b1faf7e1cd08df30ce216794eb95535165726db",
+        "327fc949039107317237a9a4620b616451ace1ed0a53031f5f8ddbd9384953fe",
+    ),
+}
+
+
+def _scenario(name: str) -> ScenarioConfig:
+    return validate(ScenarioConfig(
+        algorithm=name,
+        topology="star",
+        n_servers=5,
+        quorums="majority",
+        n_readers=3,
+        n_writers=2 if ALGORITHMS[name].mw else 1,
+        scheme="stochastic",
+        read_interval=0.2,
+        write_interval=0.1,
+        ops_per_client=6,
+        jitter_max=0.05,
+        crash_servers=((0, 0.1),),
+        seed=0,
+    ))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_algorithm_has_a_golden_entry():
+    assert set(GOLDEN) == set(ALGORITHMS)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_golden_hashes(name):
+    result = run_scenario(_scenario(name))
+    assert result.verdict.ok and not result.trace.incomplete
+    assert (_sha256(trace_to_text(result.trace)), _sha256(result.csv_text())) == GOLDEN[name]

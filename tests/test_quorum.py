@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regsim.quorum import (
-    QuorumSystem,
-    build_majority,
-    build_matrix,
-    first_contained_quorum,
-    relay_destinations,
-)
+from regsim.quorum import QuorumSystem, bits, build_majority, build_matrix
 
 
 def test_majority_3_enumeration():
@@ -72,27 +66,27 @@ def test_validate_rejects_disjoint_quorums():
 def test_first_contained_matrix_example():
     qs = build_matrix(3, 3)
     responders = {0, 1, 2, 3, 6, 8}  # row 0 + column 0 + extra server
-    assert first_contained_quorum(qs, responders) == 0
+    assert qs.first_contained_mask(qs.mask_of(responders)) == 0
 
 
 def test_first_contained_none_and_order():
     qs = build_majority(3)
-    assert first_contained_quorum(qs, {2}) is None
-    assert first_contained_quorum(qs, {2, 3}) == 2
-    assert first_contained_quorum(qs, {1, 2, 3}) == 0  # first in enumeration order
+    assert qs.first_contained_mask(qs.mask_of({2})) == -1
+    assert qs.first_contained_mask(qs.mask_of({2, 3})) == 2
+    assert qs.first_contained_mask(qs.mask_of({1, 2, 3})) == 0  # first in enumeration order
     # Deterministic on repeat.
-    assert first_contained_quorum(qs, {2, 3}) == first_contained_quorum(qs, {2, 3})
+    assert qs.first_contained_mask(0b110) == qs.first_contained_mask(0b110)
 
 
 @given(st.integers(1, 9), st.data())
 def test_first_contained_monotone_in_responders(n, data):
     qs = build_majority(n)
-    resp = data.draw(st.sets(st.sampled_from(qs.members), max_size=n))
-    extra = data.draw(st.sets(st.sampled_from(qs.members), max_size=n))
-    before = first_contained_quorum(qs, resp)
-    after = first_contained_quorum(qs, resp | extra)
-    if before is not None:
-        assert after is not None and after <= before
+    resp = data.draw(st.integers(0, (1 << n) - 1))
+    extra = data.draw(st.integers(0, (1 << n) - 1))
+    before = qs.first_contained_mask(resp)
+    after = qs.first_contained_mask(resp | extra)
+    if before >= 0:
+        assert 0 <= after <= before
 
 
 def test_mask_scan_semantics():
@@ -132,29 +126,31 @@ def test_view3_mask_matches_set_definition(qs, data):
     assert qs.view3_mask(qs.mask_of(current), qs.mask_of(maxset)) == expected
 
 
+@given(quorum_systems(), st.data())
+def test_relay_mask_matches_set_definition(qs, data):
+    bit = data.draw(st.integers(0, qs.n - 1))
+    s = qs.members[bit]
+    expected = frozenset().union(*(q for q in qs.quorums if s in q))
+    assert qs.relay_mask(bit) == qs.mask_of(expected)
+
+
+@given(st.integers(0, 1 << 12))
+def test_bits_ascending(mask):
+    assert list(bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def test_relay_destinations_majority():
     qs = build_majority(3)
-    assert relay_destinations(qs, 1) == frozenset({1, 2, 3})
+    assert qs.relay_mask(0) == 0b111  # server 1 shares a quorum with 2 and 3
 
 
 def test_relay_destinations_matrix_center():
     qs = build_matrix(3, 3)
-    assert relay_destinations(qs, 4) == frozenset(range(9))
+    assert qs.relay_mask(4) == (1 << 9) - 1  # centre: its row and column reach every server
 
 
 @pytest.mark.parametrize("make", [lambda: build_majority(4), lambda: build_matrix(3, 3)])
 def test_relay_destinations_contain_self(make):
     qs = make()
-    for s in qs.members:
-        assert s in relay_destinations(qs, s)
-
-
-def test_relay_destinations_unknown_server():
-    with pytest.raises(ValueError):
-        relay_destinations(build_majority(3), 99)
-
-
-def test_mask_roundtrip():
-    qs = build_matrix(3, 3)
-    for q in qs.quorums:
-        assert qs.ids_of(qs.mask_of(q)) == q
+    for b in range(qs.n):
+        assert qs.relay_mask(b) >> b & 1

@@ -2,9 +2,11 @@
 
 Two independent checkers with deliberately different foundations:
 
-check_atomicity_tagged orders operations by their tags and scans every
-real-time-ordered pair for an inversion.  It is linear-ish in history
-size and is the production check.
+check_atomicity_tagged orders operations by their tags and sweeps the
+history in invocation order: the operations that follow one in real time
+form a suffix of that order, and suffix minima of the read and write tags
+show whether any of them inverts it.  It takes O(n log n) time and O(n)
+memory and is the production check.
 
 brute_force_linearizable searches exhaustively for a total order of the
 operations that extends real-time precedence and is a legal sequential
@@ -22,8 +24,10 @@ reorder concurrent writes, while tags freeze one order.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from operator import le, lt
+from typing import Iterable, Iterator, Optional
 
 from regsim.core import INITIAL_TAG, INITIAL_VALUE, History, OperationRecord, ProcessId
 from regsim.netsim import Trace
@@ -72,8 +76,69 @@ def _require_well_formed(ops: Iterable[OperationRecord]) -> None:
         raise ValueError("malformed history: " + "; ".join(errors))
 
 
+# Tag tests per kind of the earlier operation a, as (test on a later read,
+# test on a later write), each applied to (later tag, a's tag); None never
+# matches.  A1 inversions: a write is ordered after anything with a tag >= its
+# own, reads with equal tags stay mutually unordered.
+_A1_INVERSIONS = {"read": (lt, le), "write": (None, lt)}
+# Real-time monotonicity: reads never go below an earlier read or write,
+# and sequential writes strictly increase.
+_RT_VIOLATIONS = {"read": (lt, None), "write": (lt, le)}
+
+_NO_TAG = (math.inf, math.inf)  # above every (ts, wid)
+
+
+class _RealTimeOrder:
+    """Real-time precedence over operations, without listing pairs.
+
+    ops holds the operations sorted by (invoked_at, op_id).  Operation j
+    follows operation i in real time when j > i and j was invoked after i
+    responded (an unfinished operation responds at infinity), so the ops
+    that follow i are exactly the suffix ops[after[i]:].  The least read
+    and write tag of every suffix, as (ts, wid), let later() pass over an
+    operation in O(1) when nothing that follows it can match.  Building
+    takes O(n log n) time and O(n) memory.
+    """
+
+    def __init__(self, ops: Iterable[OperationRecord]) -> None:
+        ops = list(ops)
+        for op in ops:
+            if op.tag is None:
+                raise ValueError("completed operation %d has no tag" % op.op_id)
+        ops.sort(key=lambda o: (o.invoked_at, o.op_id))
+        invoked = [op.invoked_at for op in ops]
+        self.ops = ops
+        self.keys = [(op.tag.ts, op.tag.wid) for op in ops]
+        responded = [math.inf if op.responded_at is None else op.responded_at for op in ops]
+        self.after = [max(i + 1, bisect_right(invoked, r)) for i, r in enumerate(responded)]
+        n = len(ops)
+        self.min_read = [_NO_TAG] * (n + 1)
+        self.min_write = [_NO_TAG] * (n + 1)
+        least_read = least_write = _NO_TAG
+        for k in range(n - 1, -1, -1):
+            if ops[k].kind == "read":
+                least_read = min(least_read, self.keys[k])
+            else:
+                least_write = min(least_write, self.keys[k])
+            self.min_read[k] = least_read
+            self.min_write[k] = least_write
+
+    def later(self, i: int, read_test, write_test) -> Iterator[int]:
+        """Indices j, ascending, of the ops that follow op i in real time
+        and whose tag passes read_test (for a read) or write_test (for a
+        write) against op i's tag."""
+        key, start = self.keys[i], self.after[i]
+        if not ((read_test and read_test(self.min_read[start], key))
+                or (write_test and write_test(self.min_write[start], key))):
+            return
+        for j in range(start, len(self.ops)):
+            test = read_test if self.ops[j].kind == "read" else write_test
+            if test and test(self.keys[j], key):
+                yield j
+
+
 def check_atomicity_tagged(history: History, strict: bool = False) -> Verdict:
-    """Pairwise tag check of the three atomicity conditions.
+    """Tag check of the three atomicity conditions, as one sweep.
 
     A1: no real-time-ordered pair is inverted by the tag order, where a
         write is ordered after anything with a tag >= its own, and reads
@@ -83,50 +148,43 @@ def check_atomicity_tagged(history: History, strict: bool = False) -> Verdict:
         read returns a tag smaller than that of a write that completed
         before the read began.
 
-    Incomplete operations stay out of the pair scan; the decided tag of an
-    unfinished write still makes that tag legal for readers (servers may
-    have adopted it even though the writer never got its acks).  With
-    strict=True, unfinished writes that decided a tag are instead treated
-    as completing at time infinity and join the pair scan.
+    One sweep in invocation order finds, for each operation, the suffix
+    of operations that follow it in real time and whether that suffix
+    holds a violation (see _RealTimeOrder); only the first suffix that
+    does is walked, to name the witness.  No pair is listed: O(n log n)
+    time, O(n) memory.  A violated condition reports its first offending
+    pair in (invocation, op id) order of both operations.
+
+    Incomplete operations stay out of the real-time checks; the decided
+    tag of an unfinished write still makes that tag legal for readers
+    (servers may have adopted it even though the writer never got its
+    acks).  With strict=True, unfinished writes that decided a tag are
+    instead treated as completing at time infinity and join the
+    real-time checks.
     """
     _require_well_formed(history.ops)
     completed = [op for op in history.ops if op.responded_at is not None]
-    for op in completed:
-        if op.tag is None:
-            raise ValueError("completed operation %d has no tag" % op.op_id)
     pending_tagged = [
         op for op in history.ops
         if op.responded_at is None and op.kind == "write" and op.tag is not None
     ]
-    scan = completed + (pending_tagged if strict else [])
-    scan.sort(key=lambda o: (o.invoked_at, o.op_id))
-    responded = {
-        op.op_id: op.responded_at if op.responded_at is not None else math.inf for op in scan
-    }
+    order = _RealTimeOrder(completed + (pending_tagged if strict else []))
+    scan = order.ops
 
-    ordered_pairs = [
-        (a, b)
-        for i, a in enumerate(scan)
-        for b in scan[i + 1:]
-        if responded[a.op_id] < b.invoked_at
-    ]
-
-    for a, b in ordered_pairs:
-        inverted = (
-            (a.kind == "read" and b.kind == "read" and b.tag < a.tag)
-            or (a.kind == "read" and b.kind == "write" and b.tag <= a.tag)
-            or (a.kind == "write" and b.kind == "write" and b.tag < a.tag)
-        )
-        if inverted:
+    for i, a in enumerate(scan):
+        j = next(order.later(i, *_A1_INVERSIONS[a.kind]), None)
+        if j is not None:
+            b = scan[j]
             return Verdict(
                 False, A1, (a.op_id, b.op_id),
                 "%s %d (tag %s) precedes %s %d (tag %s) in real time but not in tag order"
                 % (a.kind, a.op_id, a.tag, b.kind, b.op_id, b.tag),
             )
 
-    writes = [op for op in scan if op.kind == "write"]
     seen: dict = {}
-    for op in sorted(writes, key=lambda o: (o.invoked_at, o.op_id)):
+    for op in scan:
+        if op.kind != "write":
+            continue
         other = seen.get(op.tag)
         if other is not None:
             return Verdict(
@@ -143,8 +201,12 @@ def check_atomicity_tagged(history: History, strict: bool = False) -> Verdict:
                 False, A3, (op.op_id,),
                 "read %d returned tag %s, which no write produced" % (op.op_id, op.tag),
             )
-    for a, b in ordered_pairs:
-        if a.kind == "write" and b.kind == "read" and b.tag < a.tag:
+    for i, a in enumerate(scan):
+        if a.kind != "write":
+            continue
+        j = next(order.later(i, lt, None), None)
+        if j is not None:
+            b = scan[j]
             return Verdict(
                 False, A3, (a.op_id, b.op_id),
                 "read %d returned tag %s although write %d (tag %s) had already completed"
@@ -233,22 +295,21 @@ def realtime_tag_violations(history: History) -> list[str]:
 
     For real-time-ordered completed pairs: a read after a write returns a
     tag >= the write's; sequential writes have strictly increasing tags;
-    a read after a read returns a tag >= the earlier read's.
+    a read after a read returns a tag >= the earlier read's.  Every
+    violating pair is listed, in (invocation, op id) order of both
+    operations.  The real-time sweep of check_atomicity_tagged finds
+    them: O(n log n), plus one walk of each suffix that holds a violation.
     """
     _require_well_formed(history.ops)
-    completed = sorted(
-        (op for op in history.ops if op.responded_at is not None),
-        key=lambda o: (o.invoked_at, o.op_id),
-    )
+    order = _RealTimeOrder(op for op in history.ops if op.responded_at is not None)
     errors = []
-    for i, a in enumerate(completed):
-        for b in completed[i + 1:]:
-            if a.responded_at >= b.invoked_at:
-                continue
-            if a.kind == "write" and b.kind == "read" and not b.tag >= a.tag:
+    for i, a in enumerate(order.ops):
+        for j in order.later(i, *_RT_VIOLATIONS[a.kind]):
+            b = order.ops[j]
+            if a.kind == "write" and b.kind == "read":
                 errors.append("read %d after write %d: %s < %s" % (b.op_id, a.op_id, b.tag, a.tag))
-            elif a.kind == "write" and b.kind == "write" and not b.tag > a.tag:
+            elif a.kind == "write":
                 errors.append("write %d after write %d: %s <= %s" % (b.op_id, a.op_id, b.tag, a.tag))
-            elif a.kind == "read" and b.kind == "read" and not b.tag >= a.tag:
+            else:
                 errors.append("read %d after read %d: %s < %s" % (b.op_id, a.op_id, b.tag, a.tag))
     return errors

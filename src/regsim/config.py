@@ -150,7 +150,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def parse_grid(text: str) -> list[ScenarioConfig]:
     """A grid file is a scenario file plus a [grid] section whose keys hold
-    comma-separated alternatives; `seeds = N` expands to seeds 0..N-1.
+    comma-separated alternatives; `seeds = N` (N >= 1) expands to seeds 0..N-1.
     Returns the cross product in file order, seeds innermost.  Constraint
     validation happens per expanded cell, since the base alone may be
     incomplete (e.g. the algorithm axis lives in [grid])."""
@@ -175,6 +175,8 @@ def parse_grid(text: str) -> list[ScenarioConfig]:
         try:
             if key == "seeds":
                 seeds = list(range(int(raw)))
+                if not seeds:
+                    errors.append("grid.seeds: expected a positive count, got %r" % raw)
             else:
                 axes.append((key, [_CONVERT[typ](part.strip()) for part in raw.split(",")]))
         except ValueError:

@@ -156,13 +156,17 @@ class Trace:
         """Append one record; inv/res/wtag/crs/end records also update the
         operation index and run status.  A record that contradicts the
         index (a second inv or res for one op id, a res or wtag with no
-        earlier inv) raises ValueError."""
+        earlier inv, a res from another process than the invoker or timed
+        before its inv) raises ValueError, and so does an inv whose
+        operation kind is neither read nor write."""
         self.records.append(rec)
         kind = rec[0]
         if kind == "inv":
             _, t, pid, op_id, op_kind, value_hex = rec
             if op_id in self.ops:
                 raise ValueError("second inv for op %s" % op_id)
+            if op_kind not in ("read", "write"):
+                raise ValueError("inv for op %s: unknown operation kind %r" % (op_id, op_kind))
             value = bytes.fromhex(value_hex) if value_hex != "-" else None
             self.ops[op_id] = OperationRecord(op_id, pid, op_kind, t, value=value)
             self._invoked[pid] = ordinal = self._invoked.get(pid, 0) + 1
@@ -174,6 +178,14 @@ class Trace:
                 raise ValueError("res for op %s with no earlier inv" % op_id)
             if op.responded_at is not None:
                 raise ValueError("second res for op %s" % op_id)
+            if pid != op.process:
+                raise ValueError(
+                    "res for op %s from %s, but %s invoked it" % (op_id, pid, op.process)
+                )
+            if t < op.invoked_at:
+                raise ValueError(
+                    "res for op %s at %s precedes its inv at %s" % (op_id, t, op.invoked_at)
+                )
             op.responded_at = t
             op.exchanges = exchanges
             op.tag = Tag(ts, wid)

@@ -1,14 +1,23 @@
-"""Checker tests: hand-built histories with known verdicts, plus a
-randomized cross-validation of the tag check against the exhaustive
-value-based search on histories with a sequential writer (where the two
-notions provably coincide)."""
+"""Checker tests: hand-built histories with known verdicts, a randomized
+cross-validation of the tag check against the exhaustive value-based
+search on histories with a sequential writer (where the two notions
+provably coincide), and the sweep checked against the pairwise scans it
+replaced, which are kept here as oracles."""
 
+import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regsim.checker import (
+    A1,
+    A2,
+    A3,
     Verdict,
+    _require_well_formed,
     adoption_violations,
     brute_force_linearizable,
     check_atomicity_tagged,
@@ -16,15 +25,18 @@ from regsim.checker import (
     realtime_tag_violations,
     well_formedness_errors,
 )
+from regsim.config import ScenarioConfig, validate
 from regsim.core import (
     INITIAL_TAG,
     History,
     OperationRecord,
+    Role,
     Tag,
     reader,
     server,
     writer,
 )
+from regsim.harness import run_scenario
 from regsim.netsim import Trace, WorkItem, TopologySpec, build_topology, run
 from regsim.protocols import get_algorithm
 from regsim.quorum import build_majority
@@ -278,3 +290,170 @@ def test_tag_check_agrees_with_value_search_on_sequential_writer_histories() -> 
         assert tagged == brute_force_linearizable(h)
         verdicts[tagged] += 1
     assert verdicts[True] > 50 and verdicts[False] > 50
+
+
+# ------------------------------------------------ pairwise scans as oracles
+
+def pairwise_check(history: History, strict: bool = False) -> Verdict:
+    """The tag check as one scan over every real-time-ordered pair:
+    quadratic in time and memory, kept as the reference for the sweep."""
+    _require_well_formed(history.ops)
+    completed = [op for op in history.ops if op.responded_at is not None]
+    for op in completed:
+        if op.tag is None:
+            raise ValueError("completed operation %d has no tag" % op.op_id)
+    pending_tagged = [
+        op for op in history.ops
+        if op.responded_at is None and op.kind == "write" and op.tag is not None
+    ]
+    scan = completed + (pending_tagged if strict else [])
+    scan.sort(key=lambda o: (o.invoked_at, o.op_id))
+    responded = {
+        op.op_id: op.responded_at if op.responded_at is not None else math.inf for op in scan
+    }
+
+    ordered_pairs = [
+        (a, b)
+        for i, a in enumerate(scan)
+        for b in scan[i + 1:]
+        if responded[a.op_id] < b.invoked_at
+    ]
+
+    for a, b in ordered_pairs:
+        inverted = (
+            (a.kind == "read" and b.kind == "read" and b.tag < a.tag)
+            or (a.kind == "read" and b.kind == "write" and b.tag <= a.tag)
+            or (a.kind == "write" and b.kind == "write" and b.tag < a.tag)
+        )
+        if inverted:
+            return Verdict(
+                False, A1, (a.op_id, b.op_id),
+                "%s %d (tag %s) precedes %s %d (tag %s) in real time but not in tag order"
+                % (a.kind, a.op_id, a.tag, b.kind, b.op_id, b.tag),
+            )
+
+    writes = [op for op in scan if op.kind == "write"]
+    seen: dict = {}
+    for op in sorted(writes, key=lambda o: (o.invoked_at, o.op_id)):
+        other = seen.get(op.tag)
+        if other is not None:
+            return Verdict(
+                False, A2, (other, op.op_id),
+                "writes %d and %d share tag %s" % (other, op.op_id, op.tag),
+            )
+        seen[op.tag] = op.op_id
+
+    valid_tags = {op.tag for op in history.ops if op.kind == "write" and op.tag is not None}
+    valid_tags.add(history.initial_tag)
+    for op in scan:
+        if op.kind == "read" and op.tag not in valid_tags:
+            return Verdict(
+                False, A3, (op.op_id,),
+                "read %d returned tag %s, which no write produced" % (op.op_id, op.tag),
+            )
+    for a, b in ordered_pairs:
+        if a.kind == "write" and b.kind == "read" and b.tag < a.tag:
+            return Verdict(
+                False, A3, (a.op_id, b.op_id),
+                "read %d returned tag %s although write %d (tag %s) had already completed"
+                % (b.op_id, b.tag, a.op_id, a.tag),
+            )
+    return Verdict(True)
+
+
+def pairwise_realtime_violations(history: History) -> list[str]:
+    """realtime_tag_violations as a double loop over completed pairs."""
+    _require_well_formed(history.ops)
+    completed = sorted(
+        (op for op in history.ops if op.responded_at is not None),
+        key=lambda o: (o.invoked_at, o.op_id),
+    )
+    errors = []
+    for i, a in enumerate(completed):
+        for b in completed[i + 1:]:
+            if a.responded_at >= b.invoked_at:
+                continue
+            if a.kind == "write" and b.kind == "read" and not b.tag >= a.tag:
+                errors.append("read %d after write %d: %s < %s" % (b.op_id, a.op_id, b.tag, a.tag))
+            elif a.kind == "write" and b.kind == "write" and not b.tag > a.tag:
+                errors.append("write %d after write %d: %s <= %s" % (b.op_id, a.op_id, b.tag, a.tag))
+            elif a.kind == "read" and b.kind == "read" and not b.tag >= a.tag:
+                errors.append("read %d after read %d: %s < %s" % (b.op_id, a.op_id, b.tag, a.tag))
+    return errors
+
+
+TAGS = st.builds(Tag, st.integers(0, 3), st.integers(0, 2))
+
+
+@st.composite
+def histories(draw) -> History:
+    """1-3 writers and 0-4 readers, each running up to three operations in
+    sequence on a coarse time grid, so that one operation's response often
+    ties another's invocation.  Operations may take zero time (or, rarely,
+    respond before they were invoked), tags repeat, and a process's last
+    operation may stay pending: a pending write with or without a tag."""
+    pids = [writer(i) for i in range(draw(st.integers(1, 3)))]
+    pids += [reader(i) for i in range(draw(st.integers(0, 4)))]
+    ops = []
+    for pid in pids:
+        kind = "write" if pid.role == Role.WRITER else "read"
+        t = draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.integers(0, 4)) == 0:
+                tag = draw(st.none() | TAGS) if kind == "write" else None
+                ops.append(OperationRecord(len(ops) + 1, pid, kind, float(t), tag=tag))
+                break
+            end = t + draw(st.sampled_from([0, 1, 2, 3, -1]))
+            ops.append(op(len(ops) + 1, pid, kind, float(t), float(end), draw(TAGS)))
+            t = max(t, end) + draw(st.integers(0, 2))
+    return History(ops=draw(st.permutations(ops)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(histories())
+def test_sweep_matches_pairwise_scan(h) -> None:
+    for strict in (False, True):
+        assert check_atomicity_tagged(h, strict) == pairwise_check(h, strict)
+    assert realtime_tag_violations(h) == pairwise_realtime_violations(h)
+
+
+def test_sweep_matches_pairwise_scan_on_broken_variant_runs() -> None:
+    # The adversarial scenario of acceptance criterion 3; seeds 303 and 330
+    # are the runs among its 1000 seeds that violate atomicity.
+    verdicts = []
+    for seed in (0, 1, 303, 330):
+        result = run_scenario(validate(ScenarioConfig(
+            algorithm="erato_broken", topology="series", n_servers=3, quorums="majority",
+            n_readers=12, n_writers=1, scheme="stochastic", read_interval=0.08,
+            write_interval=0.15, ops_per_client=10, writes_per_client=5, jitter_max=0.15,
+            seed=seed,
+        )))
+        h = extract_history(result.trace)
+        for strict in (False, True):
+            verdict = check_atomicity_tagged(h, strict)
+            assert verdict == pairwise_check(h, strict)
+            verdicts.append(verdict.violated)
+        assert realtime_tag_violations(h) == pairwise_realtime_violations(h)
+    assert verdicts == [None] * 4 + [A1] * 4
+
+
+def test_check_memory_stays_linear() -> None:
+    # One writer and three readers, sequential, 10k operations, all atomic
+    # so that the whole history is swept.  Every real-time-ordered pair
+    # would be ~50M tuples; the sweep keeps a few lists of n entries.
+    ops = []
+    for k in range(2500):
+        t = 3.0 * k
+        ops.append(op(len(ops) + 1, writer(0), "write", t, t + 1.0, Tag(k + 1, 0), val(k + 1)))
+        for r in range(3):
+            t0 = t + 1.2 + 0.5 * r
+            ops.append(op(len(ops) + 1, reader(r), "read", t0, t0 + 0.4, Tag(k + 1, 0), val(k + 1)))
+    h = hist(*ops)
+    tracemalloc.start()
+    try:
+        assert check_atomicity_tagged(h) == Verdict(True)
+        assert realtime_tag_violations(h) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

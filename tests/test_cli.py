@@ -111,6 +111,11 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
          "line 4: second res for op 1"),
         ("check", "inv\t0.1\tr0\t1\tread\t-\ninv\t0.2\tr0\t2\tread\t-",
          "malformed history: process r0: operations 1 and 2 overlap"),
+        ("check", "inv\t2.0\tr0\t2\tread\t-\nres\t1.5\tr0\t2\t2\t0\t0\t",
+         "line 3: res for op 2 at 1.5 precedes its inv at 2.0"),
+        ("check", "inv\t0.1\tw0\t1\twrite\t76\nres\t0.2\tr5\t1\t2\t1\t0\t76",
+         "line 3: res for op 1 from r5, but w0 invoked it"),
+        ("check", "inv\t0.1\tr0\t1\tcas\t-", "line 2: inv for op 1: unknown operation kind 'cas'"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),
@@ -132,6 +137,8 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
     [
         ("algorithm = erato, ohsam", "n_readers = 1, two", "grid.n_readers: expected int, got '1, two'"),
         ("seeds = 1", "seeds = many", "grid.seeds: expected int, got 'many'"),
+        ("seeds = 1", "seeds = 0", "grid.seeds: expected a positive count, got '0'"),
+        ("seeds = 1", "seeds = -3", "grid.seeds: expected a positive count, got '-3'"),
         ("seeds = 1", "seeds = 1\nservers = 0@0.5", "grid.servers: crash schedules go in [crashes], not [grid]"),
         ("seeds = 1", "seeds = 1\nwriters = 0@0.5, 0@0.7",
          "grid.writers: crash schedules go in [crashes], not [grid]"),

@@ -44,11 +44,14 @@ def server(i: int) -> ProcessId:
 
 
 def parse_pid(text: str) -> ProcessId:
-    """Inverse of str(ProcessId): 'r0' / 'w3' / 's12'."""
+    """Inverse of str(ProcessId): 'r0' / 'w3' / 's12'.  Only that exact
+    spelling is accepted (ASCII digits, no leading zero), so that every
+    process has one name and str(parse_pid(text)) == text."""
     role = {"r": Role.READER, "w": Role.WRITER, "s": Role.SERVER}.get(text[:1])
-    if role is None or not text[1:].isdigit():
+    digits = text[1:]
+    if role is None or not digits.isdecimal() or digits != str(int(digits)):
         raise ValueError("not a process id: %r" % text)
-    return ProcessId(role, int(text[1:]))
+    return ProcessId(role, int(digits))
 
 
 @dataclass(frozen=True, order=True)

@@ -5,9 +5,13 @@ and emit trace logs / CSV rows.
 File formats are part of the external contract:
 
 Trace log: one event per line, tab separated, first field the record
-type.  Floats are serialized with repr so that parsing and re-serializing
-a trace reproduces it byte for byte.  In-memory view classification notes
-are not persisted.
+type.  Every field is written with str; for a float that is its repr, so
+parsing and re-serializing a trace reproduces it byte for byte, and a
+process id has exactly one spelling (see core.parse_pid).  In-memory view
+classification notes are not persisted.  Besides the per-line checks of
+Trace.add, the parser enforces the wire invariants: every delivery takes
+up an earlier matching send, and no node receives a message at or after
+its crash (see trace_from_text).
 
 Operation CSV: one row per completed operation, fixed column schema
 (CSV_HEADER below); same seed, same config, same bytes.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import call
 from pathlib import Path
 
 from regsim.checker import Verdict, check_atomicity_tagged, extract_history
@@ -53,29 +58,62 @@ _REC_TYPES: dict[str, tuple] = {
 }
 
 
-def _field_text(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key), once per key."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
 
 
 def trace_to_text(trace: Trace) -> str:
     head = ["run", "algorithm=%s" % trace.algorithm, "seed=%d" % trace.seed]
     head += ["%s=%s" % (k, v) for k, v in sorted(trace.meta.items()) if k not in ("algorithm", "seed")]
+    # One formatter per token, the record type included: each node's name
+    # is formatted once per trace, every other field goes through str.
+    name = _Memo(str).__getitem__
+    formatters = {
+        kind: (str,) + tuple(name if conv is parse_pid else str for conv in convs)
+        for kind, convs in _REC_TYPES.items()
+    }
     lines = ["\t".join(head)]
-    for rec in trace.records:
-        lines.append("\t".join([rec[0]] + [_field_text(v) for v in rec[1:]]))
+    lines += ["\t".join(map(call, formatters[rec[0]], rec)) for rec in trace.records]
     return "\n".join(lines) + "\n"
 
 
 def trace_from_text(text: str) -> Trace:
-    """Parse a trace log; a malformed line, or one that contradicts an
-    earlier line (see Trace.add), raises ValueError("line N: ...")."""
+    """Parse a trace log; a malformed line, one that contradicts an
+    earlier line (see Trace.add), or a message delivery the wire cannot
+    explain raises ValueError("line N: ...").
+
+    Each dlv must take up an earlier snd not yet delivered with the same
+    sender, receiver, message kind, client, op_seq, and an arrival time
+    written as the dlv's time; a snd never delivered is legal (in flight
+    at the cap, or sent to a crashed node).  No dlv may reach a node at or
+    after that node's crs, wherever the crs sits in the file.
+    """
     trace = Trace()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        try:
+    append = trace.records.append
+    # One converter per token, the record type included: each distinct
+    # process name is parsed once, and all records naming it share one
+    # ProcessId.
+    pid = _Memo(parse_pid).__getitem__
+    converters = {
+        kind: (str,) + tuple(pid if conv is parse_pid else conv for conv in convs)
+        for kind, convs in _REC_TYPES.items()
+    }
+    # snd tokens (src, dst, kind, client, op_seq, arrival) -> sends not
+    # yet delivered; and node token -> (latest dlv time, its line).
+    in_flight: dict[tuple, int] = {}
+    last_dlv: dict[str, tuple[float, int]] = {}
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line:
+                continue
             parts = line.split("\t")
             kind = parts[0]
             if kind == "run":
@@ -88,16 +126,42 @@ def trace_from_text(text: str) -> Trace:
                     else:
                         trace.meta[key] = val
                 continue
-            converters = _REC_TYPES.get(kind)
-            if converters is None or len(parts) - 1 != len(converters):
+            convs = converters.get(kind)
+            if convs is None or len(parts) != len(convs):
                 raise ValueError("bad trace record %r" % line)
-            rec = (kind,) + tuple(conv(p) for conv, p in zip(converters, parts[1:]))
-            if kind in ("snd", "dlv", "tag"):
-                trace.records.append(rec)
+            rec = tuple(map(call, convs, parts))
+            if kind == "snd":
+                key = tuple(parts[2:])
+                in_flight[key] = in_flight.get(key, 0) + 1
+                append(rec)
+            elif kind == "dlv":
+                _, t, dst, src, msg_kind, client, op_seq = parts
+                key = (src, dst, msg_kind, client, op_seq, t)
+                pending = in_flight.pop(key, 0)
+                if not pending:
+                    raise ValueError(
+                        "dlv of %s (client %s, op %s) from %s to %s at %s matches no earlier snd"
+                        % (msg_kind, client, op_seq, src, dst, t)
+                    )
+                if pending > 1:
+                    in_flight[key] = pending - 1
+                latest = last_dlv.get(dst)
+                if latest is None or rec[1] > latest[0]:
+                    last_dlv[dst] = (rec[1], lineno)
+                append(rec)
+            elif kind == "tag":
+                append(rec)
             else:
                 trace.add(rec)
-        except ValueError as exc:
-            raise ValueError("line %d: %s" % (lineno, exc)) from None
+        for node, crashed_at in trace.crash_at.items():
+            latest = last_dlv.get(str(node))
+            if latest is not None and latest[0] >= crashed_at:
+                lineno = latest[1]
+                raise ValueError(
+                    "dlv to %s at %s, at or after its crash at %s" % (node, latest[0], crashed_at)
+                )
+    except ValueError as exc:
+        raise ValueError("line %d: %s" % (lineno, exc)) from None
     return trace
 
 

@@ -151,14 +151,17 @@ class Trace:
     end_time: float = 0.0
     meta: dict[str, str] = field(default_factory=dict)  # config echo for reports
     _invoked: dict[ProcessId, int] = field(default_factory=dict, init=False, repr=False)
+    _ended: bool = field(default=False, init=False, repr=False)
 
     def add(self, rec: tuple) -> None:
         """Append one record; inv/res/wtag/crs/end records also update the
         operation index and run status.  A record that contradicts the
-        index (a second inv or res for one op id, a res or wtag with no
-        earlier inv, a res from another process than the invoker or timed
-        before its inv) raises ValueError, and so does an inv whose
-        operation kind is neither read nor write."""
+        index raises ValueError: a second inv or res for one op id, a res
+        or wtag with no earlier inv, a res or wtag from another process
+        than the invoker or timed before its inv, a wtag for a read, and
+        a second end.  So do an inv whose operation kind is neither read
+        nor write and an end whose status is neither complete nor
+        incomplete."""
         self.records.append(rec)
         kind = rec[0]
         if kind == "inv":
@@ -195,12 +198,27 @@ class Trace:
             op = self.ops.get(op_id)
             if op is None:
                 raise ValueError("wtag for op %s with no earlier inv" % op_id)
+            if pid != op.process:
+                raise ValueError(
+                    "wtag for op %s from %s, but %s invoked it" % (op_id, pid, op.process)
+                )
+            if t < op.invoked_at:
+                raise ValueError(
+                    "wtag for op %s at %s precedes its inv at %s" % (op_id, t, op.invoked_at)
+                )
+            if op.kind != "write":
+                raise ValueError("wtag for op %s, which is a %s" % (op_id, op.kind))
             op.tag = Tag(ts, wid)
         elif kind == "crs":
             _, t, pid = rec
             self.crash_at[pid] = min(t, self.crash_at.get(pid, t))
         elif kind == "end":
+            if self._ended:
+                raise ValueError("second end record")
             _, self.end_time, status, self.stale_drops, self.skipped_invokes = rec
+            if status not in ("complete", "incomplete"):
+                raise ValueError("end status %r is neither complete nor incomplete" % status)
+            self._ended = True
             self.incomplete = status == "incomplete"
 
     def live(self, pid: ProcessId) -> bool:

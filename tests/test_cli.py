@@ -3,6 +3,7 @@
 import pytest
 
 from regsim.cli import main
+from regsim.protocols import ALGORITHMS
 
 CONFIG = """
 [scenario]
@@ -116,6 +117,26 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
         ("check", "inv\t0.1\tw0\t1\twrite\t76\nres\t0.2\tr5\t1\t2\t1\t0\t76",
          "line 3: res for op 1 from r5, but w0 invoked it"),
         ("check", "inv\t0.1\tr0\t1\tcas\t-", "line 2: inv for op 1: unknown operation kind 'cas'"),
+        ("check", "inv\t0.1\tw0\t1\twrite\t76\nwtag\t0.15\tr3\t1\t1\t0",
+         "line 3: wtag for op 1 from r3, but w0 invoked it"),
+        ("check", "inv\t0.2\tw0\t1\twrite\t76\nwtag\t0.1\tw0\t1\t1\t0",
+         "line 3: wtag for op 1 at 0.1 precedes its inv at 0.2"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nwtag\t0.15\tr0\t1\t1\t0", "line 3: wtag for op 1, which is a read"),
+        ("check", "end\t0.3\tbogus\t0\t0", "line 2: end status 'bogus' is neither complete nor incomplete"),
+        ("check", "end\t0.3\tcomplete\t0\t0\nend\t0.4\tincomplete\t0\t0", "line 3: second end record"),
+        ("check", "inv\t0.1\tr03\t1\tread\t-", "line 2: not a process id: 'r03'"),
+        ("check", "inv\t0.1\tr\u0663\t1\tread\t-", "line 2: not a process id: 'r\u0663'"),
+        ("check", "dlv\t0.5\ts0\tr0\treadRequest\tr0\t1",
+         "line 2: dlv of readRequest (client r0, op 1) from r0 to s0 at 0.5 matches no earlier snd"),
+        ("check", "snd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.5\ndlv\t0.50\ts0\tr0\treadRequest\tr0\t1",
+         "line 3: dlv of readRequest (client r0, op 1) from r0 to s0 at 0.50 matches no earlier snd"),
+        ("check", "snd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1\n"
+         "dlv\t0.3\ts0\tr0\treadRequest\tr0\t1",
+         "line 4: dlv of readRequest (client r0, op 1) from r0 to s0 at 0.3 matches no earlier snd"),
+        ("check", "crs\t0.2\ts0\nsnd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1",
+         "line 4: dlv to s0 at 0.3, at or after its crash at 0.2"),
+        ("check", "snd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1\ncrs\t0.3\ts0",
+         "line 3: dlv to s0 at 0.3, at or after its crash at 0.3"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),
@@ -152,6 +173,27 @@ def test_bad_grid_value_exits_2_with_one_line(old, new, message, tmp_path, capsy
     assert capsys.readouterr().err == "config error: %s\n" % message
 
 
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_check_accepts_every_simulated_crash_trace(algorithm, tmp_path, capsys) -> None:
+    # The wire check must never refuse a trace the simulator wrote,
+    # including deliveries to nodes that crash later in the run.
+    config = tmp_path / "crash.ini"
+    config.write_text(
+        CONFIG.replace("algorithm = erato", "algorithm = %s" % algorithm)
+        .replace("n_readers = 1", "n_readers = 2")
+        .replace("n_writers = 1", "n_writers = %d" % (2 if ALGORITHMS[algorithm].mw else 1))
+        + "[network]\njitter_max = 0.002\n[crashes]\nservers = 0@0.25\nreaders = 1@0.3\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out-dir", str(out)]) == 0
+    lines = (out / "trace.log").read_text().splitlines()
+    assert "crs\t0.25\ts0" in lines
+    assert any(line.startswith("dlv\t") and line.split("\t")[2] == "s0" for line in lines)
+    capsys.readouterr()
+    assert main(["check", str(out / "trace.log")]) == 0
+    assert "atomicity: ok" in capsys.readouterr().out
+
+
 def test_sweep_and_report(tmp_path, capsys) -> None:
     grid = tmp_path / "grid.ini"
     grid.write_text(GRID)
@@ -181,6 +223,7 @@ def test_sweep_and_report(tmp_path, capsys) -> None:
         ("1,r0,read", "line 3: expected 14 fields"),
         ("1,r0,read,0.1,0.2,2,10,extra", "line 3: expected 14 fields"),
         ("1,q7,read,0.1,0.2,2,10", "line 3: not a process id: 'q7'"),
+        ("1,r03,read,0.1,0.2,2,10", "line 3: not a process id: 'r03'"),
     ],
 )
 def test_report_bad_row_exits_2_with_one_line(row, message, tmp_path, capsys) -> None:

@@ -1,4 +1,4 @@
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from regsim.core import (
@@ -8,6 +8,7 @@ from regsim.core import (
     Message,
     MessageKind,
     Tag,
+    parse_pid,
     reader,
     server,
     writer,
@@ -49,3 +50,22 @@ def test_message_size_header_plus_payload():
     assert m.size_bits() == (HEADER_OCTETS + 64) * 8
     bare = Message(MessageKind.READ_REQUEST, reader(0), reader(0), 1)
     assert bare.size_bits() == HEADER_OCTETS * 8
+
+
+@given(st.sampled_from([reader, writer, server]), st.integers(0, 10_000))
+def test_parse_pid_inverts_str(make, index):
+    assert parse_pid(str(make(index))) == make(index)
+
+
+@given(st.text(alphabet="rws0123456789x+- \u0663\u00b3", max_size=5))
+@example("r03")
+@example("r\u0663")
+@example("r\u00b3")
+def test_parse_pid_accepts_only_canonical_names(text):
+    # One spelling per process: no leading zero, no non-ASCII digit.
+    try:
+        pid = parse_pid(text)
+    except ValueError as exc:
+        assert str(exc) == "not a process id: %r" % text
+    else:
+        assert str(pid) == text

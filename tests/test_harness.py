@@ -2,10 +2,15 @@
 runs produce checked results and stable CSV, grids expand correctly,
 sweeps aggregate and fail loudly."""
 
+import functools
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regsim.config import ConfigError, ScenarioConfig, parse_grid, validate
-from regsim.core import reader, server
+from regsim.core import ProcessId, reader, server
 from regsim.harness import (
     AGGREGATE_HEADER,
     CSV_HEADER,
@@ -19,6 +24,7 @@ from regsim.harness import (
     trace_to_text,
     write_outputs,
 )
+from regsim.protocols import ALGORITHMS
 
 
 def cfg(**kw) -> ScenarioConfig:
@@ -67,6 +73,137 @@ def test_trace_round_trip_identity() -> None:
             op.process, op.kind, op.invoked_at, op.responded_at,
             op.tag, op.value, op.exchanges)
     assert parsed.invocations == result.trace.invocations
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    algorithm=st.sampled_from(sorted(ALGORITHMS)),
+    topology=st.sampled_from(["series", "star"]),
+    crash=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_trace_round_trip_all_algorithms(algorithm, topology, crash, seed) -> None:
+    crashes = dict(crash_servers=((0, 0.25),), crash_readers=((1, 0.3),)) if crash else {}
+    config = cfg(algorithm=algorithm, topology=topology, seed=seed, jitter_max=0.002,
+                 n_writers=2 if ALGORITHMS[algorithm].mw else 1, **crashes)
+    run = run_scenario(config).trace
+    text = trace_to_text(run)
+    parsed = trace_from_text(text)
+    assert trace_to_text(parsed) == text
+    assert parsed.records == run.records
+
+
+def test_parsed_records_share_one_process_id_per_node() -> None:
+    config = cfg(algorithm="erato_mw", n_writers=2, crash_servers=((0, 0.25),), seed=3)
+    parsed = trace_from_text(trace_to_text(run_scenario(config).trace))
+    by_name: dict[str, set[int]] = {}
+    for rec in parsed.records:
+        for field in rec:
+            if isinstance(field, ProcessId):
+                by_name.setdefault(str(field), set()).add(id(field))
+    for op in parsed.ops.values():
+        by_name[str(op.process)].add(id(op.process))
+    for pid in parsed.crash_at:
+        by_name[str(pid)].add(id(pid))
+    assert {"s0", "s1", "s2", "r0", "r1", "w0", "w1"} <= set(by_name)
+    assert all(len(ids) == 1 for ids in by_name.values())
+
+
+PID_TOKEN = re.compile(r"[rws][0-9]+")
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+@functools.cache
+def fuzz_base_lines() -> tuple[tuple[str, ...], ...]:
+    # Runs whose traces hold every record type, including deliveries to a
+    # server and a reader that crash later.
+    configs = [
+        cfg(algorithm="erato_mw", n_writers=2, crash_servers=((0, 0.25),),
+            crash_readers=((1, 0.3),), jitter_max=0.002, seed=7),
+        cfg(algorithm="abd", topology="star", crash_servers=((1, 0.3),), seed=2),
+    ]
+    return tuple(tuple(trace_to_text(run_scenario(c).trace).splitlines()) for c in configs)
+
+
+def wire_key(parts: list[str]) -> tuple:
+    """(src, dst, kind, client, op_seq, arrival) of a snd or dlv line."""
+    if parts[0] == "snd":
+        return tuple(parts[2:])
+    return (parts[3], parts[2], parts[4], parts[5], parts[6], parts[1])
+
+
+def first_unmatched_dlv(lines: list[str], key: tuple):
+    """1-based line of the first dlv with this key that has no earlier
+    unmatched snd, or None."""
+    in_flight = 0
+    for n, line in enumerate(lines, start=1):
+        parts = line.split("\t")
+        if parts[0] in ("snd", "dlv") and wire_key(parts) == key:
+            in_flight += 1 if parts[0] == "snd" else -1
+            if in_flight < 0:
+                return n
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_trace_line_fails_with_its_line_number(data) -> None:
+    lines = list(data.draw(st.sampled_from(fuzz_base_lines())))
+    mutation = data.draw(st.sampled_from(["drop", "add", "pid", "del_snd", "late_dlv"]))
+    crash_at = {ln.split("\t")[2]: float(ln.split("\t")[1]) for ln in lines if ln.startswith("crs\t")}
+    if mutation == "late_dlv":
+        targets = [i for i, ln in enumerate(lines)
+                   if ln.startswith("dlv\t") and ln.split("\t")[2] in crash_at]
+    elif mutation == "del_snd":
+        targets = [i for i, ln in enumerate(lines) if ln.startswith("snd\t")]
+    elif mutation == "pid":
+        targets = [i for i, ln in enumerate(lines)
+                   if any(PID_TOKEN.fullmatch(p) for p in ln.split("\t")[1:])]
+    else:
+        targets = list(range(1, len(lines)))  # every record line after the header
+    assert targets
+    i = data.draw(st.sampled_from(targets))
+    parts = lines[i].split("\t")
+    expected = i + 1
+    if mutation == "drop":
+        del parts[-1]
+    elif mutation == "add":
+        parts.append("0")
+    elif mutation == "pid":
+        j = data.draw(st.sampled_from([j for j, p in enumerate(parts) if j and PID_TOKEN.fullmatch(p)]))
+        digits = parts[j][1:]
+        parts[j] = parts[j][0] + data.draw(st.sampled_from(["0" + digits, digits.translate(ARABIC_INDIC_DIGITS)]))
+    elif mutation == "late_dlv":
+        parts[1] = repr(crash_at[parts[2]] + data.draw(st.sampled_from([0.0, 0.5])))
+    if mutation == "del_snd":
+        del lines[i]
+        expected = first_unmatched_dlv(lines, wire_key(parts))
+    else:
+        lines[i] = "\t".join(parts)
+    text = "\n".join(lines) + "\n"
+    if expected is None:  # a snd that was never delivered may go
+        trace_from_text(text)
+        return
+    with pytest.raises(ValueError) as exc:
+        trace_from_text(text)
+    assert str(exc.value).startswith("line %d: " % expected)
+
+
+def test_delivery_at_or_after_crash_is_refused() -> None:
+    # Move s0's last delivery, and the arrival of its send, to s0's crash
+    # time, so only the crash rule can object.
+    lines = list(fuzz_base_lines()[0])
+    crash = next(ln.split("\t")[1] for ln in lines if ln.startswith("crs\t") and ln.endswith("\ts0"))
+    to_s0 = [i for i, ln in enumerate(lines) if ln.startswith("dlv\t") and ln.split("\t")[2] == "s0"]
+    assert len(to_s0) > 1
+    i = to_s0[-1]
+    dlv = lines[i].split("\t")
+    j = next(j for j, ln in enumerate(lines) if ln.startswith("snd\t") and wire_key(ln.split("\t")) == wire_key(dlv))
+    lines[i] = "\t".join(dlv[:1] + [crash] + dlv[2:])
+    lines[j] = "\t".join(lines[j].split("\t")[:-1] + [crash])
+    with pytest.raises(ValueError) as exc:
+        trace_from_text("\n".join(lines) + "\n")
+    assert str(exc.value) == "line %d: dlv to s0 at %s, at or after its crash at %s" % (i + 1, crash, crash)
 
 
 def test_trace_rejects_garbage() -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import call
+from functools import cache
 from pathlib import Path
 
 from regsim.checker import Verdict, check_atomicity_tagged, extract_history
@@ -58,30 +58,21 @@ _REC_TYPES: dict[str, tuple] = {
 }
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with fn(key), once per key."""
-
-    def __init__(self, fn) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(key)
-        return value
-
-
 def trace_to_text(trace: Trace) -> str:
     head = ["run", "algorithm=%s" % trace.algorithm, "seed=%d" % trace.seed]
     head += ["%s=%s" % (k, v) for k, v in sorted(trace.meta.items()) if k not in ("algorithm", "seed")]
     # One formatter per token, the record type included: each node's name
     # is formatted once per trace, every other field goes through str.
-    name = _Memo(str).__getitem__
+    name = cache(str)
     formatters = {
         kind: (str,) + tuple(name if conv is parse_pid else str for conv in convs)
         for kind, convs in _REC_TYPES.items()
     }
     lines = ["\t".join(head)]
-    lines += ["\t".join(map(call, formatters[rec[0]], rec)) for rec in trace.records]
+    lines += [
+        "\t".join([fmt(field) for fmt, field in zip(formatters[rec[0]], rec)])
+        for rec in trace.records
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -101,7 +92,7 @@ def trace_from_text(text: str) -> Trace:
     # One converter per token, the record type included: each distinct
     # process name is parsed once, and all records naming it share one
     # ProcessId.
-    pid = _Memo(parse_pid).__getitem__
+    pid = cache(parse_pid)
     converters = {
         kind: (str,) + tuple(pid if conv is parse_pid else conv for conv in convs)
         for kind, convs in _REC_TYPES.items()
@@ -129,7 +120,7 @@ def trace_from_text(text: str) -> Trace:
             convs = converters.get(kind)
             if convs is None or len(parts) != len(convs):
                 raise ValueError("bad trace record %r" % line)
-            rec = tuple(map(call, convs, parts))
+            rec = tuple([conv(part) for conv, part in zip(convs, parts)])
             if kind == "snd":
                 key = tuple(parts[2:])
                 in_flight[key] = in_flight.get(key, 0) + 1

@@ -36,7 +36,7 @@ from regsim.harness import (
     trace_to_text,
 )
 from regsim.metrics import OpStats, Summary, attribute_messages, summarize
-from regsim.netsim import Network, TopologySpec, Trace, WorkItem, build_topology, run
+from regsim.netsim import Network, Trace, WorkItem, build_topology, run
 from regsim.protocols import ALGORITHMS, Algorithm, get_algorithm
 from regsim.quorum import QuorumSystem, build_majority, build_matrix
 from regsim.views import ViewClass, classify, iterative_analyze
@@ -63,7 +63,6 @@ __all__ = [
     "ScenarioConfig",
     "Summary",
     "Tag",
-    "TopologySpec",
     "Trace",
     "Verdict",
     "ViewClass",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import le, lt
 from typing import Iterable, Iterator, Optional
 
-from regsim.core import INITIAL_TAG, INITIAL_VALUE, History, OperationRecord, ProcessId
+from regsim.core import INITIAL_TAG, INITIAL_VALUE, History, OperationRecord, ProcessId, Tag
 from regsim.netsim import Trace
 
 A1 = "A1"
@@ -276,8 +276,6 @@ def adoption_violations(trace: Trace) -> list[str]:
     """Server-side tag monotonicity: adopted tags never go backwards."""
     latest: dict = {}
     errors = []
-    from regsim.core import Tag
-
     for rec in trace.records:
         if rec[0] != "tag":
             continue

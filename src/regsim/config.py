@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS
+from regsim.quorum import QuorumSystem, build_majority, build_matrix, surviving_quorum_exists
 
 SWMR_ALGORITHMS = frozenset(
     name for name, alg in ALGORITHMS.items() if not alg.mw
@@ -249,8 +250,6 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
                 errors.append("crashes.%s: negative crash time for %d" % (label, idx))
     if config.n_servers >= 1 and not errors:
         # Only meaningful once indices are in range.
-        from regsim.netsim import surviving_quorum_exists
-
         qs = build_quorum_system(config)
         crashed = [idx for idx, _ in config.crash_servers]
         if not surviving_quorum_exists(qs, crashed):
@@ -260,9 +259,7 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
-def build_quorum_system(config: ScenarioConfig):
-    from regsim.quorum import build_majority, build_matrix
-
+def build_quorum_system(config: ScenarioConfig) -> QuorumSystem:
     if config.quorums == "majority":
         return build_majority(config.n_servers)
     side = math.isqrt(config.n_servers)

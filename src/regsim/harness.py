@@ -10,8 +10,8 @@ parsing and re-serializing a trace reproduces it byte for byte, and a
 process id has exactly one spelling (see core.parse_pid).  In-memory view
 classification notes are not persisted.  Besides the per-line checks of
 Trace.add, the parser enforces the wire invariants: every delivery takes
-up an earlier matching send, and no node receives a message at or after
-its crash (see trace_from_text).
+up an earlier matching send, and no node acts (sends, receives, invokes,
+responds or adopts a tag) at or after its crash (see trace_from_text).
 
 Operation CSV: one row per completed operation, fixed column schema
 (CSV_HEADER below); same seed, same config, same bytes.
@@ -28,7 +28,7 @@ from regsim.checker import Verdict, check_atomicity_tagged, extract_history
 from regsim.config import ScenarioConfig, build_quorum_system
 from regsim.core import parse_pid, reader, server, writer
 from regsim.metrics import OpStats, Summary, per_operation_stats, summarize
-from regsim.netsim import Network, TopologySpec, Trace, build_topology, run
+from regsim.netsim import Network, Trace, build_topology, run
 from regsim.protocols import get_algorithm
 from regsim.workload import build_workload
 
@@ -84,8 +84,10 @@ def trace_from_text(text: str) -> Trace:
     Each dlv must take up an earlier snd not yet delivered with the same
     sender, receiver, message kind, client, op_seq, and an arrival time
     written as the dlv's time; a snd never delivered is legal (in flight
-    at the cap, or sent to a crashed node).  No dlv may reach a node at or
-    after that node's crs, wherever the crs sits in the file.
+    at the cap, or sent to a crashed node).  No node may act at or after
+    its crs, wherever the crs sits in the file: it acts in every record
+    that names it first, as the sender of a snd, the receiver of a dlv,
+    the process of an inv, res or wtag, and the adopting server of a tag.
     """
     trace = Trace()
     append = trace.records.append
@@ -98,9 +100,9 @@ def trace_from_text(text: str) -> Trace:
         for kind, convs in _REC_TYPES.items()
     }
     # snd tokens (src, dst, kind, client, op_seq, arrival) -> sends not
-    # yet delivered; and node token -> (latest dlv time, its line).
+    # yet delivered; and node token -> (its latest act's time, line, kind).
     in_flight: dict[tuple, int] = {}
-    last_dlv: dict[str, tuple[float, int]] = {}
+    last_act: dict[str, tuple[float, int, str]] = {}
     try:
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line:
@@ -136,21 +138,23 @@ def trace_from_text(text: str) -> Trace:
                     )
                 if pending > 1:
                     in_flight[key] = pending - 1
-                latest = last_dlv.get(dst)
-                if latest is None or rec[1] > latest[0]:
-                    last_dlv[dst] = (rec[1], lineno)
                 append(rec)
             elif kind == "tag":
                 append(rec)
             else:
                 trace.add(rec)
+                if kind == "crs" or kind == "end":
+                    continue
+            # Every other record is an act of the node it names first.
+            latest = last_act.get(parts[2])
+            if latest is None or rec[1] > latest[0]:
+                last_act[parts[2]] = (rec[1], lineno, kind)
         for node, crashed_at in trace.crash_at.items():
-            latest = last_dlv.get(str(node))
+            latest = last_act.get(str(node))
             if latest is not None and latest[0] >= crashed_at:
-                lineno = latest[1]
-                raise ValueError(
-                    "dlv to %s at %s, at or after its crash at %s" % (node, latest[0], crashed_at)
-                )
+                t, lineno, kind = latest
+                raise ValueError("%s %s %s at %s, at or after its crash at %s"
+                                 % (kind, "to" if kind == "dlv" else "by", node, t, crashed_at))
     except ValueError as exc:
         raise ValueError("line %d: %s" % (lineno, exc)) from None
     return trace
@@ -159,9 +163,7 @@ def trace_from_text(text: str) -> Trace:
 # ---------------------------------------------------------------- running
 
 def build_network(config: ScenarioConfig) -> Network:
-    net = build_topology(
-        TopologySpec(config.topology), config.n_servers, config.n_readers, config.n_writers
-    )
+    net = build_topology(config.topology, config.n_servers, config.n_readers, config.n_writers)
     net.jitter_max = config.jitter_max
     return net
 

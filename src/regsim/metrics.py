@@ -1,12 +1,15 @@
 """Per-operation and aggregate statistics over simulator traces.
 
-Message attribution works backwards from the wire: every send carries the
-originating client and that client's per-protocol operation sequence
-number.  Protocols advance the sequence once per phase (a two-phase read
-burns two numbers), so dividing by the declared phase count recovers the
-client-local operation ordinal, which the trace maps to an operation id.
-Every send must attribute to exactly one operation; anything else is an
-accounting bug worth crashing on.
+Message attribution is read from the wire: every send carries the
+originating client and that client's operation sequence number (op_seq).
+A client sends only while one of its operations runs, so the first send
+of a (client, op_seq) pair comes from the client itself and names the
+operation; every later send with that pair, a server's relay or ack
+included, belongs to the same operation.  No phase count is needed:
+however many numbers an operation burns, each one is introduced by the
+client's own send.  Every send must attribute to exactly one operation
+of the message's kind; anything else is an accounting bug worth crashing
+on.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Optional
 
 from regsim.core import ProcessId
 from regsim.netsim import Trace
-from regsim.protocols import get_algorithm
 
 
 @dataclass(frozen=True)
@@ -53,20 +55,26 @@ def attribute_messages(trace: Trace) -> dict[int, int]:
     self-addressed ones, against the client operation that triggered it.
     Updates the per-operation records in place as well.
     """
-    alg = get_algorithm(trace.algorithm)
     counts: dict[int, int] = {op_id: 0 for op_id in trace.ops}
+    running: dict[ProcessId, int] = {}  # client -> op it last invoked
+    op_of: dict[tuple[ProcessId, int], int] = {}  # (client, op_seq) -> op
     for rec in trace.records:
+        if rec[0] == "inv":
+            running[rec[2]] = rec[3]
+            continue
         if rec[0] != "snd":
             continue
-        _, _, _src, _dst, kind, client, op_seq = rec[:7]
-        phases = alg.read_phases if kind.startswith("read") else alg.write_phases
-        ordinal = math.ceil(op_seq / phases)
-        op_id = trace.invocations.get((client, ordinal))
+        _, _, src, _dst, kind, client, op_seq = rec[:7]
+        key = (client, op_seq)
+        op_id = op_of.get(key)
         if op_id is None:
-            raise ValueError(
-                "send %s for client %s op_seq %d does not attribute to any operation"
-                % (kind, client, op_seq)
-            )
+            op_id = running.get(client)
+            if op_id is None or src != client:
+                raise ValueError(
+                    "send %s for client %s op_seq %d does not attribute to any operation"
+                    % (kind, client, op_seq)
+                )
+            op_of[key] = op_id
         expect = "read" if kind.startswith("read") else "write"
         if trace.ops[op_id].kind != expect:
             raise ValueError(

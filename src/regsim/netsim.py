@@ -1,13 +1,14 @@
 """Deterministic discrete-event simulation of the message-passing network.
 
-Topologies mirror a routed LAN: a chain of routers with either one server
-per router (series) or every server on the first router (star); clients
-attach round-robin across the routers.  A message's delay is the sum over
-its path links of propagation plus transmission (size/bandwidth), plus one
-uniform jitter draw; there is no queueing.  Event order is (time,
-insertion sequence), the RNG is seeded per run, and nodes perform no
-computation in simulated time, so a run is a pure function of
-(workload, crash schedule, seed).
+Topologies mirror a routed LAN: a chain of one router per server, with
+either server i on router i (series) or every server on the first router
+(star); clients attach round-robin across the routers.  Link parameters
+are fixed: the backbone, client and per-kind server link constants below.
+A message's delay is the sum over its path links of propagation plus
+transmission (size/bandwidth), plus one uniform jitter draw; there is no
+queueing.  Event order is (time, insertion sequence), the RNG is seeded
+per run, and nodes perform no computation in simulated time, so a run is
+a pure function of (workload, crash schedule, seed).
 
 Crashed nodes process no event from their crash time on; messages already
 in flight from them still deliver.  Self-addressed messages (a server
@@ -20,9 +21,9 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from regsim.core import OperationRecord, ProcessId, Tag, reader, server, writer
+from regsim.core import OperationRecord, ProcessId, Role, Tag, reader, server, writer
 from regsim.protocols import Algorithm, Deliver, Invoke
 from regsim.quorum import QuorumSystem
 
@@ -44,33 +45,12 @@ SERIES_SERVER_LINK = LinkParams(10 * MBPS, 0.002)
 STAR_SERVER_LINK = LinkParams(50 * MBPS, 0.002)
 
 
-@dataclass(frozen=True)
-class TopologySpec:
-    """Shape and link parameters; node placement happens in build_topology."""
-
-    kind: str  # "series" | "star"
-    routers: Optional[int] = None  # defaults to one per server
-    router_link: LinkParams = ROUTER_LINK
-    server_link: Optional[LinkParams] = None  # defaults by kind
-    client_link: LinkParams = CLIENT_LINK
-
-    def effective_server_link(self) -> LinkParams:
-        if self.server_link is not None:
-            return self.server_link
-        return SERIES_SERVER_LINK if self.kind == "series" else STAR_SERVER_LINK
-
-
 @dataclass
 class Network:
-    spec: TopologySpec
-    routers: int
     router_of: dict[ProcessId, int]
     access: dict[ProcessId, LinkParams]
     jitter_max: float = DEFAULT_JITTER_MAX
     _params: dict[tuple[ProcessId, ProcessId], tuple[float, float]] = field(default_factory=dict)
-
-    def nodes(self) -> list[ProcessId]:
-        return list(self.router_of)
 
     def router_hops(self, a: ProcessId, b: ProcessId) -> int:
         return abs(self.router_of[a] - self.router_of[b])
@@ -82,38 +62,33 @@ class Network:
         if got is None:
             sa, da = self.access[src], self.access[dst]
             hops = self.router_hops(src, dst)
-            prop = sa.prop_s + da.prop_s + hops * self.spec.router_link.prop_s
-            per_bit = 1.0 / sa.bw_bps + 1.0 / da.bw_bps + hops / self.spec.router_link.bw_bps
+            prop = sa.prop_s + da.prop_s + hops * ROUTER_LINK.prop_s
+            per_bit = 1.0 / sa.bw_bps + 1.0 / da.bw_bps + hops / ROUTER_LINK.bw_bps
             got = self._params[key] = (prop, per_bit)
         return got
 
 
-def build_topology(spec: TopologySpec, n_servers: int, n_readers: int, n_writers: int) -> Network:
+def build_topology(kind: str, n_servers: int, n_readers: int, n_writers: int) -> Network:
+    """Place the nodes of a "series" or "star" LAN on its chain of routers."""
     if n_servers < 1:
         raise ValueError("need at least one server")
-    routers = spec.routers if spec.routers is not None else n_servers
-    if routers < 1:
-        raise ValueError("need at least one router")
-    if spec.kind == "series":
-        if routers != n_servers:
-            raise ValueError("series topology places one server per router")
-        server_router = {i: i for i in range(n_servers)}
-    elif spec.kind == "star":
-        server_router = {i: 0 for i in range(n_servers)}
+    if kind == "series":
+        server_routers, server_link = range(n_servers), SERIES_SERVER_LINK
+    elif kind == "star":
+        server_routers, server_link = [0] * n_servers, STAR_SERVER_LINK
     else:
-        raise ValueError("unknown topology kind %r" % spec.kind)
+        raise ValueError("unknown topology kind %r" % kind)
 
     router_of: dict[ProcessId, int] = {}
     access: dict[ProcessId, LinkParams] = {}
-    slink = spec.effective_server_link()
-    for i in range(n_servers):
-        router_of[server(i)] = server_router[i]
-        access[server(i)] = slink
+    for i, router in enumerate(server_routers):
+        router_of[server(i)] = router
+        access[server(i)] = server_link
     clients = [reader(i) for i in range(n_readers)] + [writer(i) for i in range(n_writers)]
     for ordinal, pid in enumerate(clients):
-        router_of[pid] = ordinal % routers
-        access[pid] = spec.client_link
-    return Network(spec, routers, router_of, access)
+        router_of[pid] = ordinal % n_servers
+        access[pid] = CLIENT_LINK
+    return Network(router_of, access)
 
 
 def message_delay(net: Network, src: ProcessId, dst: ProcessId, size_bits: int, rng: random.Random) -> float:
@@ -142,7 +117,6 @@ class Trace:
     seed: int = 0
     records: list[tuple] = field(default_factory=list)
     ops: dict[int, OperationRecord] = field(default_factory=dict)
-    invocations: dict[tuple[ProcessId, int], int] = field(default_factory=dict)
     crash_at: dict[ProcessId, float] = field(default_factory=dict)
     view_events: list[tuple] = field(default_factory=list)
     stale_drops: int = 0
@@ -150,7 +124,6 @@ class Trace:
     incomplete: bool = False
     end_time: float = 0.0
     meta: dict[str, str] = field(default_factory=dict)  # config echo for reports
-    _invoked: dict[ProcessId, int] = field(default_factory=dict, init=False, repr=False)
     _ended: bool = field(default=False, init=False, repr=False)
 
     def add(self, rec: tuple) -> None:
@@ -159,9 +132,9 @@ class Trace:
         index raises ValueError: a second inv or res for one op id, a res
         or wtag with no earlier inv, a res or wtag from another process
         than the invoker or timed before its inv, a wtag for a read, and
-        a second end.  So do an inv whose operation kind is neither read
-        nor write and an end whose status is neither complete nor
-        incomplete."""
+        a second end.  So do an inv by a server, an inv whose operation
+        kind is neither read nor write and an end whose status is neither
+        complete nor incomplete."""
         self.records.append(rec)
         kind = rec[0]
         if kind == "inv":
@@ -170,10 +143,10 @@ class Trace:
                 raise ValueError("second inv for op %s" % op_id)
             if op_kind not in ("read", "write"):
                 raise ValueError("inv for op %s: unknown operation kind %r" % (op_id, op_kind))
+            if pid.role is Role.SERVER:
+                raise ValueError("inv for op %s from server %s" % (op_id, pid))
             value = bytes.fromhex(value_hex) if value_hex != "-" else None
             self.ops[op_id] = OperationRecord(op_id, pid, op_kind, t, value=value)
-            self._invoked[pid] = ordinal = self._invoked.get(pid, 0) + 1
-            self.invocations[(pid, ordinal)] = op_id
         elif kind == "res":
             _, t, pid, op_id, exchanges, ts, wid, value_hex = rec
             op = self.ops.get(op_id)
@@ -228,13 +201,6 @@ class Trace:
         return [self.ops[k] for k in sorted(self.ops)]
 
 
-def surviving_quorum_exists(qs: QuorumSystem, crashed_server_indices: Iterable[int]) -> bool:
-    live = (1 << qs.n) - 1
-    for i in crashed_server_indices:
-        live &= ~(1 << i)
-    return qs.first_contained_mask(live) >= 0
-
-
 def run(
     network: Network,
     algorithm: Algorithm,
@@ -247,7 +213,7 @@ def run(
     rng = random.Random("%d:net" % seed)
     trace = Trace(algorithm=algorithm.name, seed=seed)
     steps = (algorithm.reader_step, algorithm.writer_step, algorithm.server_step)
-    states = {pid: algorithm.new_state(pid, qs) for pid in network.nodes()}
+    states = {pid: algorithm.new_state(pid, qs) for pid in network.router_of}
     step_of = {pid: steps[pid.role] for pid in states}
     for pid, t in crash_schedule:
         trace.crash_at[pid] = min(t, trace.crash_at.get(pid, t))

@@ -4,10 +4,8 @@ three step functions and two flags.
 mw selects the writer: the one-phase timestamp broadcast, or the
 two-phase discover/put.  relay_to_reader says whether relaying servers
 echo each relay to the reader as well as to the other servers.
-read_phases and write_phases say how many op_seq increments one client
-operation consumes (two-phase reads and writes burn two), which is what
-maps message op_seq values back to operations for attribution;
-write_phases follows from mw.
+Nothing here says how many op_seq numbers an operation uses: message
+attribution reads that from the wire (see metrics).
 """
 
 from __future__ import annotations
@@ -28,16 +26,11 @@ StepFn = Callable[[object, Event, QuorumSystem], StepOutput]
 class Algorithm:
     name: str
     mw: bool
-    read_phases: int
     reader_state: Callable[[ProcessId], object]
     reader_step: StepFn
     writer_step: StepFn
     server_step: StepFn
     relay_to_reader: bool
-
-    @property
-    def write_phases(self) -> int:
-        return 2 if self.mw else 1
 
     def new_state(self, pid: ProcessId, qs: QuorumSystem):
         """Initial state of node pid under this protocol."""
@@ -50,30 +43,30 @@ class Algorithm:
 
 ALGORITHMS: dict[str, Algorithm] = {
     "erato": Algorithm(
-        "erato", False, 1, RelayReaderState,
+        "erato", False, RelayReaderState,
         erato.erato_reader_step, base.swmr_writer_step, base.relay_server_step, True,
     ),
     "erato_mw": Algorithm(
-        "erato_mw", True, 1, RelayReaderState,
+        "erato_mw", True, RelayReaderState,
         erato_mw.eratomw_reader_step, base.mw_writer_step, base.relay_server_step, True,
     ),
     "abd": Algorithm(
-        "abd", False, 2, abd.QueryReaderState,
+        "abd", False, abd.QueryReaderState,
         abd.query_reader_step, base.swmr_writer_step, base.plain_server_step, False,
     ),
     "abd_mw": Algorithm(
-        "abd_mw", True, 2, abd.QueryReaderState,
+        "abd_mw", True, abd.QueryReaderState,
         abd.query_reader_step, base.mw_writer_step, base.plain_server_step, False,
     ),
     # Relay-synchronised baselines without the fast path: servers relay
     # among themselves only and the reader always waits for the
     # acknowledgement quorum, so every read costs exactly 3 exchanges.
     "ohsam": Algorithm(
-        "ohsam", False, 1, RelayReaderState,
+        "ohsam", False, RelayReaderState,
         relay_reader_step, base.swmr_writer_step, base.relay_server_step, False,
     ),
     "ohmam": Algorithm(
-        "ohmam", True, 1, RelayReaderState,
+        "ohmam", True, RelayReaderState,
         relay_reader_step, base.mw_writer_step, base.relay_server_step, False,
     ),
 }
@@ -81,7 +74,7 @@ ALGORITHMS: dict[str, Algorithm] = {
 # Known-unsafe variant for checker validation; excluded from config parsing.
 EXTRA_ALGORITHMS: dict[str, Algorithm] = {
     "erato_broken": Algorithm(
-        "erato_broken", False, 1, RelayReaderState,
+        "erato_broken", False, RelayReaderState,
         broken.broken_reader_step, base.swmr_writer_step, broken.broken_server_step, True,
     ),
 }

@@ -98,6 +98,14 @@ class QuorumSystem:
         return m
 
 
+def surviving_quorum_exists(qs: QuorumSystem, crashed_server_indices: Iterable[int]) -> bool:
+    """True when some quorum avoids every crashed server bit."""
+    live = (1 << qs.n) - 1
+    for i in crashed_server_indices:
+        live &= ~(1 << i)
+    return qs.first_contained_mask(live) >= 0
+
+
 def build_majority(n: int) -> QuorumSystem:
     """Majority quorums over servers 1..n, e.g. n=3 -> {1,2},{1,3},{2,3}."""
     if n < 1:

@@ -37,7 +37,7 @@ from regsim.core import (
     writer,
 )
 from regsim.harness import run_scenario
-from regsim.netsim import Trace, WorkItem, TopologySpec, build_topology, run
+from regsim.netsim import Trace, WorkItem, build_topology, run
 from regsim.protocols import get_algorithm
 from regsim.quorum import build_majority
 
@@ -221,7 +221,7 @@ def test_pending_write_cannot_be_reordered_before_earlier_ops() -> None:
 
 def test_extract_history_from_simulator_run() -> None:
     qs = build_majority(3)
-    net = build_topology(TopologySpec("series"), 3, 1, 1)
+    net = build_topology("series", 3, 1, 1)
     net.jitter_max = 0.0
     trace = run(net, get_algorithm("erato"), qs, [
         WorkItem(0.0, writer(0), "write", b"x" * 64),

@@ -137,6 +137,17 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
          "line 4: dlv to s0 at 0.3, at or after its crash at 0.2"),
         ("check", "snd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1\ncrs\t0.3\ts0",
          "line 3: dlv to s0 at 0.3, at or after its crash at 0.3"),
+        ("check", "inv\t0.5\ts0\t1\tread\t-", "line 2: inv for op 1 from server s0"),
+        ("check", "crs\t0.2\ts0\nsnd\t0.3\ts0\tr0\treadAck\tr0\t1\t0.4",
+         "line 3: snd by s0 at 0.3, at or after its crash at 0.2"),
+        ("check", "crs\t0.2\tr0\ninv\t0.5\tr0\t1\tread\t-",
+         "line 3: inv by r0 at 0.5, at or after its crash at 0.2"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\ncrs\t0.2\tr0\nres\t0.2\tr0\t1\t2\t0\t0\t",
+         "line 4: res by r0 at 0.2, at or after its crash at 0.2"),
+        ("check", "inv\t0.1\tw0\t1\twrite\t76\nwtag\t0.3\tw0\t1\t1\t0\ncrs\t0.2\tw0",
+         "line 3: wtag by w0 at 0.3, at or after its crash at 0.2"),
+        ("check", "crs\t0.2\ts1\ntag\t0.25\ts1\t1\t0",
+         "line 3: tag by s1 at 0.25, at or after its crash at 0.2"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),

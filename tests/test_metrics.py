@@ -1,9 +1,16 @@
-"""Metrics tests: message attribution against hand-counted send totals,
-and summary statistics on fixed inputs."""
+"""Metrics tests: message attribution against hand-counted send totals
+and against a phase-count reference, and summary statistics on fixed
+inputs."""
+
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regsim.core import reader, writer
+from regsim.config import ScenarioConfig, validate
+from regsim.core import reader, server, writer
+from regsim.harness import run_scenario
 from regsim.metrics import (
     OpStats,
     attribute_messages,
@@ -11,13 +18,13 @@ from regsim.metrics import (
     percentile_nearest_rank,
     summarize,
 )
-from regsim.netsim import TopologySpec, WorkItem, build_topology, run
-from regsim.protocols import get_algorithm
+from regsim.netsim import WorkItem, build_topology, run
+from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
 from regsim.quorum import build_majority, build_matrix
 
 
 def sim(algorithm: str, qs, n_servers: int, items, crashes=()):
-    net = build_topology(TopologySpec("star", routers=1), n_servers, 2, 2)
+    net = build_topology("star", n_servers, 2, 2)
     net.jitter_max = 0.0
     return run(net, get_algorithm(algorithm), qs, items, crash_schedule=crashes)
 
@@ -75,8 +82,6 @@ def test_attribution_covers_every_send() -> None:
 
 
 def test_attribution_with_crashed_server() -> None:
-    from regsim.core import server
-
     trace = sim("erato", build_majority(3), 3,
                 [WorkItem(0.0, writer(0), "write", b"x" * 64),
                  WorkItem(1.0, reader(0), "read")],
@@ -92,6 +97,95 @@ def test_unattributable_send_raises() -> None:
     trace.records.append(("snd", 9.0, reader(1), writer(0), "readRequest", reader(1), 99, 9.1))
     with pytest.raises(ValueError):
         attribute_messages(trace)
+
+
+@pytest.mark.parametrize("rec,message", [
+    # Reader 0 runs op 1 on op_seq 1; no client send introduced op_seq 2.
+    (("snd", 9.0, server(0), reader(0), "readAck", reader(0), 2, 9.1), "does not attribute"),
+    (("snd", 9.0, server(0), reader(0), "writeAck", reader(0), 1, 9.1), "attributed to a read operation"),
+])
+def test_server_send_that_fits_no_client_operation_raises(rec, message) -> None:
+    trace = sim("erato", build_majority(3), 3, [WorkItem(0.0, reader(0), "read")])
+    trace.records.append(rec)
+    with pytest.raises(ValueError, match=message):
+        attribute_messages(trace)
+
+
+# Reference attribution by declared phase counts: each protocol burns a
+# fixed number of op_seq values per read and per write, so a send's
+# op_seq divided by that count, rounded up, is the client-local ordinal
+# of its operation.
+PHASES = {  # name -> (read phases, write phases)
+    "erato": (1, 1), "erato_mw": (1, 2), "abd": (2, 1), "abd_mw": (2, 2),
+    "ohsam": (1, 1), "ohmam": (1, 2), "erato_broken": (1, 1),
+}
+
+
+def phase_count_owners(trace):
+    """Yield, for each send, its op id and the op its client last invoked."""
+    per_read, per_write = PHASES[trace.algorithm]
+    op_by_ordinal: dict = {}
+    invoked: dict = {}
+    for rec in trace.records:
+        if rec[0] == "inv":
+            invoked[rec[2]] = ordinal = invoked.get(rec[2], 0) + 1
+            op_by_ordinal[(rec[2], ordinal)] = rec[3]
+        elif rec[0] == "snd":
+            _, _, _src, _dst, kind, client, op_seq = rec[:7]
+            reading = kind.startswith("read")
+            op_id = op_by_ordinal[(client, math.ceil(op_seq / (per_read if reading else per_write)))]
+            assert trace.ops[op_id].kind == ("read" if reading else "write")
+            yield op_id, op_by_ordinal[(client, invoked[client])]
+
+
+def phase_count_attribution(trace) -> dict[int, int]:
+    counts = {op_id: 0 for op_id in trace.ops}
+    for op_id, _ in phase_count_owners(trace):
+        counts[op_id] += 1
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algorithm=st.sampled_from(sorted(ALGORITHMS) + sorted(EXTRA_ALGORITHMS)),
+    topology=st.sampled_from(["series", "star"]),
+    n_servers=st.sampled_from([3, 5]),
+    n_readers=st.integers(1, 3),
+    two_writers=st.booleans(),
+    server_crash=st.none() | st.floats(0.0, 0.3),
+    reader_crash=st.none() | st.floats(0.0, 0.3),
+    interval=st.sampled_from([0.005, 0.02, 0.05]),
+    jitter=st.floats(0.0, 0.01),
+    seed=st.integers(0, 10_000),
+)
+def test_wire_attribution_matches_phase_counts(
+    algorithm, topology, n_servers, n_readers, two_writers, server_crash, reader_crash,
+    interval, jitter, seed,
+) -> None:
+    # Short intervals make a client invoke again while servers still
+    # answer its previous operation.
+    config = validate(ScenarioConfig(
+        algorithm=algorithm, topology=topology, n_servers=n_servers, n_readers=n_readers,
+        n_writers=2 if two_writers and get_algorithm(algorithm).mw else 1,
+        scheme="stochastic", read_interval=interval, write_interval=interval, ops_per_client=4,
+        seed=seed, jitter_max=jitter,
+        crash_servers=() if server_crash is None else ((0, server_crash),),
+        crash_readers=() if reader_crash is None else ((0, reader_crash),),
+    ))
+    trace = run_scenario(config).trace
+    assert attribute_messages(trace) == phase_count_attribution(trace)
+
+
+def test_late_server_sends_stay_with_their_operation() -> None:
+    # At this seed servers still answer a reader's operation after the
+    # reader has invoked its next one.
+    trace = run_scenario(validate(ScenarioConfig(
+        algorithm="erato", topology="series", n_servers=5, n_readers=2, n_writers=1,
+        scheme="stochastic", read_interval=0.02, write_interval=0.02, ops_per_client=4,
+        seed=11, jitter_max=0.01,
+    ))).trace
+    assert sum(op_id != last for op_id, last in phase_count_owners(trace)) > 0
+    assert attribute_messages(trace) == phase_count_attribution(trace)
 
 
 def test_per_operation_stats_excludes_incomplete() -> None:

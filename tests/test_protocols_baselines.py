@@ -134,6 +134,7 @@ def test_registry_contents():
     assert set(EXTRA_ALGORITHMS) == {"erato_broken"}
     for name, alg in ALGORITHMS.items():
         assert alg.name == name
-        assert alg.read_phases in (1, 2) and alg.write_phases in (1, 2)
+        writer_state = base.MWWriterState if alg.mw else base.SWMRWriterState
+        assert type(alg.new_state(W0, QS3)) is writer_state
     assert get_algorithm("erato").mw is False
     assert get_algorithm("erato_broken").name == "erato_broken"

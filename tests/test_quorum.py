@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regsim.quorum import QuorumSystem, bits, build_majority, build_matrix
+from regsim.quorum import QuorumSystem, bits, build_majority, build_matrix, surviving_quorum_exists
 
 
 def test_majority_3_enumeration():
@@ -154,3 +154,10 @@ def test_relay_destinations_contain_self(make):
     qs = make()
     for b in range(qs.n):
         assert qs.relay_mask(b) >> b & 1
+
+
+def test_surviving_quorum_check():
+    qs = build_majority(3)
+    assert surviving_quorum_exists(qs, [])
+    assert surviving_quorum_exists(qs, [0])
+    assert not surviving_quorum_exists(qs, [0, 1])

@@ -31,7 +31,7 @@ from regsim.harness import (
     trace_from_text,
     write_outputs,
 )
-from regsim.metrics import OpStats, summarize
+from regsim.metrics import OpStats, attribute_messages, summarize
 
 
 def _print_summaries(result_like_stats) -> None:
@@ -104,8 +104,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     try:
         trace = trace_from_text(Path(args.trace).read_text())
-        # Raises ValueError on a malformed history (overlapping operations
-        # of one client), which only a hand-edited trace can hold.
+        # Each raises ValueError on what only a hand-edited trace can
+        # hold: a send that belongs to no operation of its client, or
+        # overlapping operations of one client.
+        attribute_messages(trace)
         verdict = check_atomicity_tagged(extract_history(trace), strict=args.strict)
     except ValueError as exc:
         print("input error: %s: %s" % (args.trace, exc), file=sys.stderr)

@@ -7,11 +7,11 @@ File formats are part of the external contract:
 Trace log: one event per line, tab separated, first field the record
 type.  Every field is written with str; for a float that is its repr, so
 parsing and re-serializing a trace reproduces it byte for byte, and a
-process id has exactly one spelling (see core.parse_pid).  In-memory view
-classification notes are not persisted.  Besides the per-line checks of
-Trace.add, the parser enforces the wire invariants: every delivery takes
-up an earlier matching send, and no node acts (sends, receives, invokes,
-responds or adopts a tag) at or after its crash (see trace_from_text).
+process id has exactly one spelling (see core.parse_pid).  Besides the
+per-line checks of Trace.add, the parser enforces the wire invariants:
+every send arrives after it is sent, every delivery takes up an earlier
+matching send, and no node acts (sends, receives, invokes, responds or
+adopts a tag) at or after its crash (see trace_from_text).
 
 Operation CSV: one row per completed operation, fixed column schema
 (CSV_HEADER below); same seed, same config, same bytes.
@@ -78,16 +78,18 @@ def trace_to_text(trace: Trace) -> str:
 
 def trace_from_text(text: str) -> Trace:
     """Parse a trace log; a malformed line, one that contradicts an
-    earlier line (see Trace.add), or a message delivery the wire cannot
-    explain raises ValueError("line N: ...").
+    earlier line (see Trace.add), or a message send or delivery the wire
+    cannot explain raises ValueError("line N: ...").
 
-    Each dlv must take up an earlier snd not yet delivered with the same
-    sender, receiver, message kind, client, op_seq, and an arrival time
-    written as the dlv's time; a snd never delivered is legal (in flight
-    at the cap, or sent to a crashed node).  No node may act at or after
-    its crs, wherever the crs sits in the file: it acts in every record
-    that names it first, as the sender of a snd, the receiver of a dlv,
-    the process of an inv, res or wtag, and the adopting server of a tag.
+    A snd must arrive strictly after it is sent: every link and the
+    loopback handoff take time.  Each dlv must take up an earlier snd not
+    yet delivered with the same sender, receiver, message kind, client,
+    op_seq, and an arrival time written as the dlv's time; a snd never
+    delivered is legal (in flight at the cap, or sent to a crashed node).
+    No node may act at or after its crs, wherever the crs sits in the
+    file: it acts in every record that names it first, as the sender of a
+    snd, the receiver of a dlv, the process of an inv, res or wtag, and
+    the adopting server of a tag.
     """
     trace = Trace()
     append = trace.records.append
@@ -124,6 +126,12 @@ def trace_from_text(text: str) -> Trace:
                 raise ValueError("bad trace record %r" % line)
             rec = tuple([conv(part) for conv, part in zip(convs, parts)])
             if kind == "snd":
+                if rec[7] <= rec[1]:
+                    raise ValueError(
+                        "snd of %s (client %s, op %s) from %s to %s at %s arrives at %s, "
+                        "not after its send"
+                        % (parts[4], parts[5], parts[6], parts[2], parts[3], parts[1], parts[7])
+                    )
                 key = tuple(parts[2:])
                 in_flight[key] = in_flight.get(key, 0) + 1
                 append(rec)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from regsim.core import OperationRecord, ProcessId, Role, Tag, reader, server, writer
-from regsim.protocols import Algorithm, Deliver, Invoke
+from regsim.protocols import Algorithm, Invoke
 from regsim.quorum import QuorumSystem
 
 MBPS = 1e6
@@ -118,7 +118,6 @@ class Trace:
     records: list[tuple] = field(default_factory=list)
     ops: dict[int, OperationRecord] = field(default_factory=dict)
     crash_at: dict[ProcessId, float] = field(default_factory=dict)
-    view_events: list[tuple] = field(default_factory=list)
     stale_drops: int = 0
     skipped_invokes: int = 0
     incomplete: bool = False
@@ -241,13 +240,10 @@ def run(
         if out.stale:
             trace.stale_drops += 1
         op_id = current_op[pid]
-        for note in out.notes:
-            if note[0] == "wtag" and op_id is not None:
-                trace.add(("wtag", t, pid, op_id, note[1].ts, note[1].wid))
-            elif note[0] == "adopt":
-                trace.records.append(("tag", t, pid, note[1].ts, note[1].wid))
-            elif note[0] == "view":
-                trace.view_events.append((t, pid, note[1], note[2]))
+        if out.wtag is not None:
+            trace.add(("wtag", t, pid, op_id, out.wtag.ts, out.wtag.wid))
+        if out.adopted is not None:
+            trace.records.append(("tag", t, pid, out.adopted.ts, out.adopted.wid))
         for dst, msg in out.sends:
             if dst == pid:
                 delay = LOOPBACK_DELAY
@@ -292,7 +288,7 @@ def run(
         if dead(dst, t):
             continue
         trace.records.append(("dlv", t, dst, msg.sender, msg.kind.value, msg.client, msg.op_seq))
-        handle_output(dst, t, step_of[dst](states[dst], Deliver(msg), qs))
+        handle_output(dst, t, step_of[dst](states[dst], msg, qs))
 
     end_time = min(last_t, cap_s) if not heap else cap_s
     pending_live = any(

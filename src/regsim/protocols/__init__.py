@@ -15,7 +15,7 @@ from typing import Callable
 
 from regsim.core import ProcessId, Role
 from regsim.protocols import abd, base, broken, erato, erato_mw
-from regsim.protocols.base import Deliver, Event, Invoke, Response, StepOutput
+from regsim.protocols.base import Event, Invoke, Response, StepOutput
 from regsim.protocols.readers import RelayReaderState, relay_reader_step
 from regsim.quorum import QuorumSystem
 
@@ -92,7 +92,6 @@ __all__ = [
     "ALGORITHMS",
     "EXTRA_ALGORITHMS",
     "Algorithm",
-    "Deliver",
     "Event",
     "Invoke",
     "Response",

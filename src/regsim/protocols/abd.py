@@ -41,14 +41,13 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         state.ack_mask = 0
         broadcast(out, qs, Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op))
         return out
-    msg = event.msg
-    if msg.op_seq < state.read_op:
+    if event.op_seq < state.read_op:
         out.stale = True
         return out
-    if state.phase == "idle" or msg.kind is not MessageKind.READ_ACK:
+    if state.phase == "idle" or event.kind is not MessageKind.READ_ACK:
         return out
-    bit = msg.sender.index
-    state.acks[bit] = msg
+    bit = event.sender.index
+    state.acks[bit] = event
     state.ack_mask |= 1 << bit
     qi = qs.first_contained_mask(state.ack_mask)
     if qi < 0:

@@ -5,10 +5,11 @@ with signature step(state, event, qs) -> StepOutput.  States are plain
 dataclasses mutated in place; a step is deterministic, so replaying the
 same event against a copy of the state reproduces the same output.
 
-Invoke starts an operation at a client; Deliver hands a node one message.
-A client receiving a message whose op_seq is behind its own counter marks
-the output stale (the simulator counts those drops); messages for the
-current operation arriving after the response are ignored silently.
+An event is an Invoke, which starts an operation at a client, or the
+Message being delivered.  A client receiving a message whose op_seq is
+behind its own counter marks the output stale (the simulator counts
+those drops); messages for the current operation arriving after the
+response are ignored silently.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ class Invoke:
     value: Optional[bytes] = None  # payload for writes, None for reads
 
 
-@dataclass(frozen=True)
-class Deliver:
-    msg: Message
-
-
-Event = Union[Invoke, Deliver]
+Event = Union[Invoke, Message]
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,9 @@ class StepOutput:
     sends: list[tuple[ProcessId, Message]] = field(default_factory=list)
     response: Optional[Response] = None
     stale: bool = False
-    notes: list[tuple] = field(default_factory=list)
+    # At most one of these per step; the simulator writes them to the trace.
+    wtag: Optional[Tag] = None  # the tag a writer decided for its running write
+    adopted: Optional[Tag] = None  # the tag a server took over
 
 
 def broadcast(out: StepOutput, qs: QuorumSystem, msg: Message) -> None:
@@ -82,15 +80,13 @@ def swmr_writer_step(state: SWMRWriterState, event: Event, qs: QuorumSystem) -> 
         state.value = event.value
         state.ack_mask = 0
         state.pending = True
-        tag = Tag(state.ts, 0)
-        out.notes.append(("wtag", tag))
-        broadcast(out, qs, Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.ts, tag, event.value))
+        out.wtag = Tag(state.ts, 0)
+        broadcast(out, qs, Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.ts, out.wtag, event.value))
         return out
-    msg = event.msg
-    if msg.op_seq < state.ts:
+    if event.op_seq < state.ts:
         out.stale = True
-    elif state.pending and msg.kind is MessageKind.WRITE_ACK and msg.op_seq == state.ts:
-        state.ack_mask |= 1 << msg.sender.index
+    elif state.pending and event.kind is MessageKind.WRITE_ACK and event.op_seq == state.ts:
+        state.ack_mask |= 1 << event.sender.index
         if qs.first_contained_mask(state.ack_mask) >= 0:
             state.pending = False
             out.response = Response(state.value, Tag(state.ts, 0), 2)
@@ -125,13 +121,12 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
         state.ack_mask = 0
         broadcast(out, qs, Message(MessageKind.WRITE_DISCOVER, state.pid, state.pid, state.write_op))
         return out
-    msg = event.msg
-    if msg.op_seq < state.write_op:
+    if event.op_seq < state.write_op:
         out.stale = True
         return out
-    if state.phase == "discover" and msg.kind is MessageKind.DISCOVER_ACK:
-        bit = msg.sender.index
-        state.acks[bit] = msg
+    if state.phase == "discover" and event.kind is MessageKind.DISCOVER_ACK:
+        bit = event.sender.index
+        state.acks[bit] = event
         state.ack_mask |= 1 << bit
         qi = qs.first_contained_mask(state.ack_mask)
         if qi >= 0:
@@ -141,14 +136,14 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
             state.phase = "put"
             state.acks = {}
             state.ack_mask = 0
-            out.notes.append(("wtag", state.tag))
+            out.wtag = state.tag
             broadcast(
                 out,
                 qs,
                 Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, state.tag, state.value),
             )
-    elif state.phase == "put" and msg.kind is MessageKind.WRITE_ACK:
-        state.ack_mask |= 1 << msg.sender.index
+    elif state.phase == "put" and event.kind is MessageKind.WRITE_ACK:
+        state.ack_mask |= 1 << event.sender.index
         if qs.first_contained_mask(state.ack_mask) >= 0:
             state.phase = "idle"
             out.response = Response(state.value, state.tag, 4)
@@ -163,7 +158,7 @@ def adopt(state, msg: Message, out: StepOutput) -> None:
     if msg.tag > state.tag:
         state.tag = msg.tag
         state.value = msg.value
-        out.notes.append(("adopt", state.tag))
+        out.adopted = state.tag
 
 
 def handle_write_request(state: ServerState, msg: Message, out: StepOutput) -> None:
@@ -194,43 +189,41 @@ class ServerState:
 
 def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
     out = StepOutput()
-    assert isinstance(event, Deliver)
-    msg = event.msg
-    if msg.kind is MessageKind.READ_REQUEST:
-        relay = Message(MessageKind.READ_RELAY, state.pid, msg.client, msg.op_seq, state.tag, state.value)
+    assert isinstance(event, Message)
+    if event.kind is MessageKind.READ_REQUEST:
+        relay = Message(MessageKind.READ_RELAY, state.pid, event.client, event.op_seq, state.tag, state.value)
         out.sends = [(server(b), relay) for b in bits(state.d_mask)]
         if state.relay_to_reader:
-            out.sends.append((msg.client, relay))
-    elif msg.kind is MessageKind.READ_RELAY:
-        adopt(state, msg, out)
-        r, ro = msg.client, msg.op_seq
+            out.sends.append((event.client, relay))
+    elif event.kind is MessageKind.READ_RELAY:
+        adopt(state, event, out)
+        r, ro = event.client, event.op_seq
         if state.operations.get(r, 0) < ro:
             state.operations[r] = ro
             state.relays[r] = 0
         if state.operations[r] == ro:
-            state.relays[r] |= 1 << msg.sender.index
+            state.relays[r] |= 1 << event.sender.index
             if state.acked.get(r, 0) < ro and qs.first_contained_mask(state.relays[r]) >= 0:
                 state.acked[r] = ro  # at most one ack per (reader, read_op)
                 out.sends.append((r, Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)))
-    elif msg.kind is MessageKind.WRITE_REQUEST:
-        handle_write_request(state, msg, out)
-    elif msg.kind is MessageKind.WRITE_DISCOVER:
-        out.sends.append((msg.client, Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag)))
+    elif event.kind is MessageKind.WRITE_REQUEST:
+        handle_write_request(state, event, out)
+    elif event.kind is MessageKind.WRITE_DISCOVER:
+        out.sends.append((event.client, Message(MessageKind.DISCOVER_ACK, state.pid, event.client, event.op_seq, state.tag)))
     return out
 
 
 def plain_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
     out = StepOutput()
-    assert isinstance(event, Deliver)
-    msg = event.msg
-    if msg.kind is MessageKind.READ_REQUEST:
-        out.sends.append((msg.client, Message(MessageKind.READ_ACK, state.pid, msg.client, msg.op_seq, state.tag, state.value)))
-    elif msg.kind is MessageKind.READ_RELAY:
+    assert isinstance(event, Message)
+    if event.kind is MessageKind.READ_REQUEST:
+        out.sends.append((event.client, Message(MessageKind.READ_ACK, state.pid, event.client, event.op_seq, state.tag, state.value)))
+    elif event.kind is MessageKind.READ_RELAY:
         # Write-back of the chosen tag by a reading client.
-        adopt(state, msg, out)
-        out.sends.append((msg.client, Message(MessageKind.READ_ACK, state.pid, msg.client, msg.op_seq, state.tag, state.value)))
-    elif msg.kind is MessageKind.WRITE_REQUEST:
-        handle_write_request(state, msg, out)
-    elif msg.kind is MessageKind.WRITE_DISCOVER:
-        out.sends.append((msg.client, Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag)))
+        adopt(state, event, out)
+        out.sends.append((event.client, Message(MessageKind.READ_ACK, state.pid, event.client, event.op_seq, state.tag, state.value)))
+    elif event.kind is MessageKind.WRITE_REQUEST:
+        handle_write_request(state, event, out)
+    elif event.kind is MessageKind.WRITE_DISCOVER:
+        out.sends.append((event.client, Message(MessageKind.DISCOVER_ACK, state.pid, event.client, event.op_seq, state.tag)))
     return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from regsim.core import Message, MessageKind
 from regsim.protocols import base, erato
-from regsim.protocols.base import Deliver, Event, Response, StepOutput
+from regsim.protocols.base import Event, Response, StepOutput
 from regsim.protocols.readers import RelayReaderState, quorum_extreme, relay_reader_step
 from regsim.quorum import QuorumSystem
 
@@ -29,18 +29,17 @@ def broken_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) 
 
 
 def broken_server_step(state: base.ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
-    assert isinstance(event, Deliver)
-    msg = event.msg
-    if msg.kind is not MessageKind.READ_RELAY:
+    assert isinstance(event, Message)
+    if event.kind is not MessageKind.READ_RELAY:
         return base.relay_server_step(state, event, qs)
     out = StepOutput()
-    base.adopt(state, msg, out)
-    r, ro = msg.client, msg.op_seq
+    base.adopt(state, event, out)
+    r, ro = event.client, event.op_seq
     if state.operations.get(r, 0) < ro:
         state.operations[r] = ro
         state.relays[r] = 0
     if state.operations[r] == ro:
-        state.relays[r] |= 1 << msg.sender.index
+        state.relays[r] |= 1 << event.sender.index
         if state.acked.get(r, 0) < ro:  # no relay-quorum wait
             state.acked[r] = ro
             out.sends.append((r, Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)))

@@ -21,7 +21,6 @@ from regsim.views import ViewClass, classify
 def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int) -> None:
     qmask = qs.masks[qi]
     cls, top = classify(qs, state.rr, qmask)
-    out.notes.append(("view", cls.name, top.tag))
     if cls is ViewClass.VIEW1:
         state.mode = "idle"
         out.response = Response(top.value, top.tag, 2)

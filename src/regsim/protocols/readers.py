@@ -69,21 +69,20 @@ def relay_reader_step(
         state.ra_mask = 0
         broadcast(out, qs, Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op))
         return out
-    msg = event.msg
-    if msg.op_seq < state.read_op:
+    if event.op_seq < state.read_op:
         out.stale = True
         return out
     if state.mode == "idle":
         return out
-    bit = msg.sender.index
-    if msg.kind is MessageKind.READ_ACK:
-        state.ra[bit] = msg
+    bit = event.sender.index
+    if event.kind is MessageKind.READ_ACK:
+        state.ra[bit] = event
         state.ra_mask |= 1 << bit
         qi = qs.first_contained_mask(state.ra_mask)
         if qi >= 0:
             on_acks(state, out, qs, qi)
-    elif msg.kind is MessageKind.READ_RELAY and state.mode == "collect" and analyze is not None:
-        state.rr[bit] = msg
+    elif event.kind is MessageKind.READ_RELAY and state.mode == "collect" and analyze is not None:
+        state.rr[bit] = event
         state.rr_mask |= 1 << bit
         qi = qs.first_contained_mask(state.rr_mask)
         if qi >= 0:

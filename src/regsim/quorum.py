@@ -1,20 +1,18 @@
-"""Quorum systems over small server universes.
+"""Quorum systems over small server sets, as bitmasks.
+
+Bit i of a quorum mask is server i, the simulator's server process index
+i, so quorum scans, relay sets and read views all work on the same bits.
 
 Two constructions are provided: majority quorums (all subsets of size
-floor(n/2)+1 over servers 1..n, in lexicographic order) and matrix quorums
-(servers 0..rows*cols-1 laid out row-major, one quorum per (row, column)
-pair, the union of that row and column, rows enumerated before columns).
-
-Member ids are whatever the construction used; they appear only while a
-system is built and validated.  The i-th smallest universe id becomes bit
-i, which is also the simulator's server process index i, and everything
-after construction (quorum scans, relay sets, read views) works on
-bitmasks over those bits.
+floor(n/2)+1 of servers 0..n-1, in lexicographic order) and matrix
+quorums (servers 0..rows*cols-1 laid out row-major, one quorum per
+(row, column) pair, the union of that row and column, rows enumerated
+before columns).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -29,43 +27,25 @@ def bits(mask: int) -> Iterator[int]:
 
 @dataclass
 class QuorumSystem:
-    universe: frozenset[int]
-    quorums: list[frozenset[int]]
-    # Derived mask state, filled in __post_init__.
-    members: list[int] = field(init=False, repr=False)
-    masks: list[int] = field(init=False, repr=False)
-    _bit_of: dict[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.members = sorted(self.universe)
-        self._bit_of = {m: i for i, m in enumerate(self.members)}
-        self.masks = [self.mask_of(q) for q in self.quorums]
-
-    @property
-    def n(self) -> int:
-        return len(self.members)
-
-    def mask_of(self, ids: Iterable[int]) -> int:
-        m = 0
-        for s in ids:
-            m |= 1 << self._bit_of[s]
-        return m
+    n: int  # servers, bits 0..n-1
+    masks: list[int]
 
     def validate(self) -> None:
-        """Raise ValueError unless every pair of quorums intersects."""
-        if not self.quorums:
+        """Raise ValueError unless every quorum is non-empty and within
+        the n server bits, and every pair of quorums intersects."""
+        if not self.masks:
             raise ValueError("quorum system has no quorums")
-        for i, q in enumerate(self.quorums):
-            if not q:
+        for i, m in enumerate(self.masks):
+            if not m:
                 raise ValueError("quorum %d is empty" % i)
-            if not q <= self.universe:
-                raise ValueError("quorum %d not within the universe" % i)
+            if m >> self.n:
+                raise ValueError("quorum %d not within the %d servers" % (i, self.n))
         for i in range(len(self.masks)):
             for j in range(i + 1, len(self.masks)):
                 if self.masks[i] & self.masks[j] == 0:
                     raise ValueError(
                         "quorums %d and %d are disjoint: %s, %s"
-                        % (i, j, sorted(self.quorums[i]), sorted(self.quorums[j]))
+                        % (i, j, list(bits(self.masks[i])), list(bits(self.masks[j])))
                     )
 
     # Mask-level scans used by the protocol state machines.
@@ -107,13 +87,11 @@ def surviving_quorum_exists(qs: QuorumSystem, crashed_server_indices: Iterable[i
 
 
 def build_majority(n: int) -> QuorumSystem:
-    """Majority quorums over servers 1..n, e.g. n=3 -> {1,2},{1,3},{2,3}."""
+    """Majority quorums over servers 0..n-1, e.g. n=3 -> 0b011, 0b101, 0b110."""
     if n < 1:
         raise ValueError("need at least one server")
-    size = n // 2 + 1
-    universe = frozenset(range(1, n + 1))
-    quorums = [frozenset(c) for c in combinations(range(1, n + 1), size)]
-    qs = QuorumSystem(universe, quorums)
+    masks = [sum(1 << b for b in c) for c in combinations(range(n), n // 2 + 1)]
+    qs = QuorumSystem(n, masks)
     qs.validate()
     return qs
 
@@ -122,13 +100,9 @@ def build_matrix(rows: int, cols: int) -> QuorumSystem:
     """Grid quorums: quorum (r, c) is row r united with column c."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    universe = frozenset(range(rows * cols))
-    quorums = []
-    for r in range(rows):
-        row = frozenset(range(r * cols, (r + 1) * cols))
-        for c in range(cols):
-            col = frozenset(i * cols + c for i in range(rows))
-            quorums.append(row | col)
-    qs = QuorumSystem(universe, quorums)
+    row0 = (1 << cols) - 1
+    col0 = sum(1 << (r * cols) for r in range(rows))
+    masks = [row0 << (r * cols) | col0 << c for r in range(rows) for c in range(cols)]
+    qs = QuorumSystem(rows * cols, masks)
     qs.validate()
     return qs

@@ -1,4 +1,10 @@
-"""End-to-end CLI tests via main(argv)."""
+"""End-to-end CLI tests via main(argv), and one run under Python 3.10."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +154,13 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
          "line 3: wtag by w0 at 0.3, at or after its crash at 0.2"),
         ("check", "crs\t0.2\ts1\ntag\t0.25\ts1\t1\t0",
          "line 3: tag by s1 at 0.25, at or after its crash at 0.2"),
+        ("check", "snd\t0.5\tr0\ts0\treadRequest\tr0\t1\t0.3\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1",
+         "line 2: snd of readRequest (client r0, op 1) from r0 to s0 at 0.5 arrives at 0.3, not after its send"),
+        ("check", "snd\t0.5\tr0\ts0\treadRequest\tr0\t1\t0.5",
+         "line 2: snd of readRequest (client r0, op 1) from r0 to s0 at 0.5 arrives at 0.5, not after its send"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nsnd\t0.2\ts0\tr0\twriteAck\tr1\t7\t0.3\n"
+         "res\t0.4\tr0\t1\t2\t0\t0\t\nend\t0.5\tcomplete\t0\t0",
+         "send writeAck for client r1 op_seq 7 does not attribute to any operation"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),
@@ -254,3 +267,44 @@ def test_report_empty(tmp_path, capsys) -> None:
     p.write_text(CSV_HEADER + "\n")
     assert main(["report", str(p)]) == 0
     assert "no operations" in capsys.readouterr().err
+
+
+def python310():
+    """A runnable Python 3.10 interpreter, or None: `python3.10` on the
+    PATH, then any pyenv 3.10 build; each must run and report 3.10."""
+    candidates = [shutil.which("python3.10")]
+    candidates += sorted(map(str, Path.home().glob(".pyenv/versions/3.10.*/bin/python3.10")))
+    for exe in filter(None, candidates):
+        try:
+            got = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                                 capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if got.returncode == 0 and got.stdout.strip() == "(3, 10)":
+            return exe
+    return None
+
+
+def test_run_and_check_on_python_3_10_match_this_interpreter(tmp_path) -> None:
+    # pyproject.toml declares requires-python >= 3.10, so the oldest
+    # supported interpreter must import, run and check with the same bytes.
+    exe = python310()
+    if exe is None:
+        pytest.skip("no runnable Python 3.10 interpreter")
+    config = tmp_path / "mw.ini"
+    config.write_text(
+        CONFIG.replace("algorithm = erato", "algorithm = erato_mw")
+        .replace("n_servers = 3", "n_servers = 5")
+        .replace("n_writers = 1", "n_writers = 2")
+        + "[crashes]\nservers = 1@0.3\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    outputs = []
+    for i, python in enumerate((exe, sys.executable)):
+        out = tmp_path / ("out%d" % i)
+        for args in (["run", str(config), "--out-dir", str(out)], ["check", str(out / "trace.log")]):
+            done = subprocess.run([python, "-m", "regsim.cli", *args], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (python, args, done.stderr)
+        outputs.append(((out / "trace.log").read_bytes(), (out / "results.csv").read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -103,9 +103,9 @@ def test_mw_algorithms_allow_multiple_writers() -> None:
 def test_quorum_construction_matches_kind() -> None:
     cfg = parse_config(MINIMAL)
     qs = build_quorum_system(cfg)
-    assert qs.n == 9 and len(qs.quorums) == 9  # 3x3 grid: one per (row, col)
+    assert qs.n == 9 and len(qs.masks) == 9  # 3x3 grid: one per (row, col)
     maj = build_quorum_system(validate(ScenarioConfig(n_servers=5, quorums="majority")))
-    assert maj.n == 5 and len(maj.quorums) == 10
+    assert maj.n == 5 and len(maj.masks) == 10
 
 
 def test_with_overrides_revalidates() -> None:

@@ -42,8 +42,8 @@ def test_erato_write_and_read_message_counts() -> None:
 
 
 def test_erato_read_messages_at_nine_servers() -> None:
-    # With a square grid of 9 servers every server relays to the whole
-    # universe plus the reader: 9 + 9*10 + 9 = 108.
+    # With a square grid of 9 servers every server relays to all nine
+    # servers plus the reader: 9 + 9*10 + 9 = 108.
     trace = sim("erato", build_matrix(3, 3), 9, [WorkItem(0.0, reader(0), "read")])
     assert attribute_messages(trace) == {1: 108}
     assert 108 == 9 * 9 + 3 * 9

@@ -3,7 +3,7 @@
 from copy import deepcopy
 
 from regsim.core import Message, MessageKind, Tag, reader, server, writer
-from regsim.protocols import Deliver, Invoke, base, get_algorithm
+from regsim.protocols import Invoke, base, get_algorithm
 from regsim.protocols.erato import erato_reader_step
 from regsim.protocols.readers import RelayReaderState
 from regsim.quorum import build_majority
@@ -33,14 +33,14 @@ def test_write_broadcast_and_quorum_ack():
     assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2)]
     m = out.sends[0][1]
     assert m.kind is MessageKind.WRITE_REQUEST and m.tag == Tag(1, 0) and m.value == b"v1"
-    assert ("wtag", Tag(1, 0)) in out.notes
+    assert out.wtag == Tag(1, 0) and out.adopted is None
 
-    assert base.swmr_writer_step(w, Deliver(wack(0, 1)), QS3).response is None
-    out = base.swmr_writer_step(w, Deliver(wack(1, 1)), QS3)
-    assert out.response is not None
+    assert base.swmr_writer_step(w, wack(0, 1), QS3).response is None
+    out = base.swmr_writer_step(w, wack(1, 1), QS3)
+    assert out.response is not None and out.wtag is None
     assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v1", Tag(1, 0), 2)
     # Trailing ack for the answered write: ignored, not stale.
-    out = base.swmr_writer_step(w, Deliver(wack(2, 1)), QS3)
+    out = base.swmr_writer_step(w, wack(2, 1), QS3)
     assert out.response is None and not out.stale
 
 
@@ -48,12 +48,12 @@ def test_fourth_write_acked_by_any_quorum():
     w = base.SWMRWriterState(W0)
     for k in range(1, 4):
         base.swmr_writer_step(w, Invoke(b"x%d" % k), QS3)
-        base.swmr_writer_step(w, Deliver(wack(0, k)), QS3)
-        base.swmr_writer_step(w, Deliver(wack(1, k)), QS3)
+        base.swmr_writer_step(w, wack(0, k), QS3)
+        base.swmr_writer_step(w, wack(1, k), QS3)
     out = base.swmr_writer_step(w, Invoke(b"v4"), QS3)
     assert out.sends[0][1].tag == Tag(4, 0)
-    base.swmr_writer_step(w, Deliver(wack(1, 4)), QS3)
-    out = base.swmr_writer_step(w, Deliver(wack(2, 4)), QS3)  # quorum {2,3}
+    base.swmr_writer_step(w, wack(1, 4), QS3)
+    out = base.swmr_writer_step(w, wack(2, 4), QS3)  # quorum {1,2}
     assert out.response is not None and out.response.exchanges == 2
 
 
@@ -61,15 +61,15 @@ def test_stale_write_ack_flagged():
     w = base.SWMRWriterState(W0)
     base.swmr_writer_step(w, Invoke(b"a"), QS3)
     for b in (0, 1):
-        base.swmr_writer_step(w, Deliver(wack(b, 1)), QS3)
+        base.swmr_writer_step(w, wack(b, 1), QS3)
     base.swmr_writer_step(w, Invoke(b"b"), QS3)
-    assert base.swmr_writer_step(w, Deliver(wack(2, 1)), QS3).stale
+    assert base.swmr_writer_step(w, wack(2, 1), QS3).stale
 
 
 def test_server_relays_to_quorum_peers_and_reader():
     s = ERATO.new_state(server(0), QS3)
     req = Message(MessageKind.READ_REQUEST, R0, R0, 1)
-    out = base.relay_server_step(s, Deliver(req), QS3)
+    out = base.relay_server_step(s, req, QS3)
     assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2), R0]
     m = out.sends[0][1]
     assert m.kind is MessageKind.READ_RELAY and m.tag == Tag(0, 0) and m.value == b""
@@ -77,22 +77,24 @@ def test_server_relays_to_quorum_peers_and_reader():
 
 def test_server_acks_once_after_relay_quorum():
     s = ERATO.new_state(server(0), QS3)
-    out = base.relay_server_step(s, Deliver(relay(1, 3, b"v3")), QS3)
-    assert out.sends == [] and s.tag == Tag(3, 0) and s.value == b"v3"  # adopted
-    out = base.relay_server_step(s, Deliver(relay(2, 0, b"")), QS3)  # completes quorum {2,3}
+    out = base.relay_server_step(s, relay(1, 3, b"v3"), QS3)
+    assert out.sends == [] and s.tag == Tag(3, 0) and s.value == b"v3"
+    assert out.adopted == Tag(3, 0)
+    out = base.relay_server_step(s, relay(2, 0, b""), QS3)  # completes quorum {1,2}
+    assert out.adopted is None
     assert len(out.sends) == 1
     dst, m = out.sends[0]
     assert dst == R0 and m.kind is MessageKind.READ_ACK
     assert m.tag == Tag(3, 0) and m.value == b"v3"  # ack carries adopted pair
     # Third relay arrives: no duplicate ack for the same read.
-    out = base.relay_server_step(s, Deliver(relay(0, 0, b"")), QS3)
+    out = base.relay_server_step(s, relay(0, 0, b""), QS3)
     assert out.sends == []
 
 
 def test_server_adoption_is_monotone():
     s = ERATO.new_state(server(0), QS3)
-    base.relay_server_step(s, Deliver(relay(1, 3, b"v3")), QS3)
-    base.relay_server_step(s, Deliver(relay(2, 2, b"v2")), QS3)
+    base.relay_server_step(s, relay(1, 3, b"v3"), QS3)
+    base.relay_server_step(s, relay(2, 2, b"v2"), QS3)
     assert s.tag == Tag(3, 0) and s.value == b"v3"
 
 
@@ -100,74 +102,71 @@ def test_read_fast_path_uniform_relays():
     r = RelayReaderState(R0)
     out = erato_reader_step(r, Invoke(), QS3)
     assert len(out.sends) == 3 and out.sends[0][1].kind is MessageKind.READ_REQUEST
-    assert erato_reader_step(r, Deliver(relay(0, 5, b"v5")), QS3).response is None
-    out = erato_reader_step(r, Deliver(relay(1, 5, b"v5")), QS3)
+    assert erato_reader_step(r, relay(0, 5, b"v5"), QS3).response is None
+    out = erato_reader_step(r, relay(1, 5, b"v5"), QS3)
     assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v5", Tag(5, 0), 2)
-    assert ("view", "VIEW1", Tag(5, 0)) in out.notes
 
 
 def test_read_ack_quorum_returns_minimum():
     r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS3)
-    erato_reader_step(r, Deliver(ack(0, 5, b"v5")), QS3)
-    out = erato_reader_step(r, Deliver(ack(1, 4, b"v4")), QS3)
+    erato_reader_step(r, ack(0, 5, b"v5"), QS3)
+    out = erato_reader_step(r, ack(1, 4, b"v4"), QS3)
     assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v4", Tag(4, 0), 3)
 
 
 def test_read_incomplete_max_returns_previous_timestamp():
     r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS4)
-    erato_reader_step(r, Deliver(relay(0, 5, b"v5")), QS4)
-    erato_reader_step(r, Deliver(relay(1, 4, b"v4")), QS4)
-    out = erato_reader_step(r, Deliver(relay(2, 4, b"v4")), QS4)
-    assert ("view", "VIEW2", Tag(5, 0)) in out.notes
+    erato_reader_step(r, relay(0, 5, b"v5"), QS4)
+    erato_reader_step(r, relay(1, 4, b"v4"), QS4)
+    out = erato_reader_step(r, relay(2, 4, b"v4"), QS4)
     assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v4", Tag(4, 0), 2)
 
 
 def test_read_view2_without_previous_holder_waits_for_acks():
     r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS4)
-    erato_reader_step(r, Deliver(relay(0, 5, b"v5")), QS4)
-    erato_reader_step(r, Deliver(relay(1, 3, b"v3")), QS4)
-    out = erato_reader_step(r, Deliver(relay(2, 3, b"v3")), QS4)
+    erato_reader_step(r, relay(0, 5, b"v5"), QS4)
+    erato_reader_step(r, relay(1, 3, b"v3"), QS4)
+    out = erato_reader_step(r, relay(2, 3, b"v3"), QS4)
     assert out.response is None and r.mode == "await"
     for b in (0, 1):
-        assert erato_reader_step(r, Deliver(ack(b, 5, b"v5")), QS4).response is None
-    out = erato_reader_step(r, Deliver(ack(2, 5, b"v5")), QS4)
+        assert erato_reader_step(r, ack(b, 5, b"v5"), QS4).response is None
+    out = erato_reader_step(r, ack(2, 5, b"v5"), QS4)
     assert out.response.exchanges == 3 and out.response.tag == Tag(5, 0)
 
 
 def test_read_ambiguous_view_waits_for_acks():
     r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS4)
-    erato_reader_step(r, Deliver(relay(0, 5, b"v5")), QS4)
-    erato_reader_step(r, Deliver(relay(1, 5, b"v5")), QS4)
-    out = erato_reader_step(r, Deliver(relay(2, 4, b"v4")), QS4)
+    erato_reader_step(r, relay(0, 5, b"v5"), QS4)
+    erato_reader_step(r, relay(1, 5, b"v5"), QS4)
+    out = erato_reader_step(r, relay(2, 4, b"v4"), QS4)
     assert out.response is None and r.mode == "await"
-    assert ("view", "VIEW3", Tag(5, 0)) in out.notes
     # A late relay in await mode changes nothing.
-    assert erato_reader_step(r, Deliver(relay(3, 5, b"v5")), QS4).response is None
+    assert erato_reader_step(r, relay(3, 5, b"v5"), QS4).response is None
 
 
 def test_stale_and_trailing_read_messages():
     r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS3)
-    erato_reader_step(r, Deliver(relay(0, 1, b"a")), QS3)
-    out = erato_reader_step(r, Deliver(relay(1, 1, b"a")), QS3)
+    erato_reader_step(r, relay(0, 1, b"a"), QS3)
+    out = erato_reader_step(r, relay(1, 1, b"a"), QS3)
     assert out.response is not None
     # Same read_op after the response: ignored quietly.
-    out = erato_reader_step(r, Deliver(ack(2, 1, b"a")), QS3)
+    out = erato_reader_step(r, ack(2, 1, b"a"), QS3)
     assert not out.stale and out.response is None
     # Next read makes op 1 traffic stale.
     erato_reader_step(r, Invoke(), QS3)
-    assert erato_reader_step(r, Deliver(ack(2, 1, b"a", op=1)), QS3).stale
+    assert erato_reader_step(r, ack(2, 1, b"a", op=1), QS3).stale
 
 
 def test_steps_replay_identically():
     r = RelayReaderState(R0)
     erato_reader_step(r, Invoke(), QS3)
-    erato_reader_step(r, Deliver(relay(0, 2, b"x")), QS3)
+    erato_reader_step(r, relay(0, 2, b"x"), QS3)
     twin = deepcopy(r)
-    ev = Deliver(relay(1, 2, b"x"))
+    ev = relay(1, 2, b"x")
     assert erato_reader_step(r, ev, QS3) == erato_reader_step(twin, ev, QS3)
     assert r == twin

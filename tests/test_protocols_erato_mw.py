@@ -1,7 +1,7 @@
 """Step-level traces of the multi-writer variant."""
 
 from regsim.core import Message, MessageKind, Tag, reader, server, writer
-from regsim.protocols import Deliver, Invoke, base, get_algorithm
+from regsim.protocols import Invoke, base, get_algorithm
 from regsim.protocols.erato_mw import eratomw_reader_step
 from regsim.protocols.readers import RelayReaderState
 from regsim.quorum import build_majority
@@ -35,39 +35,39 @@ def test_write_discovers_then_places_max_plus_one():
     assert len(out.sends) == 4
     assert out.sends[0][1].kind is MessageKind.WRITE_DISCOVER and out.sends[0][1].op_seq == 1
 
-    base.mw_writer_step(w, Deliver(dack(0, Tag(3, 1), 1)), QS4)
-    base.mw_writer_step(w, Deliver(dack(1, Tag(5, 2), 1)), QS4)
-    out = base.mw_writer_step(w, Deliver(dack(2, Tag(4, 1), 1)), QS4)  # quorum {1,2,3}
+    base.mw_writer_step(w, dack(0, Tag(3, 1), 1), QS4)
+    base.mw_writer_step(w, dack(1, Tag(5, 2), 1), QS4)
+    out = base.mw_writer_step(w, dack(2, Tag(4, 1), 1), QS4)  # quorum {0,1,2}
     assert len(out.sends) == 4
     put = out.sends[0][1]
     assert put.kind is MessageKind.WRITE_REQUEST and put.op_seq == 2
     assert put.tag == Tag(6, 1)  # discovered max 5, own writer id
-    assert ("wtag", Tag(6, 1)) in out.notes
+    assert out.wtag == Tag(6, 1)
 
-    base.mw_writer_step(w, Deliver(wack(0, 2)), QS4)
-    base.mw_writer_step(w, Deliver(wack(1, 2)), QS4)
-    out = base.mw_writer_step(w, Deliver(wack(2, 2)), QS4)
+    base.mw_writer_step(w, wack(0, 2), QS4)
+    base.mw_writer_step(w, wack(1, 2), QS4)
+    out = base.mw_writer_step(w, wack(2, 2), QS4)
     assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v", Tag(6, 1), 4)
 
 
 def test_write_ignores_stale_phase_acks():
     w = base.MWWriterState(W1)
     base.mw_writer_step(w, Invoke(b"v"), QS3)
-    base.mw_writer_step(w, Deliver(dack(0, Tag(0, 0), 1)), QS3)
-    base.mw_writer_step(w, Deliver(dack(1, Tag(0, 0), 1)), QS3)  # now in put phase
-    out = base.mw_writer_step(w, Deliver(dack(2, Tag(9, 9), 1)), QS3)
+    base.mw_writer_step(w, dack(0, Tag(0, 0), 1), QS3)
+    base.mw_writer_step(w, dack(1, Tag(0, 0), 1), QS3)  # now in put phase
+    out = base.mw_writer_step(w, dack(2, Tag(9, 9), 1), QS3)
     assert out.stale and w.tag == Tag(1, 1)
 
 
 def test_server_write_freshness_guard():
     s = ERATO_MW.new_state(server(0), QS3)
     req = Message(MessageKind.WRITE_REQUEST, W1, W1, 2, Tag(4, 1), b"new")
-    out = base.relay_server_step(s, Deliver(req), QS3)
+    out = base.relay_server_step(s, req, QS3)
     assert s.tag == Tag(4, 1)
     assert out.sends[0][1].kind is MessageKind.WRITE_ACK and out.sends[0][1].op_seq == 2
     # A replayed request with an old write_op is acknowledged but not adopted.
     replay = Message(MessageKind.WRITE_REQUEST, W1, W1, 2, Tag(9, 1), b"later")
-    out = base.relay_server_step(s, Deliver(replay), QS3)
+    out = base.relay_server_step(s, replay, QS3)
     assert s.tag == Tag(4, 1) and s.value == b"new"
     assert out.sends[0][1].kind is MessageKind.WRITE_ACK
 
@@ -75,7 +75,7 @@ def test_server_write_freshness_guard():
 def test_server_discover_ack_reports_current_tag():
     s = ERATO_MW.new_state(server(2), QS3)
     s.tag = Tag(7, 0)
-    out = base.relay_server_step(s, Deliver(Message(MessageKind.WRITE_DISCOVER, W1, W1, 3)), QS3)
+    out = base.relay_server_step(s, Message(MessageKind.WRITE_DISCOVER, W1, W1, 3), QS3)
     dst, m = out.sends[0]
     assert dst == W1 and m.kind is MessageKind.DISCOVER_ACK
     assert m.tag == Tag(7, 0) and m.op_seq == 3
@@ -84,36 +84,36 @@ def test_server_discover_ack_reports_current_tag():
 
 def test_server_adopts_on_writer_id_tiebreak():
     s = ERATO_MW.new_state(server(0), QS3)
-    base.relay_server_step(s, Deliver(relay(1, Tag(4, 1), b"a")), QS3)
-    base.relay_server_step(s, Deliver(relay(2, Tag(4, 2), b"b")), QS3)
+    base.relay_server_step(s, relay(1, Tag(4, 1), b"a"), QS3)
+    base.relay_server_step(s, relay(2, Tag(4, 2), b"b"), QS3)
     assert s.tag == Tag(4, 2) and s.value == b"b"
 
 
 def test_read_discards_incomplete_max_then_answers():
     r = RelayReaderState(R0)
     eratomw_reader_step(r, Invoke(), QS4)
-    eratomw_reader_step(r, Deliver(relay(0, Tag(5, 2), b"new")), QS4)
-    eratomw_reader_step(r, Deliver(relay(1, Tag(4, 1), b"old")), QS4)
-    out = eratomw_reader_step(r, Deliver(relay(2, Tag(4, 1), b"old")), QS4)
+    eratomw_reader_step(r, relay(0, Tag(5, 2), b"new"), QS4)
+    eratomw_reader_step(r, relay(1, Tag(4, 1), b"old"), QS4)
+    out = eratomw_reader_step(r, relay(2, Tag(4, 1), b"old"), QS4)
     assert (out.response.value, out.response.tag, out.response.exchanges) == (b"old", Tag(4, 1), 2)
 
 
 def test_read_ambiguity_falls_back_to_ack_minimum():
     r = RelayReaderState(R0)
     eratomw_reader_step(r, Invoke(), QS4)
-    eratomw_reader_step(r, Deliver(relay(0, Tag(5, 2), b"new")), QS4)
-    eratomw_reader_step(r, Deliver(relay(1, Tag(5, 2), b"new")), QS4)
-    out = eratomw_reader_step(r, Deliver(relay(2, Tag(4, 1), b"old")), QS4)
+    eratomw_reader_step(r, relay(0, Tag(5, 2), b"new"), QS4)
+    eratomw_reader_step(r, relay(1, Tag(5, 2), b"new"), QS4)
+    out = eratomw_reader_step(r, relay(2, Tag(4, 1), b"old"), QS4)
     assert out.response is None and r.mode == "await"
-    eratomw_reader_step(r, Deliver(ack(0, Tag(5, 2), b"new")), QS4)
-    eratomw_reader_step(r, Deliver(ack(1, Tag(5, 2), b"new")), QS4)
-    out = eratomw_reader_step(r, Deliver(ack(3, Tag(5, 2), b"new")), QS4)
+    eratomw_reader_step(r, ack(0, Tag(5, 2), b"new"), QS4)
+    eratomw_reader_step(r, ack(1, Tag(5, 2), b"new"), QS4)
+    out = eratomw_reader_step(r, ack(3, Tag(5, 2), b"new"), QS4)
     assert (out.response.tag, out.response.exchanges) == (Tag(5, 2), 3)
 
 
 def test_read_uniform_relays_fast():
     r = RelayReaderState(R0)
     eratomw_reader_step(r, Invoke(), QS3)
-    eratomw_reader_step(r, Deliver(relay(0, Tag(2, 1), b"x")), QS3)
-    out = eratomw_reader_step(r, Deliver(relay(1, Tag(2, 1), b"x")), QS3)
+    eratomw_reader_step(r, relay(0, Tag(2, 1), b"x"), QS3)
+    out = eratomw_reader_step(r, relay(1, Tag(2, 1), b"x"), QS3)
     assert (out.response.value, out.response.exchanges) == (b"x", 2)

@@ -7,73 +7,99 @@ from hypothesis import strategies as st
 from regsim.quorum import QuorumSystem, bits, build_majority, build_matrix, surviving_quorum_exists
 
 
+def mask(servers):
+    return sum(1 << s for s in servers)
+
+
 def test_majority_3_enumeration():
     qs = build_majority(3)
-    assert qs.universe == frozenset({1, 2, 3})
-    assert qs.quorums == [frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})]
+    assert qs.n == 3
+    assert qs.masks == [0b011, 0b101, 0b110]
 
 
 def test_majority_5_counts():
     qs = build_majority(5)
-    assert len(qs.quorums) == 10  # C(5, 3)
-    assert all(len(q) == 3 for q in qs.quorums)
+    assert len(qs.masks) == 10  # C(5, 3)
+    assert all(len(list(bits(m))) == 3 for m in qs.masks)
     # Lexicographic enumeration of member tuples.
-    assert [tuple(sorted(q)) for q in qs.quorums] == sorted(
-        tuple(sorted(c)) for c in combinations(range(1, 6), 3)
-    )
+    assert [tuple(bits(m)) for m in qs.masks] == sorted(combinations(range(5), 3))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_majority_masks_are_the_majority_combinations_in_order(n):
+    assert build_majority(n).masks == [mask(c) for c in combinations(range(n), n // 2 + 1)]
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 3), (2, 3), (3, 2), (3, 3), (4, 5)])
+def test_matrix_masks_are_row_and_column_unions(rows, cols):
+    expected = [
+        mask({r * cols + j for j in range(cols)} | {i * cols + c for i in range(rows)})
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    assert build_matrix(rows, cols).masks == expected
 
 
 def test_matrix_3x3_shape():
     qs = build_matrix(3, 3)
-    assert qs.universe == frozenset(range(9))
-    assert len(qs.quorums) == 9
-    assert all(len(q) == 5 for q in qs.quorums)
-    assert qs.quorums[0] == frozenset({0, 1, 2, 3, 6})  # row 0 + column 0
+    assert qs.n == 9
+    assert len(qs.masks) == 9
+    assert all(len(list(bits(m))) == 5 for m in qs.masks)
+    assert qs.masks[0] == mask({0, 1, 2, 3, 6})  # row 0 + column 0
 
 
 def test_matrix_4x4_shape():
     qs = build_matrix(4, 4)
-    assert len(qs.quorums) == 16
-    assert all(len(q) == 7 for q in qs.quorums)
+    assert len(qs.masks) == 16
+    assert all(len(list(bits(m))) == 7 for m in qs.masks)
 
 
 def test_matrix_1x1():
-    assert build_matrix(1, 1).quorums == [frozenset({0})]
+    assert build_matrix(1, 1).masks == [0b1]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_majority_pairwise_intersection(n):
     qs = build_majority(n)
-    for a in qs.quorums:
-        for b in qs.quorums:
+    for a in qs.masks:
+        for b in qs.masks:
             assert a & b
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 3), (4, 4), (5, 5)])
 def test_matrix_pairwise_intersection(rows, cols):
     qs = build_matrix(rows, cols)
-    for a in qs.quorums:
-        for b in qs.quorums:
+    for a in qs.masks:
+        for b in qs.masks:
             assert a & b
 
 
 def test_validate_rejects_disjoint_quorums():
-    qs = QuorumSystem(frozenset({1, 2, 3, 4}), [frozenset({1, 2}), frozenset({3, 4})])
-    with pytest.raises(ValueError, match="disjoint"):
+    qs = QuorumSystem(4, [0b0011, 0b1100])
+    with pytest.raises(ValueError, match=r"quorums 0 and 1 are disjoint: \[0, 1\], \[2, 3\]"):
         qs.validate()
+
+
+@pytest.mark.parametrize(
+    "masks,message",
+    [([], "no quorums"), ([0b011, 0], "quorum 1 is empty"), ([0b011, 0b1010], "quorum 1 not within the 3 servers")],
+)
+def test_validate_rejects_empty_and_out_of_range_quorums(masks, message):
+    with pytest.raises(ValueError, match=message):
+        QuorumSystem(3, masks).validate()
 
 
 def test_first_contained_matrix_example():
     qs = build_matrix(3, 3)
     responders = {0, 1, 2, 3, 6, 8}  # row 0 + column 0 + extra server
-    assert qs.first_contained_mask(qs.mask_of(responders)) == 0
+    assert qs.first_contained_mask(mask(responders)) == 0
 
 
 def test_first_contained_none_and_order():
     qs = build_majority(3)
-    assert qs.first_contained_mask(qs.mask_of({2})) == -1
-    assert qs.first_contained_mask(qs.mask_of({2, 3})) == 2
-    assert qs.first_contained_mask(qs.mask_of({1, 2, 3})) == 0  # first in enumeration order
+    assert qs.first_contained_mask(mask({1})) == -1
+    assert qs.first_contained_mask(mask({1, 2})) == 2
+    assert qs.first_contained_mask(mask({0, 1, 2})) == 0  # first in enumeration order
     # Deterministic on repeat.
     assert qs.first_contained_mask(0b110) == qs.first_contained_mask(0b110)
 
@@ -90,16 +116,14 @@ def test_first_contained_monotone_in_responders(n, data):
 
 
 def test_mask_scan_semantics():
-    qs = QuorumSystem(frozenset({0, 1, 2}), [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
-    assert qs.masks == [0b011, 0b101, 0b110]
+    qs = QuorumSystem(3, [0b011, 0b101, 0b110])
     assert qs.first_contained_mask(0b111) == 0
     assert qs.first_contained_mask(0b110) == 2
     assert qs.first_contained_mask(0b001) == -1
     # current={bit0}, maxset={bit0}: quorum 0b101 intersects only inside maxset
     assert qs.view3_mask(0b001, 0b001)
     # empty intersection counts as contained
-    split = QuorumSystem(frozenset({0, 1, 2}), [frozenset({2}), frozenset({0, 1})])
-    assert split.masks == [0b100, 0b011]
+    split = QuorumSystem(3, [0b100, 0b011])
     assert split.view3_mask(0b011, 0)
 
 
@@ -107,31 +131,40 @@ def test_mask_scan_semantics():
 def quorum_systems(draw):
     """Arbitrary quorums over servers 0..n-1, possibly empty or disjoint."""
     n = draw(st.integers(1, 10))
-    ids = st.sets(st.integers(0, n - 1)).map(frozenset)
-    return QuorumSystem(frozenset(range(n)), draw(st.lists(ids, min_size=1, max_size=20)))
+    return QuorumSystem(n, draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20)))
+
+
+def server_sets(qs):
+    return st.sets(st.integers(0, qs.n - 1)).map(frozenset)
+
+
+def quorum_sets(qs):
+    return [frozenset(bits(m)) for m in qs.masks]
 
 
 @given(quorum_systems(), st.data())
 def test_first_contained_mask_matches_set_definition(qs, data):
-    responders = data.draw(st.sets(st.sampled_from(qs.members)))
-    expected = next((i for i, q in enumerate(qs.quorums) if q <= responders), -1)
-    assert qs.first_contained_mask(qs.mask_of(responders)) == expected
+    quorums = quorum_sets(qs)
+    responders = data.draw(server_sets(qs))
+    expected = next((i for i, q in enumerate(quorums) if q <= responders), -1)
+    assert qs.first_contained_mask(mask(responders)) == expected
 
 
 @given(quorum_systems(), st.data())
 def test_view3_mask_matches_set_definition(qs, data):
-    current = data.draw(st.sets(st.sampled_from(qs.members)))
-    maxset = data.draw(st.sets(st.sampled_from(qs.members)))
-    expected = any(q != current and q & current <= maxset for q in qs.quorums)
-    assert qs.view3_mask(qs.mask_of(current), qs.mask_of(maxset)) == expected
+    quorums = quorum_sets(qs)
+    current = data.draw(server_sets(qs))
+    maxset = data.draw(server_sets(qs))
+    expected = any(q != current and q & current <= maxset for q in quorums)
+    assert qs.view3_mask(mask(current), mask(maxset)) == expected
 
 
 @given(quorum_systems(), st.data())
 def test_relay_mask_matches_set_definition(qs, data):
-    bit = data.draw(st.integers(0, qs.n - 1))
-    s = qs.members[bit]
-    expected = frozenset().union(*(q for q in qs.quorums if s in q))
-    assert qs.relay_mask(bit) == qs.mask_of(expected)
+    quorums = quorum_sets(qs)
+    s = data.draw(st.integers(0, qs.n - 1))
+    expected = frozenset().union(*(q for q in quorums if s in q))
+    assert qs.relay_mask(s) == mask(expected)
 
 
 @given(st.integers(0, 1 << 12))
@@ -141,7 +174,7 @@ def test_bits_ascending(mask):
 
 def test_relay_destinations_majority():
     qs = build_majority(3)
-    assert qs.relay_mask(0) == 0b111  # server 1 shares a quorum with 2 and 3
+    assert qs.relay_mask(0) == 0b111  # server 0 shares a quorum with 1 and 2
 
 
 def test_relay_destinations_matrix_center():

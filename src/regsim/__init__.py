@@ -21,8 +21,6 @@ from regsim.core import (
     Message,
     MessageKind,
     OperationRecord,
-    ProcessId,
-    Role,
     Tag,
     reader,
     server,
@@ -56,9 +54,7 @@ __all__ = [
     "Network",
     "OperationRecord",
     "OpStats",
-    "ProcessId",
     "QuorumSystem",
-    "Role",
     "RunResult",
     "ScenarioConfig",
     "Summary",

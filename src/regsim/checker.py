@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import le, lt
 from typing import Iterable, Iterator, Optional
 
-from regsim.core import INITIAL_TAG, INITIAL_VALUE, History, OperationRecord, ProcessId, Tag
+from regsim.core import INITIAL_TAG, INITIAL_VALUE, History, OperationRecord, Tag, node_key
 from regsim.netsim import Trace
 
 A1 = "A1"
@@ -51,12 +51,14 @@ class Verdict:
 
 
 def well_formedness_errors(ops: Iterable[OperationRecord]) -> list[str]:
-    """Overlapping operations of one process: clients must be sequential."""
-    by_process: dict[ProcessId, list[OperationRecord]] = {}
+    """Overlapping operations of one process: clients must be sequential.
+    Processes report in node order (see core.node_key)."""
+    by_process: dict[str, list[OperationRecord]] = {}
     for op in ops:
         by_process.setdefault(op.process, []).append(op)
     errors = []
-    for pid, group in sorted(by_process.items()):
+    for pid in sorted(by_process, key=node_key):
+        group = by_process[pid]
         group.sort(key=lambda o: (o.invoked_at, o.op_id))
         for prev, cur in zip(group, group[1:]):
             if prev.responded_at is None or prev.responded_at > cur.invoked_at:

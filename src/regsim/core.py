@@ -1,8 +1,14 @@
 """Core value types shared by the protocol, simulator and checker layers.
 
 Everything here is deliberately small and hashable: tags order writes,
-process ids name simulated nodes, and Message is the single wire format
-all protocols share (field presence depends on the kind).
+and Message is the single wire format all protocols share (field
+presence depends on the kind).
+
+A node has two representations.  Inside the simulator and the protocol
+steps it is a dense int id: servers 0..n-1, so a server's id is its bit
+in every quorum mask, then the readers, then the writers.  Everywhere
+else (traces, operation records, CSVs, the checker) it is its name:
+"s0", "r3", "w1", as reader(), writer() and server() spell it.
 """
 
 from __future__ import annotations
@@ -16,42 +22,35 @@ INITIAL_VALUE = b""
 HEADER_OCTETS = 64
 
 
-class Role(enum.IntEnum):
-    READER = 0
-    WRITER = 1
-    SERVER = 2
+def reader(i: int) -> str:
+    return "r%d" % i
 
 
-@dataclass(frozen=True, order=True)
-class ProcessId:
-    role: Role
-    index: int
-
-    def __str__(self) -> str:
-        return "%s%d" % ({Role.READER: "r", Role.WRITER: "w", Role.SERVER: "s"}[self.role], self.index)
+def writer(i: int) -> str:
+    return "w%d" % i
 
 
-def reader(i: int) -> ProcessId:
-    return ProcessId(Role.READER, i)
+def server(i: int) -> str:
+    return "s%d" % i
 
 
-def writer(i: int) -> ProcessId:
-    return ProcessId(Role.WRITER, i)
+_ROLE_RANK = {"r": 0, "w": 1, "s": 2}
 
 
-def server(i: int) -> ProcessId:
-    return ProcessId(Role.SERVER, i)
+def node_key(name: str) -> tuple[int, int]:
+    """Sort key of node names: readers, then writers, then servers, each
+    by index, so r2 < r10 < w0 < s1 (plain string order differs)."""
+    return _ROLE_RANK[name[0]], int(name[1:])
 
 
-def parse_pid(text: str) -> ProcessId:
-    """Inverse of str(ProcessId): 'r0' / 'w3' / 's12'.  Only that exact
-    spelling is accepted (ASCII digits, no leading zero), so that every
-    process has one name and str(parse_pid(text)) == text."""
-    role = {"r": Role.READER, "w": Role.WRITER, "s": Role.SERVER}.get(text[:1])
+def parse_pid(text: str) -> str:
+    """Validate a node name, 'r0' / 'w3' / 's12', and return it.  Only
+    that exact spelling is accepted (ASCII digits, no leading zero), so
+    that every node has one name."""
     digits = text[1:]
-    if role is None or not digits.isdecimal() or digits != str(int(digits)):
+    if text[:1] not in _ROLE_RANK or not digits.isdecimal() or digits != str(int(digits)):
         raise ValueError("not a process id: %r" % text)
-    return ProcessId(role, int(digits))
+    return text
 
 
 @dataclass(frozen=True, order=True)
@@ -95,12 +94,13 @@ class Message:
     client is the reader or writer whose operation the message belongs to,
     op_seq its per-client sequence counter (read_op / write_op); together
     they attribute every send to exactly one operation.  sender is the
-    emitting node, used by relay bookkeeping on the servers.
+    emitting node, used by relay bookkeeping on the servers.  Both are
+    node ids, so a server sender is its own quorum bit.
     """
 
     kind: MessageKind
-    sender: ProcessId
-    client: ProcessId
+    sender: int
+    client: int
     op_seq: int
     tag: Optional[Tag] = None
     value: Optional[bytes] = None
@@ -115,7 +115,7 @@ class OperationRecord:
     """Invocation-to-response record of one client operation."""
 
     op_id: int
-    process: ProcessId
+    process: str  # node name
     kind: str  # "read" | "write"
     invoked_at: float
     responded_at: Optional[float] = None

@@ -5,13 +5,15 @@ and emit trace logs / CSV rows.
 File formats are part of the external contract:
 
 Trace log: one event per line, tab separated, first field the record
-type.  Every field is written with str; for a float that is its repr, so
-parsing and re-serializing a trace reproduces it byte for byte, and a
-process id has exactly one spelling (see core.parse_pid).  Besides the
-per-line checks of Trace.add, the parser enforces the wire invariants:
-every send arrives after it is sent, every delivery takes up an earlier
-matching send, and no node acts (sends, receives, invokes, responds or
-adopts a tag) at or after its crash (see trace_from_text).
+type, last record the end record.  A node appears by its name, which has
+exactly one spelling (see core.parse_pid).  One table (_REC_TYPES) gives
+every field of every record kind its parser and its %-conversion, so a
+record is written with a single % on its kind's format string, and
+parsing and re-serializing a trace reproduces it byte for byte.  Besides
+the per-line checks of Trace.add, the parser enforces the wire
+invariants: every send arrives after it is sent, every delivery takes up
+an earlier matching send, and no node acts (sends, receives, invokes,
+responds or adopts a tag) at or after its crash (see trace_from_text).
 
 Operation CSV: one row per completed operation, fixed column schema
 (CSV_HEADER below); same seed, same config, same bytes.
@@ -45,41 +47,44 @@ EXIT_LIVENESS = 4
 
 # ---------------------------------------------------------------- trace io
 
+# Each field after the leading record-type token, as (parser, % conversion).
+# A float's %r is its str, so both directions reproduce the text.
+_FLOAT = (float, "%r")
+_INT = (int, "%d")
+_STR = (str, "%s")
+_NAME = (parse_pid, "%s")
+
 _REC_TYPES: dict[str, tuple] = {
-    # field converters after the leading record-type token
-    "inv": (float, parse_pid, int, str, str),
-    "res": (float, parse_pid, int, int, int, int, str),
-    "snd": (float, parse_pid, parse_pid, str, parse_pid, int, float),
-    "dlv": (float, parse_pid, parse_pid, str, parse_pid, int),
-    "tag": (float, parse_pid, int, int),
-    "wtag": (float, parse_pid, int, int, int),
-    "crs": (float, parse_pid),
-    "end": (float, str, int, int),
+    "inv": (_FLOAT, _NAME, _INT, _STR, _STR),
+    "res": (_FLOAT, _NAME, _INT, _INT, _INT, _INT, _STR),
+    "snd": (_FLOAT, _NAME, _NAME, _STR, _NAME, _INT, _FLOAT),
+    "dlv": (_FLOAT, _NAME, _NAME, _STR, _NAME, _INT),
+    "tag": (_FLOAT, _NAME, _INT, _INT),
+    "wtag": (_FLOAT, _NAME, _INT, _INT, _INT),
+    "crs": (_FLOAT, _NAME),
+    "end": (_FLOAT, _STR, _INT, _INT),
+}
+
+# One format string per record kind, the record-type token included.
+_FORMATS: dict[str, str] = {
+    kind: "\t".join(["%s"] + [conversion for _, conversion in fields])
+    for kind, fields in _REC_TYPES.items()
 }
 
 
 def trace_to_text(trace: Trace) -> str:
     head = ["run", "algorithm=%s" % trace.algorithm, "seed=%d" % trace.seed]
     head += ["%s=%s" % (k, v) for k, v in sorted(trace.meta.items()) if k not in ("algorithm", "seed")]
-    # One formatter per token, the record type included: each node's name
-    # is formatted once per trace, every other field goes through str.
-    name = cache(str)
-    formatters = {
-        kind: (str,) + tuple(name if conv is parse_pid else str for conv in convs)
-        for kind, convs in _REC_TYPES.items()
-    }
     lines = ["\t".join(head)]
-    lines += [
-        "\t".join([fmt(field) for fmt, field in zip(formatters[rec[0]], rec)])
-        for rec in trace.records
-    ]
+    lines += [_FORMATS[rec[0]] % rec for rec in trace.records]
     return "\n".join(lines) + "\n"
 
 
 def trace_from_text(text: str) -> Trace:
     """Parse a trace log; a malformed line, one that contradicts an
-    earlier line (see Trace.add), or a message send or delivery the wire
-    cannot explain raises ValueError("line N: ...").
+    earlier line (see Trace.add), a message send or delivery the wire
+    cannot explain, a record after the end record, or a trace with no end
+    record (reported at its last line) raises ValueError("line N: ...").
 
     A snd must arrive strictly after it is sent: every link and the
     loopback handoff take time.  Each dlv must take up an earlier snd not
@@ -94,23 +99,27 @@ def trace_from_text(text: str) -> Trace:
     trace = Trace()
     append = trace.records.append
     # One converter per token, the record type included: each distinct
-    # process name is parsed once, and all records naming it share one
-    # ProcessId.
-    pid = cache(parse_pid)
+    # node name is validated once, and all records naming the node share
+    # the str of its first mention.
+    name = cache(parse_pid)
     converters = {
-        kind: (str,) + tuple(pid if conv is parse_pid else conv for conv in convs)
-        for kind, convs in _REC_TYPES.items()
+        kind: (str,) + tuple(name if parse is parse_pid else parse for parse, _ in fields)
+        for kind, fields in _REC_TYPES.items()
     }
     # snd tokens (src, dst, kind, client, op_seq, arrival) -> sends not
-    # yet delivered; and node token -> (its latest act's time, line, kind).
+    # yet delivered; and node name -> (its latest act's time, line, kind).
     in_flight: dict[tuple, int] = {}
     last_act: dict[str, tuple[float, int, str]] = {}
+    ended = False
+    lineno = 0
     try:
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line:
                 continue
             parts = line.split("\t")
             kind = parts[0]
+            if ended and kind != "end":  # Trace.add refuses a second end
+                raise ValueError("%s record after the end record" % kind)
             if kind == "run":
                 for part in parts[1:]:
                     key, _, val = part.partition("=")
@@ -152,17 +161,20 @@ def trace_from_text(text: str) -> Trace:
             else:
                 trace.add(rec)
                 if kind == "crs" or kind == "end":
+                    ended = kind == "end"
                     continue
             # Every other record is an act of the node it names first.
-            latest = last_act.get(parts[2])
+            latest = last_act.get(rec[2])
             if latest is None or rec[1] > latest[0]:
-                last_act[parts[2]] = (rec[1], lineno, kind)
+                last_act[rec[2]] = (rec[1], lineno, kind)
         for node, crashed_at in trace.crash_at.items():
-            latest = last_act.get(str(node))
+            latest = last_act.get(node)
             if latest is not None and latest[0] >= crashed_at:
                 t, lineno, kind = latest
                 raise ValueError("%s %s %s at %s, at or after its crash at %s"
                                  % (kind, "to" if kind == "dlv" else "by", node, t, crashed_at))
+        if not ended:
+            raise ValueError("trace has no end record")
     except ValueError as exc:
         raise ValueError("line %d: %s" % (lineno, exc)) from None
     return trace

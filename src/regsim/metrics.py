@@ -19,7 +19,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Optional
 
-from regsim.core import ProcessId
 from regsim.netsim import Trace
 
 
@@ -27,7 +26,7 @@ from regsim.netsim import Trace
 class OpStats:
     algorithm: str
     op_id: int
-    process: ProcessId
+    process: str  # node name
     kind: str  # "read" | "write"
     invoked_at: float
     latency_s: float
@@ -56,8 +55,8 @@ def attribute_messages(trace: Trace) -> dict[int, int]:
     Updates the per-operation records in place as well.
     """
     counts: dict[int, int] = {op_id: 0 for op_id in trace.ops}
-    running: dict[ProcessId, int] = {}  # client -> op it last invoked
-    op_of: dict[tuple[ProcessId, int], int] = {}  # (client, op_seq) -> op
+    running: dict[str, int] = {}  # client name -> op it last invoked
+    op_of: dict[tuple[str, int], int] = {}  # (client name, op_seq) -> op
     for rec in trace.records:
         if rec[0] == "inv":
             running[rec[2]] = rec[3]

@@ -14,16 +14,25 @@ Crashed nodes process no event from their crash time on; messages already
 in flight from them still deliver.  Self-addressed messages (a server
 relaying to itself) bypass the network with a fixed one-microsecond local
 handoff so that delivery always happens strictly after the send.
+
+Inside run a node is its dense id (see core): the states, step
+functions, running operations and crash times are lists indexed by it,
+and the path parameters a 2-D list built once per run.  The trace names
+each node by network.names[id], one shared str per node.  Events at
+equal times keep node order (readers, writers, servers, then index; see
+core.node_key): crashes are queued first in that order, then the
+invocations.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from regsim.core import OperationRecord, ProcessId, Role, Tag, reader, server, writer
+from regsim.core import OperationRecord, Tag, node_key, reader, server, writer
 from regsim.protocols import Algorithm, Invoke
 from regsim.quorum import QuorumSystem
 
@@ -47,25 +56,30 @@ STAR_SERVER_LINK = LinkParams(50 * MBPS, 0.002)
 
 @dataclass
 class Network:
-    router_of: dict[ProcessId, int]
-    access: dict[ProcessId, LinkParams]
-    jitter_max: float = DEFAULT_JITTER_MAX
-    _params: dict[tuple[ProcessId, ProcessId], tuple[float, float]] = field(default_factory=dict)
+    """The LAN's nodes by id (see core): node id's name, router and access
+    link are names[id], router_of[id] and access[id]."""
 
-    def router_hops(self, a: ProcessId, b: ProcessId) -> int:
+    names: list[str]
+    router_of: list[int]
+    access: list[LinkParams]
+    jitter_max: float = DEFAULT_JITTER_MAX
+
+    def router_hops(self, a: int, b: int) -> int:
         return abs(self.router_of[a] - self.router_of[b])
 
-    def path_params(self, src: ProcessId, dst: ProcessId) -> tuple[float, float]:
-        """(total propagation seconds, total seconds-per-bit) for the path."""
-        key = (src, dst)
-        got = self._params.get(key)
-        if got is None:
-            sa, da = self.access[src], self.access[dst]
-            hops = self.router_hops(src, dst)
-            prop = sa.prop_s + da.prop_s + hops * ROUTER_LINK.prop_s
-            per_bit = 1.0 / sa.bw_bps + 1.0 / da.bw_bps + hops / ROUTER_LINK.bw_bps
-            got = self._params[key] = (prop, per_bit)
-        return got
+    def path_params(self) -> list[list[tuple[float, float]]]:
+        """params[src][dst]: (total propagation seconds, total
+        seconds-per-bit) of the path from node src to node dst."""
+        table = []
+        for src, sa in enumerate(self.access):
+            row = []
+            for dst, da in enumerate(self.access):
+                hops = self.router_hops(src, dst)
+                prop = sa.prop_s + da.prop_s + hops * ROUTER_LINK.prop_s
+                per_bit = 1.0 / sa.bw_bps + 1.0 / da.bw_bps + hops / ROUTER_LINK.bw_bps
+                row.append((prop, per_bit))
+            table.append(row)
+        return table
 
 
 def build_topology(kind: str, n_servers: int, n_readers: int, n_writers: int) -> Network:
@@ -73,38 +87,35 @@ def build_topology(kind: str, n_servers: int, n_readers: int, n_writers: int) ->
     if n_servers < 1:
         raise ValueError("need at least one server")
     if kind == "series":
-        server_routers, server_link = range(n_servers), SERIES_SERVER_LINK
+        server_routers, server_link = list(range(n_servers)), SERIES_SERVER_LINK
     elif kind == "star":
         server_routers, server_link = [0] * n_servers, STAR_SERVER_LINK
     else:
         raise ValueError("unknown topology kind %r" % kind)
-
-    router_of: dict[ProcessId, int] = {}
-    access: dict[ProcessId, LinkParams] = {}
-    for i, router in enumerate(server_routers):
-        router_of[server(i)] = router
-        access[server(i)] = server_link
-    clients = [reader(i) for i in range(n_readers)] + [writer(i) for i in range(n_writers)]
-    for ordinal, pid in enumerate(clients):
-        router_of[pid] = ordinal % n_servers
-        access[pid] = CLIENT_LINK
-    return Network(router_of, access)
+    n_clients = n_readers + n_writers
+    names = [server(i) for i in range(n_servers)]
+    names += [reader(i) for i in range(n_readers)] + [writer(i) for i in range(n_writers)]
+    router_of = server_routers + [ordinal % n_servers for ordinal in range(n_clients)]
+    access = [server_link] * n_servers + [CLIENT_LINK] * n_clients
+    return Network(names, router_of, access)
 
 
-def message_delay(net: Network, src: ProcessId, dst: ProcessId, size_bits: int, rng: random.Random) -> float:
-    """Path propagation + transmission + one jitter draw; src must differ from dst."""
-    assert src != dst, "loopback is handled by the simulator"
-    prop, per_bit = net.path_params(src, dst)
+def message_delay(
+    params: tuple[float, float], size_bits: int, jitter_max: float, rng: random.Random
+) -> float:
+    """Propagation + transmission over one path (see Network.path_params)
+    + one jitter draw; the path must join two different nodes."""
+    prop, per_bit = params
     d = prop + size_bits * per_bit
-    if net.jitter_max > 0.0:
-        d += rng.uniform(0.0, net.jitter_max)
+    if jitter_max > 0.0:
+        d += rng.uniform(0.0, jitter_max)
     return d
 
 
 @dataclass(frozen=True)
 class WorkItem:
     time: float
-    pid: ProcessId
+    pid: str  # the invoking client's name
     kind: str  # "read" | "write"
     value: Optional[bytes] = None
 
@@ -117,7 +128,7 @@ class Trace:
     seed: int = 0
     records: list[tuple] = field(default_factory=list)
     ops: dict[int, OperationRecord] = field(default_factory=dict)
-    crash_at: dict[ProcessId, float] = field(default_factory=dict)
+    crash_at: dict[str, float] = field(default_factory=dict)
     stale_drops: int = 0
     skipped_invokes: int = 0
     incomplete: bool = False
@@ -142,7 +153,7 @@ class Trace:
                 raise ValueError("second inv for op %s" % op_id)
             if op_kind not in ("read", "write"):
                 raise ValueError("inv for op %s: unknown operation kind %r" % (op_id, op_kind))
-            if pid.role is Role.SERVER:
+            if pid.startswith("s"):
                 raise ValueError("inv for op %s from server %s" % (op_id, pid))
             value = bytes.fromhex(value_hex) if value_hex != "-" else None
             self.ops[op_id] = OperationRecord(op_id, pid, op_kind, t, value=value)
@@ -193,7 +204,7 @@ class Trace:
             self._ended = True
             self.incomplete = status == "incomplete"
 
-    def live(self, pid: ProcessId) -> bool:
+    def live(self, pid: str) -> bool:
         return pid not in self.crash_at
 
     def operations(self) -> list[OperationRecord]:
@@ -205,17 +216,27 @@ def run(
     algorithm: Algorithm,
     qs: QuorumSystem,
     workload: Sequence[WorkItem],
-    crash_schedule: Sequence[tuple[ProcessId, float]] = (),
+    crash_schedule: Sequence[tuple[str, float]] = (),
     seed: int = 0,
     cap_s: float = DEFAULT_CAP_S,
 ) -> Trace:
     rng = random.Random("%d:net" % seed)
     trace = Trace(algorithm=algorithm.name, seed=seed)
-    steps = (algorithm.reader_step, algorithm.writer_step, algorithm.server_step)
-    states = {pid: algorithm.new_state(pid, qs) for pid in network.router_of}
-    step_of = {pid: steps[pid.role] for pid in states}
-    for pid, t in crash_schedule:
-        trace.crash_at[pid] = min(t, trace.crash_at.get(pid, t))
+    records = trace.records
+    # Inside the loop a node is its id; records and the operation index
+    # name it by names[id], one shared str per node.
+    names = network.names
+    node_id = names.index
+    steps = {"r": algorithm.reader_step, "w": algorithm.writer_step, "s": algorithm.server_step}
+    states = [algorithm.new_state(name, pid, qs) for pid, name in enumerate(names)]
+    step_of = [steps[name[0]] for name in names]
+    paths = network.path_params()
+    jitter_max = network.jitter_max
+    crashed_at = [math.inf] * len(names)
+    for name, t in crash_schedule:
+        pid = node_id(name)
+        crashed_at[pid] = min(t, crashed_at[pid])
+        trace.crash_at[names[pid]] = crashed_at[pid]
 
     heap: list[tuple] = []
     seq = 0
@@ -225,39 +246,38 @@ def run(
         heapq.heappush(heap, (t, seq, kind, payload))
         seq += 1
 
-    for pid in sorted(trace.crash_at):
-        push(trace.crash_at[pid], "crash", pid)
-    for item in sorted(workload, key=lambda w: (w.time, w.pid)):
-        push(item.time, "invoke", item)
+    for name in sorted(trace.crash_at, key=node_key):
+        push(trace.crash_at[name], "crash", node_id(name))
+    for item in sorted(workload, key=lambda w: (w.time, node_key(w.pid))):
+        push(item.time, "invoke", (node_id(item.pid), item))
 
-    def dead(pid: ProcessId, t: float) -> bool:
-        return trace.crash_at.get(pid, float("inf")) <= t
-
-    current_op: dict[ProcessId, Optional[int]] = {pid: None for pid in states}
+    current_op: list[Optional[int]] = [None] * len(names)
     next_op = 1
 
-    def handle_output(pid: ProcessId, t: float, out) -> None:
+    def handle_output(pid: int, t: float, out) -> None:
         if out.stale:
             trace.stale_drops += 1
         op_id = current_op[pid]
+        name = names[pid]
         if out.wtag is not None:
-            trace.add(("wtag", t, pid, op_id, out.wtag.ts, out.wtag.wid))
+            trace.add(("wtag", t, name, op_id, out.wtag.ts, out.wtag.wid))
         if out.adopted is not None:
-            trace.records.append(("tag", t, pid, out.adopted.ts, out.adopted.wid))
+            records.append(("tag", t, name, out.adopted.ts, out.adopted.wid))
+        row = paths[pid]
         for dst, msg in out.sends:
             if dst == pid:
                 delay = LOOPBACK_DELAY
             else:
-                delay = message_delay(network, pid, dst, msg.size_bits(), rng)
+                delay = message_delay(row[dst], msg.size_bits(), jitter_max, rng)
             arrive = t + delay
-            trace.records.append(
-                ("snd", t, pid, dst, msg.kind.value, msg.client, msg.op_seq, arrive)
+            records.append(
+                ("snd", t, name, names[dst], msg.kind.value, names[msg.client], msg.op_seq, arrive)
             )
             push(arrive, "deliver", (dst, msg))
         res = out.response
         if res is not None:
             current_op[pid] = None
-            trace.add(("res", t, pid, op_id, res.exchanges, res.tag.ts, res.tag.wid, res.value.hex()))
+            trace.add(("res", t, name, op_id, res.exchanges, res.tag.ts, res.tag.wid, res.value.hex()))
 
     last_t = 0.0
     while heap:
@@ -266,12 +286,11 @@ def run(
         t, _, kind, payload = heapq.heappop(heap)
         last_t = t
         if kind == "crash":
-            trace.add(("crs", t, payload))
+            trace.add(("crs", t, names[payload]))
             continue
         if kind == "invoke":
-            item: WorkItem = payload
-            pid = item.pid
-            if dead(pid, t):
+            pid, item = payload
+            if crashed_at[pid] <= t:
                 continue
             if current_op[pid] is not None:
                 trace.skipped_invokes += 1
@@ -279,22 +298,22 @@ def run(
             # Writes carry their intended value from invocation on, so a
             # crashed write still shows what it was writing.
             value = item.value if item.kind == "write" else None
-            trace.add(("inv", t, pid, next_op, item.kind, value.hex() if value is not None else "-"))
+            trace.add(("inv", t, names[pid], next_op, item.kind, value.hex() if value is not None else "-"))
             current_op[pid] = next_op
             next_op += 1
             handle_output(pid, t, step_of[pid](states[pid], Invoke(value), qs))
             continue
         dst, msg = payload
-        if dead(dst, t):
+        if crashed_at[dst] <= t:
             continue
-        trace.records.append(("dlv", t, dst, msg.sender, msg.kind.value, msg.client, msg.op_seq))
+        records.append(("dlv", t, names[dst], names[msg.sender], msg.kind.value, names[msg.client], msg.op_seq))
         handle_output(dst, t, step_of[dst](states[dst], msg, qs))
 
     end_time = min(last_t, cap_s) if not heap else cap_s
     pending_live = any(
         op.responded_at is None and trace.live(op.process) for op in trace.ops.values()
     )
-    unreached = [e for e in heap if e[2] == "invoke" and not dead(e[3].pid, e[0])]
+    unreached = [e for e in heap if e[2] == "invoke" and crashed_at[e[3][0]] > e[0]]
     incomplete = pending_live or bool(unreached)
     trace.add(("end", end_time, "incomplete" if incomplete else "complete",
                trace.stale_drops, trace.skipped_invokes))

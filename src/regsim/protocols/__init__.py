@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from regsim.core import ProcessId, Role
 from regsim.protocols import abd, base, broken, erato, erato_mw
 from regsim.protocols.base import Event, Invoke, Response, StepOutput
 from regsim.protocols.readers import RelayReaderState, relay_reader_step
@@ -26,19 +25,21 @@ StepFn = Callable[[object, Event, QuorumSystem], StepOutput]
 class Algorithm:
     name: str
     mw: bool
-    reader_state: Callable[[ProcessId], object]
+    reader_state: Callable[[int], object]
     reader_step: StepFn
     writer_step: StepFn
     server_step: StepFn
     relay_to_reader: bool
 
-    def new_state(self, pid: ProcessId, qs: QuorumSystem):
-        """Initial state of node pid under this protocol."""
-        if pid.role is Role.READER:
+    def new_state(self, name: str, pid: int, qs: QuorumSystem):
+        """Initial state, under this protocol, of the node with this name
+        ("r0", "w1", "s2") and id pid (a server's id is its index)."""
+        role = name[0]
+        if role == "r":
             return self.reader_state(pid)
-        if pid.role is Role.WRITER:
-            return base.MWWriterState(pid) if self.mw else base.SWMRWriterState(pid)
-        return base.ServerState(pid, qs.relay_mask(pid.index), self.relay_to_reader)
+        if role == "w":
+            return base.MWWriterState(pid, int(name[1:])) if self.mw else base.SWMRWriterState(pid)
+        return base.ServerState(pid, qs.relay_mask(pid), self.relay_to_reader)
 
 
 ALGORITHMS: dict[str, Algorithm] = {

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from regsim.core import Message, MessageKind, ProcessId, Tag
+from regsim.core import Message, MessageKind, Tag
 from regsim.protocols.base import Event, Invoke, Response, StepOutput, broadcast
 from regsim.protocols.readers import quorum_extreme
 from regsim.quorum import QuorumSystem
@@ -22,7 +22,7 @@ from regsim.quorum import QuorumSystem
 
 @dataclass
 class QueryReaderState:
-    pid: ProcessId
+    pid: int
     read_op: int = 0
     phase: str = "idle"  # idle | query | writeback
     acks: dict[int, Message] = field(default_factory=dict)
@@ -46,7 +46,7 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         return out
     if state.phase == "idle" or event.kind is not MessageKind.READ_ACK:
         return out
-    bit = event.sender.index
+    bit = event.sender
     state.acks[bit] = event
     state.ack_mask |= 1 << bit
     qi = qs.first_contained_mask(state.ack_mask)

@@ -5,6 +5,11 @@ with signature step(state, event, qs) -> StepOutput.  States are plain
 dataclasses mutated in place; a step is deterministic, so replaying the
 same event against a copy of the state reproduces the same output.
 
+A node is its dense int id here (see core): a state's pid, a message's
+sender and client, and every send's destination.  Server i is id i and
+bit i of every quorum mask, so a broadcast sends to ids 0..n-1 and a
+server's reply is recorded under its sender id directly.
+
 An event is an Invoke, which starts an operation at a client, or the
 Message being delivered.  A client receiving a message whose op_seq is
 behind its own counter marks the output stale (the simulator counts
@@ -22,9 +27,7 @@ from regsim.core import (
     INITIAL_VALUE,
     Message,
     MessageKind,
-    ProcessId,
     Tag,
-    server,
 )
 from regsim.quorum import QuorumSystem, bits
 
@@ -46,7 +49,7 @@ class Response:
 
 @dataclass
 class StepOutput:
-    sends: list[tuple[ProcessId, Message]] = field(default_factory=list)
+    sends: list[tuple[int, Message]] = field(default_factory=list)
     response: Optional[Response] = None
     stale: bool = False
     # At most one of these per step; the simulator writes them to the trace.
@@ -55,7 +58,7 @@ class StepOutput:
 
 
 def broadcast(out: StepOutput, qs: QuorumSystem, msg: Message) -> None:
-    out.sends.extend((server(i), msg) for i in range(qs.n))
+    out.sends.extend((i, msg) for i in range(qs.n))
 
 
 # --- writers ---------------------------------------------------------------
@@ -65,7 +68,7 @@ def broadcast(out: StepOutput, qs: QuorumSystem, msg: Message) -> None:
 class SWMRWriterState:
     """Single writer: the timestamp itself sequences its operations."""
 
-    pid: ProcessId
+    pid: int
     ts: int = 0
     value: bytes = INITIAL_VALUE
     ack_mask: int = 0
@@ -86,7 +89,7 @@ def swmr_writer_step(state: SWMRWriterState, event: Event, qs: QuorumSystem) -> 
     if event.op_seq < state.ts:
         out.stale = True
     elif state.pending and event.kind is MessageKind.WRITE_ACK and event.op_seq == state.ts:
-        state.ack_mask |= 1 << event.sender.index
+        state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask) >= 0:
             state.pending = False
             out.response = Response(state.value, Tag(state.ts, 0), 2)
@@ -98,10 +101,12 @@ class MWWriterState:
     """Two-phase writer: discover the highest timestamp, then place the tag.
 
     write_op advances once per phase, so acknowledgement filtering by
-    op_seq also separates the phases of one operation.
+    op_seq also separates the phases of one operation.  wid is the
+    writer's index, the tiebreak of its tags.
     """
 
-    pid: ProcessId
+    pid: int
+    wid: int
     write_op: int = 0
     phase: str = "idle"  # idle | discover | put
     value: bytes = INITIAL_VALUE
@@ -125,13 +130,13 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
         out.stale = True
         return out
     if state.phase == "discover" and event.kind is MessageKind.DISCOVER_ACK:
-        bit = event.sender.index
+        bit = event.sender
         state.acks[bit] = event
         state.ack_mask |= 1 << bit
         qi = qs.first_contained_mask(state.ack_mask)
         if qi >= 0:
             max_ts = max(state.acks[b].tag.ts for b in bits(qs.masks[qi]))
-            state.tag = Tag(max_ts + 1, state.pid.index)
+            state.tag = Tag(max_ts + 1, state.wid)
             state.write_op += 1
             state.phase = "put"
             state.acks = {}
@@ -143,7 +148,7 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
                 Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, state.tag, state.value),
             )
     elif state.phase == "put" and event.kind is MessageKind.WRITE_ACK:
-        state.ack_mask |= 1 << event.sender.index
+        state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask) >= 0:
             state.phase = "idle"
             out.response = Response(state.value, state.tag, 4)
@@ -176,15 +181,16 @@ class ServerState:
     """Server of every protocol.  Only relay_server_step reads d_mask and
     the relay bookkeeping; under plain_server_step they stay empty."""
 
-    pid: ProcessId
+    pid: int  # its quorum bit
     d_mask: int  # servers sharing a quorum with this one
     relay_to_reader: bool
     tag: Tag = INITIAL_TAG
     value: bytes = INITIAL_VALUE
-    operations: dict[ProcessId, int] = field(default_factory=dict)
-    relays: dict[ProcessId, int] = field(default_factory=dict)
-    acked: dict[ProcessId, int] = field(default_factory=dict)
-    write_ops: dict[ProcessId, int] = field(default_factory=dict)
+    # Keyed by the client's id.
+    operations: dict[int, int] = field(default_factory=dict)
+    relays: dict[int, int] = field(default_factory=dict)
+    acked: dict[int, int] = field(default_factory=dict)
+    write_ops: dict[int, int] = field(default_factory=dict)
 
 
 def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
@@ -192,7 +198,7 @@ def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
     assert isinstance(event, Message)
     if event.kind is MessageKind.READ_REQUEST:
         relay = Message(MessageKind.READ_RELAY, state.pid, event.client, event.op_seq, state.tag, state.value)
-        out.sends = [(server(b), relay) for b in bits(state.d_mask)]
+        out.sends = [(b, relay) for b in bits(state.d_mask)]
         if state.relay_to_reader:
             out.sends.append((event.client, relay))
     elif event.kind is MessageKind.READ_RELAY:
@@ -202,7 +208,7 @@ def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
             state.operations[r] = ro
             state.relays[r] = 0
         if state.operations[r] == ro:
-            state.relays[r] |= 1 << event.sender.index
+            state.relays[r] |= 1 << event.sender
             if state.acked.get(r, 0) < ro and qs.first_contained_mask(state.relays[r]) >= 0:
                 state.acked[r] = ro  # at most one ack per (reader, read_op)
                 out.sends.append((r, Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)))

@@ -39,7 +39,7 @@ def broken_server_step(state: base.ServerState, event: Event, qs: QuorumSystem) 
         state.operations[r] = ro
         state.relays[r] = 0
     if state.operations[r] == ro:
-        state.relays[r] |= 1 << event.sender.index
+        state.relays[r] |= 1 << event.sender
         if state.acked.get(r, 0) < ro:  # no relay-quorum wait
             state.acked[r] = ro
             out.sends.append((r, Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)))

@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from regsim.core import Message, MessageKind, ProcessId
+from regsim.core import Message, MessageKind
 from regsim.protocols.base import Event, Invoke, Response, StepOutput, broadcast
 from regsim.quorum import QuorumSystem, bits
 
 
 @dataclass
 class RelayReaderState:
-    pid: ProcessId
+    pid: int
     read_op: int = 0
     mode: str = "idle"  # idle | collect | await
     rr: dict[int, Message] = field(default_factory=dict)
@@ -74,7 +74,7 @@ def relay_reader_step(
         return out
     if state.mode == "idle":
         return out
-    bit = event.sender.index
+    bit = event.sender
     if event.kind is MessageKind.READ_ACK:
         state.ra[bit] = event
         state.ra_mask |= 1 << bit

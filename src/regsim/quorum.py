@@ -1,7 +1,8 @@
 """Quorum systems over small server sets, as bitmasks.
 
-Bit i of a quorum mask is server i, the simulator's server process index
-i, so quorum scans, relay sets and read views all work on the same bits.
+Bit i of a quorum mask is server i, whose node id in the simulator and
+the protocol steps is i too, so quorum scans, relay sets, read views and
+message senders all work on the same bits.
 
 Two constructions are provided: majority quorums (all subsets of size
 floor(n/2)+1 of servers 0..n-1, in lexicographic order) and matrix

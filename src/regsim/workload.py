@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from regsim.config import ScenarioConfig
-from regsim.core import reader, writer
+from regsim.core import node_key, reader, writer
 from regsim.netsim import WorkItem
 
 
@@ -46,5 +46,5 @@ def build_workload(config: ScenarioConfig) -> list[WorkItem]:
     for w in range(config.n_writers):
         for k, t in enumerate(_times(config.scheme, config.write_interval, n_writes, rng), start=1):
             items.append(WorkItem(t, writer(w), "write", write_payload(w, k, config.value_size)))
-    items.sort(key=lambda it: (it.time, it.pid))
+    items.sort(key=lambda it: (it.time, node_key(it.pid)))
     return items

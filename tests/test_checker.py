@@ -30,7 +30,6 @@ from regsim.core import (
     INITIAL_TAG,
     History,
     OperationRecord,
-    Role,
     Tag,
     reader,
     server,
@@ -182,6 +181,20 @@ def test_overlapping_same_process_operations_rejected() -> None:
         check_atomicity_tagged(h)
     with pytest.raises(ValueError):
         brute_force_linearizable(h)
+
+
+def test_overlap_errors_come_in_node_order() -> None:
+    # Readers, writers, then by index: r2 before r10, unlike string order.
+    h = hist(*[
+        op(2 * k + i, pid, kind, float(i), 5.0, INITIAL_TAG, val(0))
+        for k, (pid, kind) in enumerate([(writer(0), "write"), (reader(10), "read"), (reader(2), "read")])
+        for i in (1, 2)
+    ])
+    assert well_formedness_errors(h.ops) == [
+        "process r2: operations 5 and 6 overlap",
+        "process r10: operations 3 and 4 overlap",
+        "process w0: operations 1 and 2 overlap",
+    ]
 
 
 def test_brute_force_size_cap() -> None:
@@ -396,7 +409,7 @@ def histories(draw) -> History:
     pids += [reader(i) for i in range(draw(st.integers(0, 4)))]
     ops = []
     for pid in pids:
-        kind = "write" if pid.role == Role.WRITER else "read"
+        kind = "write" if pid.startswith("w") else "read"
         t = draw(st.integers(0, 3))
         for _ in range(draw(st.integers(0, 3))):
             if draw(st.integers(0, 4)) == 0:

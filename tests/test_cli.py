@@ -116,7 +116,7 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
         ("check", "inv\t0.1\tw0\t1\twrite\t76\ninv\t0.2\tr0\t1\tread\t-", "line 3: second inv for op 1"),
         ("check", "inv\t0.1\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t\nres\t0.3\tr0\t1\t2\t0\t0\t",
          "line 4: second res for op 1"),
-        ("check", "inv\t0.1\tr0\t1\tread\t-\ninv\t0.2\tr0\t2\tread\t-",
+        ("check", "inv\t0.1\tr0\t1\tread\t-\ninv\t0.2\tr0\t2\tread\t-\nend\t1.0\tcomplete\t0\t0",
          "malformed history: process r0: operations 1 and 2 overlap"),
         ("check", "inv\t2.0\tr0\t2\tread\t-\nres\t1.5\tr0\t2\t2\t0\t0\t",
          "line 3: res for op 2 at 1.5 precedes its inv at 2.0"),
@@ -161,6 +161,9 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
         ("check", "inv\t0.1\tr0\t1\tread\t-\nsnd\t0.2\ts0\tr0\twriteAck\tr1\t7\t0.3\n"
          "res\t0.4\tr0\t1\t2\t0\t0\t\nend\t0.5\tcomplete\t0\t0",
          "send writeAck for client r1 op_seq 7 does not attribute to any operation"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t",
+         "line 3: trace has no end record"),
+        ("check", "end\t0.3\tcomplete\t0\t0\ncrs\t0.4\ts0", "line 3: crs record after the end record"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),

@@ -8,6 +8,7 @@ from regsim.core import (
     Message,
     MessageKind,
     Tag,
+    node_key,
     parse_pid,
     reader,
     server,
@@ -41,20 +42,24 @@ def test_written_tags_exceed_initial(ts, wid):
 
 
 def test_process_id_total_order():
-    assert reader(0) < reader(1) < writer(0) < server(0) < server(3)
-    assert str(server(2)) == "s2"
+    assert (reader(10), writer(0), server(2)) == ("r10", "w0", "s2")
+    # Readers, writers, servers, each by index: not plain string order.
+    names = [server(3), reader(10), server(0), writer(0), reader(2), reader(1)]
+    assert sorted(names, key=node_key) == ["r1", "r2", "r10", "w0", "s0", "s3"]
 
 
 def test_message_size_header_plus_payload():
-    m = Message(MessageKind.READ_RELAY, server(0), reader(0), 1, Tag(1, 0), b"x" * 64)
+    # Nodes are ids on the wire: server 0 relays for the client with id 3.
+    m = Message(MessageKind.READ_RELAY, 0, 3, 1, Tag(1, 0), b"x" * 64)
     assert m.size_bits() == (HEADER_OCTETS + 64) * 8
-    bare = Message(MessageKind.READ_REQUEST, reader(0), reader(0), 1)
+    bare = Message(MessageKind.READ_REQUEST, 3, 3, 1)
     assert bare.size_bits() == HEADER_OCTETS * 8
 
 
 @given(st.sampled_from([reader, writer, server]), st.integers(0, 10_000))
 def test_parse_pid_inverts_str(make, index):
-    assert parse_pid(str(make(index))) == make(index)
+    name = make(index)
+    assert parse_pid(str(name)) is name
 
 
 @given(st.text(alphabet="rws0123456789x+- \u0663\u00b3", max_size=5))
@@ -64,8 +69,8 @@ def test_parse_pid_inverts_str(make, index):
 def test_parse_pid_accepts_only_canonical_names(text):
     # One spelling per process: no leading zero, no non-ASCII digit.
     try:
-        pid = parse_pid(text)
+        name = parse_pid(text)
     except ValueError as exc:
         assert str(exc) == "not a process id: %r" % text
     else:
-        assert str(pid) == text
+        assert name is text

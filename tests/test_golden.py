@@ -5,6 +5,13 @@ operations and one server crash at seed 0.  The hashes pin the exact bytes
 of `trace_to_text` and `RunResult.csv_text`, so a refactor that claims
 byte-identical outputs fails here if it changes a single record.  Refresh
 them only for a change that is meant to alter the outputs, and say so.
+
+One more scenario pins the orders that equal times leave to node order:
+twelve readers and two writers invoke at the same instants, and a reader
+pair whose names sort differently as text (r2, r10), a writer and a
+server crash together, just as some of them would invoke.  Nodes order
+readers, writers, servers, then by index, so r2 comes before r10 and w0
+before s1.
 """
 
 import hashlib
@@ -43,6 +50,12 @@ GOLDEN = {
     ),
 }
 
+# sha256 of the trace text and of the CSV text of _tie_scenario().
+TIE_GOLDEN = (
+    "c959a045d7f48bc5297f17a2f03c7a286b76b07b892873ab0eef9f09943a83c4",
+    "e23414e23d5a88de06f0edfbbd6e07e72854b642e2d58a8cfcb1a7916bbe115e",
+)
+
 
 def _scenario(name: str) -> ScenarioConfig:
     return validate(ScenarioConfig(
@@ -75,3 +88,32 @@ def test_golden_hashes(name):
     result = run_scenario(_scenario(name))
     assert result.verdict.ok and not result.trace.incomplete
     assert (_sha256(trace_to_text(result.trace)), _sha256(result.csv_text())) == GOLDEN[name]
+
+
+def _tie_scenario() -> ScenarioConfig:
+    return validate(ScenarioConfig(
+        algorithm="erato_mw",
+        topology="star",
+        n_servers=5,
+        quorums="majority",
+        n_readers=12,
+        n_writers=2,
+        scheme="fixed",
+        read_interval=0.1,
+        write_interval=0.1,
+        ops_per_client=6,
+        jitter_max=0.05,
+        crash_servers=((1, 0.2),),
+        crash_readers=((2, 0.2), (10, 0.2)),
+        crash_writers=((0, 0.2),),
+        seed=0,
+    ))
+
+
+def test_golden_hashes_of_equal_time_invocations_and_crashes():
+    result = run_scenario(_tie_scenario())
+    assert result.verdict.ok and not result.trace.incomplete
+    text = trace_to_text(result.trace)
+    crashes = [line for line in text.splitlines() if line.startswith("crs\t")]
+    assert crashes == ["crs\t0.2\tr2", "crs\t0.2\tr10", "crs\t0.2\tw0", "crs\t0.2\ts1"]
+    assert (_sha256(text), _sha256(result.csv_text())) == TIE_GOLDEN

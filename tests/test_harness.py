@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsim.config import ConfigError, ScenarioConfig, parse_grid, validate
-from regsim.core import ProcessId, reader, server
+from regsim.core import parse_pid, reader, server
 from regsim.harness import (
+    _REC_TYPES,
     AGGREGATE_HEADER,
     CSV_HEADER,
     EXIT_ATOMICITY,
@@ -94,20 +95,50 @@ def test_trace_round_trip_all_algorithms(algorithm, topology, crash, seed) -> No
     assert parsed.records == run.records
 
 
+# Round-trip corpus: between them the runs write every record kind,
+# and the capped run ends incomplete.
+ROUND_TRIP_CORPUS = [
+    cfg(algorithm="erato_mw", n_writers=2, crash_servers=((0, 0.25),),
+        crash_readers=((1, 0.3),), jitter_max=0.002, seed=7),
+    cfg(algorithm="abd", topology="star", crash_servers=((1, 0.3),), seed=2),
+    cfg(cap_seconds=0.01),
+]
+
+
+def test_round_trip_corpus_covers_every_record_kind() -> None:
+    kinds: set[str] = set()
+    statuses: set[str] = set()
+    for config in ROUND_TRIP_CORPUS:
+        run = run_scenario(config).trace
+        text = trace_to_text(run)
+        parsed = trace_from_text(text)
+        assert trace_to_text(parsed) == text
+        assert parsed.records == run.records
+        kinds |= {rec[0] for rec in parsed.records}
+        statuses.add(parsed.records[-1][2])
+    assert kinds == set(_REC_TYPES)
+    assert statuses == {"complete", "incomplete"}
+
+
+def node_refs(trace) -> list:
+    """Every reference to a node in a trace: the name fields of its
+    records, its operations' processes and its crashed nodes."""
+    refs = [field for rec in trace.records
+            for (parse, _), field in zip(_REC_TYPES[rec[0]], rec[1:]) if parse is parse_pid]
+    refs += [op.process for op in trace.ops.values()]
+    return refs + list(trace.crash_at)
+
+
 def test_parsed_records_share_one_process_id_per_node() -> None:
+    # One str object per node, in the simulator's trace and in its parse.
     config = cfg(algorithm="erato_mw", n_writers=2, crash_servers=((0, 0.25),), seed=3)
-    parsed = trace_from_text(trace_to_text(run_scenario(config).trace))
-    by_name: dict[str, set[int]] = {}
-    for rec in parsed.records:
-        for field in rec:
-            if isinstance(field, ProcessId):
-                by_name.setdefault(str(field), set()).add(id(field))
-    for op in parsed.ops.values():
-        by_name[str(op.process)].add(id(op.process))
-    for pid in parsed.crash_at:
-        by_name[str(pid)].add(id(pid))
-    assert {"s0", "s1", "s2", "r0", "r1", "w0", "w1"} <= set(by_name)
-    assert all(len(ids) == 1 for ids in by_name.values())
+    run = run_scenario(config).trace
+    for trace in (run, trace_from_text(trace_to_text(run))):
+        by_name: dict[str, set[int]] = {}
+        for name in node_refs(trace):
+            by_name.setdefault(name, set()).add(id(name))
+        assert set(by_name) == {"s0", "s1", "s2", "r0", "r1", "w0", "w1"}
+        assert all(len(ids) == 1 for ids in by_name.values())
 
 
 PID_TOKEN = re.compile(r"[rws][0-9]+")

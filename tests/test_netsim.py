@@ -27,6 +27,12 @@ from regsim.quorum import build_majority
 ERATO = get_algorithm("erato")
 
 
+def delay(net: Network, src: str, dst: str, rng: random.Random) -> float:
+    """message_delay of a 1024-bit message between two named nodes."""
+    params = net.path_params()[net.names.index(src)][net.names.index(dst)]
+    return message_delay(params, 1024, net.jitter_max, rng)
+
+
 def star(n_servers: int, n_readers: int, n_writers: int, jitter: float = 0.0) -> Network:
     net = build_topology("star", n_servers, n_readers, n_writers)
     net.jitter_max = jitter
@@ -43,18 +49,18 @@ def test_star_server_pair_delay() -> None:
     # Both servers sit on router 0: no backbone hop, two 50 Mbps / 2 ms
     # access links.  1024 bits: 0.002*2 + 1024 * (2/50e6) = 0.00404096 s.
     net = star(3, 1, 1)
-    d = message_delay(net, server(0), server(1), 1024, random.Random(1))
+    d = delay(net, server(0), server(1), random.Random(1))
     assert d == pytest.approx(0.00404096, rel=1e-12)
 
 
 def test_series_server_pair_delay_crosses_backbone() -> None:
     net = series(3, 1, 1)
-    assert net.router_hops(server(0), server(2)) == 2
+    assert net.router_hops(0, 2) == 2  # a server's id is its index
     # 0.002*2 + 0.006*2 propagation; 1/10e6 * 2 + 1/10e6 * 2 per bit.
-    prop, per_bit = net.path_params(server(0), server(2))
+    prop, per_bit = net.path_params()[0][2]
     assert prop == pytest.approx(0.016, rel=1e-12)
     assert per_bit == pytest.approx(4e-7, rel=1e-12)
-    d = message_delay(net, server(0), server(2), 1024, random.Random(1))
+    d = delay(net, server(0), server(2), random.Random(1))
     assert d == pytest.approx(0.0164096, rel=1e-12)
 
 
@@ -62,22 +68,21 @@ def test_client_to_server_delay() -> None:
     # reader 0 lands on router 0 next to server 0: 4 ms + 2 ms propagation,
     # 1/5e6 + 1/10e6 per bit.
     net = series(3, 2, 1)
-    d = message_delay(net, reader(0), server(0), 1024, random.Random(1))
+    d = delay(net, reader(0), server(0), random.Random(1))
     assert d == pytest.approx(0.0063072, rel=1e-12)
 
 
 def test_round_robin_client_placement() -> None:
     net = series(3, 2, 2)
-    assert net.router_of[reader(0)] == 0
-    assert net.router_of[reader(1)] == 1
-    assert net.router_of[writer(0)] == 2
-    assert net.router_of[writer(1)] == 0  # wraps around
+    # Ids: servers first, then readers, then writers.
+    assert net.names == ["s0", "s1", "s2", "r0", "r1", "w0", "w1"]
+    assert net.router_of == [0, 1, 2, 0, 1, 2, 0]  # writer 1 wraps around
 
 
 def test_star_places_all_servers_on_first_router() -> None:
     net = star(5, 1, 1)
-    assert all(net.router_of[server(i)] == 0 for i in range(5))
-    assert net.router_of[reader(0)] == 0
+    assert net.names == ["s0", "s1", "s2", "s3", "s4", "r0", "w0"]
+    assert net.router_of == [0, 0, 0, 0, 0, 0, 1]  # clients still go round robin
 
 
 def test_unknown_topology_kind_is_rejected() -> None:
@@ -89,7 +94,7 @@ def test_jitter_bounds() -> None:
     net = star(3, 1, 1, jitter=0.005)
     base = 0.00404096
     rng = random.Random(7)
-    draws = [message_delay(net, server(0), server(1), 1024, rng) for _ in range(200)]
+    draws = [delay(net, server(0), server(1), rng) for _ in range(200)]
     assert all(base <= d < base + 0.005 for d in draws)
     assert max(draws) - min(draws) > 0.001  # jitter actually applied
 

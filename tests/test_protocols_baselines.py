@@ -2,19 +2,20 @@
 
 import pytest
 
-from regsim.core import Message, MessageKind, Tag, reader, server, writer
+from regsim.core import Message, MessageKind, Tag
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, Invoke, get_algorithm
 from regsim.protocols import abd, base, broken
 from regsim.protocols.readers import RelayReaderState, relay_reader_step
 from regsim.quorum import build_majority
 
 QS3 = build_majority(3)
-R0 = reader(0)
-W0 = writer(0)
+# Node ids on three servers, one reader and one writer: s0..s2 are 0..2.
+R0 = 3
+W0 = 4
 
 
 def rack(b, tag, value, op):
-    return Message(MessageKind.READ_ACK, server(b), R0, op, tag, value)
+    return Message(MessageKind.READ_ACK, b, R0, op, tag, value)
 
 
 def test_abd_read_is_always_two_round_trips():
@@ -47,7 +48,7 @@ def test_abd_read_uniform_tags_still_four_exchanges():
 
 
 def test_abd_server_answers_queries_and_write_backs():
-    s = get_algorithm("abd").new_state(server(1), QS3)
+    s = get_algorithm("abd").new_state("s1", 1, QS3)
     out = base.plain_server_step(s, Message(MessageKind.READ_REQUEST, R0, R0, 1), QS3)
     assert len(out.sends) == 1 and out.sends[0][0] == R0
     assert out.sends[0][1].tag == Tag(0, 0)
@@ -60,21 +61,23 @@ def test_abd_server_answers_queries_and_write_backs():
 
 def test_abd_writer_variants():
     step = get_algorithm("abd").writer_step
-    w = get_algorithm("abd").new_state(W0, QS3)
+    w = get_algorithm("abd").new_state("w0", W0, QS3)
     step(w, Invoke(b"v"), QS3)
     for b in (0, 1):
-        out = step(w, Message(MessageKind.WRITE_ACK, server(b), W0, 1, Tag(1, 0)), QS3)
+        out = step(w, Message(MessageKind.WRITE_ACK, b, W0, 1, Tag(1, 0)), QS3)
     assert out.response.exchanges == 2
 
-    w = get_algorithm("abd_mw").new_state(writer(1), QS3)
+    # Writer 1 behind two writers' worth of ids: its tags carry its index.
+    w = get_algorithm("abd_mw").new_state("w1", 5, QS3)
+    assert (w.pid, w.wid) == (5, 1)
     out = get_algorithm("abd_mw").writer_step(w, Invoke(b"v"), QS3)
     assert out.sends[0][1].kind is MessageKind.WRITE_DISCOVER
 
 
 def test_ohsam_server_relays_to_servers_only():
-    s = get_algorithm("ohsam").new_state(server(0), QS3)
+    s = get_algorithm("ohsam").new_state("s0", 0, QS3)
     out = base.relay_server_step(s, Message(MessageKind.READ_REQUEST, R0, R0, 1), QS3)
-    assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2)]
+    assert [dst for dst, _ in out.sends] == [0, 1, 2]
 
 
 def test_ohsam_read_three_exchanges_min_tag():
@@ -103,8 +106,8 @@ def test_ohmam_min_uses_writer_id_tiebreak():
 
 
 def test_broken_variant_acks_eagerly_and_returns_max():
-    s = get_algorithm("erato_broken").new_state(server(0), QS3)
-    one_relay = Message(MessageKind.READ_RELAY, server(1), R0, 1, Tag(3, 0), b"v3")
+    s = get_algorithm("erato_broken").new_state("s0", 0, QS3)
+    one_relay = Message(MessageKind.READ_RELAY, 1, R0, 1, Tag(3, 0), b"v3")
     out = broken.broken_server_step(s, one_relay, QS3)
     assert len(out.sends) == 1 and out.sends[0][1].kind is MessageKind.READ_ACK
 
@@ -118,7 +121,7 @@ def test_broken_variant_acks_eagerly_and_returns_max():
 @pytest.mark.parametrize("name", ["erato", "abd"])
 def test_single_writer_server_acks_reordered_write_requests(name):
     alg = get_algorithm(name)
-    s = alg.new_state(server(0), QS3)
+    s = alg.new_state("s0", 0, QS3)
     adopted = []
     for op in (2, 1):
         req = Message(MessageKind.WRITE_REQUEST, W0, W0, op, Tag(op, 0), b"v%d" % op)
@@ -135,6 +138,6 @@ def test_registry_contents():
     for name, alg in ALGORITHMS.items():
         assert alg.name == name
         writer_state = base.MWWriterState if alg.mw else base.SWMRWriterState
-        assert type(alg.new_state(W0, QS3)) is writer_state
+        assert type(alg.new_state("w0", W0, QS3)) is writer_state
     assert get_algorithm("erato").mw is False
     assert get_algorithm("erato_broken").name == "erato_broken"

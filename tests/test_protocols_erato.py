@@ -2,7 +2,7 @@
 
 from copy import deepcopy
 
-from regsim.core import Message, MessageKind, Tag, reader, server, writer
+from regsim.core import Message, MessageKind, Tag
 from regsim.protocols import Invoke, base, get_algorithm
 from regsim.protocols.erato import erato_reader_step
 from regsim.protocols.readers import RelayReaderState
@@ -10,27 +10,28 @@ from regsim.quorum import build_majority
 
 QS3 = build_majority(3)
 QS4 = build_majority(4)
-R0 = reader(0)
-W0 = writer(0)
+# Node ids on three servers, one reader and one writer: s0..s2 are 0..2.
+R0 = 3
+W0 = 4
 ERATO = get_algorithm("erato")
 
 
 def relay(b, ts, value, op=1, r=R0):
-    return Message(MessageKind.READ_RELAY, server(b), r, op, Tag(ts, 0), value)
+    return Message(MessageKind.READ_RELAY, b, r, op, Tag(ts, 0), value)
 
 
 def ack(b, ts, value, op=1, r=R0):
-    return Message(MessageKind.READ_ACK, server(b), r, op, Tag(ts, 0), value)
+    return Message(MessageKind.READ_ACK, b, r, op, Tag(ts, 0), value)
 
 
 def wack(b, ts):
-    return Message(MessageKind.WRITE_ACK, server(b), W0, ts, Tag(ts, 0))
+    return Message(MessageKind.WRITE_ACK, b, W0, ts, Tag(ts, 0))
 
 
 def test_write_broadcast_and_quorum_ack():
     w = base.SWMRWriterState(W0)
     out = base.swmr_writer_step(w, Invoke(b"v1"), QS3)
-    assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2)]
+    assert [dst for dst, _ in out.sends] == [0, 1, 2]
     m = out.sends[0][1]
     assert m.kind is MessageKind.WRITE_REQUEST and m.tag == Tag(1, 0) and m.value == b"v1"
     assert out.wtag == Tag(1, 0) and out.adopted is None
@@ -67,16 +68,16 @@ def test_stale_write_ack_flagged():
 
 
 def test_server_relays_to_quorum_peers_and_reader():
-    s = ERATO.new_state(server(0), QS3)
+    s = ERATO.new_state("s0", 0, QS3)
     req = Message(MessageKind.READ_REQUEST, R0, R0, 1)
     out = base.relay_server_step(s, req, QS3)
-    assert [dst for dst, _ in out.sends] == [server(0), server(1), server(2), R0]
+    assert [dst for dst, _ in out.sends] == [0, 1, 2, R0]
     m = out.sends[0][1]
     assert m.kind is MessageKind.READ_RELAY and m.tag == Tag(0, 0) and m.value == b""
 
 
 def test_server_acks_once_after_relay_quorum():
-    s = ERATO.new_state(server(0), QS3)
+    s = ERATO.new_state("s0", 0, QS3)
     out = base.relay_server_step(s, relay(1, 3, b"v3"), QS3)
     assert out.sends == [] and s.tag == Tag(3, 0) and s.value == b"v3"
     assert out.adopted == Tag(3, 0)
@@ -92,7 +93,7 @@ def test_server_acks_once_after_relay_quorum():
 
 
 def test_server_adoption_is_monotone():
-    s = ERATO.new_state(server(0), QS3)
+    s = ERATO.new_state("s0", 0, QS3)
     base.relay_server_step(s, relay(1, 3, b"v3"), QS3)
     base.relay_server_step(s, relay(2, 2, b"v2"), QS3)
     assert s.tag == Tag(3, 0) and s.value == b"v3"

@@ -1,6 +1,6 @@
 """Step-level traces of the multi-writer variant."""
 
-from regsim.core import Message, MessageKind, Tag, reader, server, writer
+from regsim.core import Message, MessageKind, Tag
 from regsim.protocols import Invoke, base, get_algorithm
 from regsim.protocols.erato_mw import eratomw_reader_step
 from regsim.protocols.readers import RelayReaderState
@@ -8,29 +8,30 @@ from regsim.quorum import build_majority
 
 QS3 = build_majority(3)
 QS4 = build_majority(4)
-R0 = reader(0)
-W1 = writer(1)
+# Node ids on three servers, one reader and two writers: s0..s2 are 0..2.
+R0 = 3
+W1 = 5
 ERATO_MW = get_algorithm("erato_mw")
 
 
 def dack(b, tag, op, w=W1):
-    return Message(MessageKind.DISCOVER_ACK, server(b), w, op, tag)
+    return Message(MessageKind.DISCOVER_ACK, b, w, op, tag)
 
 
 def wack(b, op, w=W1):
-    return Message(MessageKind.WRITE_ACK, server(b), w, op, Tag(0, 0))
+    return Message(MessageKind.WRITE_ACK, b, w, op, Tag(0, 0))
 
 
 def relay(b, tag, value, op=1, r=R0):
-    return Message(MessageKind.READ_RELAY, server(b), r, op, tag, value)
+    return Message(MessageKind.READ_RELAY, b, r, op, tag, value)
 
 
 def ack(b, tag, value, op=1, r=R0):
-    return Message(MessageKind.READ_ACK, server(b), r, op, tag, value)
+    return Message(MessageKind.READ_ACK, b, r, op, tag, value)
 
 
 def test_write_discovers_then_places_max_plus_one():
-    w = base.MWWriterState(W1)
+    w = base.MWWriterState(W1, 1)
     out = base.mw_writer_step(w, Invoke(b"v"), QS4)
     assert len(out.sends) == 4
     assert out.sends[0][1].kind is MessageKind.WRITE_DISCOVER and out.sends[0][1].op_seq == 1
@@ -51,7 +52,7 @@ def test_write_discovers_then_places_max_plus_one():
 
 
 def test_write_ignores_stale_phase_acks():
-    w = base.MWWriterState(W1)
+    w = base.MWWriterState(W1, 1)
     base.mw_writer_step(w, Invoke(b"v"), QS3)
     base.mw_writer_step(w, dack(0, Tag(0, 0), 1), QS3)
     base.mw_writer_step(w, dack(1, Tag(0, 0), 1), QS3)  # now in put phase
@@ -60,7 +61,7 @@ def test_write_ignores_stale_phase_acks():
 
 
 def test_server_write_freshness_guard():
-    s = ERATO_MW.new_state(server(0), QS3)
+    s = ERATO_MW.new_state("s0", 0, QS3)
     req = Message(MessageKind.WRITE_REQUEST, W1, W1, 2, Tag(4, 1), b"new")
     out = base.relay_server_step(s, req, QS3)
     assert s.tag == Tag(4, 1)
@@ -73,7 +74,7 @@ def test_server_write_freshness_guard():
 
 
 def test_server_discover_ack_reports_current_tag():
-    s = ERATO_MW.new_state(server(2), QS3)
+    s = ERATO_MW.new_state("s2", 2, QS3)
     s.tag = Tag(7, 0)
     out = base.relay_server_step(s, Message(MessageKind.WRITE_DISCOVER, W1, W1, 3), QS3)
     dst, m = out.sends[0]
@@ -83,7 +84,7 @@ def test_server_discover_ack_reports_current_tag():
 
 
 def test_server_adopts_on_writer_id_tiebreak():
-    s = ERATO_MW.new_state(server(0), QS3)
+    s = ERATO_MW.new_state("s0", 0, QS3)
     base.relay_server_step(s, relay(1, Tag(4, 1), b"a"), QS3)
     base.relay_server_step(s, relay(2, Tag(4, 2), b"b"), QS3)
     assert s.tag == Tag(4, 2) and s.value == b"b"

@@ -217,25 +217,22 @@ def check_atomicity_tagged(history: History, strict: bool = False) -> Verdict:
     return Verdict(True)
 
 
-def brute_force_linearizable(
-    history: History,
-    initial_value: bytes = INITIAL_VALUE,
-    limit: int = BRUTE_FORCE_LIMIT,
-) -> bool:
+def brute_force_linearizable(history: History) -> bool:
     """Exhaustive search for a legal sequential ordering, by value only.
 
     Completed operations must all appear in the order; unfinished writes
     may be placed anywhere their invocation time allows or dropped
     entirely (their effect may or may not have happened).  Unfinished
     reads are ignored.  A read is legal when it returns the value of the
-    latest write placed before it, or initial_value if there is none.
+    latest write placed before it, or INITIAL_VALUE if there is none.
+    At most BRUTE_FORCE_LIMIT completed operations are searched.
     """
     _require_well_formed(history.ops)
     completed = [op for op in history.ops if op.responded_at is not None]
-    if len(completed) > limit:
+    if len(completed) > BRUTE_FORCE_LIMIT:
         raise ValueError(
             "history has %d completed operations; exhaustive search is capped at %d"
-            % (len(completed), limit)
+            % (len(completed), BRUTE_FORCE_LIMIT)
         )
     pending_writes = [
         op for op in history.ops if op.responded_at is None and op.kind == "write"
@@ -271,7 +268,7 @@ def brute_force_linearizable(
         memo[key] = ok
         return ok
 
-    return solve(frozenset(range(len(ops))), initial_value)
+    return solve(frozenset(range(len(ops))), INITIAL_VALUE)
 
 
 def adoption_violations(trace: Trace) -> list[str]:

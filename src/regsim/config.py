@@ -224,17 +224,19 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
             errors.append("scenario.n_writers: SWMR requires one writer")
     if config.scheme not in ("fixed", "stochastic"):
         errors.append("workload.scheme: must be fixed or stochastic")
+    # Each range test is written so that nan fails it too.
     for name in ("read_interval", "write_interval"):
-        if getattr(config, name) <= 0:
-            errors.append("workload.%s: must be positive" % name)
+        v = getattr(config, name)
+        if not 0 < v < math.inf:
+            errors.append("workload.%s: must be positive and finite, got %r" % (name, v))
     for name in ("ops_per_client", "reads_per_client", "writes_per_client"):
         v = getattr(config, name)
         if v is not None and v < 0:
             errors.append("workload.%s: negative" % name)
-    if config.jitter_max < 0:
-        errors.append("network.jitter_max: negative")
-    if config.cap_seconds <= 0:
-        errors.append("network.cap_seconds: must be positive")
+    if not 0 <= config.jitter_max < math.inf:
+        errors.append("network.jitter_max: must be non-negative and finite, got %r" % config.jitter_max)
+    if not 0 < config.cap_seconds < math.inf:
+        errors.append("network.cap_seconds: must be positive and finite, got %r" % config.cap_seconds)
     if config.value_size < 1:
         errors.append("network.value_size: must be at least one octet")
 
@@ -246,8 +248,9 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         for idx, at in crashes:
             if not 0 <= idx < count:
                 errors.append("crashes.%s: index %d out of range" % (label, idx))
-            if at < 0:
-                errors.append("crashes.%s: negative crash time for %d" % (label, idx))
+            if not 0 <= at < math.inf:
+                errors.append("crashes.%s: crash time %r for %d must be non-negative and finite"
+                              % (label, at, idx))
     if config.n_servers >= 1 and not errors:
         # Only meaningful once indices are in range.
         qs = build_quorum_system(config)

@@ -21,6 +21,7 @@ Operation CSV: one row per completed operation, fixed column schema
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
@@ -86,8 +87,9 @@ def trace_from_text(text: str) -> Trace:
     cannot explain, a record after the end record, or a trace with no end
     record (reported at its last line) raises ValueError("line N: ...").
 
-    A snd must arrive strictly after it is sent: every link and the
-    loopback handoff take time.  Each dlv must take up an earlier snd not
+    Every record's time and every snd's arrival must be finite, and a snd
+    must arrive strictly after it is sent: every link and the loopback
+    handoff take time.  Each dlv must take up an earlier snd not
     yet delivered with the same sender, receiver, message kind, client,
     op_seq, and an arrival time written as the dlv's time; a snd never
     delivered is legal (in flight at the cap, or sent to a crashed node).
@@ -111,6 +113,7 @@ def trace_from_text(text: str) -> Trace:
     in_flight: dict[tuple, int] = {}
     last_act: dict[str, tuple[float, int, str]] = {}
     ended = False
+    isfinite = math.isfinite
     lineno = 0
     try:
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -134,7 +137,11 @@ def trace_from_text(text: str) -> Trace:
             if convs is None or len(parts) != len(convs):
                 raise ValueError("bad trace record %r" % line)
             rec = tuple([conv(part) for conv, part in zip(convs, parts)])
+            if not isfinite(rec[1]):
+                raise ValueError("%s time %s is not finite" % (kind, parts[1]))
             if kind == "snd":
+                if not isfinite(rec[7]):
+                    raise ValueError("snd arrival %s is not finite" % parts[7])
                 if rec[7] <= rec[1]:
                     raise ValueError(
                         "snd of %s (client %s, op %s) from %s to %s at %s arrives at %s, "

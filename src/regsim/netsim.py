@@ -15,6 +15,14 @@ in flight from them still deliver.  Self-addressed messages (a server
 relaying to itself) bypass the network with a fixed one-microsecond local
 handoff so that delivery always happens strictly after the send.
 
+The simulator, not the protocols, counts two things on the wire.  An
+exchange is one message hop along the chain that started at an
+invocation: sends made on an invocation are exchange 1, sends made on a
+delivery of exchange k are exchange k+1 (a server's loopback relay
+included), and a response takes the exchange of the delivery that
+triggered it.  A delivery to a live client is a stale drop when its
+op_seq is below that of the client's latest send of its own.
+
 Inside run a node is its dense id (see core): the states, step
 functions, running operations and crash times are lists indexed by it,
 and the path parameters a 2-D list built once per run.  The trace names
@@ -252,11 +260,16 @@ def run(
         push(item.time, "invoke", (node_id(item.pid), item))
 
     current_op: list[Optional[int]] = [None] * len(names)
+    # op_seq of each client's latest send of its own; servers stay at 0.
+    # A client advances its counter (read_op, ts, write_op) and sends
+    # with the new value in the same step, so a delivery below it belongs
+    # to an earlier phase or operation: exactly what the step ignores.
+    own_seq = [0] * len(names)
     next_op = 1
 
-    def handle_output(pid: int, t: float, out) -> None:
-        if out.stale:
-            trace.stale_drops += 1
+    def handle_output(pid: int, t: float, out, exchange: int) -> None:
+        """Record a step's decisions; exchange is that of the event that
+        triggered it, 0 for an invocation."""
         op_id = current_op[pid]
         name = names[pid]
         if out.wtag is not None:
@@ -271,13 +284,15 @@ def run(
                 delay = message_delay(row[dst], msg.size_bits(), jitter_max, rng)
             arrive = t + delay
             records.append(
-                ("snd", t, name, names[dst], msg.kind.value, names[msg.client], msg.op_seq, arrive)
+                ("snd", t, name, names[dst], msg.kind, names[msg.client], msg.op_seq, arrive)
             )
-            push(arrive, "deliver", (dst, msg))
+            push(arrive, "deliver", (dst, msg, exchange + 1))
+        if out.sends and msg.client == pid:
+            own_seq[pid] = msg.op_seq
         res = out.response
         if res is not None:
             current_op[pid] = None
-            trace.add(("res", t, name, op_id, res.exchanges, res.tag.ts, res.tag.wid, res.value.hex()))
+            trace.add(("res", t, name, op_id, exchange, res.tag.ts, res.tag.wid, res.value.hex()))
 
     last_t = 0.0
     while heap:
@@ -301,13 +316,15 @@ def run(
             trace.add(("inv", t, names[pid], next_op, item.kind, value.hex() if value is not None else "-"))
             current_op[pid] = next_op
             next_op += 1
-            handle_output(pid, t, step_of[pid](states[pid], Invoke(value), qs))
+            handle_output(pid, t, step_of[pid](states[pid], Invoke(value), qs), 0)
             continue
-        dst, msg = payload
+        dst, msg, exchange = payload
         if crashed_at[dst] <= t:
             continue
-        records.append(("dlv", t, names[dst], names[msg.sender], msg.kind.value, names[msg.client], msg.op_seq))
-        handle_output(dst, t, step_of[dst](states[dst], msg, qs))
+        records.append(("dlv", t, names[dst], names[msg.sender], msg.kind, names[msg.client], msg.op_seq))
+        if msg.op_seq < own_seq[dst]:
+            trace.stale_drops += 1
+        handle_output(dst, t, step_of[dst](states[dst], msg, qs), exchange)
 
     end_time = min(last_t, cap_s) if not heap else cap_s
     pending_live = any(

@@ -61,7 +61,7 @@ ALGORITHMS: dict[str, Algorithm] = {
     ),
     # Relay-synchronised baselines without the fast path: servers relay
     # among themselves only and the reader always waits for the
-    # acknowledgement quorum, so every read costs exactly 3 exchanges.
+    # acknowledgement quorum, one hop after the relays.
     "ohsam": Algorithm(
         "ohsam", False, RelayReaderState,
         relay_reader_step, base.swmr_writer_step, base.relay_server_step, False,

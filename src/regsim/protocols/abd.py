@@ -1,12 +1,13 @@
 """Query/write-back register baseline.
 
 Reads always take two round trips: query every server for its pair, pick
-the quorum maximum, write it back to every server and wait for a second
-acknowledgement quorum (4 exchanges, no fast path).  The write-back reuses
-the relay message kind with the reader as sender; read_op advances once
-per phase so stale replies filter out naturally.  Writes are the plain
-timestamp broadcast in single-writer mode and the two-phase discover/put
-in multi-writer mode.
+the quorum maximum, write it back to every server and answer on the
+second acknowledgement quorum (no fast path; the simulator counts the
+exchanges, see netsim).  The write-back reuses the relay message kind
+with the reader as sender; read_op advances once per phase so stale
+replies filter out naturally.  Writes are the plain timestamp broadcast
+in single-writer mode and the two-phase discover/put in multi-writer
+mode.
 """
 
 from __future__ import annotations
@@ -41,11 +42,8 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         state.ack_mask = 0
         broadcast(out, qs, Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op))
         return out
-    if event.op_seq < state.read_op:
-        out.stale = True
-        return out
-    if state.phase == "idle" or event.kind is not MessageKind.READ_ACK:
-        return out
+    if event.op_seq < state.read_op or state.phase == "idle" or event.kind != MessageKind.READ_ACK:
+        return out  # stale, trailing, or not an acknowledgement
     bit = event.sender
     state.acks[bit] = event
     state.ack_mask |= 1 << bit
@@ -67,5 +65,5 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         )
     else:
         state.phase = "idle"
-        out.response = Response(state.chosen_value, state.chosen_tag, 4)
+        out.response = Response(state.chosen_value, state.chosen_tag)
     return out

@@ -11,10 +11,13 @@ bit i of every quorum mask, so a broadcast sends to ids 0..n-1 and a
 server's reply is recorded under its sender id directly.
 
 An event is an Invoke, which starts an operation at a client, or the
-Message being delivered.  A client receiving a message whose op_seq is
-behind its own counter marks the output stale (the simulator counts
-those drops); messages for the current operation arriving after the
-response are ignored silently.
+Message being delivered.  A step reports only what the protocol decides:
+its sends, its response (value, tag), the tag a writer chose and the tag
+a server took over.  A client ignores a message whose op_seq is behind
+its own counter (a stale one) and a message for its current operation
+that arrives after the response; either yields an empty output.  How
+many exchanges an operation took and how many deliveries were stale the
+simulator measures on the wire (see netsim).
 """
 
 from __future__ import annotations
@@ -44,14 +47,12 @@ Event = Union[Invoke, Message]
 class Response:
     value: bytes
     tag: Tag
-    exchanges: int
 
 
 @dataclass
 class StepOutput:
     sends: list[tuple[int, Message]] = field(default_factory=list)
     response: Optional[Response] = None
-    stale: bool = False
     # At most one of these per step; the simulator writes them to the trace.
     wtag: Optional[Tag] = None  # the tag a writer decided for its running write
     adopted: Optional[Tag] = None  # the tag a server took over
@@ -86,13 +87,12 @@ def swmr_writer_step(state: SWMRWriterState, event: Event, qs: QuorumSystem) -> 
         out.wtag = Tag(state.ts, 0)
         broadcast(out, qs, Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.ts, out.wtag, event.value))
         return out
-    if event.op_seq < state.ts:
-        out.stale = True
-    elif state.pending and event.kind is MessageKind.WRITE_ACK and event.op_seq == state.ts:
+    # An earlier write's ack (op_seq below ts) falls through, like a trailing one.
+    if state.pending and event.kind == MessageKind.WRITE_ACK and event.op_seq == state.ts:
         state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask) >= 0:
             state.pending = False
-            out.response = Response(state.value, Tag(state.ts, 0), 2)
+            out.response = Response(state.value, Tag(state.ts, 0))
     return out
 
 
@@ -127,9 +127,8 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
         broadcast(out, qs, Message(MessageKind.WRITE_DISCOVER, state.pid, state.pid, state.write_op))
         return out
     if event.op_seq < state.write_op:
-        out.stale = True
         return out
-    if state.phase == "discover" and event.kind is MessageKind.DISCOVER_ACK:
+    if state.phase == "discover" and event.kind == MessageKind.DISCOVER_ACK:
         bit = event.sender
         state.acks[bit] = event
         state.ack_mask |= 1 << bit
@@ -147,11 +146,11 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
                 qs,
                 Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, state.tag, state.value),
             )
-    elif state.phase == "put" and event.kind is MessageKind.WRITE_ACK:
+    elif state.phase == "put" and event.kind == MessageKind.WRITE_ACK:
         state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask) >= 0:
             state.phase = "idle"
-            out.response = Response(state.value, state.tag, 4)
+            out.response = Response(state.value, state.tag)
     return out
 
 
@@ -196,12 +195,12 @@ class ServerState:
 def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
     out = StepOutput()
     assert isinstance(event, Message)
-    if event.kind is MessageKind.READ_REQUEST:
+    if event.kind == MessageKind.READ_REQUEST:
         relay = Message(MessageKind.READ_RELAY, state.pid, event.client, event.op_seq, state.tag, state.value)
         out.sends = [(b, relay) for b in bits(state.d_mask)]
         if state.relay_to_reader:
             out.sends.append((event.client, relay))
-    elif event.kind is MessageKind.READ_RELAY:
+    elif event.kind == MessageKind.READ_RELAY:
         adopt(state, event, out)
         r, ro = event.client, event.op_seq
         if state.operations.get(r, 0) < ro:
@@ -212,9 +211,9 @@ def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
             if state.acked.get(r, 0) < ro and qs.first_contained_mask(state.relays[r]) >= 0:
                 state.acked[r] = ro  # at most one ack per (reader, read_op)
                 out.sends.append((r, Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)))
-    elif event.kind is MessageKind.WRITE_REQUEST:
+    elif event.kind == MessageKind.WRITE_REQUEST:
         handle_write_request(state, event, out)
-    elif event.kind is MessageKind.WRITE_DISCOVER:
+    elif event.kind == MessageKind.WRITE_DISCOVER:
         out.sends.append((event.client, Message(MessageKind.DISCOVER_ACK, state.pid, event.client, event.op_seq, state.tag)))
     return out
 
@@ -222,14 +221,14 @@ def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
 def plain_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
     out = StepOutput()
     assert isinstance(event, Message)
-    if event.kind is MessageKind.READ_REQUEST:
+    if event.kind == MessageKind.READ_REQUEST:
         out.sends.append((event.client, Message(MessageKind.READ_ACK, state.pid, event.client, event.op_seq, state.tag, state.value)))
-    elif event.kind is MessageKind.READ_RELAY:
+    elif event.kind == MessageKind.READ_RELAY:
         # Write-back of the chosen tag by a reading client.
         adopt(state, event, out)
         out.sends.append((event.client, Message(MessageKind.READ_ACK, state.pid, event.client, event.op_seq, state.tag, state.value)))
-    elif event.kind is MessageKind.WRITE_REQUEST:
+    elif event.kind == MessageKind.WRITE_REQUEST:
         handle_write_request(state, event, out)
-    elif event.kind is MessageKind.WRITE_DISCOVER:
+    elif event.kind == MessageKind.WRITE_DISCOVER:
         out.sends.append((event.client, Message(MessageKind.DISCOVER_ACK, state.pid, event.client, event.op_seq, state.tag)))
     return out

@@ -21,7 +21,7 @@ from regsim.quorum import QuorumSystem
 def _respond_max_acks(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int) -> None:
     m = quorum_extreme(state.ra, qs.masks[qi], smallest=False)
     state.mode = "idle"
-    out.response = Response(m.value, m.tag, 3)
+    out.response = Response(m.value, m.tag)
 
 
 def broken_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) -> StepOutput:
@@ -30,7 +30,7 @@ def broken_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) 
 
 def broken_server_step(state: base.ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
     assert isinstance(event, Message)
-    if event.kind is not MessageKind.READ_RELAY:
+    if event.kind != MessageKind.READ_RELAY:
         return base.relay_server_step(state, event, qs)
     out = StepOutput()
     base.adopt(state, event, out)

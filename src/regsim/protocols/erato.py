@@ -1,13 +1,14 @@
 """Single-writer register with quorum-view fast reads.
 
 Writes broadcast the next timestamp and finish on one acknowledgement
-quorum (2 exchanges).  Reads broadcast a request; every server relays its
-pair to the other servers and to the reader, and acknowledges the reader
-once it has seen relays from a full quorum.  The reader decides from the
-first relay quorum's tag distribution: uniform (complete write) answers
-immediately, a provably incomplete maximum answers with the preceding
+quorum.  Reads broadcast a request; every server relays its pair to the
+other servers and to the reader, and acknowledges the reader once it has
+seen relays from a full quorum.  The reader decides from the first relay
+quorum's tag distribution: uniform (complete write) answers on that relay
+delivery, a provably incomplete maximum answers there with the preceding
 timestamp, and only the ambiguous case waits for the acknowledgement
-round's minimum, giving 2 or 3 exchanges per read.
+round's minimum, one hop later.  The simulator counts the exchanges each
+answer took (see netsim).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int
     cls, top = classify(qs, state.rr, qmask)
     if cls is ViewClass.VIEW1:
         state.mode = "idle"
-        out.response = Response(top.value, top.tag, 2)
+        out.response = Response(top.value, top.tag)
         return
     if cls is ViewClass.VIEW2:
         # The max write is provably incomplete; answer with the preceding
@@ -32,7 +33,7 @@ def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int
             m = state.rr[b]
             if m.tag.ts == top.tag.ts - 1:
                 state.mode = "idle"
-                out.response = Response(m.value, m.tag, 2)
+                out.response = Response(m.value, m.tag)
                 return
     # VIEW2 with no holder of the preceding timestamp, or VIEW3: wait for
     # the acknowledgement quorum.

@@ -1,10 +1,12 @@
 """Multi-writer register with iterative quorum-view reads.
 
 Writes discover the highest timestamp from a quorum, then place
-(max+1, writer id) with a second round: always 4 exchanges.  Reads reuse
-the relay scheme; a completed relay quorum is analysed iteratively,
-discarding provably incomplete maxima until a uniform remainder answers
-at 2 exchanges or ambiguity sends the read to the acknowledgement round.
+(max+1, writer id) with a second round trip, and answer on its
+acknowledgement quorum.  Reads reuse the relay scheme; a completed relay
+quorum is analysed iteratively, discarding provably incomplete maxima
+until a uniform remainder answers on that relay delivery or ambiguity
+sends the read to the acknowledgement round.  The simulator counts the
+exchanges each answer took (see netsim).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int
         state.mode = "await"
     else:
         state.mode = "idle"
-        out.response = Response(m.value, m.tag, 2)
+        out.response = Response(m.value, m.tag)
 
 
 def eratomw_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) -> StepOutput:

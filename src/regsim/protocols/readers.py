@@ -48,7 +48,7 @@ def quorum_extreme(msgs: dict[int, Message], qmask: int, smallest: bool) -> Mess
 def respond_min_acks(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int) -> None:
     m = quorum_extreme(state.ra, qs.masks[qi], smallest=True)
     state.mode = "idle"
-    out.response = Response(m.value, m.tag, 3)
+    out.response = Response(m.value, m.tag)
 
 
 def relay_reader_step(
@@ -69,19 +69,16 @@ def relay_reader_step(
         state.ra_mask = 0
         broadcast(out, qs, Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op))
         return out
-    if event.op_seq < state.read_op:
-        out.stale = True
-        return out
-    if state.mode == "idle":
-        return out
+    if event.op_seq < state.read_op or state.mode == "idle":
+        return out  # stale or trailing
     bit = event.sender
-    if event.kind is MessageKind.READ_ACK:
+    if event.kind == MessageKind.READ_ACK:
         state.ra[bit] = event
         state.ra_mask |= 1 << bit
         qi = qs.first_contained_mask(state.ra_mask)
         if qi >= 0:
             on_acks(state, out, qs, qi)
-    elif event.kind is MessageKind.READ_RELAY and state.mode == "collect" and analyze is not None:
+    elif event.kind == MessageKind.READ_RELAY and state.mode == "collect" and analyze is not None:
         state.rr[bit] = event
         state.rr_mask |= 1 << bit
         qi = qs.first_contained_mask(state.rr_mask)

@@ -164,6 +164,23 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
         ("check", "inv\t0.1\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t",
          "line 3: trace has no end record"),
         ("check", "end\t0.3\tcomplete\t0\t0\ncrs\t0.4\ts0", "line 3: crs record after the end record"),
+        ("check", "inv\tnan\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t\nend\t1.0\tcomplete\t0\t0",
+         "line 2: inv time nan is not finite"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nres\tnan\tr0\t1\t2\t0\t0\t\nend\t1.0\tcomplete\t0\t0",
+         "line 3: res time nan is not finite"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nres\tinf\tr0\t1\t2\t0\t0\t\nend\t1.0\tcomplete\t0\t0",
+         "line 3: res time inf is not finite"),
+        ("check", "inv\t0.1\tw0\t1\twrite\t76\nwtag\tnan\tw0\t1\t1\t0\nend\t1.0\tcomplete\t0\t0",
+         "line 3: wtag time nan is not finite"),
+        ("check", "snd\t0.1\tr0\ts0\treadRequest\tr0\t1\tnan\nend\t1.0\tcomplete\t0\t0",
+         "line 2: snd arrival nan is not finite"),
+        ("check", "snd\t0.1\tr0\ts0\treadRequest\tr0\t1\tinf\nend\t1.0\tcomplete\t0\t0",
+         "line 2: snd arrival inf is not finite"),
+        ("check", "snd\tnan\tr0\ts0\treadRequest\tr0\t1\t0.5\nend\t1.0\tcomplete\t0\t0",
+         "line 2: snd time nan is not finite"),
+        ("check", "crs\tnan\ts0\nend\t1.0\tcomplete\t0\t0", "line 2: crs time nan is not finite"),
+        ("check", "tag\t-inf\ts0\t1\t0\nend\t1.0\tcomplete\t0\t0", "line 2: tag time -inf is not finite"),
+        ("check", "end\tnan\tcomplete\t0\t0", "line 2: end time nan is not finite"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),
@@ -181,8 +198,38 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "old,new,args,message",
+    [
+        ("read_interval = 0.2", "read_interval = nan", [], "workload.read_interval: must be positive and finite, got nan"),
+        ("read_interval = 0.2", "read_interval = inf", [], "workload.read_interval: must be positive and finite, got inf"),
+        ("write_interval = 0.2", "write_interval = -inf", [],
+         "workload.write_interval: must be positive and finite, got -inf"),
+        ("ops_per_client = 2", "ops_per_client = 2\n[network]\njitter_max = nan", [],
+         "network.jitter_max: must be non-negative and finite, got nan"),
+        ("ops_per_client = 2", "ops_per_client = 2\n[network]\ncap_seconds = nan", [],
+         "network.cap_seconds: must be positive and finite, got nan"),
+        ("ops_per_client = 2", "ops_per_client = 2\n[crashes]\nservers = 0@nan", [],
+         "crashes.servers: crash time nan for 0 must be non-negative and finite"),
+        ("ops_per_client = 2", "ops_per_client = 2\n[crashes]\nreaders = 0@inf", [],
+         "crashes.readers: crash time inf for 0 must be non-negative and finite"),
+        (None, None, ["--jitter-max", "nan"], "network.jitter_max: must be non-negative and finite, got nan"),
+        (None, None, ["--cap-seconds", "inf"], "network.cap_seconds: must be positive and finite, got inf"),
+    ],
+)
+def test_run_refuses_non_finite_numbers(old, new, args, message, tmp_path, capsys) -> None:
+    p = tmp_path / "scenario.ini"
+    p.write_text(CONFIG if old is None else CONFIG.replace(old, new))
+    assert main(["run", str(p), *args]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+
+
+@pytest.mark.parametrize(
     "old,new,message",
     [
+        ("algorithm = erato, ohsam", "jitter_max = 0.001, nan",
+         "cell (jitter_max=nan): network.jitter_max: must be non-negative and finite, got nan"),
+        ("algorithm = erato, ohsam", "read_interval = inf",
+         "cell (read_interval=inf): workload.read_interval: must be positive and finite, got inf"),
         ("algorithm = erato, ohsam", "n_readers = 1, two", "grid.n_readers: expected int, got '1, two'"),
         ("seeds = 1", "seeds = many", "grid.seeds: expected int, got 'many'"),
         ("seeds = 1", "seeds = 0", "grid.seeds: expected a positive count, got '0'"),

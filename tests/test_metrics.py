@@ -1,8 +1,10 @@
 """Metrics tests: message attribution against hand-counted send totals
-and against a phase-count reference, and summary statistics on fixed
-inputs."""
+and against a phase-count reference, the simulator's exchange and stale
+counts against a reference read off the trace records, and summary
+statistics on fixed inputs."""
 
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from regsim.config import ScenarioConfig, validate
 from regsim.core import reader, server, writer
-from regsim.harness import run_scenario
+from regsim.harness import run_scenario, trace_from_text, trace_to_text
 from regsim.metrics import (
     OpStats,
     attribute_messages,
@@ -145,33 +147,30 @@ def phase_count_attribution(trace) -> dict[int, int]:
     return counts
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    algorithm=st.sampled_from(sorted(ALGORITHMS) + sorted(EXTRA_ALGORITHMS)),
-    topology=st.sampled_from(["series", "star"]),
-    n_servers=st.sampled_from([3, 5]),
-    n_readers=st.integers(1, 3),
-    two_writers=st.booleans(),
-    server_crash=st.none() | st.floats(0.0, 0.3),
-    reader_crash=st.none() | st.floats(0.0, 0.3),
-    interval=st.sampled_from([0.005, 0.02, 0.05]),
-    jitter=st.floats(0.0, 0.01),
-    seed=st.integers(0, 10_000),
-)
-def test_wire_attribution_matches_phase_counts(
-    algorithm, topology, n_servers, n_readers, two_writers, server_crash, reader_crash,
-    interval, jitter, seed,
-) -> None:
-    # Short intervals make a client invoke again while servers still
-    # answer its previous operation.
-    config = validate(ScenarioConfig(
-        algorithm=algorithm, topology=topology, n_servers=n_servers, n_readers=n_readers,
-        n_writers=2 if two_writers and get_algorithm(algorithm).mw else 1,
+@st.composite
+def scenarios(draw) -> ScenarioConfig:
+    """Small runs of every protocol.  Short intervals make a client invoke
+    again while servers still answer its previous operation."""
+    algorithm = draw(st.sampled_from(sorted(ALGORITHMS) + sorted(EXTRA_ALGORITHMS)))
+    server_crash = draw(st.none() | st.floats(0.0, 0.3))
+    reader_crash = draw(st.none() | st.floats(0.0, 0.3))
+    interval = draw(st.sampled_from([0.005, 0.02, 0.05]))
+    return validate(ScenarioConfig(
+        algorithm=algorithm,
+        topology=draw(st.sampled_from(["series", "star"])),
+        n_servers=draw(st.sampled_from([3, 5])),
+        n_readers=draw(st.integers(1, 3)),
+        n_writers=2 if draw(st.booleans()) and get_algorithm(algorithm).mw else 1,
         scheme="stochastic", read_interval=interval, write_interval=interval, ops_per_client=4,
-        seed=seed, jitter_max=jitter,
+        seed=draw(st.integers(0, 10_000)), jitter_max=draw(st.floats(0.0, 0.01)),
         crash_servers=() if server_crash is None else ((0, server_crash),),
         crash_readers=() if reader_crash is None else ((0, reader_crash),),
     ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=scenarios())
+def test_wire_attribution_matches_phase_counts(config) -> None:
     trace = run_scenario(config).trace
     assert attribute_messages(trace) == phase_count_attribution(trace)
 
@@ -186,6 +185,81 @@ def test_late_server_sends_stay_with_their_operation() -> None:
     ))).trace
     assert sum(op_id != last for op_id, last in phase_count_owners(trace)) > 0
     assert attribute_messages(trace) == phase_count_attribution(trace)
+
+
+def wire_counts(records):
+    """Reference for the simulator's two wire counts, from the records
+    alone: (op id -> exchanges of its response, stale deliveries).
+
+    A node's current exchange is 0 at its inv and that of the snd a dlv
+    takes up (matched FIFO on sender, receiver, kind, client, op_seq and
+    arrival = dlv time); each snd is its sender's current exchange + 1,
+    and a res takes its node's current exchange.  A client's dlv is stale
+    when its op_seq is below that of the client's latest snd."""
+    current: dict[str, int] = {}
+    in_flight: dict[tuple, deque] = {}
+    latest_seq: dict[str, int] = {}
+    exchanges: dict[int, int] = {}
+    stale = 0
+    for rec in records:
+        kind = rec[0]
+        if kind == "inv":
+            current[rec[2]] = 0
+        elif kind == "snd":
+            _, _, src, dst, msg_kind, client, op_seq, arrive = rec
+            key = (src, dst, msg_kind, client, op_seq, arrive)
+            in_flight.setdefault(key, deque()).append(current[src] + 1)
+            if not src.startswith("s"):
+                latest_seq[src] = op_seq
+        elif kind == "dlv":
+            _, t, dst, src, msg_kind, client, op_seq = rec
+            current[dst] = in_flight[(src, dst, msg_kind, client, op_seq, t)].popleft()
+            if not dst.startswith("s") and op_seq < latest_seq[dst]:
+                stale += 1
+        elif kind == "res":
+            exchanges[rec[3]] = current[rec[2]]
+    return exchanges, stale
+
+
+def assert_wire_counts(trace) -> None:
+    """The simulator's counts match wire_counts, on the trace as
+    simulated and as parsed back from its text."""
+    for t in (trace, trace_from_text(trace_to_text(trace))):
+        exchanges, stale = wire_counts(t.records)
+        assert exchanges == {op.op_id: op.exchanges for op in t.operations() if op.completed}
+        assert stale == t.stale_drops
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=scenarios())
+def test_wire_counts_match_record_reference(config) -> None:
+    assert_wire_counts(run_scenario(config).trace)
+
+
+def test_wire_counts_with_stale_and_trailing_deliveries() -> None:
+    # At this seed a client receives both traffic of an earlier phase
+    # (stale) and traffic of its current operation after its response,
+    # and a server's loopback relay completes the relay quorum behind a
+    # read's acknowledgement.
+    trace = run_scenario(validate(ScenarioConfig(
+        algorithm="erato_mw", topology="star", n_servers=5, n_readers=2, n_writers=1,
+        scheme="stochastic", read_interval=0.02, write_interval=0.02, ops_per_client=4,
+        seed=6, jitter_max=0.01,
+    ))).trace
+    responded: set = set()
+    latest_seq: dict = {}
+    trailing = 0
+    for rec in trace.records:
+        if rec[0] == "snd" and not rec[2].startswith("s"):
+            latest_seq[rec[2]] = rec[6]
+        elif rec[0] == "res":
+            responded.add(rec[2])
+        elif rec[0] == "inv":
+            responded.discard(rec[2])
+        elif rec[0] == "dlv" and rec[2] in responded and rec[6] == latest_seq.get(rec[2]):
+            trailing += 1
+    assert trace.stale_drops > 0 and trailing > 0
+    assert_wire_counts(trace)
 
 
 def test_per_operation_stats_excludes_incomplete() -> None:

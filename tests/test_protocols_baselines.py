@@ -3,7 +3,7 @@
 import pytest
 
 from regsim.core import Message, MessageKind, Tag
-from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, Invoke, get_algorithm
+from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, Invoke, Response, get_algorithm
 from regsim.protocols import abd, base, broken
 from regsim.protocols.readers import RelayReaderState, relay_reader_step
 from regsim.quorum import build_majority
@@ -28,23 +28,25 @@ def test_abd_read_is_always_two_round_trips():
     # Quorum maximum goes out as a write-back on a fresh op_seq.
     assert out.response is None and len(out.sends) == 3
     wb = out.sends[0][1]
-    assert wb.kind is MessageKind.READ_RELAY and wb.op_seq == 2
+    assert wb.kind == MessageKind.READ_RELAY and wb.op_seq == 2
     assert wb.tag == Tag(5, 0) and wb.value == b"v5"
 
     abd.query_reader_step(r, rack(0, Tag(5, 0), b"v5", 2), QS3)
     out = abd.query_reader_step(r, rack(2, Tag(5, 0), b"v5", 2), QS3)
-    assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v5", Tag(5, 0), 4)
+    assert out.response == Response(b"v5", Tag(5, 0)) and r.phase == "idle"
 
 
 def test_abd_read_uniform_tags_still_four_exchanges():
     r = abd.QueryReaderState(R0)
     abd.query_reader_step(r, Invoke(), QS3)
     for b in (0, 1):
-        abd.query_reader_step(r, rack(b, Tag(1, 0), b"v", 1), QS3)
-    assert r.phase == "writeback"
+        out = abd.query_reader_step(r, rack(b, Tag(1, 0), b"v", 1), QS3)
+    # Uniform tags earn no early answer: the write-back goes out anyway.
+    assert out.response is None and r.phase == "writeback"
+    assert [m.kind for _, m in out.sends] == [MessageKind.READ_RELAY] * 3
     for b in (0, 1):
         out = abd.query_reader_step(r, rack(b, Tag(1, 0), b"v", 2), QS3)
-    assert out.response.exchanges == 4
+    assert out.response == Response(b"v", Tag(1, 0))
 
 
 def test_abd_server_answers_queries_and_write_backs():
@@ -56,7 +58,7 @@ def test_abd_server_answers_queries_and_write_backs():
     wb = Message(MessageKind.READ_RELAY, R0, R0, 2, Tag(7, 0), b"v7")
     out = base.plain_server_step(s, wb, QS3)
     assert s.tag == Tag(7, 0) and s.value == b"v7"  # adopted from the write-back
-    assert out.sends[0][1].kind is MessageKind.READ_ACK and out.sends[0][1].op_seq == 2
+    assert out.sends[0][1].kind == MessageKind.READ_ACK and out.sends[0][1].op_seq == 2
 
 
 def test_abd_writer_variants():
@@ -65,13 +67,13 @@ def test_abd_writer_variants():
     step(w, Invoke(b"v"), QS3)
     for b in (0, 1):
         out = step(w, Message(MessageKind.WRITE_ACK, b, W0, 1, Tag(1, 0)), QS3)
-    assert out.response.exchanges == 2
+    assert out.response == Response(b"v", Tag(1, 0))  # on the first ack quorum
 
     # Writer 1 behind two writers' worth of ids: its tags carry its index.
     w = get_algorithm("abd_mw").new_state("w1", 5, QS3)
     assert (w.pid, w.wid) == (5, 1)
     out = get_algorithm("abd_mw").writer_step(w, Invoke(b"v"), QS3)
-    assert out.sends[0][1].kind is MessageKind.WRITE_DISCOVER
+    assert out.sends[0][1].kind == MessageKind.WRITE_DISCOVER
 
 
 def test_ohsam_server_relays_to_servers_only():
@@ -86,15 +88,19 @@ def test_ohsam_read_three_exchanges_min_tag():
     assert len(out.sends) == 3
     relay_reader_step(r, rack(0, Tag(5, 0), b"v5", 1), QS3)
     out = relay_reader_step(r, rack(1, Tag(4, 0), b"v4", 1), QS3)
-    assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v4", Tag(4, 0), 3)
+    assert out.response == Response(b"v4", Tag(4, 0))
 
 
 def test_ohsam_read_uniform_still_three_exchanges():
     r = RelayReaderState(R0)
     relay_reader_step(r, Invoke(), QS3)
+    # A uniform relay quorum earns no early answer.
+    for b in (0, 1):
+        relay = Message(MessageKind.READ_RELAY, b, R0, 1, Tag(1, 0), b"v")
+        assert relay_reader_step(r, relay, QS3).response is None
     relay_reader_step(r, rack(0, Tag(1, 0), b"v", 1), QS3)
     out = relay_reader_step(r, rack(1, Tag(1, 0), b"v", 1), QS3)
-    assert out.response.exchanges == 3
+    assert out.response == Response(b"v", Tag(1, 0))
 
 
 def test_ohmam_min_uses_writer_id_tiebreak():
@@ -109,7 +115,7 @@ def test_broken_variant_acks_eagerly_and_returns_max():
     s = get_algorithm("erato_broken").new_state("s0", 0, QS3)
     one_relay = Message(MessageKind.READ_RELAY, 1, R0, 1, Tag(3, 0), b"v3")
     out = broken.broken_server_step(s, one_relay, QS3)
-    assert len(out.sends) == 1 and out.sends[0][1].kind is MessageKind.READ_ACK
+    assert len(out.sends) == 1 and out.sends[0][1].kind == MessageKind.READ_ACK
 
     r = RelayReaderState(R0)
     broken.broken_reader_step(r, Invoke(), QS3)

@@ -3,7 +3,7 @@
 from copy import deepcopy
 
 from regsim.core import Message, MessageKind, Tag
-from regsim.protocols import Invoke, base, get_algorithm
+from regsim.protocols import Invoke, Response, StepOutput, base, get_algorithm
 from regsim.protocols.erato import erato_reader_step
 from regsim.protocols.readers import RelayReaderState
 from regsim.quorum import build_majority
@@ -33,16 +33,16 @@ def test_write_broadcast_and_quorum_ack():
     out = base.swmr_writer_step(w, Invoke(b"v1"), QS3)
     assert [dst for dst, _ in out.sends] == [0, 1, 2]
     m = out.sends[0][1]
-    assert m.kind is MessageKind.WRITE_REQUEST and m.tag == Tag(1, 0) and m.value == b"v1"
+    assert m.kind == MessageKind.WRITE_REQUEST and m.tag == Tag(1, 0) and m.value == b"v1"
     assert out.wtag == Tag(1, 0) and out.adopted is None
 
     assert base.swmr_writer_step(w, wack(0, 1), QS3).response is None
     out = base.swmr_writer_step(w, wack(1, 1), QS3)
-    assert out.response is not None and out.wtag is None
-    assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v1", Tag(1, 0), 2)
-    # Trailing ack for the answered write: ignored, not stale.
-    out = base.swmr_writer_step(w, wack(2, 1), QS3)
-    assert out.response is None and not out.stale
+    # Answered on the first acknowledgement quorum.
+    assert out.response == Response(b"v1", Tag(1, 0)) and out.wtag is None and not w.pending
+    # Trailing ack for the answered write: no send, no response, no change.
+    before = deepcopy(w)
+    assert base.swmr_writer_step(w, wack(2, 1), QS3) == StepOutput() and w == before
 
 
 def test_fourth_write_acked_by_any_quorum():
@@ -55,7 +55,7 @@ def test_fourth_write_acked_by_any_quorum():
     assert out.sends[0][1].tag == Tag(4, 0)
     base.swmr_writer_step(w, wack(1, 4), QS3)
     out = base.swmr_writer_step(w, wack(2, 4), QS3)  # quorum {1,2}
-    assert out.response is not None and out.response.exchanges == 2
+    assert out.response == Response(b"v4", Tag(4, 0))
 
 
 def test_stale_write_ack_flagged():
@@ -64,7 +64,9 @@ def test_stale_write_ack_flagged():
     for b in (0, 1):
         base.swmr_writer_step(w, wack(b, 1), QS3)
     base.swmr_writer_step(w, Invoke(b"b"), QS3)
-    assert base.swmr_writer_step(w, wack(2, 1), QS3).stale
+    # The previous write's ack is ignored; the simulator counts it stale.
+    before = deepcopy(w)
+    assert base.swmr_writer_step(w, wack(2, 1), QS3) == StepOutput() and w == before
 
 
 def test_server_relays_to_quorum_peers_and_reader():
@@ -73,7 +75,7 @@ def test_server_relays_to_quorum_peers_and_reader():
     out = base.relay_server_step(s, req, QS3)
     assert [dst for dst, _ in out.sends] == [0, 1, 2, R0]
     m = out.sends[0][1]
-    assert m.kind is MessageKind.READ_RELAY and m.tag == Tag(0, 0) and m.value == b""
+    assert m.kind == MessageKind.READ_RELAY and m.tag == Tag(0, 0) and m.value == b""
 
 
 def test_server_acks_once_after_relay_quorum():
@@ -85,7 +87,7 @@ def test_server_acks_once_after_relay_quorum():
     assert out.adopted is None
     assert len(out.sends) == 1
     dst, m = out.sends[0]
-    assert dst == R0 and m.kind is MessageKind.READ_ACK
+    assert dst == R0 and m.kind == MessageKind.READ_ACK
     assert m.tag == Tag(3, 0) and m.value == b"v3"  # ack carries adopted pair
     # Third relay arrives: no duplicate ack for the same read.
     out = base.relay_server_step(s, relay(0, 0, b""), QS3)
@@ -102,10 +104,11 @@ def test_server_adoption_is_monotone():
 def test_read_fast_path_uniform_relays():
     r = RelayReaderState(R0)
     out = erato_reader_step(r, Invoke(), QS3)
-    assert len(out.sends) == 3 and out.sends[0][1].kind is MessageKind.READ_REQUEST
+    assert len(out.sends) == 3 and out.sends[0][1].kind == MessageKind.READ_REQUEST
     assert erato_reader_step(r, relay(0, 5, b"v5"), QS3).response is None
+    # The fast path answers on the relay delivery itself.
     out = erato_reader_step(r, relay(1, 5, b"v5"), QS3)
-    assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v5", Tag(5, 0), 2)
+    assert out.response == Response(b"v5", Tag(5, 0)) and r.mode == "idle"
 
 
 def test_read_ack_quorum_returns_minimum():
@@ -113,7 +116,7 @@ def test_read_ack_quorum_returns_minimum():
     erato_reader_step(r, Invoke(), QS3)
     erato_reader_step(r, ack(0, 5, b"v5"), QS3)
     out = erato_reader_step(r, ack(1, 4, b"v4"), QS3)
-    assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v4", Tag(4, 0), 3)
+    assert out.response == Response(b"v4", Tag(4, 0))
 
 
 def test_read_incomplete_max_returns_previous_timestamp():
@@ -122,7 +125,7 @@ def test_read_incomplete_max_returns_previous_timestamp():
     erato_reader_step(r, relay(0, 5, b"v5"), QS4)
     erato_reader_step(r, relay(1, 4, b"v4"), QS4)
     out = erato_reader_step(r, relay(2, 4, b"v4"), QS4)
-    assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v4", Tag(4, 0), 2)
+    assert out.response == Response(b"v4", Tag(4, 0)) and r.mode == "idle"
 
 
 def test_read_view2_without_previous_holder_waits_for_acks():
@@ -135,7 +138,7 @@ def test_read_view2_without_previous_holder_waits_for_acks():
     for b in (0, 1):
         assert erato_reader_step(r, ack(b, 5, b"v5"), QS4).response is None
     out = erato_reader_step(r, ack(2, 5, b"v5"), QS4)
-    assert out.response.exchanges == 3 and out.response.tag == Tag(5, 0)
+    assert out.response == Response(b"v5", Tag(5, 0))
 
 
 def test_read_ambiguous_view_waits_for_acks():
@@ -155,12 +158,13 @@ def test_stale_and_trailing_read_messages():
     erato_reader_step(r, relay(0, 1, b"a"), QS3)
     out = erato_reader_step(r, relay(1, 1, b"a"), QS3)
     assert out.response is not None
-    # Same read_op after the response: ignored quietly.
-    out = erato_reader_step(r, ack(2, 1, b"a"), QS3)
-    assert not out.stale and out.response is None
-    # Next read makes op 1 traffic stale.
+    # Same read_op after the response: no send, no response, no change.
+    before = deepcopy(r)
+    assert erato_reader_step(r, ack(2, 1, b"a"), QS3) == StepOutput() and r == before
+    # Next read makes op 1 traffic stale, and ignored just the same.
     erato_reader_step(r, Invoke(), QS3)
-    assert erato_reader_step(r, ack(2, 1, b"a", op=1), QS3).stale
+    before = deepcopy(r)
+    assert erato_reader_step(r, ack(2, 1, b"a", op=1), QS3) == StepOutput() and r == before
 
 
 def test_steps_replay_identically():

@@ -1,7 +1,9 @@
 """Step-level traces of the multi-writer variant."""
 
+from copy import deepcopy
+
 from regsim.core import Message, MessageKind, Tag
-from regsim.protocols import Invoke, base, get_algorithm
+from regsim.protocols import Invoke, Response, StepOutput, base, get_algorithm
 from regsim.protocols.erato_mw import eratomw_reader_step
 from regsim.protocols.readers import RelayReaderState
 from regsim.quorum import build_majority
@@ -34,21 +36,22 @@ def test_write_discovers_then_places_max_plus_one():
     w = base.MWWriterState(W1, 1)
     out = base.mw_writer_step(w, Invoke(b"v"), QS4)
     assert len(out.sends) == 4
-    assert out.sends[0][1].kind is MessageKind.WRITE_DISCOVER and out.sends[0][1].op_seq == 1
+    assert out.sends[0][1].kind == MessageKind.WRITE_DISCOVER and out.sends[0][1].op_seq == 1
 
     base.mw_writer_step(w, dack(0, Tag(3, 1), 1), QS4)
     base.mw_writer_step(w, dack(1, Tag(5, 2), 1), QS4)
     out = base.mw_writer_step(w, dack(2, Tag(4, 1), 1), QS4)  # quorum {0,1,2}
-    assert len(out.sends) == 4
+    assert out.response is None and len(out.sends) == 4
     put = out.sends[0][1]
-    assert put.kind is MessageKind.WRITE_REQUEST and put.op_seq == 2
+    assert put.kind == MessageKind.WRITE_REQUEST and put.op_seq == 2
     assert put.tag == Tag(6, 1)  # discovered max 5, own writer id
     assert out.wtag == Tag(6, 1)
 
     base.mw_writer_step(w, wack(0, 2), QS4)
     base.mw_writer_step(w, wack(1, 2), QS4)
+    # Answered on the put's acknowledgement quorum.
     out = base.mw_writer_step(w, wack(2, 2), QS4)
-    assert (out.response.value, out.response.tag, out.response.exchanges) == (b"v", Tag(6, 1), 4)
+    assert out.response == Response(b"v", Tag(6, 1)) and w.phase == "idle"
 
 
 def test_write_ignores_stale_phase_acks():
@@ -56,8 +59,9 @@ def test_write_ignores_stale_phase_acks():
     base.mw_writer_step(w, Invoke(b"v"), QS3)
     base.mw_writer_step(w, dack(0, Tag(0, 0), 1), QS3)
     base.mw_writer_step(w, dack(1, Tag(0, 0), 1), QS3)  # now in put phase
-    out = base.mw_writer_step(w, dack(2, Tag(9, 9), 1), QS3)
-    assert out.stale and w.tag == Tag(1, 1)
+    before = deepcopy(w)
+    assert base.mw_writer_step(w, dack(2, Tag(9, 9), 1), QS3) == StepOutput() and w == before
+    assert w.tag == Tag(1, 1)
 
 
 def test_server_write_freshness_guard():
@@ -65,12 +69,12 @@ def test_server_write_freshness_guard():
     req = Message(MessageKind.WRITE_REQUEST, W1, W1, 2, Tag(4, 1), b"new")
     out = base.relay_server_step(s, req, QS3)
     assert s.tag == Tag(4, 1)
-    assert out.sends[0][1].kind is MessageKind.WRITE_ACK and out.sends[0][1].op_seq == 2
+    assert out.sends[0][1].kind == MessageKind.WRITE_ACK and out.sends[0][1].op_seq == 2
     # A replayed request with an old write_op is acknowledged but not adopted.
     replay = Message(MessageKind.WRITE_REQUEST, W1, W1, 2, Tag(9, 1), b"later")
     out = base.relay_server_step(s, replay, QS3)
     assert s.tag == Tag(4, 1) and s.value == b"new"
-    assert out.sends[0][1].kind is MessageKind.WRITE_ACK
+    assert out.sends[0][1].kind == MessageKind.WRITE_ACK
 
 
 def test_server_discover_ack_reports_current_tag():
@@ -78,7 +82,7 @@ def test_server_discover_ack_reports_current_tag():
     s.tag = Tag(7, 0)
     out = base.relay_server_step(s, Message(MessageKind.WRITE_DISCOVER, W1, W1, 3), QS3)
     dst, m = out.sends[0]
-    assert dst == W1 and m.kind is MessageKind.DISCOVER_ACK
+    assert dst == W1 and m.kind == MessageKind.DISCOVER_ACK
     assert m.tag == Tag(7, 0) and m.op_seq == 3
     assert s.tag == Tag(7, 0)  # unchanged
 
@@ -96,7 +100,7 @@ def test_read_discards_incomplete_max_then_answers():
     eratomw_reader_step(r, relay(0, Tag(5, 2), b"new"), QS4)
     eratomw_reader_step(r, relay(1, Tag(4, 1), b"old"), QS4)
     out = eratomw_reader_step(r, relay(2, Tag(4, 1), b"old"), QS4)
-    assert (out.response.value, out.response.tag, out.response.exchanges) == (b"old", Tag(4, 1), 2)
+    assert out.response == Response(b"old", Tag(4, 1)) and r.mode == "idle"
 
 
 def test_read_ambiguity_falls_back_to_ack_minimum():
@@ -109,7 +113,7 @@ def test_read_ambiguity_falls_back_to_ack_minimum():
     eratomw_reader_step(r, ack(0, Tag(5, 2), b"new"), QS4)
     eratomw_reader_step(r, ack(1, Tag(5, 2), b"new"), QS4)
     out = eratomw_reader_step(r, ack(3, Tag(5, 2), b"new"), QS4)
-    assert (out.response.tag, out.response.exchanges) == (Tag(5, 2), 3)
+    assert out.response == Response(b"new", Tag(5, 2))
 
 
 def test_read_uniform_relays_fast():
@@ -117,4 +121,4 @@ def test_read_uniform_relays_fast():
     eratomw_reader_step(r, Invoke(), QS3)
     eratomw_reader_step(r, relay(0, Tag(2, 1), b"x"), QS3)
     out = eratomw_reader_step(r, relay(1, Tag(2, 1), b"x"), QS3)
-    assert (out.response.value, out.response.exchanges) == (b"x", 2)
+    assert out.response == Response(b"x", Tag(2, 1)) and r.mode == "idle"

@@ -10,6 +10,12 @@ however many numbers an operation burns, each one is introduced by the
 client's own send.  Every send must attribute to exactly one operation
 of the message's kind; anything else is an accounting bug worth crashing
 on.
+
+A run does not need attribution: netsim.run counts each operation's
+messages while it sends, and per_operation_stats reads those counts.
+attribute_messages re-derives them from the records alone.  `regsim
+check` uses it to validate a parsed trace (headerless traces included),
+and the tests use it as the oracle for the simulator's counts.
 """
 
 from __future__ import annotations
@@ -86,8 +92,8 @@ def attribute_messages(trace: Trace) -> dict[int, int]:
 
 
 def per_operation_stats(trace: Trace) -> list[OpStats]:
-    """Completed operations only, in op_id order."""
-    attribute_messages(trace)
+    """Completed operations only, in op_id order, with the message counts
+    the simulator took (a parsed trace needs attribute_messages first)."""
     out = []
     for op_id in sorted(trace.ops):
         op = trace.ops[op_id]

@@ -15,13 +15,17 @@ in flight from them still deliver.  Self-addressed messages (a server
 relaying to itself) bypass the network with a fixed one-microsecond local
 handoff so that delivery always happens strictly after the send.
 
-The simulator, not the protocols, counts two things on the wire.  An
+The simulator, not the protocols, counts three things on the wire.  An
 exchange is one message hop along the chain that started at an
 invocation: sends made on an invocation are exchange 1, sends made on a
 delivery of exchange k are exchange k+1 (a server's loopback relay
 included), and a response takes the exchange of the delivery that
 triggered it.  A delivery to a live client is a stale drop when its
-op_seq is below that of the client's latest send of its own.
+op_seq is below that of the client's latest send of its own.  An
+operation's messages are every send along its chain: each delivery
+event carries the op id next to its exchange number, sends made on an
+invocation belong to the operation it opens, and sends made on a
+delivery to the delivered message's operation, however late they come.
 
 Inside run a node is its dense id (see core): the states, step
 functions, running operations and crash times are lists indexed by it,
@@ -267,28 +271,33 @@ def run(
     own_seq = [0] * len(names)
     next_op = 1
 
-    def handle_output(pid: int, t: float, out, exchange: int) -> None:
-        """Record a step's decisions; exchange is that of the event that
-        triggered it, 0 for an invocation."""
+    def handle_output(pid: int, t: float, out, exchange: int, op: int) -> None:
+        """Record a step's decisions; exchange and op are those of the
+        event that triggered it, exchange 0 and the opened op for an
+        invocation."""
         op_id = current_op[pid]
         name = names[pid]
         if out.wtag is not None:
             trace.add(("wtag", t, name, op_id, out.wtag.ts, out.wtag.wid))
         if out.adopted is not None:
             records.append(("tag", t, name, out.adopted.ts, out.adopted.wid))
-        row = paths[pid]
-        for dst, msg in out.sends:
-            if dst == pid:
-                delay = LOOPBACK_DELAY
-            else:
-                delay = message_delay(row[dst], msg.size_bits(), jitter_max, rng)
-            arrive = t + delay
-            records.append(
-                ("snd", t, name, names[dst], msg.kind, names[msg.client], msg.op_seq, arrive)
-            )
-            push(arrive, "deliver", (dst, msg, exchange + 1))
-        if out.sends and msg.client == pid:
-            own_seq[pid] = msg.op_seq
+        sends = out.sends
+        if sends:
+            trace.ops[op].messages += len(sends)
+            last = sends[-1][1]
+            if last.client == pid:
+                own_seq[pid] = last.op_seq
+            row = paths[pid]
+            for dst, msg in sends:
+                if dst == pid:
+                    delay = LOOPBACK_DELAY
+                else:
+                    delay = message_delay(row[dst], msg.size_bits(), jitter_max, rng)
+                arrive = t + delay
+                records.append(
+                    ("snd", t, name, names[dst], msg.kind, names[msg.client], msg.op_seq, arrive)
+                )
+                push(arrive, "deliver", (dst, msg, exchange + 1, op))
         res = out.response
         if res is not None:
             current_op[pid] = None
@@ -314,17 +323,17 @@ def run(
             # crashed write still shows what it was writing.
             value = item.value if item.kind == "write" else None
             trace.add(("inv", t, names[pid], next_op, item.kind, value.hex() if value is not None else "-"))
-            current_op[pid] = next_op
+            op = current_op[pid] = next_op
             next_op += 1
-            handle_output(pid, t, step_of[pid](states[pid], Invoke(value), qs), 0)
+            handle_output(pid, t, step_of[pid](states[pid], Invoke(value), qs), 0, op)
             continue
-        dst, msg, exchange = payload
+        dst, msg, exchange, op = payload
         if crashed_at[dst] <= t:
             continue
         records.append(("dlv", t, names[dst], names[msg.sender], msg.kind, names[msg.client], msg.op_seq))
         if msg.op_seq < own_seq[dst]:
             trace.stale_drops += 1
-        handle_output(dst, t, step_of[dst](states[dst], msg, qs), exchange)
+        handle_output(dst, t, step_of[dst](states[dst], msg, qs), exchange, op)
 
     end_time = min(last_t, cap_s) if not heap else cap_s
     pending_live = any(

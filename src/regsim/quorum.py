@@ -9,11 +9,15 @@ floor(n/2)+1 of servers 0..n-1, in lexicographic order) and matrix
 quorums (servers 0..rows*cols-1 laid out row-major, one quorum per
 (row, column) pair, the union of that row and column, rows enumerated
 before columns).
+
+A QuorumSystem is immutable (its masks are a tuple), so the answer of
+first_contained_mask for a responder mask never changes and is memoised
+per mask: a run asks about the same few hundred masks many times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -26,10 +30,17 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuorumSystem:
     n: int  # servers, bits 0..n-1
-    masks: list[int]
+    masks: tuple[int, ...]  # a list passed in is stored as a tuple
+    # responder mask -> first_contained_mask's answer
+    _first_contained: dict[int, int] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "masks", tuple(self.masks))
 
     def validate(self) -> None:
         """Raise ValueError unless every quorum is non-empty and within
@@ -53,10 +64,11 @@ class QuorumSystem:
 
     def first_contained_mask(self, responders: int) -> int:
         """Index of the first quorum fully inside the responder mask, or -1."""
-        for i, m in enumerate(self.masks):
-            if m & ~responders == 0:
-                return i
-        return -1
+        found = self._first_contained.get(responders)
+        if found is None:
+            found = next((i for i, m in enumerate(self.masks) if m & ~responders == 0), -1)
+            self._first_contained[responders] = found
+        return found
 
     def view3_mask(self, current: int, maxset: int) -> bool:
         """True when some quorum other than `current` intersects it only in maxset.

@@ -13,6 +13,11 @@ pair whose names sort differently as text (r2, r10), a writer and a
 server crash together, just as some of them would invoke.  Nodes order
 readers, writers, servers, then by index, so r2 comes before r10 and w0
 before s1.
+
+The erato scenario also pins how often a run asks the quorum system for
+a contained quorum.  The count is one call per lookup, memoised or not,
+so a step that skips `QuorumSystem.first_contained_mask` fails here as
+well as in the benchmark's `quorum.scan_calls`.
 """
 
 import hashlib
@@ -22,6 +27,7 @@ import pytest
 from regsim.config import ScenarioConfig, validate
 from regsim.harness import run_scenario, trace_to_text
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
+from regsim.quorum import QuorumSystem
 
 # algorithm -> (sha256 of the trace text, sha256 of the CSV text)
 GOLDEN = {
@@ -93,6 +99,25 @@ def test_golden_hashes(name):
     result = run_scenario(_scenario(name))
     assert (result.verdict.ok or name in EXTRA_ALGORITHMS) and not result.trace.incomplete
     assert (_sha256(trace_to_text(result.trace)), _sha256(result.csv_text())) == GOLDEN[name]
+
+
+# QuorumSystem.first_contained_mask calls in run_scenario(_scenario("erato")).
+ERATO_SCAN_CALLS = 257
+
+
+def test_erato_scan_calls(monkeypatch):
+    config = _scenario("erato")
+    scan = QuorumSystem.first_contained_mask
+    calls = 0
+
+    def counted(qs, responders):
+        nonlocal calls
+        calls += 1
+        return scan(qs, responders)
+
+    monkeypatch.setattr(QuorumSystem, "first_contained_mask", counted)
+    run_scenario(config)
+    assert calls == ERATO_SCAN_CALLS
 
 
 def _tie_scenario() -> ScenarioConfig:

@@ -1,7 +1,7 @@
 """Metrics tests: message attribution against hand-counted send totals
-and against a phase-count reference, the simulator's exchange and stale
-counts against a reference read off the trace records, and summary
-statistics on fixed inputs."""
+and against a phase-count reference, the simulator's message, exchange
+and stale counts against references read off the trace records, and
+summary statistics on fixed inputs."""
 
 import math
 from collections import deque
@@ -175,6 +175,11 @@ def test_wire_attribution_matches_phase_counts(config) -> None:
     assert attribute_messages(trace) == phase_count_attribution(trace)
 
 
+def simulated_messages(trace) -> dict[int, int]:
+    """The message counts netsim.run took, by op id."""
+    return {op_id: op.messages for op_id, op in trace.ops.items()}
+
+
 def test_late_server_sends_stay_with_their_operation() -> None:
     # At this seed servers still answer a reader's operation after the
     # reader has invoked its next one.
@@ -184,7 +189,16 @@ def test_late_server_sends_stay_with_their_operation() -> None:
         seed=11, jitter_max=0.01,
     ))).trace
     assert sum(op_id != last for op_id, last in phase_count_owners(trace)) > 0
-    assert attribute_messages(trace) == phase_count_attribution(trace)
+    simulated = simulated_messages(trace)  # before attribution overwrites them
+    assert simulated == attribute_messages(trace) == phase_count_attribution(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=scenarios())
+def test_simulator_message_counts_match_attribution(config) -> None:
+    trace = run_scenario(config).trace
+    simulated = simulated_messages(trace)
+    assert simulated == attribute_messages(trace)
 
 
 def wire_counts(records):

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,7 @@ def mask(servers):
 def test_majority_3_enumeration():
     qs = build_majority(3)
     assert qs.n == 3
-    assert qs.masks == [0b011, 0b101, 0b110]
+    assert qs.masks == (0b011, 0b101, 0b110)
 
 
 def test_majority_5_counts():
@@ -27,16 +28,16 @@ def test_majority_5_counts():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_majority_masks_are_the_majority_combinations_in_order(n):
-    assert build_majority(n).masks == [mask(c) for c in combinations(range(n), n // 2 + 1)]
+    assert build_majority(n).masks == tuple(mask(c) for c in combinations(range(n), n // 2 + 1))
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 3), (2, 3), (3, 2), (3, 3), (4, 5)])
 def test_matrix_masks_are_row_and_column_unions(rows, cols):
-    expected = [
+    expected = tuple(
         mask({r * cols + j for j in range(cols)} | {i * cols + c for i in range(rows)})
         for r in range(rows)
         for c in range(cols)
-    ]
+    )
     assert build_matrix(rows, cols).masks == expected
 
 
@@ -55,7 +56,7 @@ def test_matrix_4x4_shape():
 
 
 def test_matrix_1x1():
-    assert build_matrix(1, 1).masks == [0b1]
+    assert build_matrix(1, 1).masks == (0b1,)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -148,6 +149,42 @@ def test_first_contained_mask_matches_set_definition(qs, data):
     responders = data.draw(server_sets(qs))
     expected = next((i for i, q in enumerate(quorums) if q <= responders), -1)
     assert qs.first_contained_mask(mask(responders)) == expected
+
+
+def plain_scan(qs, responders):
+    return next((i for i, m in enumerate(qs.masks) if m & ~responders == 0), -1)
+
+
+def assert_memo_matches_plain_scan(qs, masks):
+    """Asked cold, then warm, the memoised scan answers as a plain scan."""
+    for warm in (False, True):
+        for responders in masks:
+            assert qs.first_contained_mask(responders) == plain_scan(qs, responders), (warm, responders)
+
+
+@pytest.mark.parametrize(
+    "qs",
+    [build_majority(n) for n in range(1, 10)] + [build_matrix(2, 2), build_matrix(3, 3)],
+    ids=["majority%d" % n for n in range(1, 10)] + ["matrix2x2", "matrix3x3"],
+)
+def test_memoised_scan_matches_plain_scan_on_every_responder_mask(qs):
+    assert_memo_matches_plain_scan(qs, range(1 << qs.n))
+
+
+@given(quorum_systems(), st.lists(st.integers(0, (1 << 10) - 1), max_size=30))
+def test_memoised_scan_matches_plain_scan_on_random_systems(qs, masks):
+    assert_memo_matches_plain_scan(qs, [m & ((1 << qs.n) - 1) for m in masks])
+
+
+def test_quorum_system_is_immutable():
+    qs = QuorumSystem(3, [0b011, 0b101, 0b110])
+    assert qs.masks == (0b011, 0b101, 0b110)
+    with pytest.raises(FrozenInstanceError):
+        qs.masks = (0b111,)
+    with pytest.raises(FrozenInstanceError):
+        qs.n = 4
+    qs.first_contained_mask(0b011)
+    assert qs == build_majority(3)  # the memo takes no part in equality
 
 
 @given(quorum_systems(), st.data())

@@ -28,10 +28,10 @@ from regsim.harness import (
     SweepError,
     run_scenario,
     sweep,
-    trace_from_text,
+    verify_trace,
     write_outputs,
 )
-from regsim.metrics import OpStats, attribute_messages, summarize
+from regsim.metrics import OpStats, summarize
 
 
 def _print_summaries(result_like_stats) -> None:
@@ -103,11 +103,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        trace = trace_from_text(Path(args.trace).read_text())
-        # Each raises ValueError on what only a hand-edited trace can
-        # hold: a send that belongs to no operation of its client, or
-        # overlapping operations of one client.
-        attribute_messages(trace)
+        trace = verify_trace(Path(args.trace).read_text())
+        # Raises ValueError on overlapping operations of one client.
         verdict = check_atomicity_tagged(extract_history(trace), strict=args.strict)
     except ValueError as exc:
         print("input error: %s: %s" % (args.trace, exc), file=sys.stderr)

@@ -1,5 +1,8 @@
 """Scenario configuration: INI text in, validated ScenarioConfig (or, for
-a grid file, a list of them) out.
+a grid file, a list of them) out.  The only module that knows how a
+scenario is spelled in text: INI sections, [grid] axes and a trace's run
+header (describe and parse_header) all convert their values through one
+field-to-type table and one helper.
 
 All constraint violations in a document are collected and reported
 together with their section.key path, so a bad file needs only one fix
@@ -53,18 +56,22 @@ class ScenarioConfig:
     crash_writers: CrashList = ()
 
     def describe(self) -> dict[str, str]:
-        """Flat config echo for trace headers, stable key order."""
+        """The scenario as a trace's run header: algorithm and seed, then
+        the other fields by name, each field at None or () left out.
+        parse_header reads it back."""
         out: dict[str, str] = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in _HEADER_ORDER:
+            v = getattr(self, name)
             if v is None or v == ():
                 continue
-            if f.name.startswith("crash_"):
+            if _FIELD_TYPE[name] == "crashes":
                 v = ",".join("%d@%r" % (i, t) for i, t in v)
-            out[f.name] = str(v)
+            out[name] = str(v)
         return out
 
 
+# Section -> field -> text type.  An INI key is its field's name, except
+# that [crashes] drops the "crash_" prefix.
 _SCHEMA: dict[str, dict[str, str]] = {
     "scenario": {
         "algorithm": "str", "topology": "str", "n_servers": "int", "quorums": "str",
@@ -78,17 +85,17 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "jitter_max": "float", "cap_seconds": "float", "value_size": "int",
     },
     "crashes": {
-        "servers": "crashes", "readers": "crashes", "writers": "crashes",
+        "crash_servers": "crashes", "crash_readers": "crashes", "crash_writers": "crashes",
     },
 }
 
-_KEY_TYPE = {key: typ for keys in _SCHEMA.values() for key, typ in keys.items()}
+_FIELD_TYPE = {name: typ for section in _SCHEMA.values() for name, typ in section.items()}
+_INI_FIELD = {name.removeprefix("crash_"): name for name in _FIELD_TYPE}
 
-_KEY_TO_FIELD = {
-    ("crashes", "servers"): "crash_servers",
-    ("crashes", "readers"): "crash_readers",
-    ("crashes", "writers"): "crash_writers",
-}
+_BARE_HEADER = ("algorithm", "seed")
+_HEADER_ORDER = _BARE_HEADER + tuple(sorted(set(_FIELD_TYPE) - set(_BARE_HEADER)))
+# A scenario's header may leave out the fields describe() omits at None or ().
+_REQUIRED = tuple(f.name for f in fields(ScenarioConfig) if f.default not in (None, ()))
 
 
 def _parse_crash_list(text: str) -> CrashList:
@@ -105,6 +112,17 @@ def _parse_crash_list(text: str) -> CrashList:
 
 # One converter per schema type; each raises ValueError on a bad value.
 _CONVERT = {"int": int, "float": float, "crashes": _parse_crash_list, "str": str.strip}
+
+
+def _convert(errors: list[str], path: str, typ: str, raw: str, axis: bool = False):
+    """raw as typ, or as a list of typ for a grid axis of comma-separated
+    alternatives; a bad value appends its error to errors, giving None."""
+    convert = _CONVERT[typ]
+    try:
+        return [convert(part.strip()) for part in raw.split(",")] if axis else convert(raw)
+    except ValueError:
+        errors.append("%s: expected %s, got %r" % (path, typ, raw))
+        return None
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
@@ -131,15 +149,12 @@ def parse_fields(text: str, ignore_sections: tuple[str, ...] = ()) -> dict:
             continue
         for key, raw in parser.items(section):
             path = "%s.%s" % (section, key)
-            typ = known.get(key)
+            name = _INI_FIELD.get(key)
+            typ = known.get(name)
             if typ is None:
                 errors.append("%s: unknown key" % path)
                 continue
-            field_name = _KEY_TO_FIELD.get((section, key), key)
-            try:
-                values[field_name] = _CONVERT[typ](raw)
-            except ValueError:
-                errors.append("%s: expected %s, got %r" % (path, typ, raw))
+            values[name] = _convert(errors, path, typ, raw)
     if errors:
         raise ConfigError(errors)
     return values
@@ -147,6 +162,28 @@ def parse_fields(text: str, ignore_sections: tuple[str, ...] = ()) -> dict:
 
 def parse_config(text: str) -> ScenarioConfig:
     return validate(ScenarioConfig(**parse_fields(text)))
+
+
+def parse_header(pairs: list[str]) -> tuple[str, int, Optional[ScenarioConfig]]:
+    """Inverse of describe(): a run header's key=value tokens to
+    (algorithm, seed, scenario), converted but not validated.  A header
+    naming only algorithm and seed (a bare netsim.run trace) has no
+    scenario.  An unknown or missing key or a bad value: ConfigError."""
+    errors: list[str] = []
+    values: dict = {}
+    for pair in pairs:
+        key, _, raw = pair.partition("=")
+        if key in _FIELD_TYPE:
+            values[key] = _convert(errors, key, _FIELD_TYPE[key], raw)
+        else:
+            errors.append("%s: unknown key" % key)
+    scenario = not values.keys() <= set(_BARE_HEADER)
+    errors += ["%s: missing key" % name for name in (_REQUIRED if scenario else _BARE_HEADER)
+               if name not in values]
+    if errors:
+        raise ConfigError(errors)
+    config = ScenarioConfig(**values) if scenario else None
+    return values["algorithm"], values["seed"], config
 
 
 def parse_grid(text: str) -> list[ScenarioConfig]:
@@ -164,24 +201,24 @@ def parse_grid(text: str) -> list[ScenarioConfig]:
     axes: list[tuple[str, list]] = []
     errors: list[str] = []
     for key, raw in parser.items("grid"):
-        typ = "int" if key == "seeds" else _KEY_TYPE.get(key)
-        if typ is None:
-            errors.append("grid.%s: unknown key" % key)
-            continue
-        if typ == "crashes":
-            # The comma separating grid alternatives also separates the
-            # crashes of one schedule, so a schedule cannot be an axis.
-            errors.append("grid.%s: crash schedules go in [crashes], not [grid]" % key)
-            continue
-        try:
-            if key == "seeds":
-                seeds = list(range(int(raw)))
+        path = "grid.%s" % key
+        if key == "seeds":
+            count = _convert(errors, path, "int", raw)
+            if count is not None:
+                seeds = list(range(count))
                 if not seeds:
                     errors.append("grid.seeds: expected a positive count, got %r" % raw)
-            else:
-                axes.append((key, [_CONVERT[typ](part.strip()) for part in raw.split(",")]))
-        except ValueError:
-            errors.append("grid.%s: expected %s, got %r" % (key, typ, raw))
+            continue
+        name = _INI_FIELD.get(key)
+        typ = _FIELD_TYPE.get(name)
+        if typ is None:
+            errors.append("%s: unknown key" % path)
+        elif typ == "crashes":
+            # The comma separating grid alternatives also separates the
+            # crashes of one schedule, so a schedule cannot be an axis.
+            errors.append("%s: crash schedules go in [crashes], not [grid]" % path)
+        else:
+            axes.append((name, _convert(errors, path, typ, raw, axis=True)))
     if errors:
         raise ConfigError(errors)
 

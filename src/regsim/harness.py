@@ -4,16 +4,21 @@ and emit trace logs / CSV rows.
 
 File formats are part of the external contract:
 
-Trace log: one event per line, tab separated, first field the record
-type, last record the end record.  A node appears by its name, which has
-exactly one spelling (see core.parse_pid).  One table (_REC_TYPES) gives
-every field of every record kind its parser and its %-conversion, so a
-record is written with a single % on its kind's format string, and
-parsing and re-serializing a trace reproduces it byte for byte.  Besides
-the per-line checks of Trace.add, the parser enforces the wire
-invariants: every send arrives after it is sent, every delivery takes up
-an earlier matching send, and no node acts (sends, receives, invokes,
-responds or adopts a tag) at or after its crash (see trace_from_text).
+Trace log: a run header on line 1, the scenario config as key=value
+fields that config.py writes and reads back (ScenarioConfig.describe,
+parse_header); then one event per line, tab separated, first field the
+record type, last record the end record.  A node appears by its name,
+which has exactly one spelling (see core.parse_pid).  One table
+(_REC_TYPES) gives every field of every record kind its parser and its
+%-conversion, so a record is written with a single % on its kind's
+format string, and parsing and re-serializing a trace reproduces it byte
+for byte.  Besides the per-line checks of Trace.add, the parser enforces
+the wire invariants: every send arrives after it is sent, every delivery
+takes up an earlier matching send, and no node acts (sends, receives,
+invokes, responds or adopts a tag) at or after its crash (see
+trace_from_text).  verify_trace adds what only `regsim check` pays for:
+the header's scenario validates, the text is canonical, and the wire's
+counts are what its records show.
 
 Operation CSV: one row per completed operation, fixed column schema
 (CSV_HEADER below); same seed, same config, same bytes.
@@ -25,12 +30,13 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
+from itertools import zip_longest
 from pathlib import Path
 
 from regsim.checker import Verdict, check_atomicity_tagged, extract_history
-from regsim.config import ScenarioConfig, build_quorum_system
+from regsim.config import ConfigError, ScenarioConfig, build_quorum_system, parse_header, validate
 from regsim.core import parse_pid, reader, server, writer
-from regsim.metrics import OpStats, Summary, per_operation_stats, summarize
+from regsim.metrics import OpStats, Summary, attribute_messages, per_operation_stats, summarize
 from regsim.netsim import Network, Trace, build_topology, run
 from regsim.protocols import get_algorithm
 from regsim.workload import build_workload
@@ -74,9 +80,11 @@ _FORMATS: dict[str, str] = {
 
 
 def trace_to_text(trace: Trace) -> str:
-    head = ["run", "algorithm=%s" % trace.algorithm, "seed=%d" % trace.seed]
-    head += ["%s=%s" % (k, v) for k, v in sorted(trace.meta.items()) if k not in ("algorithm", "seed")]
-    lines = ["\t".join(head)]
+    if trace.config is None:
+        header = {"algorithm": trace.algorithm, "seed": trace.seed}
+    else:
+        header = trace.config.describe()
+    lines = ["\t".join(["run"] + ["%s=%s" % pair for pair in header.items()])]
     lines += [_FORMATS[rec[0]] % rec for rec in trace.records]
     return "\n".join(lines) + "\n"
 
@@ -84,8 +92,9 @@ def trace_to_text(trace: Trace) -> str:
 def trace_from_text(text: str) -> Trace:
     """Parse a trace log; a malformed line, one that contradicts an
     earlier line (see Trace.add), a message send or delivery the wire
-    cannot explain, a record after the end record, or a trace with no end
-    record (reported at its last line) raises ValueError("line N: ...").
+    cannot explain, a run header not on line 1 or one config.parse_header
+    refuses, a record after the end record, or a trace with no end record
+    (reported at its last line) raises ValueError("line N: ...").
 
     Every record's time and every snd's arrival must be finite, and a snd
     must arrive strictly after it is sent: every link and the loopback
@@ -124,14 +133,9 @@ def trace_from_text(text: str) -> Trace:
             if ended and kind != "end":  # Trace.add refuses a second end
                 raise ValueError("%s record after the end record" % kind)
             if kind == "run":
-                for part in parts[1:]:
-                    key, _, val = part.partition("=")
-                    if key == "algorithm":
-                        trace.algorithm = val
-                    elif key == "seed":
-                        trace.seed = int(val)
-                    else:
-                        trace.meta[key] = val
+                if lineno != 1:
+                    raise ValueError("run header not on line 1")
+                trace.algorithm, trace.seed, trace.config = parse_header(parts[1:])
                 continue
             convs = converters.get(kind)
             if convs is None or len(parts) != len(convs):
@@ -184,6 +188,39 @@ def trace_from_text(text: str) -> Trace:
             raise ValueError("trace has no end record")
     except ValueError as exc:
         raise ValueError("line %d: %s" % (lineno, exc)) from None
+    return trace
+
+
+def verify_trace(text: str) -> Trace:
+    """Parse a trace as `regsim check` does: trace_from_text, then the
+    checks only check pays for, each raising ValueError:
+    - the header's scenario, if it has one, passes config.validate
+      ("line 1: ...");
+    - the text is exactly what trace_to_text writes for the parsed trace,
+      so every number and node has one spelling, the header keys are in
+      their order and no line is blank ("line N: ..." at the first line
+      that differs);
+    - every send attributes to an operation, and each res's exchanges
+      and the end's stale drops are what the wire shows
+      (metrics.attribute_messages).
+    They stay out of trace_from_text because validating a scenario scans
+    quorums and re-serialising costs about half a parse, and the parse
+    alone is what a benchmark's re-check times.
+    """
+    trace = trace_from_text(text)
+    if trace.config is not None:
+        try:
+            validate(trace.config)
+        except ConfigError as exc:
+            raise ValueError("line 1: %s" % exc) from None
+    canonical = trace_to_text(trace)
+    if canonical != text:
+        pairs = zip_longest(text.splitlines(True), canonical.splitlines(True), fillvalue="")
+        for lineno, (found, expected) in enumerate(pairs, start=1):
+            if found != expected:
+                raise ValueError("line %d: %r is not canonical, trace_to_text writes %r"
+                                 % (lineno, found, expected))
+    attribute_messages(trace)
     return trace
 
 
@@ -246,7 +283,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         seed=config.seed,
         cap_s=config.cap_seconds,
     )
-    trace.meta = config.describe()
+    trace.config = config
     stats = per_operation_stats(trace)
     verdict = check_atomicity_tagged(extract_history(trace))
     return RunResult(config, trace, verdict, stats)

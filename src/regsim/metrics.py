@@ -12,16 +12,19 @@ of the message's kind; anything else is an accounting bug worth crashing
 on.
 
 A run does not need attribution: netsim.run counts each operation's
-messages while it sends, and per_operation_stats reads those counts.
-attribute_messages re-derives them from the records alone.  `regsim
-check` uses it to validate a parsed trace (headerless traces included),
-and the tests use it as the oracle for the simulator's counts.
+messages, each response's exchanges and the stale drops while it runs,
+and per_operation_stats reads those counts.  attribute_messages
+re-derives all three from the records alone, in one pass.  `regsim
+check` uses it (see harness.verify_trace) to hold a parsed trace to the
+numbers its own wire shows, and the tests use it as the oracle for the
+simulator's counts.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,38 +57,67 @@ class Summary:
 
 
 def attribute_messages(trace: Trace) -> dict[int, int]:
-    """Map op_id -> number of messages sent on behalf of that operation.
+    """Map op_id -> number of messages sent on behalf of that operation,
+    and recount the wire's other two numbers.
 
     Counts every send in the trace, including server-to-server relays and
     self-addressed ones, against the client operation that triggered it.
     Updates the per-operation records in place as well.
+
+    The same pass recounts exchanges and stale drops as netsim.run takes
+    them: a node's current exchange is 0 at its inv and that of the snd
+    its dlv takes up (matched first in, first out on sender, receiver,
+    kind, client, op_seq and arrival = dlv time); each snd is its
+    sender's current exchange + 1, and a res takes its node's current
+    exchange.  A client's dlv is stale when its op_seq is below that of
+    the client's latest snd.  A res or end record that claims other
+    numbers raises ValueError.
     """
     counts: dict[int, int] = {op_id: 0 for op_id in trace.ops}
     running: dict[str, int] = {}  # client name -> op it last invoked
     op_of: dict[tuple[str, int], int] = {}  # (client name, op_seq) -> op
+    exchange_of: dict[str, int] = {}  # node name -> its current exchange
+    in_flight: dict[tuple, deque] = {}  # snd fields -> exchanges of the undelivered
+    own_seq: dict[str, int] = {}  # client name -> op_seq of its latest snd
+    stale = 0
     for rec in trace.records:
-        if rec[0] == "inv":
+        kind = rec[0]
+        if kind == "inv":
             running[rec[2]] = rec[3]
-            continue
-        if rec[0] != "snd":
-            continue
-        _, _, src, _dst, kind, client, op_seq = rec[:7]
-        key = (client, op_seq)
-        op_id = op_of.get(key)
-        if op_id is None:
-            op_id = running.get(client)
-            if op_id is None or src != client:
+            exchange_of[rec[2]] = 0
+        elif kind == "snd":
+            _, _, src, _dst, msg_kind, client, op_seq, _arrive = rec
+            key = (client, op_seq)
+            op_id = op_of.get(key)
+            if op_id is None:
+                op_id = running.get(client)
+                if op_id is None or src != client:
+                    raise ValueError(
+                        "send %s for client %s op_seq %d does not attribute to any operation"
+                        % (msg_kind, client, op_seq)
+                    )
+                op_of[key] = op_id
+            expect = "read" if msg_kind.startswith("read") else "write"
+            if trace.ops[op_id].kind != expect:
                 raise ValueError(
-                    "send %s for client %s op_seq %d does not attribute to any operation"
-                    % (kind, client, op_seq)
+                    "send %s attributed to a %s operation" % (msg_kind, trace.ops[op_id].kind)
                 )
-            op_of[key] = op_id
-        expect = "read" if kind.startswith("read") else "write"
-        if trace.ops[op_id].kind != expect:
-            raise ValueError(
-                "send %s attributed to a %s operation" % (kind, trace.ops[op_id].kind)
-            )
-        counts[op_id] += 1
+            counts[op_id] += 1
+            in_flight.setdefault(rec[2:], deque()).append(exchange_of.get(src, 0) + 1)
+            if src == client:
+                own_seq[src] = op_seq
+        elif kind == "dlv":
+            _, t, dst, src, msg_kind, client, op_seq = rec
+            exchange_of[dst] = in_flight[(src, dst, msg_kind, client, op_seq, t)].popleft()
+            if op_seq < own_seq.get(dst, 0):
+                stale += 1
+        elif kind == "res":
+            _, t, pid, op_id, exchanges = rec[:5]
+            if exchanges != exchange_of[pid]:
+                raise ValueError("res for op %d at %r claims %d exchanges, the wire shows %d"
+                                 % (op_id, t, exchanges, exchange_of[pid]))
+        elif kind == "end" and rec[3] != stale:
+            raise ValueError("end claims %d stale drops, the wire shows %d" % (rec[3], stale))
     for op_id, n in counts.items():
         trace.ops[op_id].messages = n
     return counts

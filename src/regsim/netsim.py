@@ -44,6 +44,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from regsim.config import ScenarioConfig
 from regsim.core import OperationRecord, Tag, node_key, reader, server, writer
 from regsim.protocols import Algorithm, Invoke
 from regsim.quorum import QuorumSystem
@@ -145,7 +146,7 @@ class Trace:
     skipped_invokes: int = 0
     incomplete: bool = False
     end_time: float = 0.0
-    meta: dict[str, str] = field(default_factory=dict)  # config echo for reports
+    config: Optional[ScenarioConfig] = None  # the scenario, when run from one
     _ended: bool = field(default=False, init=False, repr=False)
 
     def add(self, rec: tuple) -> None:

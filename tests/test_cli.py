@@ -163,6 +163,7 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
          "send writeAck for client r1 op_seq 7 does not attribute to any operation"),
         ("check", "inv\t0.1\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t",
          "line 3: trace has no end record"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nrun\talgorithm=abd\tseed=3", "line 3: run header not on line 1"),
         ("check", "end\t0.3\tcomplete\t0\t0\ncrs\t0.4\ts0", "line 3: crs record after the end record"),
         ("check", "inv\tnan\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t\nend\t1.0\tcomplete\t0\t0",
          "line 2: inv time nan is not finite"),
@@ -245,6 +246,68 @@ def test_bad_grid_value_exits_2_with_one_line(old, new, message, tmp_path, capsy
     grid.write_text(GRID.replace(old, new))
     assert main(["sweep", str(grid), "--out-dir", str(tmp_path / "sweep")]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
+
+
+def edit_field(kind: str, index: int, edit):
+    """An edit of a trace's lines: apply edit to field index of the first
+    line of this record kind; gives that line's number."""
+    def apply(lines: list[str]) -> int:
+        i = next(i for i, line in enumerate(lines) if line.split("\t")[0] == kind)
+        parts = lines[i].split("\t")
+        parts[index] = edit(parts[index])
+        lines[i] = "\t".join(parts)
+        return i + 1
+    return apply
+
+
+def edit_header(old: str, new: str):
+    def apply(lines: list[str]) -> int:
+        assert old in lines[0]
+        lines[0] = lines[0].replace(old, new)
+        return 1
+    return apply
+
+
+def insert_blank_line(lines: list[str]) -> int:
+    lines.insert(2, "")
+    return 3
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        # Numbers, lines and the header have one spelling each.
+        pytest.param(edit_field("inv", 1, lambda t: t + "0"), "is not canonical", id="time_0.20"),
+        pytest.param(edit_field("inv", 3, lambda op: "0_" + op), "is not canonical", id="op_0_1"),
+        pytest.param(edit_field("inv", 3, lambda op: "\u0661"), "is not canonical", id="arabic_indic_digit"),
+        pytest.param(insert_blank_line, "'\\n' is not canonical", id="blank_line"),
+        pytest.param(edit_header("algorithm=erato\tseed=0", "seed=0\talgorithm=erato"), "is not canonical",
+                     id="header_order"),
+        # The header is a scenario that validates.
+        pytest.param(edit_header("\tscheme=", "\tbogus=1\tscheme="), "bogus: unknown key", id="unknown_key"),
+        pytest.param(edit_header("n_servers=3", "n_servers=x"), "n_servers: expected int, got 'x'", id="bad_int"),
+        pytest.param(edit_header("algorithm=erato", "algorithm=nonsense"),
+                     "scenario.algorithm: unknown 'nonsense'", id="unknown_algorithm"),
+        pytest.param(edit_header("\ttopology=series", ""), "topology: missing key", id="missing_topology"),
+        # The wire's numbers are recounted.
+        pytest.param(edit_field("res", 4, lambda n: "7"), "claims 7 exchanges, the wire shows 2", id="res_exchanges"),
+        pytest.param(edit_field("end", 3, lambda n: "999"), "end claims 999 stale drops, the wire shows 0",
+                     id="end_stale_drops"),
+    ],
+)
+def test_check_refuses_an_edited_trace(edit, message, config_file, tmp_path, capsys) -> None:
+    out = tmp_path / "out"
+    assert main(["run", str(config_file), "--out-dir", str(out)]) == 0
+    lines = (out / "trace.log").read_text().splitlines()
+    lineno = edit(lines)
+    edited = tmp_path / "edited.log"
+    edited.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(edited)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+    if "claims" not in message:
+        assert err.startswith("input error: %s: line %d: " % (edited, lineno))
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))

@@ -1,15 +1,21 @@
 """Config parsing and validation tests."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regsim.config import (
     ConfigError,
     ScenarioConfig,
     build_quorum_system,
     parse_config,
+    parse_header,
     validate,
     with_overrides,
 )
+from regsim.harness import trace_to_text
+from regsim.netsim import Trace
+from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
 
 MINIMAL = """
 [scenario]
@@ -123,3 +129,51 @@ def test_describe_echo_is_flat_strings() -> None:
     assert echo["crash_servers"] == "0@0.5"
     assert all(isinstance(v, str) for v in echo.values())
     assert "reads_per_client" not in echo  # unset optionals stay out
+
+
+def crash_lists(count: int):
+    return st.lists(st.tuples(st.integers(0, count - 1), st.floats(0.0, 100.0)), max_size=2)
+
+
+@st.composite
+def valid_configs(draw) -> ScenarioConfig:
+    algorithm = draw(st.sampled_from(sorted(ALGORITHMS) + sorted(EXTRA_ALGORITHMS)))
+    quorums = draw(st.sampled_from(["majority", "matrix"]))
+    n_servers = draw(st.sampled_from([1, 4, 9] if quorums == "matrix" else [1, 2, 3, 5, 7]))
+    n_readers = draw(st.integers(0, 4))
+    n_writers = draw(st.integers(1, 3)) if get_algorithm(algorithm).mw else 1
+    positive = st.floats(1e-6, 1e3)
+    optional_count = st.none() | st.integers(0, 30)
+    config = ScenarioConfig(
+        algorithm=algorithm, topology=draw(st.sampled_from(["series", "star"])),
+        n_servers=n_servers, quorums=quorums, n_readers=n_readers, n_writers=n_writers,
+        scheme=draw(st.sampled_from(["fixed", "stochastic"])),
+        read_interval=draw(positive), write_interval=draw(positive),
+        ops_per_client=draw(st.integers(0, 30)),
+        reads_per_client=draw(optional_count), writes_per_client=draw(optional_count),
+        seed=draw(st.integers(-5, 2**40)), jitter_max=draw(st.floats(0.0, 1.0)),
+        cap_seconds=draw(positive), value_size=draw(st.integers(1, 4096)),
+        crash_servers=tuple(draw(crash_lists(n_servers))),
+        crash_readers=tuple(draw(crash_lists(n_readers))) if n_readers else (),
+        crash_writers=tuple(draw(crash_lists(n_writers))),
+    )
+    try:
+        return validate(config)
+    except ConfigError:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=valid_configs())
+def test_trace_header_parses_back_to_its_config(config) -> None:
+    header = trace_to_text(Trace(config=config))
+    assert header.count("\n") == 1 and header.startswith("run\t")
+    parsed = parse_header(header.rstrip("\n").split("\t")[1:])
+    assert parsed == (config.algorithm, config.seed, config)
+    assert validate(parsed[2]) == config
+
+
+def test_bare_header_has_no_scenario() -> None:
+    assert parse_header(["algorithm=erato", "seed=3"]) == ("erato", 3, None)
+    with pytest.raises(ConfigError, match="seed: missing key"):
+        parse_header(["algorithm=erato"])

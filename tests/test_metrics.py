@@ -1,10 +1,9 @@
 """Metrics tests: message attribution against hand-counted send totals
 and against a phase-count reference, the simulator's message, exchange
-and stale counts against references read off the trace records, and
-summary statistics on fixed inputs."""
+and stale counts against attribute_messages' recount from the trace
+records, and summary statistics on fixed inputs."""
 
 import math
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from regsim.config import ScenarioConfig, validate
 from regsim.core import reader, server, writer
-from regsim.harness import run_scenario, trace_from_text, trace_to_text
+from regsim.harness import run_scenario, trace_to_text, verify_trace
 from regsim.metrics import (
     OpStats,
     attribute_messages,
@@ -201,52 +200,19 @@ def test_simulator_message_counts_match_attribution(config) -> None:
     assert simulated == attribute_messages(trace)
 
 
-def wire_counts(records):
-    """Reference for the simulator's two wire counts, from the records
-    alone: (op id -> exchanges of its response, stale deliveries).
-
-    A node's current exchange is 0 at its inv and that of the snd a dlv
-    takes up (matched FIFO on sender, receiver, kind, client, op_seq and
-    arrival = dlv time); each snd is its sender's current exchange + 1,
-    and a res takes its node's current exchange.  A client's dlv is stale
-    when its op_seq is below that of the client's latest snd."""
-    current: dict[str, int] = {}
-    in_flight: dict[tuple, deque] = {}
-    latest_seq: dict[str, int] = {}
-    exchanges: dict[int, int] = {}
-    stale = 0
-    for rec in records:
-        kind = rec[0]
-        if kind == "inv":
-            current[rec[2]] = 0
-        elif kind == "snd":
-            _, _, src, dst, msg_kind, client, op_seq, arrive = rec
-            key = (src, dst, msg_kind, client, op_seq, arrive)
-            in_flight.setdefault(key, deque()).append(current[src] + 1)
-            if not src.startswith("s"):
-                latest_seq[src] = op_seq
-        elif kind == "dlv":
-            _, t, dst, src, msg_kind, client, op_seq = rec
-            current[dst] = in_flight[(src, dst, msg_kind, client, op_seq, t)].popleft()
-            if not dst.startswith("s") and op_seq < latest_seq[dst]:
-                stale += 1
-        elif kind == "res":
-            exchanges[rec[3]] = current[rec[2]]
-    return exchanges, stale
-
-
 def assert_wire_counts(trace) -> None:
-    """The simulator's counts match wire_counts, on the trace as
-    simulated and as parsed back from its text."""
-    for t in (trace, trace_from_text(trace_to_text(trace))):
-        exchanges, stale = wire_counts(t.records)
-        assert exchanges == {op.op_id: op.exchanges for op in t.operations() if op.completed}
-        assert stale == t.stale_drops
+    """The simulator's exchange and stale counts, as its res and end
+    records state them, match attribute_messages' recount from the
+    records alone; and verify_trace, which makes that recount for `regsim
+    check`, accepts the trace's text."""
+    attribute_messages(trace)
+    assert verify_trace(trace_to_text(trace)).records == trace.records
 
 
 @settings(max_examples=60, deadline=None)
 @given(config=scenarios())
 def test_wire_counts_match_record_reference(config) -> None:
+    # Every protocol, erato_broken included, with and without crashes.
     assert_wire_counts(run_scenario(config).trace)
 
 

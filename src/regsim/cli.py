@@ -26,6 +26,7 @@ from regsim.harness import (
     EXIT_LIVENESS,
     EXIT_OK,
     SweepError,
+    outcome_exit_code,
     run_scenario,
     sweep,
     verify_trace,
@@ -72,26 +73,26 @@ def _cmd_run(args) -> int:
         for name, p in sorted(paths.items()):
             print("wrote %s: %s" % (name, p))
     v = result.verdict
-    if not v.ok:
+    code = result.exit_code()
+    if code == EXIT_ATOMICITY:
         print("atomicity VIOLATED (%s): %s" % (v.violated, v.detail), file=sys.stderr)
-    elif result.trace.incomplete:
+    elif code == EXIT_LIVENESS:
         print("liveness: cap %.1fs hit with operations pending" % config.cap_seconds,
               file=sys.stderr)
     else:
         print("atomicity: ok; all operations of live clients completed")
-    return result.exit_code()
+    return code
 
 
 def _cmd_sweep(args) -> int:
     try:
         configs = parse_grid(Path(args.grid).read_text())
+        print("sweep: %d runs" % len(configs))
+        paths = sweep(configs, Path(args.out_dir), parallelism=args.parallelism)
     except ConfigError as exc:
         for e in exc.errors:
             print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
-    print("sweep: %d runs" % len(configs))
-    try:
-        paths = sweep(configs, Path(args.out_dir), parallelism=args.parallelism)
     except SweepError as exc:
         for line in exc.report:
             print("failed: %s" % line, file=sys.stderr)
@@ -109,16 +110,18 @@ def _cmd_check(args) -> int:
     except ValueError as exc:
         print("input error: %s: %s" % (args.trace, exc), file=sys.stderr)
         return EXIT_CONFIG
-    if not verdict.ok:
+    if trace.config is None:
+        print("re-run: skipped, the run header names no scenario")
+    code = outcome_exit_code(verdict.ok, trace.incomplete)
+    if code == EXIT_ATOMICITY:
         print("atomicity VIOLATED (%s): %s (witness %s)"
               % (verdict.violated, verdict.detail, list(verdict.witness)), file=sys.stderr)
-        return EXIT_ATOMICITY
+        return code
     print("atomicity: ok (%d operations, %d completed)"
           % (len(trace.ops), sum(1 for o in trace.ops.values() if o.completed)))
-    if trace.incomplete:
+    if code == EXIT_LIVENESS:
         print("liveness: trace ended with live operations pending", file=sys.stderr)
-        return EXIT_LIVENESS
-    return EXIT_OK
+    return code
 
 
 def _cmd_report(args) -> int:

@@ -17,8 +17,9 @@ the wire invariants: every send arrives after it is sent, every delivery
 takes up an earlier matching send, and no node acts (sends, receives,
 invokes, responds or adopts a tag) at or after its crash (see
 trace_from_text).  verify_trace adds what only `regsim check` pays for:
-the header's scenario validates, the text is canonical, and the wire's
-counts are what its records show.
+the header's scenario validates, the text is canonical, the wire's
+counts are what its records show, and a trace whose header holds a
+scenario is what re-running that scenario writes.
 
 Operation CSV: one row per completed operation, fixed column schema
 (CSV_HEADER below); same seed, same config, same bytes.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from itertools import zip_longest
 from pathlib import Path
@@ -50,6 +51,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ATOMICITY = 3
 EXIT_LIVENESS = 4
+
+
+def outcome_exit_code(atomic: bool, incomplete: bool) -> int:
+    """The exit code of a run, a checked trace or a sweep: an atomicity
+    violation outranks a liveness failure."""
+    if not atomic:
+        return EXIT_ATOMICITY
+    return EXIT_LIVENESS if incomplete else EXIT_OK
 
 
 # ---------------------------------------------------------------- trace io
@@ -202,10 +211,14 @@ def verify_trace(text: str) -> Trace:
       that differs);
     - every send attributes to an operation, and each res's exchanges
       and the end's stale drops are what the wire shows
-      (metrics.attribute_messages).
+      (metrics.attribute_messages, "line N: ...");
+    - if the header holds a scenario, the text is exactly what
+      trace_to_text writes for run_scenario of it ("line N: re-run
+      gives ..." at the first line that differs).  A bare header names
+      no scenario, so its trace is not re-run.
     They stay out of trace_from_text because validating a scenario scans
-    quorums and re-serialising costs about half a parse, and the parse
-    alone is what a benchmark's re-check times.
+    quorums, re-serialising costs about half a parse and the re-run about
+    a parse, and the parse alone is what a benchmark's re-check times.
     """
     trace = trace_from_text(text)
     if trace.config is not None:
@@ -215,13 +228,23 @@ def verify_trace(text: str) -> Trace:
             raise ValueError("line 1: %s" % exc) from None
     canonical = trace_to_text(trace)
     if canonical != text:
-        pairs = zip_longest(text.splitlines(True), canonical.splitlines(True), fillvalue="")
-        for lineno, (found, expected) in enumerate(pairs, start=1):
-            if found != expected:
-                raise ValueError("line %d: %r is not canonical, trace_to_text writes %r"
-                                 % (lineno, found, expected))
+        raise ValueError("line %d: %r is not canonical, trace_to_text writes %r"
+                         % _first_difference(text, canonical))
     attribute_messages(trace)
+    if trace.config is not None:
+        rerun = trace_to_text(run_scenario(trace.config).trace)
+        if rerun != text:
+            lineno, found, expected = _first_difference(text, rerun)
+            raise ValueError("line %d: re-run gives %r, trace has %r" % (lineno, expected, found))
     return trace
+
+
+def _first_difference(text: str, expected: str) -> tuple[int, str, str]:
+    """(line number, line of text, line of expected) at the first line
+    where two different texts differ; a missing line reads as ''."""
+    pairs = zip_longest(text.splitlines(True), expected.splitlines(True), fillvalue="")
+    return next((lineno, found, want)
+                for lineno, (found, want) in enumerate(pairs, start=1) if found != want)
 
 
 # ---------------------------------------------------------------- running
@@ -264,11 +287,7 @@ class RunResult:
         return "\n".join(lines) + "\n"
 
     def exit_code(self) -> int:
-        if not self.verdict.ok:
-            return EXIT_ATOMICITY
-        if self.trace.incomplete:
-            return EXIT_LIVENESS
-        return EXIT_OK
+        return outcome_exit_code(self.verdict.ok, self.trace.incomplete)
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
@@ -330,6 +349,25 @@ def _cell_name(key: tuple) -> str:
     return "%s_%s_s%d_r%d_w%d_%s" % key
 
 
+def _refuse_pooled_cells(configs: list[ScenarioConfig]) -> None:
+    """Raise ConfigError naming the cell file if two configs of one cell
+    differ in a field other than seed, or are the same config twice:
+    the cell's files and its aggregate row would pool them."""
+    first_of_cell: dict[tuple, ScenarioConfig] = {}
+    seen: set[ScenarioConfig] = set()
+    for config in configs:
+        key = _cell_key(config)
+        cell = "sweep: cell %s.csv" % _cell_name(key)
+        first = first_of_cell.setdefault(key, config)
+        differ = [f.name for f in fields(config)
+                  if f.name != "seed" and getattr(config, f.name) != getattr(first, f.name)]
+        if differ:
+            raise ConfigError(["%s would pool runs that differ in %s" % (cell, differ[0])])
+        if config in seen:
+            raise ConfigError(["%s would pool seed %d twice" % (cell, config.seed)])
+        seen.add(config)
+
+
 def _sweep_job(config: ScenarioConfig):
     result = run_scenario(config)
     return (
@@ -348,7 +386,10 @@ def sweep(
 ) -> dict[str, Path]:
     """Run every config, write one op-level CSV per cell (all its seeds)
     plus an aggregate CSV across seeds.  Raises SweepError if any run
-    violates atomicity or does not finish."""
+    violates atomicity or does not finish.  Before any run or file,
+    raises ConfigError if a cell would pool runs that are not one
+    scenario's seeds (see _refuse_pooled_cells)."""
+    _refuse_pooled_cells(configs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if parallelism > 1:
@@ -358,17 +399,14 @@ def sweep(
         outcomes = [_sweep_job(c) for c in configs]
 
     failures: list[str] = []
-    worst = EXIT_OK
     cells: dict[tuple, list] = {}
     for config, verdict, incomplete, stats, csv_text in outcomes:
         label = "%s seed %d" % (_cell_name(_cell_key(config)), config.seed)
-        if not verdict.ok:
+        code = outcome_exit_code(verdict.ok, incomplete)
+        if code == EXIT_ATOMICITY:
             failures.append("%s: atomicity %s — %s" % (label, verdict.violated, verdict.detail))
-            worst = EXIT_ATOMICITY
-        elif incomplete:
+        elif code == EXIT_LIVENESS:
             failures.append("%s: liveness cap hit with operations pending" % label)
-            if worst == EXIT_OK:
-                worst = EXIT_LIVENESS
         cells.setdefault(_cell_key(config), []).append((config, stats, csv_text))
 
     paths: dict[str, Path] = {}
@@ -395,5 +433,7 @@ def sweep(
     paths["aggregate"] = agg_path
 
     if failures:
-        raise SweepError(failures, worst)
+        atomic = all(outcome[1].ok for outcome in outcomes)
+        capped = any(outcome[2] for outcome in outcomes)
+        raise SweepError(failures, outcome_exit_code(atomic, capped))
     return paths

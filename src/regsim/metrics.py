@@ -71,7 +71,10 @@ def attribute_messages(trace: Trace) -> dict[int, int]:
     sender's current exchange + 1, and a res takes its node's current
     exchange.  A client's dlv is stale when its op_seq is below that of
     the client's latest snd.  A res or end record that claims other
-    numbers raises ValueError.
+    numbers raises ValueError, as does a send that attributes to no
+    operation or to one of the other kind; each message names the line
+    of the record, which in a trace's text is its index + 2, after the
+    run header.
     """
     counts: dict[int, int] = {op_id: 0 for op_id in trace.ops}
     running: dict[str, int] = {}  # client name -> op it last invoked
@@ -80,7 +83,7 @@ def attribute_messages(trace: Trace) -> dict[int, int]:
     in_flight: dict[tuple, deque] = {}  # snd fields -> exchanges of the undelivered
     own_seq: dict[str, int] = {}  # client name -> op_seq of its latest snd
     stale = 0
-    for rec in trace.records:
+    for lineno, rec in enumerate(trace.records, start=2):
         kind = rec[0]
         if kind == "inv":
             running[rec[2]] = rec[3]
@@ -93,15 +96,14 @@ def attribute_messages(trace: Trace) -> dict[int, int]:
                 op_id = running.get(client)
                 if op_id is None or src != client:
                     raise ValueError(
-                        "send %s for client %s op_seq %d does not attribute to any operation"
-                        % (msg_kind, client, op_seq)
+                        "line %d: send %s for client %s op_seq %d does not attribute to any "
+                        "operation" % (lineno, msg_kind, client, op_seq)
                     )
                 op_of[key] = op_id
             expect = "read" if msg_kind.startswith("read") else "write"
             if trace.ops[op_id].kind != expect:
-                raise ValueError(
-                    "send %s attributed to a %s operation" % (msg_kind, trace.ops[op_id].kind)
-                )
+                raise ValueError("line %d: send %s attributed to a %s operation"
+                                 % (lineno, msg_kind, trace.ops[op_id].kind))
             counts[op_id] += 1
             in_flight.setdefault(rec[2:], deque()).append(exchange_of.get(src, 0) + 1)
             if src == client:
@@ -114,10 +116,13 @@ def attribute_messages(trace: Trace) -> dict[int, int]:
         elif kind == "res":
             _, t, pid, op_id, exchanges = rec[:5]
             if exchanges != exchange_of[pid]:
-                raise ValueError("res for op %d at %r claims %d exchanges, the wire shows %d"
-                                 % (op_id, t, exchanges, exchange_of[pid]))
+                raise ValueError(
+                    "line %d: res for op %d at %r claims %d exchanges, the wire shows %d"
+                    % (lineno, op_id, t, exchanges, exchange_of[pid])
+                )
         elif kind == "end" and rec[3] != stale:
-            raise ValueError("end claims %d stale drops, the wire shows %d" % (rec[3], stale))
+            raise ValueError("line %d: end claims %d stale drops, the wire shows %d"
+                             % (lineno, rec[3], stale))
     for op_id, n in counts.items():
         trace.ops[op_id].messages = n
     return counts

@@ -11,9 +11,12 @@ per run, and nodes perform no computation in simulated time, so a run is
 a pure function of (workload, crash schedule, seed).
 
 Crashed nodes process no event from their crash time on; messages already
-in flight from them still deliver.  Self-addressed messages (a server
-relaying to itself) bypass the network with a fixed one-microsecond local
-handoff so that delivery always happens strictly after the send.
+in flight from them still deliver.  A crash scheduled after the run ends
+is not part of the run: it writes no crs record, so the node stays live
+and its pending operations count against liveness.  Self-addressed
+messages (a server relaying to itself) bypass the network with a fixed
+one-microsecond local handoff so that delivery always happens strictly
+after the send.
 
 The simulator, not the protocols, counts three things on the wire.  An
 exchange is one message hop along the chain that started at an
@@ -135,7 +138,11 @@ class WorkItem:
 
 @dataclass
 class Trace:
-    """Everything observable about one run, in event order."""
+    """Everything observable about one run, in event order.  add is the
+    only writer of crash_at, stale_drops, skipped_invokes, incomplete and
+    end_time: they hold what the crs and end records say, so a simulated
+    trace equals the trace parsed from its text, and live(pid) means the
+    node did not crash during the run."""
 
     algorithm: str = ""
     seed: int = 0
@@ -154,10 +161,10 @@ class Trace:
         operation index and run status.  A record that contradicts the
         index raises ValueError: a second inv or res for one op id, a res
         or wtag with no earlier inv, a res or wtag from another process
-        than the invoker or timed before its inv, a wtag for a read, and
-        a second end.  So do an inv by a server, an inv whose operation
-        kind is neither read nor write and an end whose status is neither
-        complete nor incomplete."""
+        than the invoker or timed before its inv, a wtag for a read, a
+        second crs for one node and a second end.  So do an inv by a
+        server, an inv whose operation kind is neither read nor write and
+        an end whose status is neither complete nor incomplete."""
         self.records.append(rec)
         kind = rec[0]
         if kind == "inv":
@@ -207,7 +214,9 @@ class Trace:
             op.tag = Tag(ts, wid)
         elif kind == "crs":
             _, t, pid = rec
-            self.crash_at[pid] = min(t, self.crash_at.get(pid, t))
+            if pid in self.crash_at:
+                raise ValueError("second crs for %s" % pid)
+            self.crash_at[pid] = t
         elif kind == "end":
             if self._ended:
                 raise ValueError("second end record")
@@ -249,7 +258,6 @@ def run(
     for name, t in crash_schedule:
         pid = node_id(name)
         crashed_at[pid] = min(t, crashed_at[pid])
-        trace.crash_at[names[pid]] = crashed_at[pid]
 
     heap: list[tuple] = []
     seq = 0
@@ -259,8 +267,9 @@ def run(
         heapq.heappush(heap, (t, seq, kind, payload))
         seq += 1
 
-    for name in sorted(trace.crash_at, key=node_key):
-        push(trace.crash_at[name], "crash", node_id(name))
+    for pid in sorted(range(len(names)), key=lambda pid: node_key(names[pid])):
+        if crashed_at[pid] < math.inf:
+            push(crashed_at[pid], "crash", pid)
     for item in sorted(workload, key=lambda w: (w.time, node_key(w.pid))):
         push(item.time, "invoke", (node_id(item.pid), item))
 
@@ -271,6 +280,7 @@ def run(
     # to an earlier phase or operation: exactly what the step ignores.
     own_seq = [0] * len(names)
     next_op = 1
+    stale_drops = skipped_invokes = 0
 
     def handle_output(pid: int, t: float, out, exchange: int, op: int) -> None:
         """Record a step's decisions; exchange and op are those of the
@@ -318,7 +328,7 @@ def run(
             if crashed_at[pid] <= t:
                 continue
             if current_op[pid] is not None:
-                trace.skipped_invokes += 1
+                skipped_invokes += 1
                 continue
             # Writes carry their intended value from invocation on, so a
             # crashed write still shows what it was writing.
@@ -333,7 +343,7 @@ def run(
             continue
         records.append(("dlv", t, names[dst], names[msg.sender], msg.kind, names[msg.client], msg.op_seq))
         if msg.op_seq < own_seq[dst]:
-            trace.stale_drops += 1
+            stale_drops += 1
         handle_output(dst, t, step_of[dst](states[dst], msg, qs), exchange, op)
 
     end_time = min(last_t, cap_s) if not heap else cap_s
@@ -343,5 +353,5 @@ def run(
     unreached = [e for e in heap if e[2] == "invoke" and crashed_at[e[3][0]] > e[0]]
     incomplete = pending_live or bool(unreached)
     trace.add(("end", end_time, "incomplete" if incomplete else "complete",
-               trace.stale_drops, trace.skipped_invokes))
+               stale_drops, skipped_invokes))
     return trace

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from regsim.cli import main
+from regsim.config import parse_config, with_overrides
+from regsim.harness import run_scenario
 from regsim.protocols import ALGORITHMS
 
 CONFIG = """
@@ -91,20 +93,38 @@ def test_check_ok_and_violation(config_file, tmp_path, capsys) -> None:
             parts[5], parts[6], parts[7] = "0", "0", ""
             lines[i] = "\t".join(parts)
             break
-    # The first read already returned the write's tag, so the rewound
-    # response shows up as a read-read inversion.
+    # The header holds the scenario, and re-running it gives the true
+    # response.
     stale = tmp_path / "stale.log"
     stale.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(stale)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: %s: line %d: re-run gives " % (stale, i + 1))
+    assert len(err.splitlines()) == 1
+    # Under a bare header nothing is re-run.  The first read already
+    # returned the write's tag, so the rewound response shows up as a
+    # read-read inversion.
+    stale.write_text("\n".join(["run\talgorithm=erato\tseed=0"] + lines[1:]) + "\n")
     assert main(["check", str(stale)]) == 3
-    assert "VIOLATED (A1)" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "VIOLATED (A1)" in captured.err
+    assert captured.out == "re-run: skipped, the run header names no scenario\n"
 
 
-def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
-    out = tmp_path / "capped"
-    main(["run", str(config_file), "--cap-seconds", "0.01", "--out-dir", str(out)])
-    capsys.readouterr()
-    assert main(["check", str(out / "trace.log")]) == 4
-    assert "pending" in capsys.readouterr().err
+def test_check_incomplete_trace(tmp_path, capsys) -> None:
+    late_crashes = (CONFIG.replace("ops_per_client = 2", "ops_per_client = 1")
+                    + "[crashes]\nreaders = 0@100\nwriters = 0@100\n")
+    # In the second run both crashes fall after the cap, so the run never
+    # reaches them: the clients stay live, with one operation each pending.
+    for name, text, cap in [("capped", CONFIG, "0.01"), ("late_crashes", late_crashes, "0.205")]:
+        config = tmp_path / (name + ".ini")
+        config.write_text(text)
+        out = tmp_path / name
+        assert main(["run", str(config), "--cap-seconds", cap, "--out-dir", str(out)]) == 4
+        assert (out / "trace.log").read_text().endswith("\nend\t%s\tincomplete\t0\t0\n" % cap)
+        capsys.readouterr()
+        assert main(["check", str(out / "trace.log")]) == 4
+        assert "pending" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -130,6 +150,7 @@ def test_check_incomplete_trace(config_file, tmp_path, capsys) -> None:
         ("check", "inv\t0.1\tr0\t1\tread\t-\nwtag\t0.15\tr0\t1\t1\t0", "line 3: wtag for op 1, which is a read"),
         ("check", "end\t0.3\tbogus\t0\t0", "line 2: end status 'bogus' is neither complete nor incomplete"),
         ("check", "end\t0.3\tcomplete\t0\t0\nend\t0.4\tincomplete\t0\t0", "line 3: second end record"),
+        ("check", "crs\t0.2\ts0\ncrs\t0.1\ts0\nend\t0.3\tcomplete\t0\t0", "line 3: second crs for s0"),
         ("check", "inv\t0.1\tr03\t1\tread\t-", "line 2: not a process id: 'r03'"),
         ("check", "inv\t0.1\tr\u0663\t1\tread\t-", "line 2: not a process id: 'r\u0663'"),
         ("check", "dlv\t0.5\ts0\tr0\treadRequest\tr0\t1",
@@ -239,6 +260,12 @@ def test_run_refuses_non_finite_numbers(old, new, args, message, tmp_path, capsy
         ("seeds = 1", "seeds = 1\nwriters = 0@0.5, 0@0.7",
          "grid.writers: crash schedules go in [crashes], not [grid]"),
         ("seeds = 1", "seeds = 1\ncrash_readers = 0@0.5", "grid.crash_readers: unknown key"),
+        # quorums is no cell column, so both quorum systems would share
+        # one cell's files; a repeated axis value would run each seed twice.
+        ("algorithm = erato, ohsam\nseeds = 1", "quorums = majority, matrix\nn_servers = 9\nseeds = 2",
+         "sweep: cell erato_series_s9_r1_w1_fixed.csv would pool runs that differ in quorums"),
+        ("algorithm = erato, ohsam", "algorithm = erato, erato",
+         "sweep: cell erato_series_s3_r1_w1_fixed.csv would pool seed 0 twice"),
     ],
 )
 def test_bad_grid_value_exits_2_with_one_line(old, new, message, tmp_path, capsys) -> None:
@@ -246,6 +273,7 @@ def test_bad_grid_value_exits_2_with_one_line(old, new, message, tmp_path, capsy
     grid.write_text(GRID.replace(old, new))
     assert main(["sweep", str(grid), "--out-dir", str(tmp_path / "sweep")]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not (tmp_path / "sweep").exists()
 
 
 def edit_field(kind: str, index: int, edit):
@@ -273,6 +301,32 @@ def insert_blank_line(lines: list[str]) -> int:
     return 3
 
 
+def reported_at(kind: str, nth: int, edit):
+    """edit, with the error expected at the nth line of this record kind,
+    where the re-run of the edited trace first differs from it."""
+    def apply(lines: list[str]) -> int:
+        edit(lines)
+        return [i for i, line in enumerate(lines, start=1) if line.split("\t")[0] == kind][nth - 1]
+    return apply
+
+
+def zero_first_jitter(lines: list[str]) -> int:
+    """Move the first snd's arrival, and its dlv's time, to where the
+    message lands with no jitter: a draw within [0, jitter_max] that the
+    run did not make.  The text stays canonical and the wire consistent."""
+    smooth = run_scenario(with_overrides(parse_config(CONFIG), jitter_max=0.0)).trace
+    first = next(rec for rec in smooth.records if rec[0] == "snd")
+    i = next(i for i, line in enumerate(lines) if line.startswith("snd\t"))
+    parts = lines[i].split("\t")
+    assert parts[:7] == [str(field) for field in first[:7]] and parts[7] != repr(first[7])
+    moved = repr(first[7])
+    dlv = ["dlv", parts[7], parts[3], parts[2]] + parts[4:7]
+    j = lines.index("\t".join(dlv))
+    lines[i] = "\t".join(parts[:7] + [moved])
+    lines[j] = "\t".join(["dlv", moved] + dlv[2:])
+    return i + 1
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -293,6 +347,12 @@ def insert_blank_line(lines: list[str]) -> int:
         pytest.param(edit_field("res", 4, lambda n: "7"), "claims 7 exchanges, the wire shows 2", id="res_exchanges"),
         pytest.param(edit_field("end", 3, lambda n: "999"), "end claims 999 stale drops, the wire shows 0",
                      id="end_stale_drops"),
+        # The header's scenario is re-run.
+        pytest.param(reported_at("inv", 2, edit_header("n_readers=1\tn_servers=3", "n_readers=5\tn_servers=7")),
+                     "re-run gives 'snd\\t0.2\\tr0\\ts3\\t", id="more_readers_and_servers"),
+        pytest.param(reported_at("snd", 1, edit_header("\tseed=0\t", "\tseed=1\t")),
+                     "re-run gives 'snd\\t0.2\\tr0\\ts0\\t", id="seed"),
+        pytest.param(zero_first_jitter, "re-run gives 'snd\\t0.2\\tr0\\ts0\\t", id="arrival"),
     ],
 )
 def test_check_refuses_an_edited_trace(edit, message, config_file, tmp_path, capsys) -> None:
@@ -306,8 +366,7 @@ def test_check_refuses_an_edited_trace(edit, message, config_file, tmp_path, cap
     assert main(["check", str(edited)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and message in err
-    if "claims" not in message:
-        assert err.startswith("input error: %s: line %d: " % (edited, lineno))
+    assert err.startswith("input error: %s: line %d: " % (edited, lineno))
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))

@@ -61,20 +61,11 @@ def test_trace_round_trip_identity() -> None:
     text = trace_to_text(result.trace)
     parsed = trace_from_text(text)
     assert trace_to_text(parsed) == text
-    assert parsed.records == result.trace.records
     assert parsed.algorithm == "erato_mw" and parsed.seed == 7
     assert parsed.crash_at == {server(0): 0.25, reader(1): 0.3}
-    assert parsed.end_time == result.trace.end_time
-    assert parsed.incomplete == result.trace.incomplete
-    assert parsed.stale_drops == result.trace.stale_drops
-    assert set(parsed.ops) == set(result.trace.ops)
-    for op_id, op in result.trace.ops.items():
-        got = parsed.ops[op_id]
-        assert (got.process, got.kind, got.invoked_at, got.responded_at,
-                got.tag, got.value, got.exchanges) == (
-            op.process, op.kind, op.invoked_at, op.responded_at,
-            op.tag, op.value, op.exchanges)
-    assert attribute_messages(parsed) == attribute_messages(result.trace)
+    # Message counts are the one thing the text leaves to attribution.
+    attribute_messages(parsed)
+    assert parsed == result.trace
 
 
 @settings(max_examples=30, deadline=None)
@@ -92,16 +83,20 @@ def test_trace_round_trip_all_algorithms(algorithm, topology, crash, seed) -> No
     text = trace_to_text(run)
     parsed = trace_from_text(text)
     assert trace_to_text(parsed) == text
-    assert parsed.records == run.records
+    attribute_messages(parsed)
+    assert parsed == run
 
 
 # Round-trip corpus: between them the runs write every record kind,
-# and the capped run ends incomplete.
+# and the capped runs end incomplete.  In the last, both crashes fall
+# after the cap: they are no part of the run, so its clients stay live.
 ROUND_TRIP_CORPUS = [
     cfg(algorithm="erato_mw", n_writers=2, crash_servers=((0, 0.25),),
         crash_readers=((1, 0.3),), jitter_max=0.002, seed=7),
     cfg(algorithm="abd", topology="star", crash_servers=((1, 0.3),), seed=2),
     cfg(cap_seconds=0.01),
+    cfg(n_readers=1, scheme="fixed", ops_per_client=1, seed=0, cap_seconds=0.205,
+        crash_readers=((0, 100.0),), crash_writers=((0, 100.0),)),
 ]
 
 
@@ -113,7 +108,8 @@ def test_round_trip_corpus_covers_every_record_kind() -> None:
         text = trace_to_text(run)
         parsed = trace_from_text(text)
         assert trace_to_text(parsed) == text
-        assert parsed.records == run.records
+        attribute_messages(parsed)
+        assert parsed == run
         kinds |= {rec[0] for rec in parsed.records}
         statuses.add(parsed.records[-1][2])
     assert kinds == set(_REC_TYPES)
@@ -363,3 +359,6 @@ def test_exit_codes() -> None:
 
     doctored.verdict = Verdict(False, "A1", (1, 2), "synthetic")
     assert doctored.exit_code() == EXIT_ATOMICITY
+    # An atomicity violation outranks a liveness failure.
+    capped.verdict = doctored.verdict
+    assert capped.exit_code() == EXIT_ATOMICITY

@@ -108,7 +108,8 @@ def test_unattributable_send_raises() -> None:
 def test_server_send_that_fits_no_client_operation_raises(rec, message) -> None:
     trace = sim("erato", build_majority(3), 3, [WorkItem(0.0, reader(0), "read")])
     trace.records.append(rec)
-    with pytest.raises(ValueError, match=message):
+    # The record's line in the trace's text, after the run header.
+    with pytest.raises(ValueError, match="^line %d: .*%s" % (len(trace.records) + 1, message)):
         attribute_messages(trace)
 
 
@@ -203,10 +204,11 @@ def test_simulator_message_counts_match_attribution(config) -> None:
 def assert_wire_counts(trace) -> None:
     """The simulator's exchange and stale counts, as its res and end
     records state them, match attribute_messages' recount from the
-    records alone; and verify_trace, which makes that recount for `regsim
-    check`, accepts the trace's text."""
+    records alone; and verify_trace, which makes that recount and
+    re-runs the scenario for `regsim check`, accepts the trace's text
+    and parses it back into an equal trace."""
     attribute_messages(trace)
-    assert verify_trace(trace_to_text(trace)).records == trace.records
+    assert verify_trace(trace_to_text(trace)) == trace
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv as csv_module
+import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 from regsim.checker import check_atomicity_tagged, extract_history
-from regsim.config import ConfigError, parse_config, parse_grid, with_overrides
+from regsim.config import SCHEMES, TOPOLOGIES, ConfigError, parse_config, parse_grid, with_overrides
 from regsim.core import parse_pid
 from regsim.harness import (
     CSV_HEADER,
@@ -33,6 +34,7 @@ from regsim.harness import (
     write_outputs,
 )
 from regsim.metrics import OpStats, summarize
+from regsim.protocols import get_algorithm
 
 
 def _print_summaries(result_like_stats) -> None:
@@ -124,6 +126,54 @@ def _cmd_check(args) -> int:
     return code
 
 
+# A client's role letter -> (its op_kind, the column counting its role).
+_CLIENT_ROLES = {"r": ("read", "n_readers"), "w": ("write", "n_writers")}
+
+
+def _at_least(row: dict, column: str, least: int, convert=int):
+    """The column's value, refused unless finite and at least least."""
+    v = convert(row[column])
+    if not least <= v < math.inf:
+        raise ValueError("%s: expected a finite value >= %d, got %s" % (column, least, row[column]))
+    return v
+
+
+def _op_stats(row: dict) -> OpStats:
+    """A per-operation CSV row as OpStats.  ValueError, naming the first
+    bad column, for a row that `run` never writes."""
+    if None in row or None in row.values():
+        raise ValueError("expected %d fields" % len(CSV_HEADER.split(",")))
+    try:
+        get_algorithm(row["algorithm"])
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    for column, choices in (("topology", TOPOLOGIES), ("scheme", SCHEMES)):
+        if row[column] not in choices:
+            raise ValueError("%s: must be %s, got %r" % (column, " or ".join(choices), row[column]))
+    counts = {column: _at_least(row, column, least)
+              for column, least in (("n_servers", 1), ("n_readers", 0), ("n_writers", 0))}
+    int(row["seed"])  # any integer seeds a run
+    op_id = _at_least(row, "op_id", 1)
+    process = parse_pid(row["process"])
+    if process[0] not in _CLIENT_ROLES:
+        raise ValueError("process %s is not a client" % process)
+    kind, count_column = _CLIENT_ROLES[process[0]]
+    if int(process[1:]) >= counts[count_column]:
+        raise ValueError("process %s: %s is %d" % (process, count_column, counts[count_column]))
+    if row["op_kind"] != kind:
+        raise ValueError("op_kind: %s runs %ss, got %r" % (process, kind, row["op_kind"]))
+    return OpStats(
+        algorithm=row["algorithm"],
+        op_id=op_id,
+        process=process,
+        kind=kind,
+        invoked_at=_at_least(row, "invoked_at", 0, float),
+        latency_s=_at_least(row, "latency_s", 0, float),
+        exchanges=_at_least(row, "exchanges", 0),
+        messages=_at_least(row, "messages", 0),
+    )
+
+
 def _cmd_report(args) -> int:
     stats: list[OpStats] = []
     for path in args.csv:
@@ -135,18 +185,7 @@ def _cmd_report(args) -> int:
                 return EXIT_CONFIG
             for row in reader:
                 try:
-                    if None in row or None in row.values():
-                        raise ValueError("expected %d fields" % len(reader.fieldnames))
-                    stats.append(OpStats(
-                        algorithm=row["algorithm"],
-                        op_id=int(row["op_id"]),
-                        process=parse_pid(row["process"]),
-                        kind=row["op_kind"],
-                        invoked_at=float(row["invoked_at"]),
-                        latency_s=float(row["latency_s"]),
-                        exchanges=int(row["exchanges"]),
-                        messages=int(row["messages"]),
-                    ))
+                    stats.append(_op_stats(row))
                 except ValueError as exc:
                     print("%s: line %d: %s" % (path, reader.line_num, exc), file=sys.stderr)
                     return EXIT_CONFIG

@@ -17,14 +17,13 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS
+from regsim.protocols import ALGORITHMS, get_algorithm
 from regsim.quorum import QuorumSystem, build_majority, build_matrix, surviving_quorum_exists
 
-SWMR_ALGORITHMS = frozenset(
-    name for name, alg in ALGORITHMS.items() if not alg.mw
-)
-
 CrashList = tuple[tuple[int, float], ...]
+
+TOPOLOGIES = ("series", "star")
+SCHEMES = ("fixed", "stochastic")
 
 
 class ConfigError(ValueError):
@@ -240,12 +239,14 @@ def parse_grid(text: str) -> list[ScenarioConfig]:
 def validate(config: ScenarioConfig) -> ScenarioConfig:
     """Return the config unchanged, or raise ConfigError listing everything wrong."""
     errors: list[str] = []
-    known = set(ALGORITHMS) | set(EXTRA_ALGORITHMS)
-    if config.algorithm not in known:
+    try:
+        swmr = not get_algorithm(config.algorithm).mw
+    except KeyError:
+        swmr = False
         errors.append("scenario.algorithm: unknown %r (choose from %s)"
                       % (config.algorithm, ", ".join(sorted(ALGORITHMS))))
-    if config.topology not in ("series", "star"):
-        errors.append("scenario.topology: must be series or star")
+    if config.topology not in TOPOLOGIES:
+        errors.append("scenario.topology: must be %s" % " or ".join(TOPOLOGIES))
     if config.quorums not in ("majority", "matrix"):
         errors.append("scenario.quorums: must be majority or matrix")
     if config.n_servers < 1:
@@ -256,11 +257,10 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         errors.append("scenario.n_readers: negative")
     if config.n_writers < 0:
         errors.append("scenario.n_writers: negative")
-    if config.algorithm in SWMR_ALGORITHMS or config.algorithm in EXTRA_ALGORITHMS:
-        if config.n_writers != 1:
-            errors.append("scenario.n_writers: SWMR requires one writer")
-    if config.scheme not in ("fixed", "stochastic"):
-        errors.append("workload.scheme: must be fixed or stochastic")
+    if swmr and config.n_writers != 1:
+        errors.append("scenario.n_writers: SWMR requires one writer")
+    if config.scheme not in SCHEMES:
+        errors.append("workload.scheme: must be %s" % " or ".join(SCHEMES))
     # Each range test is written so that nan fails it too.
     for name in ("read_interval", "write_interval"):
         v = getattr(config, name)
@@ -288,6 +288,10 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
             if not 0 <= at < math.inf:
                 errors.append("crashes.%s: crash time %r for %d must be non-negative and finite"
                               % (label, at, idx))
+        # A node crashes once; netsim.run refuses a node scheduled twice.
+        indices = [idx for idx, _ in crashes]
+        for idx in sorted({i for i in indices if indices.count(i) > 1}):
+            errors.append("crashes.%s: index %d listed twice" % (label, idx))
     if config.n_servers >= 1 and not errors:
         # Only meaningful once indices are in range.
         qs = build_quorum_system(config)

@@ -28,6 +28,7 @@ Operation CSV: one row per completed operation, fixed column schema
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache
@@ -387,13 +388,18 @@ def sweep(
     """Run every config, write one op-level CSV per cell (all its seeds)
     plus an aggregate CSV across seeds.  Raises SweepError if any run
     violates atomicity or does not finish.  Before any run or file,
-    raises ConfigError if a cell would pool runs that are not one
-    scenario's seeds (see _refuse_pooled_cells)."""
+    raises ConfigError if parallelism is below 1 or a cell would pool
+    runs that are not one scenario's seeds (see _refuse_pooled_cells).
+    At most parallelism worker processes run, and never more than there
+    are configs or CPUs: a fork pool starts all its workers at once."""
+    if parallelism < 1:
+        raise ConfigError(["sweep: parallelism must be at least 1, got %d" % parallelism])
     _refuse_pooled_cells(configs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    workers = min(parallelism, len(configs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_job, configs, chunksize=1))
     else:
         outcomes = [_sweep_job(c) for c in configs]

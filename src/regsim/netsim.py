@@ -10,13 +10,14 @@ queueing.  Event order is (time, insertion sequence), the RNG is seeded
 per run, and nodes perform no computation in simulated time, so a run is
 a pure function of (workload, crash schedule, seed).
 
-Crashed nodes process no event from their crash time on; messages already
-in flight from them still deliver.  A crash scheduled after the run ends
-is not part of the run: it writes no crs record, so the node stays live
-and its pending operations count against liveness.  Self-addressed
-messages (a server relaying to itself) bypass the network with a fixed
-one-microsecond local handoff so that delivery always happens strictly
-after the send.
+A node crashes at most once: a crash schedule naming a node twice raises
+ValueError.  Crashed nodes process no event from their crash time on;
+messages already in flight from them still deliver.  A crash scheduled
+after the run ends is not part of the run: it writes no crs record, so
+the node stays live and its pending operations count against liveness.
+Self-addressed messages (a server relaying to itself) bypass the network
+with a fixed one-microsecond local handoff so that delivery always
+happens strictly after the send.
 
 The simulator, not the protocols, counts three things on the wire.  An
 exchange is one message hop along the chain that started at an
@@ -54,8 +55,8 @@ from regsim.quorum import QuorumSystem
 
 MBPS = 1e6
 LOOPBACK_DELAY = 1e-6
-DEFAULT_JITTER_MAX = 0.001
-DEFAULT_CAP_S = 300.0
+DEFAULT_JITTER_MAX = ScenarioConfig.jitter_max
+DEFAULT_CAP_S = ScenarioConfig.cap_seconds
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,9 @@ def run(
     crashed_at = [math.inf] * len(names)
     for name, t in crash_schedule:
         pid = node_id(name)
-        crashed_at[pid] = min(t, crashed_at[pid])
+        if crashed_at[pid] != math.inf:
+            raise ValueError("crash schedule names %s twice" % name)
+        crashed_at[pid] = t
 
     heap: list[tuple] = []
     seq = 0

@@ -72,7 +72,9 @@ ALGORITHMS: dict[str, Algorithm] = {
     ),
 }
 
-# Known-unsafe variant for checker validation; excluded from config parsing.
+# Known-unsafe variant for checker validation.  Configs may name it; it
+# is listed apart so that loops over ALGORITHMS, such as the acceptance
+# run matrices and config's list of choices, skip it.
 EXTRA_ALGORITHMS: dict[str, Algorithm] = {
     "erato_broken": Algorithm(
         "erato_broken", False, RelayReaderState,

@@ -17,8 +17,8 @@ from typing import Optional
 
 from regsim.core import Message, MessageKind, Tag
 from regsim.protocols.base import Event, Invoke, Response, StepOutput, broadcast
-from regsim.protocols.readers import quorum_extreme
 from regsim.quorum import QuorumSystem
+from regsim.views import quorum_extreme
 
 
 @dataclass

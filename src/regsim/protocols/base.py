@@ -33,6 +33,7 @@ from regsim.core import (
     Tag,
 )
 from regsim.quorum import QuorumSystem, bits
+from regsim.views import quorum_extreme
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
         state.ack_mask |= 1 << bit
         qi = qs.first_contained_mask(state.ack_mask)
         if qi >= 0:
-            max_ts = max(state.acks[b].tag.ts for b in bits(qs.masks[qi]))
+            max_ts = quorum_extreme(state.acks, qs.masks[qi], smallest=False).tag.ts
             state.tag = Tag(max_ts + 1, state.wid)
             state.write_op += 1
             state.phase = "put"
@@ -165,14 +166,19 @@ def adopt(state, msg: Message, out: StepOutput) -> None:
         out.adopted = state.tag
 
 
-def handle_write_request(state: ServerState, msg: Message, out: StepOutput) -> None:
-    # Adoption is gated on per-writer freshness; the ack is not.  A single
-    # writer's op_seq is its timestamp, so the gate drops only requests
-    # whose tag adopt would ignore anyway.
-    if state.write_ops.get(msg.client, 0) < msg.op_seq:
-        state.write_ops[msg.client] = msg.op_seq
-        adopt(state, msg, out)
-    out.sends.append((msg.client, Message(MessageKind.WRITE_ACK, state.pid, msg.client, msg.op_seq, state.tag)))
+def handle_writer_message(state: ServerState, msg: Message, out: StepOutput) -> None:
+    """A server's reply to a writer's WRITE_DISCOVER or WRITE_REQUEST;
+    any other message kind is ignored."""
+    if msg.kind == MessageKind.WRITE_DISCOVER:
+        out.sends.append((msg.client, Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag)))
+    elif msg.kind == MessageKind.WRITE_REQUEST:
+        # Adoption is gated on per-writer freshness; the ack is not.  A
+        # single writer's op_seq is its timestamp, so the gate drops only
+        # requests whose tag adopt would ignore anyway.
+        if state.write_ops.get(msg.client, 0) < msg.op_seq:
+            state.write_ops[msg.client] = msg.op_seq
+            adopt(state, msg, out)
+        out.sends.append((msg.client, Message(MessageKind.WRITE_ACK, state.pid, msg.client, msg.op_seq, state.tag)))
 
 
 @dataclass
@@ -211,10 +217,8 @@ def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
             if state.acked.get(r, 0) < ro and qs.first_contained_mask(state.relays[r]) >= 0:
                 state.acked[r] = ro  # at most one ack per (reader, read_op)
                 out.sends.append((r, Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)))
-    elif event.kind == MessageKind.WRITE_REQUEST:
-        handle_write_request(state, event, out)
-    elif event.kind == MessageKind.WRITE_DISCOVER:
-        out.sends.append((event.client, Message(MessageKind.DISCOVER_ACK, state.pid, event.client, event.op_seq, state.tag)))
+    else:
+        handle_writer_message(state, event, out)
     return out
 
 
@@ -227,8 +231,6 @@ def plain_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
         # Write-back of the chosen tag by a reading client.
         adopt(state, event, out)
         out.sends.append((event.client, Message(MessageKind.READ_ACK, state.pid, event.client, event.op_seq, state.tag, state.value)))
-    elif event.kind == MessageKind.WRITE_REQUEST:
-        handle_write_request(state, event, out)
-    elif event.kind == MessageKind.WRITE_DISCOVER:
-        out.sends.append((event.client, Message(MessageKind.DISCOVER_ACK, state.pid, event.client, event.op_seq, state.tag)))
+    else:
+        handle_writer_message(state, event, out)
     return out

@@ -3,28 +3,19 @@
 Writes discover the highest timestamp from a quorum, then place
 (max+1, writer id) with a second round trip, and answer on its
 acknowledgement quorum.  Reads reuse the relay scheme; a completed relay
-quorum is analysed iteratively, discarding provably incomplete maxima
-until a uniform remainder answers on that relay delivery or ambiguity
-sends the read to the acknowledgement round.  The simulator counts the
-exchanges each answer took (see netsim).
+quorum is analysed by views.iterative_analyze, which discards provably
+incomplete maxima until a uniform remainder answers on that relay
+delivery or ambiguity sends the read to the acknowledgement round.  The
+simulator counts the exchanges each answer took (see netsim).
 """
 
 from __future__ import annotations
 
-from regsim.protocols.base import Event, Response, StepOutput
+from regsim.protocols.base import Event, StepOutput
 from regsim.protocols.readers import RelayReaderState, relay_reader_step
 from regsim.quorum import QuorumSystem
 from regsim.views import iterative_analyze
 
 
-def _analyze(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int) -> None:
-    m = iterative_analyze(qs, state.rr, qs.masks[qi])
-    if m is None:
-        state.mode = "await"
-    else:
-        state.mode = "idle"
-        out.response = Response(m.value, m.tag)
-
-
 def eratomw_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) -> StepOutput:
-    return relay_reader_step(state, event, qs, _analyze)
+    return relay_reader_step(state, event, qs, iterative_analyze)

@@ -1,21 +1,26 @@
-"""Reader-side collection scaffolding shared by the relay-based protocols.
+"""Reader-side collection shared by the relay-based protocols.
 
 A relay read broadcasts one request and then watches two responder sets:
 relays echoed directly to the reader (RR) and post-synchronisation
-acknowledgements (RA).  The acknowledgement quorum is always checked first;
-how a completed relay quorum is analysed is what distinguishes the
-protocols, so that part is injected as a callable.  Without one (the ohsam
+acknowledgements (RA).  The protocols differ only in how they analyse
+the first complete relay quorum: the analyser returns its decision, the
+message to answer with or None to await the acknowledgement quorum
+(views.iterative_analyze's signature).  Without an analyser (the ohsam
 and ohmam baselines) every read waits for the acknowledgement quorum.
+An acknowledgement quorum answers with its least tag, or, for the
+unsafe erato_broken, its greatest.  relay_reader_step applies both
+decisions in one place: the read answers there and nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from regsim.core import Message, MessageKind
 from regsim.protocols.base import Event, Invoke, Response, StepOutput, broadcast
-from regsim.quorum import QuorumSystem, bits
+from regsim.quorum import QuorumSystem
+from regsim.views import quorum_extreme
 
 
 @dataclass
@@ -29,26 +34,9 @@ class RelayReaderState:
     ra_mask: int = 0
 
 
-# Called when the first relay quorum / an acknowledgement quorum completes.
-Analyzer = Callable[[RelayReaderState, StepOutput, QuorumSystem, int], None]
-AckResponder = Callable[[RelayReaderState, StepOutput, QuorumSystem, int], None]
-
-
-def quorum_extreme(msgs: dict[int, Message], qmask: int, smallest: bool) -> Message:
-    """The quorum member's message with the least/greatest tag (first bit wins ties)."""
-    best: Optional[Message] = None
-    for b in bits(qmask):
-        m = msgs[b]
-        if best is None or (m.tag < best.tag if smallest else m.tag > best.tag):
-            best = m
-    assert best is not None
-    return best
-
-
-def respond_min_acks(state: RelayReaderState, out: StepOutput, qs: QuorumSystem, qi: int) -> None:
-    m = quorum_extreme(state.ra, qs.masks[qi], smallest=True)
-    state.mode = "idle"
-    out.response = Response(m.value, m.tag)
+# (qs, relays by sender bit, relay quorum mask) -> the message to answer
+# with, or None to await the acknowledgement quorum.
+Analyzer = Callable[[QuorumSystem, Mapping[int, Message], int], Optional[Message]]
 
 
 def relay_reader_step(
@@ -56,7 +44,7 @@ def relay_reader_step(
     event: Event,
     qs: QuorumSystem,
     analyze: Optional[Analyzer] = None,
-    on_acks: AckResponder = respond_min_acks,
+    smallest_ack: bool = True,
 ) -> StepOutput:
     out = StepOutput()
     if isinstance(event, Invoke):
@@ -76,12 +64,21 @@ def relay_reader_step(
         state.ra[bit] = event
         state.ra_mask |= 1 << bit
         qi = qs.first_contained_mask(state.ra_mask)
-        if qi >= 0:
-            on_acks(state, out, qs, qi)
+        if qi < 0:
+            return out
+        m = quorum_extreme(state.ra, qs.masks[qi], smallest_ack)
     elif event.kind == MessageKind.READ_RELAY and state.mode == "collect" and analyze is not None:
         state.rr[bit] = event
         state.rr_mask |= 1 << bit
         qi = qs.first_contained_mask(state.rr_mask)
-        if qi >= 0:
-            analyze(state, out, qs, qi)
+        if qi < 0:
+            return out
+        m = analyze(qs, state.rr, qs.masks[qi])
+        if m is None:
+            state.mode = "await"
+            return out
+    else:
+        return out
+    state.mode = "idle"
+    out.response = Response(m.value, m.tag)
     return out

@@ -15,7 +15,13 @@ on VIEW2 the max-tag holders are discarded from Q and the remainder is
 reclassified (intersections are taken against that remainder, and an
 emptied intersection counts as contained).  The loop strictly shrinks Q,
 so it decides within |Q| rounds: VIEW1 returns the surviving maximum,
-VIEW3 awaits acknowledgements.
+VIEW3 awaits acknowledgements.  It returns that decision: the message
+to answer with, or None to await acknowledgements.  Every relay read's
+analyser returns one in that form (see protocols.readers).
+
+quorum_extreme is the one least/greatest-tag scan over a quorum: the
+relay reader's acknowledgement round, abd's query, the multi-writer
+discover phase and the max-tag holders above all use it.
 
 Everything here works on server bit indices: messages are keyed by the
 sender's bit and quorums, remainders and holder sets are bitmasks, as in
@@ -37,19 +43,23 @@ class ViewClass(enum.Enum):
     VIEW3 = 3
 
 
-def _max_holders(msgs: Mapping[int, Message], mask: int) -> tuple[Message, int]:
-    """The first (lowest-bit) message with the greatest tag among the bits
-    of a non-empty mask, and the mask of every bit reporting that tag."""
-    top: Optional[Message] = None
-    holders = 0
+def quorum_extreme(msgs: Mapping[int, Message], mask: int, smallest: bool) -> Message:
+    """The message with the least/greatest tag among the bits of a
+    non-empty mask; the lowest bit wins ties."""
+    best: Optional[Message] = None
     for b in bits(mask):
         m = msgs[b]
-        if top is None or m.tag > top.tag:
-            top, holders = m, 1 << b
-        elif m.tag == top.tag:
-            holders |= 1 << b
-    assert top is not None
-    return top, holders
+        if best is None or (m.tag < best.tag if smallest else m.tag > best.tag):
+            best = m
+    assert best is not None
+    return best
+
+
+def _max_holders(msgs: Mapping[int, Message], mask: int) -> tuple[Message, int]:
+    """quorum_extreme's greatest-tag message, and the mask of every bit
+    reporting that tag."""
+    top = quorum_extreme(msgs, mask, smallest=False)
+    return top, sum(1 << b for b in bits(mask) if msgs[b].tag == top.tag)
 
 
 def _classify_masks(qs: QuorumSystem, cur: int, maxset: int) -> ViewClass:

@@ -236,6 +236,9 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
          "crashes.readers: crash time inf for 0 must be non-negative and finite"),
         (None, None, ["--jitter-max", "nan"], "network.jitter_max: must be non-negative and finite, got nan"),
         (None, None, ["--cap-seconds", "inf"], "network.cap_seconds: must be positive and finite, got inf"),
+        # A node crashes once.
+        ("ops_per_client = 2", "ops_per_client = 2\n[crashes]\nservers = 0@0.5, 0@0.1", [],
+         "crashes.servers: index 0 listed twice"),
     ],
 )
 def test_run_refuses_non_finite_numbers(old, new, args, message, tmp_path, capsys) -> None:
@@ -274,6 +277,17 @@ def test_bad_grid_value_exits_2_with_one_line(old, new, message, tmp_path, capsy
     assert main(["sweep", str(grid), "--out-dir", str(tmp_path / "sweep")]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("parallelism", ["0", "-3"])
+def test_sweep_parallelism_below_one_exits_2(parallelism, tmp_path, capsys) -> None:
+    grid = tmp_path / "grid.ini"
+    grid.write_text(GRID)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(grid), "--out-dir", str(out), "--parallelism", parallelism]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sweep: parallelism must be at least 1, got %s\n" % parallelism)
+    assert not out.exists()
 
 
 def edit_field(kind: str, index: int, edit):
@@ -420,14 +434,39 @@ def test_sweep_and_report(tmp_path, capsys) -> None:
         ("1,r0,read,0.1,0.2,2,10,extra", "line 3: expected 14 fields"),
         ("1,q7,read,0.1,0.2,2,10", "line 3: not a process id: 'q7'"),
         ("1,r03,read,0.1,0.2,2,10", "line 3: not a process id: 'r03'"),
+        # Rows that `run` never writes.  A row of all 14 fields stands alone.
+        ("erato,star,3,1,1,fixed,0,1,r0,read,0.1,nan,2,9",
+         "line 3: latency_s: expected a finite value >= 0, got nan"),
+        ("1,r0,read,inf,0.2,2,10", "line 3: invoked_at: expected a finite value >= 0, got inf"),
+        ("1,r0,read,0.1,inf,2,10", "line 3: latency_s: expected a finite value >= 0, got inf"),
+        ("1,r0,read,0.1,-5,2,10", "line 3: latency_s: expected a finite value >= 0, got -5"),
+        ("1,r0,read,0.1,0.2,-2,10", "line 3: exchanges: expected a finite value >= 0, got -2"),
+        ("1,r0,read,0.1,0.2,2,-9", "line 3: messages: expected a finite value >= 0, got -9"),
+        ("0,r0,read,0.1,0.2,2,10", "line 3: op_id: expected a finite value >= 1, got 0"),
+        ("1,r0,bogus,0.1,0.2,2,10", "line 3: op_kind: r0 runs reads, got 'bogus'"),
+        ("1,r0,write,0.1,0.2,2,10", "line 3: op_kind: r0 runs reads, got 'write'"),
+        ("1,s0,read,0.1,0.2,2,10", "line 3: process s0 is not a client"),
+        ("1,r1,read,0.1,0.2,2,10", "line 3: process r1: n_readers is 1"),
+        ("erato,nowhere,3,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
+         "line 3: topology: must be series or star, got 'nowhere'"),
+        ("erato,series,abc,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
+         "line 3: invalid literal for int() with base 10: 'abc'"),
+        ("erato,series,0,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
+         "line 3: n_servers: expected a finite value >= 1, got 0"),
+        ("erato,series,3,1,1,often,0,1,r0,read,0.1,0.2,2,10",
+         "line 3: scheme: must be fixed or stochastic, got 'often'"),
+        ("erato,series,3,1,1,fixed,zero,1,r0,read,0.1,0.2,2,10",
+         "line 3: invalid literal for int() with base 10: 'zero'"),
+        ("paxos,series,3,1,1,fixed,0,1,r0,read,0.1,0.2,2,10", "line 3: unknown algorithm 'paxos'"),
     ],
 )
 def test_report_bad_row_exits_2_with_one_line(row, message, tmp_path, capsys) -> None:
     from regsim.harness import CSV_HEADER
 
     prefix = "erato,series,3,1,1,fixed,0,"
+    line = row if row.count(",") == 13 else prefix + row
     p = tmp_path / "ops.csv"
-    p.write_text("%s\n%s1,w0,write,0.1,0.2,2,10\n%s%s\n" % (CSV_HEADER, prefix, prefix, row))
+    p.write_text("%s\n%s1,w0,write,0.1,0.2,2,10\n%s\n" % (CSV_HEADER, prefix, line))
     assert main(["report", str(p)]) == 2
     assert capsys.readouterr().err == "%s: %s\n" % (p, message)
 

@@ -3,12 +3,14 @@ runs produce checked results and stable CSV, grids expand correctly,
 sweeps aggregate and fail loudly."""
 
 import functools
+import os
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regsim import harness
 from regsim.config import ConfigError, ScenarioConfig, parse_grid, validate
 from regsim.core import parse_pid, reader, server
 from regsim.harness import (
@@ -344,6 +346,31 @@ def test_sweep_parallel_matches_serial(tmp_path) -> None:
     assert serial["aggregate"].read_text() == parallel["aggregate"].read_text()
     for name in serial:
         assert serial[name].read_text() == parallel[name].read_text()
+
+
+@pytest.mark.parametrize("cpus,workers", [(8, 3), (2, 2), (1, None)])
+def test_sweep_caps_its_worker_processes(cpus, workers, tmp_path, monkeypatch) -> None:
+    # A fork pool starts all max_workers processes at its first submit,
+    # so a stand-in pool records max_workers and runs the jobs inline.
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sweep([cfg(seed=s) for s in range(3)], tmp_path, parallelism=5000)
+    assert started == ([] if workers is None else [workers])
 
 
 def test_exit_codes() -> None:

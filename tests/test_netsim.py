@@ -163,6 +163,15 @@ def test_crashed_server_never_acts() -> None:
     assert ("crs", 0.0, server(0)) in trace.records
 
 
+def test_a_node_scheduled_to_crash_twice_is_refused() -> None:
+    with pytest.raises(ValueError, match="crash schedule names s0 twice"):
+        run(
+            series(3, 1, 1), ERATO, build_majority(3),
+            [WorkItem(0.0, writer(0), "write", b"x" * 64)],
+            crash_schedule=[(server(0), 0.5), (server(0), 0.1)],
+        )
+
+
 def test_inflight_from_crashed_node_still_delivers() -> None:
     qs = build_majority(3)
     net = series(3, 1, 1)

@@ -28,12 +28,13 @@ from regsim.core import (
 )
 from regsim.harness import (
     RunResult,
+    replay_wire,
     run_scenario,
     sweep,
     trace_from_text,
     trace_to_text,
 )
-from regsim.metrics import OpStats, Summary, attribute_messages, summarize
+from regsim.metrics import OpStats, Summary, summarize
 from regsim.netsim import Network, Trace, WorkItem, build_topology, run
 from regsim.protocols import ALGORITHMS, Algorithm, get_algorithm
 from regsim.quorum import QuorumSystem, build_majority, build_matrix
@@ -63,7 +64,6 @@ __all__ = [
     "Verdict",
     "ViewClass",
     "WorkItem",
-    "attribute_messages",
     "brute_force_linearizable",
     "build_majority",
     "build_matrix",
@@ -77,6 +77,7 @@ __all__ = [
     "parse_config",
     "parse_grid",
     "reader",
+    "replay_wire",
     "run",
     "run_scenario",
     "server",

@@ -12,13 +12,11 @@ which has exactly one spelling (see core.parse_pid).  One table
 (_REC_TYPES) gives every field of every record kind its parser and its
 %-conversion, so a record is written with a single % on its kind's
 format string, and parsing and re-serializing a trace reproduces it byte
-for byte.  Besides the per-line checks of Trace.add, the parser enforces
-the wire invariants: every send arrives after it is sent, every delivery
-takes up an earlier matching send, and no node acts (sends, receives,
-invokes, responds or adopts a tag) at or after its crash (see
-trace_from_text).  verify_trace adds what only `regsim check` pays for:
-the header's scenario validates, the text is canonical, the wire's
-counts are what its records show, and a trace whose header holds a
+for byte.  The parser checks each line by itself and against the
+operations of the lines before it (see trace_from_text); replay_wire
+holds the whole wire to its rules in one pass.  verify_trace adds what
+only `regsim check` pays for: the replay, the header's scenario
+validates, the text is canonical, and a trace whose header holds a
 scenario is what re-running that scenario writes.
 
 Operation CSV: one row per completed operation, fixed column schema
@@ -29,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache
@@ -38,7 +37,7 @@ from pathlib import Path
 from regsim.checker import Verdict, check_atomicity_tagged, extract_history
 from regsim.config import ConfigError, ScenarioConfig, build_quorum_system, parse_header, validate
 from regsim.core import parse_pid, reader, server, writer
-from regsim.metrics import OpStats, Summary, attribute_messages, per_operation_stats, summarize
+from regsim.metrics import OpStats, per_operation_stats, summarize
 from regsim.netsim import Network, Trace, build_topology, run
 from regsim.protocols import get_algorithm
 from regsim.workload import build_workload
@@ -101,21 +100,15 @@ def trace_to_text(trace: Trace) -> str:
 
 def trace_from_text(text: str) -> Trace:
     """Parse a trace log; a malformed line, one that contradicts an
-    earlier line (see Trace.add), a message send or delivery the wire
-    cannot explain, a run header not on line 1 or one config.parse_header
-    refuses, a record after the end record, or a trace with no end record
-    (reported at its last line) raises ValueError("line N: ...").
+    earlier line (see Trace.add), a run header not on line 1 or one
+    config.parse_header refuses, a record after the end record, or a
+    trace with no end record (reported at its last line) raises
+    ValueError("line N: ...").
 
     Every record's time and every snd's arrival must be finite, and a snd
     must arrive strictly after it is sent: every link and the loopback
-    handoff take time.  Each dlv must take up an earlier snd not
-    yet delivered with the same sender, receiver, message kind, client,
-    op_seq, and an arrival time written as the dlv's time; a snd never
-    delivered is legal (in flight at the cap, or sent to a crashed node).
-    No node may act at or after its crs, wherever the crs sits in the
-    file: it acts in every record that names it first, as the sender of a
-    snd, the receiver of a dlv, the process of an inv, res or wtag, and
-    the adopting server of a tag.
+    handoff take time.  What only the wire as a whole shows, deliveries,
+    crashes and counts, is replay_wire's to check.
     """
     trace = Trace()
     append = trace.records.append
@@ -127,10 +120,6 @@ def trace_from_text(text: str) -> Trace:
         kind: (str,) + tuple(name if parse is parse_pid else parse for parse, _ in fields)
         for kind, fields in _REC_TYPES.items()
     }
-    # snd tokens (src, dst, kind, client, op_seq, arrival) -> sends not
-    # yet delivered; and node name -> (its latest act's time, line, kind).
-    in_flight: dict[tuple, int] = {}
-    last_act: dict[str, tuple[float, int, str]] = {}
     ended = False
     isfinite = math.isfinite
     lineno = 0
@@ -162,38 +151,12 @@ def trace_from_text(text: str) -> Trace:
                         "not after its send"
                         % (parts[4], parts[5], parts[6], parts[2], parts[3], parts[1], parts[7])
                     )
-                key = tuple(parts[2:])
-                in_flight[key] = in_flight.get(key, 0) + 1
                 append(rec)
-            elif kind == "dlv":
-                _, t, dst, src, msg_kind, client, op_seq = parts
-                key = (src, dst, msg_kind, client, op_seq, t)
-                pending = in_flight.pop(key, 0)
-                if not pending:
-                    raise ValueError(
-                        "dlv of %s (client %s, op %s) from %s to %s at %s matches no earlier snd"
-                        % (msg_kind, client, op_seq, src, dst, t)
-                    )
-                if pending > 1:
-                    in_flight[key] = pending - 1
-                append(rec)
-            elif kind == "tag":
+            elif kind == "dlv" or kind == "tag":
                 append(rec)
             else:
                 trace.add(rec)
-                if kind == "crs" or kind == "end":
-                    ended = kind == "end"
-                    continue
-            # Every other record is an act of the node it names first.
-            latest = last_act.get(rec[2])
-            if latest is None or rec[1] > latest[0]:
-                last_act[rec[2]] = (rec[1], lineno, kind)
-        for node, crashed_at in trace.crash_at.items():
-            latest = last_act.get(node)
-            if latest is not None and latest[0] >= crashed_at:
-                t, lineno, kind = latest
-                raise ValueError("%s %s %s at %s, at or after its crash at %s"
-                                 % (kind, "to" if kind == "dlv" else "by", node, t, crashed_at))
+                ended = kind == "end"
         if not ended:
             raise ValueError("trace has no end record")
     except ValueError as exc:
@@ -201,37 +164,132 @@ def trace_from_text(text: str) -> Trace:
     return trace
 
 
+def replay_wire(trace: Trace) -> dict[int, int]:
+    """Replay the wire of a complete trace in one pass over its records;
+    map op_id -> number of messages sent on behalf of that operation, and
+    set each operation record's messages to it.
+
+    A record that breaks a rule below raises ValueError("line N: ..."),
+    N being the record's line in the trace's text: its index + 2, after
+    the run header.  Per record, the crash rule comes first.
+    - No node acts at or after its crash, wherever the crs sits: every
+      record but crs and end is an act of the node it names first, the
+      sender of a snd, the receiver of a dlv, the process of an inv, res
+      or wtag, and the adopting server of a tag.
+    - Each dlv takes up an earlier snd not yet delivered with the same
+      sender, receiver, kind, client, op_seq and an arrival equal to the
+      dlv's time, first in, first out.  A snd never delivered is legal:
+      in flight at the cap, or sent to a crashed node.
+    - Every send attributes to exactly one operation, of the message's
+      kind.  A send carries the originating client and that client's
+      operation sequence number (op_seq), and a client sends only while
+      one of its operations runs, so the first send of a (client, op_seq)
+      pair comes from the client itself and names the operation; every
+      later send with that pair, a server's relay or ack included,
+      belongs to the same operation.
+    - Each res's exchanges and the end's stale drops are what the wire
+      shows, counted as netsim.run counts them: a node's current
+      exchange is 0 at its inv and that of the snd its dlv takes up;
+      each snd is its sender's current exchange + 1, and a res takes its
+      node's current exchange.  A client's dlv is stale when its op_seq
+      is below that of the client's latest snd.
+    """
+    crash_at = trace.crash_at
+    ops = trace.ops
+    counts: dict[int, int] = {op_id: 0 for op_id in ops}
+    running: dict[str, int] = {}  # client name -> op it last invoked
+    op_of: dict[tuple[str, int], int] = {}  # (client name, op_seq) -> op
+    exchange_of: dict[str, int] = {}  # node name -> its current exchange
+    in_flight: dict[tuple, deque] = {}  # snd fields -> exchanges of the undelivered
+    own_seq: dict[str, int] = {}  # client name -> op_seq of its latest snd
+    stale = 0
+    lineno = 0
+    try:
+        for lineno, rec in enumerate(trace.records, start=2):
+            kind = rec[0]
+            if kind == "crs":
+                continue
+            if kind == "end":
+                if rec[3] != stale:
+                    raise ValueError("end claims %d stale drops, the wire shows %d" % (rec[3], stale))
+                continue
+            t, node = rec[1], rec[2]
+            if t >= crash_at.get(node, math.inf):
+                raise ValueError("%s %s %s at %s, at or after its crash at %s"
+                                 % (kind, "to" if kind == "dlv" else "by", node, t, crash_at[node]))
+            if kind == "inv":
+                running[node] = rec[3]
+                exchange_of[node] = 0
+            elif kind == "snd":
+                _, _, src, _dst, msg_kind, client, op_seq, _arrive = rec
+                op_id = op_of.get((client, op_seq))
+                if op_id is None:
+                    op_id = running.get(client)
+                    if op_id is None or src != client:
+                        raise ValueError("send %s for client %s op_seq %d does not attribute "
+                                         "to any operation" % (msg_kind, client, op_seq))
+                    op_of[(client, op_seq)] = op_id
+                expect = "read" if msg_kind.startswith("read") else "write"
+                if ops[op_id].kind != expect:
+                    raise ValueError("send %s attributed to a %s operation"
+                                     % (msg_kind, ops[op_id].kind))
+                counts[op_id] += 1
+                in_flight.setdefault(rec[2:], deque()).append(exchange_of.get(src, 0) + 1)
+                if src == client:
+                    own_seq[src] = op_seq
+            elif kind == "dlv":
+                _, _, dst, src, msg_kind, client, op_seq = rec
+                pending = in_flight.get((src, dst, msg_kind, client, op_seq, t))
+                if not pending:
+                    raise ValueError("dlv of %s (client %s, op %s) from %s to %s at %s "
+                                     "matches no earlier snd" % (msg_kind, client, op_seq, src, dst, t))
+                exchange_of[dst] = pending.popleft()
+                if op_seq < own_seq.get(dst, 0):
+                    stale += 1
+            elif kind == "res" and rec[4] != exchange_of[node]:
+                raise ValueError("res for op %d at %r claims %d exchanges, the wire shows %d"
+                                 % (rec[3], t, rec[4], exchange_of[node]))
+    except ValueError as exc:
+        raise ValueError("line %d: %s" % (lineno, exc)) from None
+    for op_id, n in counts.items():
+        ops[op_id].messages = n
+    return counts
+
+
 def verify_trace(text: str) -> Trace:
     """Parse a trace as `regsim check` does: trace_from_text, then the
     checks only check pays for, each raising ValueError:
-    - the header's scenario, if it has one, passes config.validate
-      ("line 1: ...");
+    - the wire replays (replay_wire, "line N: ...");
+    - the header's scenario, if it has one, passes config.validate, and
+      a bare header names a known algorithm ("line 1: ...");
     - the text is exactly what trace_to_text writes for the parsed trace,
       so every number and node has one spelling, the header keys are in
       their order and no line is blank ("line N: ..." at the first line
       that differs);
-    - every send attributes to an operation, and each res's exchanges
-      and the end's stale drops are what the wire shows
-      (metrics.attribute_messages, "line N: ...");
     - if the header holds a scenario, the text is exactly what
       trace_to_text writes for run_scenario of it ("line N: re-run
       gives ..." at the first line that differs).  A bare header names
       no scenario, so its trace is not re-run.
-    They stay out of trace_from_text because validating a scenario scans
-    quorums, re-serialising costs about half a parse and the re-run about
-    a parse, and the parse alone is what a benchmark's re-check times.
+    They stay out of trace_from_text because the replay costs about a
+    third of a parse, validating a scenario scans quorums, re-serialising
+    costs about half a parse and the re-run about a parse, and the parse
+    alone is what a benchmark's re-check times.
     """
     trace = trace_from_text(text)
-    if trace.config is not None:
-        try:
+    replay_wire(trace)
+    try:
+        if trace.config is None:
+            get_algorithm(trace.algorithm)
+        else:
             validate(trace.config)
-        except ConfigError as exc:
-            raise ValueError("line 1: %s" % exc) from None
+    except ConfigError as exc:
+        raise ValueError("line 1: %s" % exc) from None
+    except KeyError as exc:
+        raise ValueError("line 1: %s" % exc.args[0]) from None
     canonical = trace_to_text(trace)
     if canonical != text:
         raise ValueError("line %d: %r is not canonical, trace_to_text writes %r"
                          % _first_difference(text, canonical))
-    attribute_messages(trace)
     if trace.config is not None:
         rerun = trace_to_text(run_scenario(trace.config).trace)
         if rerun != text:
@@ -269,9 +327,6 @@ class RunResult:
     trace: Trace
     verdict: Verdict
     stats: list[OpStats]
-
-    def summaries(self) -> list[Summary]:
-        return summarize(self.stats)
 
     def csv_text(self) -> str:
         prefix = "%s,%s,%d,%d,%d,%s,%d" % (

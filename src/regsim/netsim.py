@@ -137,6 +137,10 @@ class WorkItem:
     value: Optional[bytes] = None
 
 
+# A client's role letter -> the operation kind its invocations run.
+_CLIENT_KIND = {"r": "read", "w": "write"}
+
+
 @dataclass
 class Trace:
     """Everything observable about one run, in event order.  add is the
@@ -164,8 +168,11 @@ class Trace:
         or wtag with no earlier inv, a res or wtag from another process
         than the invoker or timed before its inv, a wtag for a read, a
         second crs for one node and a second end.  So do an inv by a
-        server, an inv whose operation kind is neither read nor write and
-        an end whose status is neither complete nor incomplete."""
+        server, an inv whose operation kind is neither read nor write,
+        one whose kind is not its client's (a reader reads, a writer
+        writes), a write whose value is not hex, a read with a value
+        other than "-", and an end whose status is neither complete nor
+        incomplete."""
         self.records.append(rec)
         kind = rec[0]
         if kind == "inv":
@@ -176,6 +183,12 @@ class Trace:
                 raise ValueError("inv for op %s: unknown operation kind %r" % (op_id, op_kind))
             if pid.startswith("s"):
                 raise ValueError("inv for op %s from server %s" % (op_id, pid))
+            if op_kind != _CLIENT_KIND[pid[0]]:
+                raise ValueError("inv for op %s: %s runs %ss, not %ss"
+                                 % (op_id, pid, _CLIENT_KIND[pid[0]], op_kind))
+            if (value_hex == "-") != (op_kind == "read"):
+                raise ValueError("inv for op %s: a %s's value must be %s, got %r"
+                                 % (op_id, op_kind, "'-'" if op_kind == "read" else "hex", value_hex))
             value = bytes.fromhex(value_hex) if value_hex != "-" else None
             self.ops[op_id] = OperationRecord(op_id, pid, op_kind, t, value=value)
         elif kind == "res":

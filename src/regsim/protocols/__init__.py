@@ -5,7 +5,7 @@ mw selects the writer: the one-phase timestamp broadcast, or the
 two-phase discover/put.  relay_to_reader says whether relaying servers
 echo each relay to the reader as well as to the other servers.
 Nothing here says how many op_seq numbers an operation uses: message
-attribution reads that from the wire (see metrics).
+attribution reads that from the wire (see harness.replay_wire).
 """
 
 from __future__ import annotations

@@ -153,28 +153,64 @@ def test_check_incomplete_trace(tmp_path, capsys) -> None:
         ("check", "crs\t0.2\ts0\ncrs\t0.1\ts0\nend\t0.3\tcomplete\t0\t0", "line 3: second crs for s0"),
         ("check", "inv\t0.1\tr03\t1\tread\t-", "line 2: not a process id: 'r03'"),
         ("check", "inv\t0.1\tr\u0663\t1\tread\t-", "line 2: not a process id: 'r\u0663'"),
-        ("check", "dlv\t0.5\ts0\tr0\treadRequest\tr0\t1",
-         "line 2: dlv of readRequest (client r0, op 1) from r0 to s0 at 0.5 matches no earlier snd"),
+        # Each of the next ten inputs lacks its end record, which the
+        # parser refuses at the last line before the wire replay looks
+        # at the fault the input holds; the same faults in whole traces
+        # follow them.
+        ("check", "dlv\t0.5\ts0\tr0\treadRequest\tr0\t1", "line 2: trace has no end record"),
         ("check", "snd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.5\ndlv\t0.50\ts0\tr0\treadRequest\tr0\t1",
-         "line 3: dlv of readRequest (client r0, op 1) from r0 to s0 at 0.50 matches no earlier snd"),
+         "line 3: trace has no end record"),
         ("check", "snd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1\n"
          "dlv\t0.3\ts0\tr0\treadRequest\tr0\t1",
-         "line 4: dlv of readRequest (client r0, op 1) from r0 to s0 at 0.3 matches no earlier snd"),
+         "line 4: trace has no end record"),
         ("check", "crs\t0.2\ts0\nsnd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1",
-         "line 4: dlv to s0 at 0.3, at or after its crash at 0.2"),
+         "line 4: trace has no end record"),
         ("check", "snd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1\ncrs\t0.3\ts0",
-         "line 3: dlv to s0 at 0.3, at or after its crash at 0.3"),
-        ("check", "inv\t0.5\ts0\t1\tread\t-", "line 2: inv for op 1 from server s0"),
+         "line 4: trace has no end record"),
         ("check", "crs\t0.2\ts0\nsnd\t0.3\ts0\tr0\treadAck\tr0\t1\t0.4",
-         "line 3: snd by s0 at 0.3, at or after its crash at 0.2"),
+         "line 3: trace has no end record"),
         ("check", "crs\t0.2\tr0\ninv\t0.5\tr0\t1\tread\t-",
-         "line 3: inv by r0 at 0.5, at or after its crash at 0.2"),
+         "line 3: trace has no end record"),
         ("check", "inv\t0.1\tr0\t1\tread\t-\ncrs\t0.2\tr0\nres\t0.2\tr0\t1\t2\t0\t0\t",
-         "line 4: res by r0 at 0.2, at or after its crash at 0.2"),
+         "line 4: trace has no end record"),
         ("check", "inv\t0.1\tw0\t1\twrite\t76\nwtag\t0.3\tw0\t1\t1\t0\ncrs\t0.2\tw0",
-         "line 3: wtag by w0 at 0.3, at or after its crash at 0.2"),
+         "line 4: trace has no end record"),
         ("check", "crs\t0.2\ts1\ntag\t0.25\ts1\t1\t0",
+         "line 3: trace has no end record"),
+        ("check", "dlv\t0.5\ts0\tr0\treadRequest\tr0\t1\nend\t1.0\tcomplete\t0\t0",
+         "line 2: dlv of readRequest (client r0, op 1) from r0 to s0 at 0.5 matches no earlier snd"),
+        # A dlv matches its snd's arrival by value; the spelling is the
+        # canonical compare's.
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nsnd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.5\n"
+         "dlv\t0.50\ts0\tr0\treadRequest\tr0\t1\nend\t1.0\tcomplete\t0\t0", "line 4: 'dlv\\t0.50\\ts0"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nsnd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\n"
+         "dlv\t0.3\ts0\tr0\treadRequest\tr0\t1\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1\nend\t1.0\tcomplete\t0\t0",
+         "line 5: dlv of readRequest (client r0, op 1) from r0 to s0 at 0.3 matches no earlier snd"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\ncrs\t0.2\ts0\nsnd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\n"
+         "dlv\t0.3\ts0\tr0\treadRequest\tr0\t1\nend\t1.0\tcomplete\t0\t0",
+         "line 5: dlv to s0 at 0.3, at or after its crash at 0.2"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nsnd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\n"
+         "dlv\t0.3\ts0\tr0\treadRequest\tr0\t1\ncrs\t0.3\ts0\nend\t1.0\tcomplete\t0\t0",
+         "line 4: dlv to s0 at 0.3, at or after its crash at 0.3"),
+        ("check", "crs\t0.2\ts0\nsnd\t0.3\ts0\tr0\treadAck\tr0\t1\t0.4\nend\t1.0\tcomplete\t0\t0",
+         "line 3: snd by s0 at 0.3, at or after its crash at 0.2"),
+        ("check", "crs\t0.2\tr0\ninv\t0.5\tr0\t1\tread\t-\nend\t1.0\tcomplete\t0\t0",
+         "line 3: inv by r0 at 0.5, at or after its crash at 0.2"),
+        ("check", "inv\t0.1\tr0\t1\tread\t-\ncrs\t0.2\tr0\nres\t0.2\tr0\t1\t2\t0\t0\t\nend\t1.0\tcomplete\t0\t0",
+         "line 4: res by r0 at 0.2, at or after its crash at 0.2"),
+        ("check", "inv\t0.1\tw0\t1\twrite\t76\nwtag\t0.3\tw0\t1\t1\t0\ncrs\t0.2\tw0\nend\t1.0\tcomplete\t0\t0",
+         "line 3: wtag by w0 at 0.3, at or after its crash at 0.2"),
+        ("check", "crs\t0.2\ts1\ntag\t0.25\ts1\t1\t0\nend\t1.0\tcomplete\t0\t0",
          "line 3: tag by s1 at 0.25, at or after its crash at 0.2"),
+        ("check", "inv\t0.5\ts0\t1\tread\t-", "line 2: inv for op 1 from server s0"),
+        # A reader reads and a writer writes; a write carries a hex
+        # value and a read "-".
+        ("check", "inv\t0.1\tr0\t1\twrite\t76\nwtag\t0.15\tr0\t1\t1\t0\nres\t0.2\tr0\t1\t0\t1\t0\t76\n"
+         "inv\t0.3\tw0\t2\tread\t-\nres\t0.4\tw0\t2\t0\t1\t0\t76\nend\t1.0\tcomplete\t0\t0",
+         "line 2: inv for op 1: r0 runs reads, not writes"),
+        ("check", "inv\t0.3\tw0\t1\tread\t-\nend\t1.0\tcomplete\t0\t0", "line 2: inv for op 1: w0 runs writes, not reads"),
+        ("check", "inv\t0.1\tw0\t1\twrite\t-\nend\t1.0\tcomplete\t0\t0", "line 2: inv for op 1: a write's value must be hex, got '-'"),
+        ("check", "inv\t0.1\tr0\t1\tread\t76\nend\t1.0\tcomplete\t0\t0", "line 2: inv for op 1: a read's value must be '-', got '76'"),
         ("check", "snd\t0.5\tr0\ts0\treadRequest\tr0\t1\t0.3\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1",
          "line 2: snd of readRequest (client r0, op 1) from r0 to s0 at 0.5 arrives at 0.3, not after its send"),
         ("check", "snd\t0.5\tr0\ts0\treadRequest\tr0\t1\t0.5",
@@ -357,6 +393,9 @@ def zero_first_jitter(lines: list[str]) -> int:
         pytest.param(edit_header("algorithm=erato", "algorithm=nonsense"),
                      "scenario.algorithm: unknown 'nonsense'", id="unknown_algorithm"),
         pytest.param(edit_header("\ttopology=series", ""), "topology: missing key", id="missing_topology"),
+        # A bare header names an algorithm that exists.
+        pytest.param(lambda lines: edit_header(lines[0], "run\talgorithm=paxos\tseed=0")(lines),
+                     "unknown algorithm 'paxos'", id="bare_unknown_algorithm"),
         # The wire's numbers are recounted.
         pytest.param(edit_field("res", 4, lambda n: "7"), "claims 7 exchanges, the wire shows 2", id="res_exchanges"),
         pytest.param(edit_field("end", 3, lambda n: "999"), "end claims 999 stale drops, the wire shows 0",

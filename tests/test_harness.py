@@ -21,13 +21,14 @@ from regsim.harness import (
     EXIT_LIVENESS,
     EXIT_OK,
     SweepError,
+    replay_wire,
     run_scenario,
     sweep,
     trace_from_text,
     trace_to_text,
     write_outputs,
 )
-from regsim.metrics import attribute_messages
+from regsim.metrics import summarize
 from regsim.protocols import ALGORITHMS
 
 
@@ -49,7 +50,7 @@ def test_run_scenario_checks_and_reports() -> None:
     kinds = {s.kind for s in result.stats}
     assert kinds == {"read", "write"}
     assert all(s.latency_s > 0 for s in result.stats)
-    summaries = result.summaries()
+    summaries = summarize(result.stats)
     assert {s.op_kind for s in summaries} == {"read", "write"}
 
 
@@ -65,8 +66,8 @@ def test_trace_round_trip_identity() -> None:
     assert trace_to_text(parsed) == text
     assert parsed.algorithm == "erato_mw" and parsed.seed == 7
     assert parsed.crash_at == {server(0): 0.25, reader(1): 0.3}
-    # Message counts are the one thing the text leaves to attribution.
-    attribute_messages(parsed)
+    # Message counts are the one thing the text leaves to the wire replay.
+    replay_wire(parsed)
     assert parsed == result.trace
 
 
@@ -85,7 +86,7 @@ def test_trace_round_trip_all_algorithms(algorithm, topology, crash, seed) -> No
     text = trace_to_text(run)
     parsed = trace_from_text(text)
     assert trace_to_text(parsed) == text
-    attribute_messages(parsed)
+    replay_wire(parsed)
     assert parsed == run
 
 
@@ -110,7 +111,7 @@ def test_round_trip_corpus_covers_every_record_kind() -> None:
         text = trace_to_text(run)
         parsed = trace_from_text(text)
         assert trace_to_text(parsed) == text
-        attribute_messages(parsed)
+        replay_wire(parsed)
         assert parsed == run
         kinds |= {rec[0] for rec in parsed.records}
         statuses.add(parsed.records[-1][2])
@@ -212,10 +213,10 @@ def test_mutated_trace_line_fails_with_its_line_number(data) -> None:
         lines[i] = "\t".join(parts)
     text = "\n".join(lines) + "\n"
     if expected is None:  # a snd that was never delivered may go
-        trace_from_text(text)
+        replay_wire(trace_from_text(text))
         return
     with pytest.raises(ValueError) as exc:
-        trace_from_text(text)
+        replay_wire(trace_from_text(text))
     assert str(exc.value).startswith("line %d: " % expected)
 
 
@@ -232,7 +233,7 @@ def test_delivery_at_or_after_crash_is_refused() -> None:
     lines[i] = "\t".join(dlv[:1] + [crash] + dlv[2:])
     lines[j] = "\t".join(lines[j].split("\t")[:-1] + [crash])
     with pytest.raises(ValueError) as exc:
-        trace_from_text("\n".join(lines) + "\n")
+        replay_wire(trace_from_text("\n".join(lines) + "\n"))
     assert str(exc.value) == "line %d: dlv to s0 at %s, at or after its crash at %s" % (i + 1, crash, crash)
 
 

@@ -1,7 +1,8 @@
-"""Metrics tests: message attribution against hand-counted send totals
-and against a phase-count reference, the simulator's message, exchange
-and stale counts against attribute_messages' recount from the trace
-records, and summary statistics on fixed inputs."""
+"""Metrics tests: the wire replay's message attribution against
+hand-counted send totals and against a phase-count reference, the
+simulator's message, exchange and stale counts against replay_wire's
+recount from the trace records, and summary statistics on fixed
+inputs."""
 
 import math
 
@@ -11,10 +12,9 @@ from hypothesis import strategies as st
 
 from regsim.config import ScenarioConfig, validate
 from regsim.core import reader, server, writer
-from regsim.harness import run_scenario, trace_to_text, verify_trace
+from regsim.harness import replay_wire, run_scenario, trace_to_text, verify_trace
 from regsim.metrics import (
     OpStats,
-    attribute_messages,
     per_operation_stats,
     percentile_nearest_rank,
     summarize,
@@ -37,7 +37,7 @@ def test_erato_write_and_read_message_counts() -> None:
         WorkItem(0.0, writer(0), "write", b"x" * 64),
         WorkItem(1.0, reader(0), "read"),
     ])
-    counts = attribute_messages(trace)
+    counts = replay_wire(trace)
     assert counts == {1: 6, 2: 18}
     assert trace.ops[2].messages == 18
 
@@ -46,7 +46,7 @@ def test_erato_read_messages_at_nine_servers() -> None:
     # With a square grid of 9 servers every server relays to all nine
     # servers plus the reader: 9 + 9*10 + 9 = 108.
     trace = sim("erato", build_matrix(3, 3), 9, [WorkItem(0.0, reader(0), "read")])
-    assert attribute_messages(trace) == {1: 108}
+    assert replay_wire(trace) == {1: 108}
     assert 108 == 9 * 9 + 3 * 9
 
 
@@ -54,19 +54,19 @@ def test_erato_mw_write_uses_four_waves() -> None:
     trace = sim("erato_mw", build_majority(3), 3, [
         WorkItem(0.0, writer(1), "write", b"y" * 64),
     ])
-    assert attribute_messages(trace) == {1: 12}  # 4 * |S|
+    assert replay_wire(trace) == {1: 12}  # 4 * |S|
 
 
 def test_ohsam_read_messages() -> None:
     # Relays go server-to-server only: S + S*S + S acks.
     trace = sim("ohsam", build_majority(3), 3, [WorkItem(0.0, reader(0), "read")])
-    assert attribute_messages(trace) == {1: 15}
+    assert replay_wire(trace) == {1: 15}
 
 
 def test_abd_read_messages() -> None:
     # Query round trip plus write-back round trip, each at most 2S.
     trace = sim("abd", build_majority(3), 3, [WorkItem(0.0, reader(0), "read")])
-    assert attribute_messages(trace) == {1: 12}
+    assert replay_wire(trace) == {1: 12}
 
 
 def test_attribution_covers_every_send() -> None:
@@ -76,7 +76,7 @@ def test_attribution_covers_every_send() -> None:
         WorkItem(0.5, writer(1), "write", b"b" * 64),
         WorkItem(0.6, reader(1), "read"),
     ])
-    counts = attribute_messages(trace)
+    counts = replay_wire(trace)
     total_sends = sum(1 for r in trace.records if r[0] == "snd")
     assert sum(counts.values()) == total_sends
     assert all(n > 0 for n in counts.values())
@@ -87,7 +87,7 @@ def test_attribution_with_crashed_server() -> None:
                 [WorkItem(0.0, writer(0), "write", b"x" * 64),
                  WorkItem(1.0, reader(0), "read")],
                 crashes=[(server(2), 0.0)])
-    counts = attribute_messages(trace)
+    counts = replay_wire(trace)
     assert counts[1] == 5   # 3 requests, 2 acks
     assert counts[2] < 18   # one relay wave missing
     assert trace.ops[2].completed
@@ -97,20 +97,22 @@ def test_unattributable_send_raises() -> None:
     trace = sim("erato", build_majority(3), 3, [WorkItem(0.0, reader(0), "read")])
     trace.records.append(("snd", 9.0, reader(1), writer(0), "readRequest", reader(1), 99, 9.1))
     with pytest.raises(ValueError):
-        attribute_messages(trace)
+        replay_wire(trace)
 
 
 @pytest.mark.parametrize("rec,message", [
     # Reader 0 runs op 1 on op_seq 1; no client send introduced op_seq 2.
     (("snd", 9.0, server(0), reader(0), "readAck", reader(0), 2, 9.1), "does not attribute"),
     (("snd", 9.0, server(0), reader(0), "writeAck", reader(0), 1, 9.1), "attributed to a read operation"),
+    (("dlv", 9.0, server(0), reader(0), "readRequest", reader(0), 1),
+     "dlv of readRequest \\(client r0, op 1\\) from r0 to s0 at 9.0 matches no earlier snd"),
 ])
 def test_server_send_that_fits_no_client_operation_raises(rec, message) -> None:
     trace = sim("erato", build_majority(3), 3, [WorkItem(0.0, reader(0), "read")])
     trace.records.append(rec)
     # The record's line in the trace's text, after the run header.
     with pytest.raises(ValueError, match="^line %d: .*%s" % (len(trace.records) + 1, message)):
-        attribute_messages(trace)
+        replay_wire(trace)
 
 
 # Reference attribution by declared phase counts: each protocol burns a
@@ -172,7 +174,7 @@ def scenarios(draw) -> ScenarioConfig:
 @given(config=scenarios())
 def test_wire_attribution_matches_phase_counts(config) -> None:
     trace = run_scenario(config).trace
-    assert attribute_messages(trace) == phase_count_attribution(trace)
+    assert replay_wire(trace) == phase_count_attribution(trace)
 
 
 def simulated_messages(trace) -> dict[int, int]:
@@ -190,7 +192,7 @@ def test_late_server_sends_stay_with_their_operation() -> None:
     ))).trace
     assert sum(op_id != last for op_id, last in phase_count_owners(trace)) > 0
     simulated = simulated_messages(trace)  # before attribution overwrites them
-    assert simulated == attribute_messages(trace) == phase_count_attribution(trace)
+    assert simulated == replay_wire(trace) == phase_count_attribution(trace)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,16 +200,16 @@ def test_late_server_sends_stay_with_their_operation() -> None:
 def test_simulator_message_counts_match_attribution(config) -> None:
     trace = run_scenario(config).trace
     simulated = simulated_messages(trace)
-    assert simulated == attribute_messages(trace)
+    assert simulated == replay_wire(trace)
 
 
 def assert_wire_counts(trace) -> None:
     """The simulator's exchange and stale counts, as its res and end
-    records state them, match attribute_messages' recount from the
+    records state them, match replay_wire's recount from the
     records alone; and verify_trace, which makes that recount and
     re-runs the scenario for `regsim check`, accepts the trace's text
     and parses it back into an equal trace."""
-    attribute_messages(trace)
+    replay_wire(trace)
     assert verify_trace(trace_to_text(trace)) == trace
 
 

@@ -9,15 +9,16 @@ fields that config.py writes and reads back (ScenarioConfig.describe,
 parse_header); then one event per line, tab separated, first field the
 record type, last record the end record.  A node appears by its name,
 which has exactly one spelling (see core.parse_pid).  One table
-(_REC_TYPES) gives every field of every record kind its parser and its
-%-conversion, so a record is written with a single % on its kind's
-format string, and parsing and re-serializing a trace reproduces it byte
-for byte.  The parser checks each line by itself and against the
-operations of the lines before it (see trace_from_text); replay_wire
-holds the whole wire to its rules in one pass.  verify_trace adds what
-only `regsim check` pays for: the replay, the header's scenario
-validates, the text is canonical, and a trace whose header holds a
-scenario is what re-running that scenario writes.
+(_REC_TYPES) gives every record kind its format string, so a record is
+written with a single %, and its builder, which turns a line's fields
+into the record in one call once their count is checked; parsing and
+re-serializing a trace reproduces it byte for byte.  The parser checks
+each line by itself and against the operations of the lines before it
+(see trace_from_text); replay_wire holds the whole wire to its rules in
+one pass.  verify_trace adds what only `regsim check` pays for: the
+replay, the header's scenario validates, the text is canonical, and a
+trace whose header holds a scenario is what re-running that scenario
+writes.
 
 Operation CSV: one row per completed operation, fixed column schema
 (CSV_HEADER below); same seed, same config, same bytes.
@@ -63,29 +64,34 @@ def outcome_exit_code(atomic: bool, incomplete: bool) -> int:
 
 # ---------------------------------------------------------------- trace io
 
-# Each field after the leading record-type token, as (parser, % conversion).
-# A float's %r is its str, so both directions reproduce the text.
-_FLOAT = (float, "%r")
-_INT = (int, "%d")
-_STR = (str, "%s")
-_NAME = (parse_pid, "%s")
-
+# One entry per record kind: its format string, the record-type token
+# included, and its builder, which turns the line's tab-split fields into
+# the record, name being parse_pid or a cache of it.  A float's %r is its
+# str, so both directions reproduce the text.
 _REC_TYPES: dict[str, tuple] = {
-    "inv": (_FLOAT, _NAME, _INT, _STR, _STR),
-    "res": (_FLOAT, _NAME, _INT, _INT, _INT, _INT, _STR),
-    "snd": (_FLOAT, _NAME, _NAME, _STR, _NAME, _INT, _FLOAT),
-    "dlv": (_FLOAT, _NAME, _NAME, _STR, _NAME, _INT),
-    "tag": (_FLOAT, _NAME, _INT, _INT),
-    "wtag": (_FLOAT, _NAME, _INT, _INT, _INT),
-    "crs": (_FLOAT, _NAME),
-    "end": (_FLOAT, _STR, _INT, _INT),
+    "inv": ("%s\t%r\t%s\t%d\t%s\t%s",
+            lambda p, name: ("inv", float(p[1]), name(p[2]), int(p[3]), p[4], p[5])),
+    "res": ("%s\t%r\t%s\t%d\t%d\t%d\t%d\t%s",
+            lambda p, name: ("res", float(p[1]), name(p[2]), int(p[3]), int(p[4]), int(p[5]),
+                             int(p[6]), p[7])),
+    "snd": ("%s\t%r\t%s\t%s\t%s\t%s\t%d\t%r",
+            lambda p, name: ("snd", float(p[1]), name(p[2]), name(p[3]), p[4], name(p[5]),
+                             int(p[6]), float(p[7]))),
+    "dlv": ("%s\t%r\t%s\t%s\t%s\t%s\t%d",
+            lambda p, name: ("dlv", float(p[1]), name(p[2]), name(p[3]), p[4], name(p[5]),
+                             int(p[6]))),
+    "tag": ("%s\t%r\t%s\t%d\t%d",
+            lambda p, name: ("tag", float(p[1]), name(p[2]), int(p[3]), int(p[4]))),
+    "wtag": ("%s\t%r\t%s\t%d\t%d\t%d",
+             lambda p, name: ("wtag", float(p[1]), name(p[2]), int(p[3]), int(p[4]), int(p[5]))),
+    "crs": ("%s\t%r\t%s", lambda p, name: ("crs", float(p[1]), name(p[2]))),
+    "end": ("%s\t%r\t%s\t%d\t%d",
+            lambda p, name: ("end", float(p[1]), p[2], int(p[3]), int(p[4]))),
 }
 
-# One format string per record kind, the record-type token included.
-_FORMATS: dict[str, str] = {
-    kind: "\t".join(["%s"] + [conversion for _, conversion in fields])
-    for kind, fields in _REC_TYPES.items()
-}
+_FORMATS = {kind: fmt for kind, (fmt, _) in _REC_TYPES.items()}
+# Per record kind, the number of tab-separated fields and the builder.
+_BUILDERS = {kind: (fmt.count("\t") + 1, build) for kind, (fmt, build) in _REC_TYPES.items()}
 
 
 def trace_to_text(trace: Trace) -> str:
@@ -99,32 +105,31 @@ def trace_to_text(trace: Trace) -> str:
 
 
 def trace_from_text(text: str) -> Trace:
-    """Parse a trace log; a malformed line, one that contradicts an
-    earlier line (see Trace.add), a run header not on line 1 or one
-    config.parse_header refuses, a record after the end record, or a
-    trace with no end record (reported at its last line) raises
-    ValueError("line N: ...").
+    """Parse a trace log; a first line that is not a run header, a
+    malformed line, one that contradicts an earlier line (see Trace.add),
+    a run header not on line 1 or one config.parse_header refuses, a
+    record after the end record, or a trace with no end record (reported
+    at its last line) raises ValueError("line N: ...").
 
     Every record's time and every snd's arrival must be finite, and a snd
     must arrive strictly after it is sent: every link and the loopback
     handoff take time.  What only the wire as a whole shows, deliveries,
     crashes and counts, is replay_wire's to check.
     """
+    lines = text.splitlines()
+    if not lines or lines[0].split("\t", 1)[0] != "run":
+        raise ValueError("line 1: no run header")
     trace = Trace()
     append = trace.records.append
-    # One converter per token, the record type included: each distinct
-    # node name is validated once, and all records naming the node share
-    # the str of its first mention.
+    # Each distinct node name is validated once, and all records naming
+    # the node share the str of its first mention.
     name = cache(parse_pid)
-    converters = {
-        kind: (str,) + tuple(name if parse is parse_pid else parse for parse, _ in fields)
-        for kind, fields in _REC_TYPES.items()
-    }
+    builders = _BUILDERS
     ended = False
     isfinite = math.isfinite
     lineno = 0
     try:
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             if not line:
                 continue
             parts = line.split("\t")
@@ -136,10 +141,10 @@ def trace_from_text(text: str) -> Trace:
                     raise ValueError("run header not on line 1")
                 trace.algorithm, trace.seed, trace.config = parse_header(parts[1:])
                 continue
-            convs = converters.get(kind)
-            if convs is None or len(parts) != len(convs):
+            arity, build = builders.get(kind, (0, None))
+            if len(parts) != arity:
                 raise ValueError("bad trace record %r" % line)
-            rec = tuple([conv(part) for conv, part in zip(convs, parts)])
+            rec = build(parts, name)
             if not isfinite(rec[1]):
                 raise ValueError("%s time %s is not finite" % (kind, parts[1]))
             if kind == "snd":
@@ -270,10 +275,10 @@ def verify_trace(text: str) -> Trace:
       trace_to_text writes for run_scenario of it ("line N: re-run
       gives ..." at the first line that differs).  A bare header names
       no scenario, so its trace is not re-run.
-    They stay out of trace_from_text because the replay costs about a
-    third of a parse, validating a scenario scans quorums, re-serialising
-    costs about half a parse and the re-run about a parse, and the parse
-    alone is what a benchmark's re-check times.
+    They stay out of trace_from_text because the replay costs about half
+    a parse, validating a scenario scans quorums, re-serialising costs
+    about three quarters of a parse and the re-run about two parses, and
+    the parse alone is what a benchmark's re-check times.
     """
     trace = trace_from_text(text)
     replay_wire(trace)

@@ -127,6 +127,10 @@ def test_check_incomplete_trace(tmp_path, capsys) -> None:
         assert "pending" in capsys.readouterr().err
 
 
+# A row's text follows a bare run header, unless it starts with this.
+HEADERLESS = "<no run header>"
+
+
 @pytest.mark.parametrize(
     "command,text,message",
     [
@@ -221,6 +225,8 @@ def test_check_incomplete_trace(tmp_path, capsys) -> None:
         ("check", "inv\t0.1\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t",
          "line 3: trace has no end record"),
         ("check", "inv\t0.1\tr0\t1\tread\t-\nrun\talgorithm=abd\tseed=3", "line 3: run header not on line 1"),
+        ("check", HEADERLESS + "inv\t0.1\tr0\t1\tread\t-\nend\t1.0\tcomplete\t0\t0", "line 1: no run header"),
+        ("check", HEADERLESS + "\nrun\talgorithm=erato\tseed=0\nend\t1.0\tcomplete\t0\t0", "line 1: no run header"),
         ("check", "end\t0.3\tcomplete\t0\t0\ncrs\t0.4\ts0", "line 3: crs record after the end record"),
         ("check", "inv\tnan\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t\nend\t1.0\tcomplete\t0\t0",
          "line 2: inv time nan is not finite"),
@@ -248,7 +254,8 @@ def test_check_incomplete_trace(tmp_path, capsys) -> None:
 def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsys) -> None:
     path = tmp_path / "input"
     if text is not None:
-        path.write_text("run\talgorithm=erato\tseed=0\n" + text + "\n")
+        header = "" if text.startswith(HEADERLESS) else "run\talgorithm=erato\tseed=0\n"
+        path.write_text(header + text.removeprefix(HEADERLESS) + "\n")
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err

@@ -3,6 +3,7 @@ runs produce checked results and stable CSV, grids expand correctly,
 sweeps aggregate and fail loudly."""
 
 import functools
+import math
 import os
 import re
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsim import harness
-from regsim.config import ConfigError, ScenarioConfig, parse_grid, validate
+from regsim.config import ConfigError, ScenarioConfig, parse_grid, parse_header, validate
 from regsim.core import parse_pid, reader, server
 from regsim.harness import (
     _REC_TYPES,
@@ -29,6 +30,7 @@ from regsim.harness import (
     write_outputs,
 )
 from regsim.metrics import summarize
+from regsim.netsim import Trace
 from regsim.protocols import ALGORITHMS
 
 
@@ -119,11 +121,20 @@ def test_round_trip_corpus_covers_every_record_kind() -> None:
     assert statuses == {"complete", "incomplete"}
 
 
+@functools.cache
+def name_fields(kind: str) -> list[int]:
+    """The indices of a record kind's node name fields: those its builder
+    passes through name."""
+    fmt, build = _REC_TYPES[kind]
+    marker = object()
+    rec = build(["0"] * (fmt.count("\t") + 1), lambda _: marker)
+    return [i for i, field in enumerate(rec) if field is marker]
+
+
 def node_refs(trace) -> list:
     """Every reference to a node in a trace: the name fields of its
     records, its operations' processes and its crashed nodes."""
-    refs = [field for rec in trace.records
-            for (parse, _), field in zip(_REC_TYPES[rec[0]], rec[1:]) if parse is parse_pid]
+    refs = [rec[i] for rec in trace.records for i in name_fields(rec[0])]
     refs += [op.process for op in trace.ops.values()]
     return refs + list(trace.crash_at)
 
@@ -242,6 +253,152 @@ def test_trace_rejects_garbage() -> None:
         trace_from_text("inv\tnot-a-float\tr0\t1\tread\t-\n")
     with pytest.raises(ValueError):
         trace_from_text("xyz\t1.0\n")
+
+
+# ------------------------------------- the previous parser as an oracle
+
+# The parser before its record table held one builder per kind: a
+# (parser, %-conversion) pair per field, converted by a per-field loop.
+# Its body is kept as it was but for the table's name and the spelling
+# of functools.cache, so that the per-record builders can be held to
+# every check the per-field loop made.
+_FLOAT = (float, "%r")
+_INT = (int, "%d")
+_STR = (str, "%s")
+_NAME = (parse_pid, "%s")
+
+REFERENCE_REC_TYPES: dict[str, tuple] = {
+    "inv": (_FLOAT, _NAME, _INT, _STR, _STR),
+    "res": (_FLOAT, _NAME, _INT, _INT, _INT, _INT, _STR),
+    "snd": (_FLOAT, _NAME, _NAME, _STR, _NAME, _INT, _FLOAT),
+    "dlv": (_FLOAT, _NAME, _NAME, _STR, _NAME, _INT),
+    "tag": (_FLOAT, _NAME, _INT, _INT),
+    "wtag": (_FLOAT, _NAME, _INT, _INT, _INT),
+    "crs": (_FLOAT, _NAME),
+    "end": (_FLOAT, _STR, _INT, _INT),
+}
+
+
+def reference_trace_from_text(text: str) -> Trace:
+    trace = Trace()
+    append = trace.records.append
+    # One converter per token, the record type included: each distinct
+    # node name is validated once, and all records naming the node share
+    # the str of its first mention.
+    name = functools.cache(parse_pid)
+    converters = {
+        kind: (str,) + tuple(name if parse is parse_pid else parse for parse, _ in fields)
+        for kind, fields in REFERENCE_REC_TYPES.items()
+    }
+    ended = False
+    isfinite = math.isfinite
+    lineno = 0
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            kind = parts[0]
+            if ended and kind != "end":  # Trace.add refuses a second end
+                raise ValueError("%s record after the end record" % kind)
+            if kind == "run":
+                if lineno != 1:
+                    raise ValueError("run header not on line 1")
+                trace.algorithm, trace.seed, trace.config = parse_header(parts[1:])
+                continue
+            convs = converters.get(kind)
+            if convs is None or len(parts) != len(convs):
+                raise ValueError("bad trace record %r" % line)
+            rec = tuple([conv(part) for conv, part in zip(convs, parts)])
+            if not isfinite(rec[1]):
+                raise ValueError("%s time %s is not finite" % (kind, parts[1]))
+            if kind == "snd":
+                if not isfinite(rec[7]):
+                    raise ValueError("snd arrival %s is not finite" % parts[7])
+                if rec[7] <= rec[1]:
+                    raise ValueError(
+                        "snd of %s (client %s, op %s) from %s to %s at %s arrives at %s, "
+                        "not after its send"
+                        % (parts[4], parts[5], parts[6], parts[2], parts[3], parts[1], parts[7])
+                    )
+                append(rec)
+            elif kind == "dlv" or kind == "tag":
+                append(rec)
+            else:
+                trace.add(rec)
+                ended = kind == "end"
+        if not ended:
+            raise ValueError("trace has no end record")
+    except ValueError as exc:
+        raise ValueError("line %d: %s" % (lineno, exc)) from None
+    return trace
+
+
+def parse_outcome(parse, text: str):
+    """What a parser makes of a text: its Trace, or its ValueError's text."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+PARSE_MUTATIONS = ["add_field", "drop_field", "bad_time", "non_finite", "early_arrival",
+                   "unknown_kind", "after_end", "blank", "pid"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parser_matches_the_per_field_parser(data) -> None:
+    lines = list(data.draw(st.sampled_from(fuzz_base_lines())))
+    mutation = data.draw(st.sampled_from(PARSE_MUTATIONS))
+    kinds = {"early_arrival": ["snd"], "pid": ["snd", "dlv", "inv", "crs"]}.get(mutation, sorted(_REC_TYPES))
+    kind = data.draw(st.sampled_from(kinds))
+    i = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.split("\t")[0] == kind]))
+    parts = lines[i].split("\t")
+    if mutation == "add_field":
+        parts.insert(data.draw(st.integers(1, len(parts))), "0")
+    elif mutation == "drop_field":
+        del parts[data.draw(st.integers(1, len(parts) - 1))]
+    elif mutation == "bad_time":
+        parts[1] = data.draw(st.sampled_from(["x", "", "0.1.2", "1e", "0x1p3"]))
+    elif mutation == "non_finite":
+        j = data.draw(st.sampled_from([1, 7] if kind == "snd" else [1]))
+        parts[j] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+    elif mutation == "early_arrival":
+        parts[7] = repr(float(parts[1]) - data.draw(st.sampled_from([0.0, 0.001, 1.0])))
+    elif mutation == "unknown_kind":
+        parts[0] = data.draw(st.sampled_from(["xyz", "Snd", "snd ", "run2"]))
+    elif mutation == "pid":
+        j = data.draw(st.sampled_from([j for j, p in enumerate(parts) if j and PID_TOKEN.fullmatch(p)]))
+        digits = parts[j][1:]
+        parts[j] = parts[j][0] + data.draw(
+            st.sampled_from(["0" + digits, digits.translate(ARABIC_INDIC_DIGITS), "x", ""]))
+    if mutation == "after_end":
+        lines.append("\t".join(parts))
+    elif mutation == "blank":
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    else:
+        lines[i] = "\t".join(parts)
+    text = "\n".join(lines) + "\n"
+    found = parse_outcome(trace_from_text, text)
+    if text.split("\t", 1)[0] != "run":  # only the new parser refuses a headerless trace
+        assert found == "ValueError: line 1: no run header"
+    else:
+        assert found == parse_outcome(reference_trace_from_text, text)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("kind", sorted(_REC_TYPES))
+def test_wrong_field_count_is_a_bad_record(kind, extra) -> None:
+    # The arity check comes before the builder, which would index past
+    # the fields of a short line: an IndexError would escape check's
+    # except ValueError as a traceback.
+    lines = fuzz_base_lines()[0]
+    parts = next(ln for ln in lines if ln.split("\t")[0] == kind).split("\t")
+    line = "\t".join(parts[:-1] if extra < 0 else parts + ["0"])
+    with pytest.raises(ValueError) as exc:
+        trace_from_text(lines[0] + "\n" + line + "\n" + lines[-1] + "\n")
+    assert str(exc.value) == "line 2: bad trace record %r" % line
 
 
 def test_csv_schema_and_determinism() -> None:

@@ -12,13 +12,17 @@ which has exactly one spelling (see core.parse_pid).  One table
 (_REC_TYPES) gives every record kind its format string, so a record is
 written with a single %, and its builder, which turns a line's fields
 into the record in one call once their count is checked; parsing and
-re-serializing a trace reproduces it byte for byte.  The parser checks
-each line by itself and against the operations of the lines before it
-(see trace_from_text); replay_wire holds the whole wire to its rules in
-one pass.  verify_trace adds what only `regsim check` pays for: the
-replay, the header's scenario validates, the text is canonical, and a
-trace whose header holds a scenario is what re-running that scenario
-writes.
+re-serializing a trace reproduces it byte for byte.  The parser splits
+the text into lines a bounded chunk at a time, never the whole text at
+once, and checks each line by itself and against the operations of the
+lines before it.  One table (_MESSAGE_KINDS) holds the message kinds: the
+parser refuses a kind it lacks and gives each record the simulator's own
+MessageKind str, and replay_wire reads from it whether a message serves a
+read or a write (see trace_from_text).  replay_wire holds the whole wire
+to its rules in one pass.  verify_trace adds what only `regsim check`
+pays for: the replay, the header's scenario validates, the text is
+canonical, and a trace whose header holds a scenario is what re-running
+that scenario writes.
 
 Operation CSV: one row per completed operation, fixed column schema
 (CSV_HEADER below); same seed, same config, same bytes.
@@ -32,12 +36,12 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from pathlib import Path
 
 from regsim.checker import Verdict, check_atomicity_tagged, extract_history
 from regsim.config import ConfigError, ScenarioConfig, build_quorum_system, parse_header, validate
-from regsim.core import parse_pid, reader, server, writer
+from regsim.core import MessageKind, parse_pid, reader, server, writer
 from regsim.metrics import OpStats, per_operation_stats, summarize
 from regsim.netsim import Network, Trace, build_topology, run
 from regsim.protocols import get_algorithm
@@ -64,6 +68,30 @@ def outcome_exit_code(atomic: bool, incomplete: bool) -> int:
 
 # ---------------------------------------------------------------- trace io
 
+class _MessageKindTable(dict):
+    """A dict in which looking up a missing token raises ValueError: an
+    unknown message kind is a bad trace line."""
+
+    def __missing__(self, token: str):
+        raise ValueError("unknown message kind %r" % token)
+
+
+# The seven message kinds: each token's MessageKind constant, which a
+# parsed record holds in place of a copy of its own, and the kind of
+# operation (read or write) whose sends carry it.
+_MESSAGE_KINDS = _MessageKindTable({
+    kind: (kind, op_kind) for kind, op_kind in (
+        (MessageKind.READ_REQUEST, "read"),
+        (MessageKind.READ_RELAY, "read"),
+        (MessageKind.READ_ACK, "read"),
+        (MessageKind.WRITE_REQUEST, "write"),
+        (MessageKind.WRITE_ACK, "write"),
+        (MessageKind.WRITE_DISCOVER, "write"),
+        (MessageKind.DISCOVER_ACK, "write"),
+    )
+})
+
+
 # One entry per record kind: its format string, the record-type token
 # included, and its builder, which turns the line's tab-split fields into
 # the record, name being parse_pid or a cache of it.  A float's %r is its
@@ -75,11 +103,11 @@ _REC_TYPES: dict[str, tuple] = {
             lambda p, name: ("res", float(p[1]), name(p[2]), int(p[3]), int(p[4]), int(p[5]),
                              int(p[6]), p[7])),
     "snd": ("%s\t%r\t%s\t%s\t%s\t%s\t%d\t%r",
-            lambda p, name: ("snd", float(p[1]), name(p[2]), name(p[3]), p[4], name(p[5]),
-                             int(p[6]), float(p[7]))),
+            lambda p, name: ("snd", float(p[1]), name(p[2]), name(p[3]),
+                             _MESSAGE_KINDS[p[4]][0], name(p[5]), int(p[6]), float(p[7]))),
     "dlv": ("%s\t%r\t%s\t%s\t%s\t%s\t%d",
-            lambda p, name: ("dlv", float(p[1]), name(p[2]), name(p[3]), p[4], name(p[5]),
-                             int(p[6]))),
+            lambda p, name: ("dlv", float(p[1]), name(p[2]), name(p[3]),
+                             _MESSAGE_KINDS[p[4]][0], name(p[5]), int(p[6]))),
     "tag": ("%s\t%r\t%s\t%d\t%d",
             lambda p, name: ("tag", float(p[1]), name(p[2]), int(p[3]), int(p[4]))),
     "wtag": ("%s\t%r\t%s\t%d\t%d\t%d",
@@ -92,6 +120,22 @@ _REC_TYPES: dict[str, tuple] = {
 _FORMATS = {kind: fmt for kind, (fmt, _) in _REC_TYPES.items()}
 # Per record kind, the number of tab-separated fields and the builder.
 _BUILDERS = {kind: (fmt.count("\t") + 1, build) for kind, (fmt, build) in _REC_TYPES.items()}
+
+# About how many characters of a trace's text trace_from_text splits into
+# lines at a time.
+_CHUNK_CHARS = 1 << 16
+
+
+def _line_chunks(text: str):
+    """Yield text.splitlines() in pieces: the lines of about _CHUNK_CHARS
+    characters of text at a time, cut just after a "\n".  No cut falls
+    inside a line break, "\r\n" included, so the pieces joined are
+    exactly text.splitlines(); a text with no "\n" is one piece."""
+    start, size = 0, len(text)
+    while start < size:
+        cut = text.find("\n", start + _CHUNK_CHARS) + 1 or size
+        yield text[start:cut].splitlines()
+        start = cut
 
 
 def trace_to_text(trace: Trace) -> str:
@@ -113,11 +157,18 @@ def trace_from_text(text: str) -> Trace:
 
     Every record's time and every snd's arrival must be finite, and a snd
     must arrive strictly after it is sent: every link and the loopback
-    handoff take time.  What only the wire as a whole shows, deliveries,
-    crashes and counts, is replay_wire's to check.
+    handoff take time.  A snd's or dlv's message kind must be one of
+    MessageKind's, and the record holds that constant itself.  What only
+    the wire as a whole shows, deliveries, crashes and counts, is
+    replay_wire's to check.
+
+    Lines are split from the text in bounded chunks (_line_chunks), so
+    besides the trace it returns the parse holds one chunk's lines, not a
+    list of every line.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].split("\t", 1)[0] != "run":
+    lines = chain.from_iterable(_line_chunks(text))
+    first = next(lines, "")
+    if first.split("\t", 1)[0] != "run":
         raise ValueError("line 1: no run header")
     trace = Trace()
     append = trace.records.append
@@ -129,7 +180,7 @@ def trace_from_text(text: str) -> Trace:
     isfinite = math.isfinite
     lineno = 0
     try:
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(chain((first,), lines), start=1):
             if not line:
                 continue
             parts = line.split("\t")
@@ -185,13 +236,14 @@ def replay_wire(trace: Trace) -> dict[int, int]:
       sender, receiver, kind, client, op_seq and an arrival equal to the
       dlv's time, first in, first out.  A snd never delivered is legal:
       in flight at the cap, or sent to a crashed node.
-    - Every send attributes to exactly one operation, of the message's
-      kind.  A send carries the originating client and that client's
-      operation sequence number (op_seq), and a client sends only while
-      one of its operations runs, so the first send of a (client, op_seq)
-      pair comes from the client itself and names the operation; every
-      later send with that pair, a server's relay or ack included,
-      belongs to the same operation.
+    - Every send attributes to exactly one operation, of the kind
+      _MESSAGE_KINDS gives the message's kind.  A send carries the
+      originating client and that client's operation sequence number
+      (op_seq), and a client sends only while one of its operations
+      runs, so the first send of a (client, op_seq) pair comes from the
+      client itself and names the operation; every later send with that
+      pair, a server's relay or ack included, belongs to the same
+      operation.
     - Each res's exchanges and the end's stale drops are what the wire
       shows, counted as netsim.run counts them: a node's current
       exchange is 0 at its inv and that of the snd its dlv takes up;
@@ -234,7 +286,7 @@ def replay_wire(trace: Trace) -> dict[int, int]:
                         raise ValueError("send %s for client %s op_seq %d does not attribute "
                                          "to any operation" % (msg_kind, client, op_seq))
                     op_of[(client, op_seq)] = op_id
-                expect = "read" if msg_kind.startswith("read") else "write"
+                expect = _MESSAGE_KINDS[msg_kind][1]
                 if ops[op_id].kind != expect:
                     raise ValueError("send %s attributed to a %s operation"
                                      % (msg_kind, ops[op_id].kind))

@@ -10,7 +10,7 @@ import pytest
 
 from regsim.cli import main
 from regsim.config import parse_config, with_overrides
-from regsim.harness import run_scenario
+from regsim.harness import run_scenario, trace_to_text
 from regsim.protocols import ALGORITHMS
 
 CONFIG = """
@@ -131,6 +131,17 @@ def test_check_incomplete_trace(tmp_path, capsys) -> None:
 HEADERLESS = "<no run header>"
 
 
+def renamed_message_kind_row(kind: str):
+    """A check row: the records of a small erato run's trace with its
+    readRequest renamed to kind, refused at the first of them."""
+    config = with_overrides(parse_config(CONFIG), ops_per_client=1)
+    lines = trace_to_text(run_scenario(config).trace).splitlines()[1:]
+    first = next(n for n, line in enumerate(lines, start=2) if "\treadRequest\t" in line)
+    text = "\n".join(lines).replace("\treadRequest\t", "\t%s\t" % kind)
+    return pytest.param("check", text, "line %d: unknown message kind %r" % (first, kind),
+                        id="check-run-trace-with-%s" % kind)
+
+
 @pytest.mark.parametrize(
     "command,text,message",
     [
@@ -245,6 +256,8 @@ HEADERLESS = "<no run header>"
         ("check", "crs\tnan\ts0\nend\t1.0\tcomplete\t0\t0", "line 2: crs time nan is not finite"),
         ("check", "tag\t-inf\ts0\t1\t0\nend\t1.0\tcomplete\t0\t0", "line 2: tag time -inf is not finite"),
         ("check", "end\tnan\tcomplete\t0\t0", "line 2: end time nan is not finite"),
+        renamed_message_kind_row("readWhatever"),
+        renamed_message_kind_row("bogusKind"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),

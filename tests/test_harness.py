@@ -6,6 +6,8 @@ import functools
 import math
 import os
 import re
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from regsim import harness
 from regsim.config import ConfigError, ScenarioConfig, parse_grid, parse_header, validate
-from regsim.core import parse_pid, reader, server
+from regsim.core import MessageKind, parse_pid, reader, server
 from regsim.harness import (
     _REC_TYPES,
     AGGREGATE_HEADER,
@@ -124,10 +126,11 @@ def test_round_trip_corpus_covers_every_record_kind() -> None:
 @functools.cache
 def name_fields(kind: str) -> list[int]:
     """The indices of a record kind's node name fields: those its builder
-    passes through name."""
-    fmt, build = _REC_TYPES[kind]
+    passes through name, run on a line of that kind."""
+    _, build = _REC_TYPES[kind]
     marker = object()
-    rec = build(["0"] * (fmt.count("\t") + 1), lambda _: marker)
+    line = next(ln for lines in fuzz_base_lines() for ln in lines if ln.split("\t")[0] == kind)
+    rec = build(line.split("\t"), lambda _: marker)
     return [i for i, field in enumerate(rec) if field is marker]
 
 
@@ -343,15 +346,18 @@ def parse_outcome(parse, text: str):
 
 
 PARSE_MUTATIONS = ["add_field", "drop_field", "bad_time", "non_finite", "early_arrival",
-                   "unknown_kind", "after_end", "blank", "pid"]
+                   "unknown_kind", "after_end", "blank", "pid", "message_kind"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_parser_matches_the_per_field_parser(data) -> None:
+def check_parser_matches(data) -> None:
+    """Mutate one line of a fuzz base trace and parse it with both
+    parsers: the same Trace or the same ValueError text, but for the two
+    checks only trace_from_text makes, a run header on line 1 and a known
+    message kind."""
     lines = list(data.draw(st.sampled_from(fuzz_base_lines())))
     mutation = data.draw(st.sampled_from(PARSE_MUTATIONS))
-    kinds = {"early_arrival": ["snd"], "pid": ["snd", "dlv", "inv", "crs"]}.get(mutation, sorted(_REC_TYPES))
+    kinds = {"early_arrival": ["snd"], "pid": ["snd", "dlv", "inv", "crs"],
+             "message_kind": ["snd", "dlv"]}.get(mutation, sorted(_REC_TYPES))
     kind = data.draw(st.sampled_from(kinds))
     i = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.split("\t")[0] == kind]))
     parts = lines[i].split("\t")
@@ -373,6 +379,9 @@ def test_parser_matches_the_per_field_parser(data) -> None:
         digits = parts[j][1:]
         parts[j] = parts[j][0] + data.draw(
             st.sampled_from(["0" + digits, digits.translate(ARABIC_INDIC_DIGITS), "x", ""]))
+    elif mutation == "message_kind":
+        parts[4] = data.draw(st.sampled_from(["readWhatever", "bogusKind", "ReadAck", "readAck ",
+                                              "writeack", "read", ""]))
     if mutation == "after_end":
         lines.append("\t".join(parts))
     elif mutation == "blank":
@@ -383,8 +392,44 @@ def test_parser_matches_the_per_field_parser(data) -> None:
     found = parse_outcome(trace_from_text, text)
     if text.split("\t", 1)[0] != "run":  # only the new parser refuses a headerless trace
         assert found == "ValueError: line 1: no run header"
+    elif mutation == "message_kind":  # nor did the old one know the message kinds
+        assert found == "ValueError: line %d: unknown message kind %r" % (i + 1, parts[4])
     else:
         assert found == parse_outcome(reference_trace_from_text, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parser_matches_the_per_field_parser(data) -> None:
+    check_parser_matches(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parser_matches_the_per_field_parser_across_chunk_cuts(data) -> None:
+    # Chunks of a few characters put a cut after almost every line.
+    with mock.patch.object(harness, "_CHUNK_CHARS", data.draw(st.integers(1, 80))):
+        check_parser_matches(data)
+
+
+@pytest.mark.parametrize("where", ["line end", "inside a line"])
+@pytest.mark.parametrize("brk", ["\r\n", "\r", "\x0b", "\u2028"])
+def test_line_breaks_are_those_of_splitlines(where, brk) -> None:
+    # A short trace with brk ending every third line, or splitting one
+    # record in two, parses as reference_trace_from_text parses it, with
+    # a chunk cut at any of its "\n"s.
+    base = fuzz_base_lines()[1]
+    lines = list(base[:40]) + [base[-1]]
+    if where == "line end":
+        text = "".join(ln + (brk if n % 3 == 1 else "\n") for n, ln in enumerate(lines))
+    else:
+        lines[20] = lines[20].replace("\t", brk, 2).replace(brk, "\t", 1)
+        text = "\n".join(lines) + "\n"
+    expected = parse_outcome(reference_trace_from_text, text)
+    assert isinstance(expected, Trace) == (where == "line end")
+    for chunk_chars in [*range(1, 100), harness._CHUNK_CHARS]:
+        with mock.patch.object(harness, "_CHUNK_CHARS", chunk_chars):
+            assert parse_outcome(trace_from_text, text) == expected
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -399,6 +444,44 @@ def test_wrong_field_count_is_a_bad_record(kind, extra) -> None:
     with pytest.raises(ValueError) as exc:
         trace_from_text(lines[0] + "\n" + line + "\n" + lines[-1] + "\n")
     assert str(exc.value) == "line 2: bad trace record %r" % line
+
+
+@functools.cache
+def relay_run() -> tuple[Trace, str]:
+    """An erato run on majority(9)/star with 20 readers, and its text:
+    1.6 MB, many chunks long."""
+    config = cfg(topology="star", n_servers=9, n_readers=20, read_interval=0.1,
+                 write_interval=0.25, ops_per_client=8)
+    run = run_scenario(config).trace
+    return run, trace_to_text(run)
+
+
+def test_relay_sized_trace_round_trips() -> None:
+    run, text = relay_run()
+    assert len(text) > 10 * harness._CHUNK_CHARS
+    parsed = trace_from_text(text)
+    assert trace_to_text(parsed) == text
+    replay_wire(parsed)
+    assert parsed == run
+
+
+def test_parse_memory_is_the_trace_it_returns() -> None:
+    # Beyond the trace it returns, the parse holds one chunk's lines at a
+    # time; a list of every line would be about twice the text's size.
+    _, text = relay_run()
+    assert len(text) >= 2**20
+    tracemalloc.start()
+    try:
+        parsed = trace_from_text(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < len(text) / 4
+    # Every message kind is the simulator's own str, not a copy per record.
+    constants = {id(v) for k, v in vars(MessageKind).items() if not k.startswith("_")}
+    assert len(constants) == 7
+    wire = [rec for rec in parsed.records if rec[0] in ("snd", "dlv")]
+    assert wire and all(id(rec[4]) in constants for rec in wire)
 
 
 def test_csv_schema_and_determinism() -> None:

@@ -2,7 +2,8 @@
 
 The pieces compose in layers: pure protocol state machines (protocols)
 over quorum systems (quorum, views), driven by a deterministic
-discrete-event network (netsim), checked for atomicity (checker),
+discrete-event network (netsim) that writes a trace (trace: the Trace,
+its text format and the wire replay), checked for atomicity (checker),
 measured (metrics), and orchestrated from configs and the CLI (config,
 workload, harness, cli).
 """
@@ -26,18 +27,12 @@ from regsim.core import (
     server,
     writer,
 )
-from regsim.harness import (
-    RunResult,
-    replay_wire,
-    run_scenario,
-    sweep,
-    trace_from_text,
-    trace_to_text,
-)
+from regsim.harness import RunResult, run_scenario, sweep
 from regsim.metrics import OpStats, Summary, summarize
-from regsim.netsim import Network, Trace, WorkItem, build_topology, run
+from regsim.netsim import Network, WorkItem, build_topology, run
 from regsim.protocols import ALGORITHMS, Algorithm, get_algorithm
 from regsim.quorum import QuorumSystem, build_majority, build_matrix
+from regsim.trace import Trace, replay_wire, trace_from_text, trace_to_text
 from regsim.views import ViewClass, classify, iterative_analyze
 from regsim.workload import build_workload
 

@@ -27,10 +27,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import le, lt
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from regsim.core import INITIAL_TAG, INITIAL_VALUE, History, OperationRecord, Tag, node_key
-from regsim.netsim import Trace
+
+if TYPE_CHECKING:
+    from regsim.trace import Trace
 
 A1 = "A1"
 A2 = "A2"

@@ -2,27 +2,10 @@
 topology, workload and protocol, run the simulation, check the result,
 and emit trace logs / CSV rows.
 
-File formats are part of the external contract:
-
-Trace log: a run header on line 1, the scenario config as key=value
-fields that config.py writes and reads back (ScenarioConfig.describe,
-parse_header); then one event per line, tab separated, first field the
-record type, last record the end record.  A node appears by its name,
-which has exactly one spelling (see core.parse_pid).  One table
-(_REC_TYPES) gives every record kind its format string, so a record is
-written with a single %, and its builder, which turns a line's fields
-into the record in one call once their count is checked; parsing and
-re-serializing a trace reproduces it byte for byte.  The parser splits
-the text into lines a bounded chunk at a time, never the whole text at
-once, and checks each line by itself and against the operations of the
-lines before it.  One table (_MESSAGE_KINDS) holds the message kinds: the
-parser refuses a kind it lacks and gives each record the simulator's own
-MessageKind str, and replay_wire reads from it whether a message serves a
-read or a write (see trace_from_text).  replay_wire holds the whole wire
-to its rules in one pass.  verify_trace adds what only `regsim check`
-pays for: the replay, the header's scenario validates, the text is
-canonical, and a trace whose header holds a scenario is what re-running
-that scenario writes.
+The trace log's format is trace.py's.  verify_trace adds what only
+`regsim check` pays for: the wire replay, the header's scenario
+validates, the text is canonical, and a trace whose header holds a
+scenario is what re-running that scenario writes.
 
 Operation CSV: one row per completed operation, fixed column schema
 (CSV_HEADER below); same seed, same config, same bytes.
@@ -30,21 +13,19 @@ Operation CSV: one row per completed operation, fixed column schema
 
 from __future__ import annotations
 
-import math
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cache
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 
 from regsim.checker import Verdict, check_atomicity_tagged, extract_history
-from regsim.config import ConfigError, ScenarioConfig, build_quorum_system, parse_header, validate
-from regsim.core import MessageKind, parse_pid, reader, server, writer
+from regsim.config import ConfigError, ScenarioConfig, build_quorum_system, validate
+from regsim.core import reader, server, writer
 from regsim.metrics import OpStats, per_operation_stats, summarize
-from regsim.netsim import Network, Trace, build_topology, run
+from regsim.netsim import Network, build_topology, run
 from regsim.protocols import get_algorithm
+from regsim.trace import Trace, replay_wire, trace_from_text, trace_to_text
 from regsim.workload import build_workload
 
 CSV_HEADER = (
@@ -64,253 +45,6 @@ def outcome_exit_code(atomic: bool, incomplete: bool) -> int:
     if not atomic:
         return EXIT_ATOMICITY
     return EXIT_LIVENESS if incomplete else EXIT_OK
-
-
-# ---------------------------------------------------------------- trace io
-
-class _MessageKindTable(dict):
-    """A dict in which looking up a missing token raises ValueError: an
-    unknown message kind is a bad trace line."""
-
-    def __missing__(self, token: str):
-        raise ValueError("unknown message kind %r" % token)
-
-
-# The seven message kinds: each token's MessageKind constant, which a
-# parsed record holds in place of a copy of its own, and the kind of
-# operation (read or write) whose sends carry it.
-_MESSAGE_KINDS = _MessageKindTable({
-    kind: (kind, op_kind) for kind, op_kind in (
-        (MessageKind.READ_REQUEST, "read"),
-        (MessageKind.READ_RELAY, "read"),
-        (MessageKind.READ_ACK, "read"),
-        (MessageKind.WRITE_REQUEST, "write"),
-        (MessageKind.WRITE_ACK, "write"),
-        (MessageKind.WRITE_DISCOVER, "write"),
-        (MessageKind.DISCOVER_ACK, "write"),
-    )
-})
-
-
-# One entry per record kind: its format string, the record-type token
-# included, and its builder, which turns the line's tab-split fields into
-# the record, name being parse_pid or a cache of it.  A float's %r is its
-# str, so both directions reproduce the text.
-_REC_TYPES: dict[str, tuple] = {
-    "inv": ("%s\t%r\t%s\t%d\t%s\t%s",
-            lambda p, name: ("inv", float(p[1]), name(p[2]), int(p[3]), p[4], p[5])),
-    "res": ("%s\t%r\t%s\t%d\t%d\t%d\t%d\t%s",
-            lambda p, name: ("res", float(p[1]), name(p[2]), int(p[3]), int(p[4]), int(p[5]),
-                             int(p[6]), p[7])),
-    "snd": ("%s\t%r\t%s\t%s\t%s\t%s\t%d\t%r",
-            lambda p, name: ("snd", float(p[1]), name(p[2]), name(p[3]),
-                             _MESSAGE_KINDS[p[4]][0], name(p[5]), int(p[6]), float(p[7]))),
-    "dlv": ("%s\t%r\t%s\t%s\t%s\t%s\t%d",
-            lambda p, name: ("dlv", float(p[1]), name(p[2]), name(p[3]),
-                             _MESSAGE_KINDS[p[4]][0], name(p[5]), int(p[6]))),
-    "tag": ("%s\t%r\t%s\t%d\t%d",
-            lambda p, name: ("tag", float(p[1]), name(p[2]), int(p[3]), int(p[4]))),
-    "wtag": ("%s\t%r\t%s\t%d\t%d\t%d",
-             lambda p, name: ("wtag", float(p[1]), name(p[2]), int(p[3]), int(p[4]), int(p[5]))),
-    "crs": ("%s\t%r\t%s", lambda p, name: ("crs", float(p[1]), name(p[2]))),
-    "end": ("%s\t%r\t%s\t%d\t%d",
-            lambda p, name: ("end", float(p[1]), p[2], int(p[3]), int(p[4]))),
-}
-
-_FORMATS = {kind: fmt for kind, (fmt, _) in _REC_TYPES.items()}
-# Per record kind, the number of tab-separated fields and the builder.
-_BUILDERS = {kind: (fmt.count("\t") + 1, build) for kind, (fmt, build) in _REC_TYPES.items()}
-
-# About how many characters of a trace's text trace_from_text splits into
-# lines at a time.
-_CHUNK_CHARS = 1 << 16
-
-
-def _line_chunks(text: str):
-    """Yield text.splitlines() in pieces: the lines of about _CHUNK_CHARS
-    characters of text at a time, cut just after a "\n".  No cut falls
-    inside a line break, "\r\n" included, so the pieces joined are
-    exactly text.splitlines(); a text with no "\n" is one piece."""
-    start, size = 0, len(text)
-    while start < size:
-        cut = text.find("\n", start + _CHUNK_CHARS) + 1 or size
-        yield text[start:cut].splitlines()
-        start = cut
-
-
-def trace_to_text(trace: Trace) -> str:
-    if trace.config is None:
-        header = {"algorithm": trace.algorithm, "seed": trace.seed}
-    else:
-        header = trace.config.describe()
-    lines = ["\t".join(["run"] + ["%s=%s" % pair for pair in header.items()])]
-    lines += [_FORMATS[rec[0]] % rec for rec in trace.records]
-    return "\n".join(lines) + "\n"
-
-
-def trace_from_text(text: str) -> Trace:
-    """Parse a trace log; a first line that is not a run header, a
-    malformed line, one that contradicts an earlier line (see Trace.add),
-    a run header not on line 1 or one config.parse_header refuses, a
-    record after the end record, or a trace with no end record (reported
-    at its last line) raises ValueError("line N: ...").
-
-    Every record's time and every snd's arrival must be finite, and a snd
-    must arrive strictly after it is sent: every link and the loopback
-    handoff take time.  A snd's or dlv's message kind must be one of
-    MessageKind's, and the record holds that constant itself.  What only
-    the wire as a whole shows, deliveries, crashes and counts, is
-    replay_wire's to check.
-
-    Lines are split from the text in bounded chunks (_line_chunks), so
-    besides the trace it returns the parse holds one chunk's lines, not a
-    list of every line.
-    """
-    lines = chain.from_iterable(_line_chunks(text))
-    first = next(lines, "")
-    if first.split("\t", 1)[0] != "run":
-        raise ValueError("line 1: no run header")
-    trace = Trace()
-    append = trace.records.append
-    # Each distinct node name is validated once, and all records naming
-    # the node share the str of its first mention.
-    name = cache(parse_pid)
-    builders = _BUILDERS
-    ended = False
-    isfinite = math.isfinite
-    lineno = 0
-    try:
-        for lineno, line in enumerate(chain((first,), lines), start=1):
-            if not line:
-                continue
-            parts = line.split("\t")
-            kind = parts[0]
-            if ended and kind != "end":  # Trace.add refuses a second end
-                raise ValueError("%s record after the end record" % kind)
-            if kind == "run":
-                if lineno != 1:
-                    raise ValueError("run header not on line 1")
-                trace.algorithm, trace.seed, trace.config = parse_header(parts[1:])
-                continue
-            arity, build = builders.get(kind, (0, None))
-            if len(parts) != arity:
-                raise ValueError("bad trace record %r" % line)
-            rec = build(parts, name)
-            if not isfinite(rec[1]):
-                raise ValueError("%s time %s is not finite" % (kind, parts[1]))
-            if kind == "snd":
-                if not isfinite(rec[7]):
-                    raise ValueError("snd arrival %s is not finite" % parts[7])
-                if rec[7] <= rec[1]:
-                    raise ValueError(
-                        "snd of %s (client %s, op %s) from %s to %s at %s arrives at %s, "
-                        "not after its send"
-                        % (parts[4], parts[5], parts[6], parts[2], parts[3], parts[1], parts[7])
-                    )
-                append(rec)
-            elif kind == "dlv" or kind == "tag":
-                append(rec)
-            else:
-                trace.add(rec)
-                ended = kind == "end"
-        if not ended:
-            raise ValueError("trace has no end record")
-    except ValueError as exc:
-        raise ValueError("line %d: %s" % (lineno, exc)) from None
-    return trace
-
-
-def replay_wire(trace: Trace) -> dict[int, int]:
-    """Replay the wire of a complete trace in one pass over its records;
-    map op_id -> number of messages sent on behalf of that operation, and
-    set each operation record's messages to it.
-
-    A record that breaks a rule below raises ValueError("line N: ..."),
-    N being the record's line in the trace's text: its index + 2, after
-    the run header.  Per record, the crash rule comes first.
-    - No node acts at or after its crash, wherever the crs sits: every
-      record but crs and end is an act of the node it names first, the
-      sender of a snd, the receiver of a dlv, the process of an inv, res
-      or wtag, and the adopting server of a tag.
-    - Each dlv takes up an earlier snd not yet delivered with the same
-      sender, receiver, kind, client, op_seq and an arrival equal to the
-      dlv's time, first in, first out.  A snd never delivered is legal:
-      in flight at the cap, or sent to a crashed node.
-    - Every send attributes to exactly one operation, of the kind
-      _MESSAGE_KINDS gives the message's kind.  A send carries the
-      originating client and that client's operation sequence number
-      (op_seq), and a client sends only while one of its operations
-      runs, so the first send of a (client, op_seq) pair comes from the
-      client itself and names the operation; every later send with that
-      pair, a server's relay or ack included, belongs to the same
-      operation.
-    - Each res's exchanges and the end's stale drops are what the wire
-      shows, counted as netsim.run counts them: a node's current
-      exchange is 0 at its inv and that of the snd its dlv takes up;
-      each snd is its sender's current exchange + 1, and a res takes its
-      node's current exchange.  A client's dlv is stale when its op_seq
-      is below that of the client's latest snd.
-    """
-    crash_at = trace.crash_at
-    ops = trace.ops
-    counts: dict[int, int] = {op_id: 0 for op_id in ops}
-    running: dict[str, int] = {}  # client name -> op it last invoked
-    op_of: dict[tuple[str, int], int] = {}  # (client name, op_seq) -> op
-    exchange_of: dict[str, int] = {}  # node name -> its current exchange
-    in_flight: dict[tuple, deque] = {}  # snd fields -> exchanges of the undelivered
-    own_seq: dict[str, int] = {}  # client name -> op_seq of its latest snd
-    stale = 0
-    lineno = 0
-    try:
-        for lineno, rec in enumerate(trace.records, start=2):
-            kind = rec[0]
-            if kind == "crs":
-                continue
-            if kind == "end":
-                if rec[3] != stale:
-                    raise ValueError("end claims %d stale drops, the wire shows %d" % (rec[3], stale))
-                continue
-            t, node = rec[1], rec[2]
-            if t >= crash_at.get(node, math.inf):
-                raise ValueError("%s %s %s at %s, at or after its crash at %s"
-                                 % (kind, "to" if kind == "dlv" else "by", node, t, crash_at[node]))
-            if kind == "inv":
-                running[node] = rec[3]
-                exchange_of[node] = 0
-            elif kind == "snd":
-                _, _, src, _dst, msg_kind, client, op_seq, _arrive = rec
-                op_id = op_of.get((client, op_seq))
-                if op_id is None:
-                    op_id = running.get(client)
-                    if op_id is None or src != client:
-                        raise ValueError("send %s for client %s op_seq %d does not attribute "
-                                         "to any operation" % (msg_kind, client, op_seq))
-                    op_of[(client, op_seq)] = op_id
-                expect = _MESSAGE_KINDS[msg_kind][1]
-                if ops[op_id].kind != expect:
-                    raise ValueError("send %s attributed to a %s operation"
-                                     % (msg_kind, ops[op_id].kind))
-                counts[op_id] += 1
-                in_flight.setdefault(rec[2:], deque()).append(exchange_of.get(src, 0) + 1)
-                if src == client:
-                    own_seq[src] = op_seq
-            elif kind == "dlv":
-                _, _, dst, src, msg_kind, client, op_seq = rec
-                pending = in_flight.get((src, dst, msg_kind, client, op_seq, t))
-                if not pending:
-                    raise ValueError("dlv of %s (client %s, op %s) from %s to %s at %s "
-                                     "matches no earlier snd" % (msg_kind, client, op_seq, src, dst, t))
-                exchange_of[dst] = pending.popleft()
-                if op_seq < own_seq.get(dst, 0):
-                    stale += 1
-            elif kind == "res" and rec[4] != exchange_of[node]:
-                raise ValueError("res for op %d at %r claims %d exchanges, the wire shows %d"
-                                 % (rec[3], t, rec[4], exchange_of[node]))
-    except ValueError as exc:
-        raise ValueError("line %d: %s" % (lineno, exc)) from None
-    for op_id, n in counts.items():
-        ops[op_id].messages = n
-    return counts
 
 
 def verify_trace(text: str) -> Trace:

@@ -3,7 +3,7 @@
 netsim.run counts each operation's messages and exchanges while it runs,
 and per_operation_stats reads those counts from the operation records.
 A parsed trace's res records carry the exchanges; its message counts
-come from harness.replay_wire, which recounts them from the wire.
+come from trace.replay_wire, which recounts them from the wire.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from regsim.netsim import Trace
+if TYPE_CHECKING:
+    from regsim.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class Summary:
 
 def per_operation_stats(trace: Trace) -> list[OpStats]:
     """Completed operations only, in op_id order, with the message counts
-    the simulator took (a parsed trace needs harness.replay_wire first)."""
+    the simulator took (a parsed trace needs trace.replay_wire first)."""
     out = []
     for op_id in sorted(trace.ops):
         op = trace.ops[op_id]

@@ -1,4 +1,5 @@
 """Deterministic discrete-event simulation of the message-passing network.
+run writes what the run does into a trace.Trace, in event order.
 
 Topologies mirror a routed LAN: a chain of one router per server, with
 either server i on router i (series) or every server on the first router
@@ -45,13 +46,14 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from regsim.config import ScenarioConfig
-from regsim.core import OperationRecord, Tag, node_key, reader, server, writer
+from regsim.core import node_key, reader, server, writer
 from regsim.protocols import Algorithm, Invoke
 from regsim.quorum import QuorumSystem
+from regsim.trace import Trace
 
 MBPS = 1e6
 LOOPBACK_DELAY = 1e-6
@@ -135,116 +137,6 @@ class WorkItem:
     pid: str  # the invoking client's name
     kind: str  # "read" | "write"
     value: Optional[bytes] = None
-
-
-# A client's role letter -> the operation kind its invocations run.
-_CLIENT_KIND = {"r": "read", "w": "write"}
-
-
-@dataclass
-class Trace:
-    """Everything observable about one run, in event order.  add is the
-    only writer of crash_at, stale_drops, skipped_invokes, incomplete and
-    end_time: they hold what the crs and end records say, so a simulated
-    trace equals the trace parsed from its text, and live(pid) means the
-    node did not crash during the run."""
-
-    algorithm: str = ""
-    seed: int = 0
-    records: list[tuple] = field(default_factory=list)
-    ops: dict[int, OperationRecord] = field(default_factory=dict)
-    crash_at: dict[str, float] = field(default_factory=dict)
-    stale_drops: int = 0
-    skipped_invokes: int = 0
-    incomplete: bool = False
-    end_time: float = 0.0
-    config: Optional[ScenarioConfig] = None  # the scenario, when run from one
-    _ended: bool = field(default=False, init=False, repr=False)
-
-    def add(self, rec: tuple) -> None:
-        """Append one record; inv/res/wtag/crs/end records also update the
-        operation index and run status.  A record that contradicts the
-        index raises ValueError: a second inv or res for one op id, a res
-        or wtag with no earlier inv, a res or wtag from another process
-        than the invoker or timed before its inv, a wtag for a read, a
-        second crs for one node and a second end.  So do an inv by a
-        server, an inv whose operation kind is neither read nor write,
-        one whose kind is not its client's (a reader reads, a writer
-        writes), a write whose value is not hex, a read with a value
-        other than "-", and an end whose status is neither complete nor
-        incomplete."""
-        self.records.append(rec)
-        kind = rec[0]
-        if kind == "inv":
-            _, t, pid, op_id, op_kind, value_hex = rec
-            if op_id in self.ops:
-                raise ValueError("second inv for op %s" % op_id)
-            if op_kind not in ("read", "write"):
-                raise ValueError("inv for op %s: unknown operation kind %r" % (op_id, op_kind))
-            if pid.startswith("s"):
-                raise ValueError("inv for op %s from server %s" % (op_id, pid))
-            if op_kind != _CLIENT_KIND[pid[0]]:
-                raise ValueError("inv for op %s: %s runs %ss, not %ss"
-                                 % (op_id, pid, _CLIENT_KIND[pid[0]], op_kind))
-            if (value_hex == "-") != (op_kind == "read"):
-                raise ValueError("inv for op %s: a %s's value must be %s, got %r"
-                                 % (op_id, op_kind, "'-'" if op_kind == "read" else "hex", value_hex))
-            value = bytes.fromhex(value_hex) if value_hex != "-" else None
-            self.ops[op_id] = OperationRecord(op_id, pid, op_kind, t, value=value)
-        elif kind == "res":
-            _, t, pid, op_id, exchanges, ts, wid, value_hex = rec
-            op = self.ops.get(op_id)
-            if op is None:
-                raise ValueError("res for op %s with no earlier inv" % op_id)
-            if op.responded_at is not None:
-                raise ValueError("second res for op %s" % op_id)
-            if pid != op.process:
-                raise ValueError(
-                    "res for op %s from %s, but %s invoked it" % (op_id, pid, op.process)
-                )
-            if t < op.invoked_at:
-                raise ValueError(
-                    "res for op %s at %s precedes its inv at %s" % (op_id, t, op.invoked_at)
-                )
-            op.responded_at = t
-            op.exchanges = exchanges
-            op.tag = Tag(ts, wid)
-            op.value = bytes.fromhex(value_hex)
-        elif kind == "wtag":
-            _, t, pid, op_id, ts, wid = rec
-            op = self.ops.get(op_id)
-            if op is None:
-                raise ValueError("wtag for op %s with no earlier inv" % op_id)
-            if pid != op.process:
-                raise ValueError(
-                    "wtag for op %s from %s, but %s invoked it" % (op_id, pid, op.process)
-                )
-            if t < op.invoked_at:
-                raise ValueError(
-                    "wtag for op %s at %s precedes its inv at %s" % (op_id, t, op.invoked_at)
-                )
-            if op.kind != "write":
-                raise ValueError("wtag for op %s, which is a %s" % (op_id, op.kind))
-            op.tag = Tag(ts, wid)
-        elif kind == "crs":
-            _, t, pid = rec
-            if pid in self.crash_at:
-                raise ValueError("second crs for %s" % pid)
-            self.crash_at[pid] = t
-        elif kind == "end":
-            if self._ended:
-                raise ValueError("second end record")
-            _, self.end_time, status, self.stale_drops, self.skipped_invokes = rec
-            if status not in ("complete", "incomplete"):
-                raise ValueError("end status %r is neither complete nor incomplete" % status)
-            self._ended = True
-            self.incomplete = status == "incomplete"
-
-    def live(self, pid: str) -> bool:
-        return pid not in self.crash_at
-
-    def operations(self) -> list[OperationRecord]:
-        return [self.ops[k] for k in sorted(self.ops)]
 
 
 def run(

@@ -36,9 +36,10 @@ from regsim.core import (
     writer,
 )
 from regsim.harness import run_scenario
-from regsim.netsim import Trace, WorkItem, build_topology, run
+from regsim.netsim import WorkItem, build_topology, run
 from regsim.protocols import get_algorithm
 from regsim.quorum import build_majority
+from regsim.trace import Trace
 
 
 def op(op_id, pid, kind, t0, t1, tag, value=None):

@@ -10,8 +10,9 @@ import pytest
 
 from regsim.cli import main
 from regsim.config import parse_config, with_overrides
-from regsim.harness import run_scenario, trace_to_text
+from regsim.harness import run_scenario
 from regsim.protocols import ALGORITHMS
+from regsim.trace import trace_to_text
 
 CONFIG = """
 [scenario]
@@ -131,15 +132,18 @@ def test_check_incomplete_trace(tmp_path, capsys) -> None:
 HEADERLESS = "<no run header>"
 
 
-def renamed_message_kind_row(kind: str):
-    """A check row: the records of a small erato run's trace with its
-    readRequest renamed to kind, refused at the first of them."""
+def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message: str):
+    """A check row: the records of a small erato run's trace with field
+    index of each line of one of kinds set to new where it reads old (or
+    whatever it reads, if old is None), refused with message at the
+    first line changed."""
     config = with_overrides(parse_config(CONFIG), ops_per_client=1)
-    lines = trace_to_text(run_scenario(config).trace).splitlines()[1:]
-    first = next(n for n, line in enumerate(lines, start=2) if "\treadRequest\t" in line)
-    text = "\n".join(lines).replace("\treadRequest\t", "\t%s\t" % kind)
-    return pytest.param("check", text, "line %d: unknown message kind %r" % (first, kind),
-                        id="check-run-trace-with-%s" % kind)
+    rows = [line.split("\t") for line in trace_to_text(run_scenario(config).trace).splitlines()[1:]]
+    changed = [n for n, parts in enumerate(rows) if parts[0] in kinds and old in (None, parts[index])]
+    for n in changed:
+        rows[n][index] = new
+    text = "\n".join("\t".join(parts) for parts in rows)
+    return pytest.param("check", text, "line %d: %s" % (changed[0] + 2, message), id=row_id)
 
 
 @pytest.mark.parametrize(
@@ -256,8 +260,20 @@ def renamed_message_kind_row(kind: str):
         ("check", "crs\tnan\ts0\nend\t1.0\tcomplete\t0\t0", "line 2: crs time nan is not finite"),
         ("check", "tag\t-inf\ts0\t1\t0\nend\t1.0\tcomplete\t0\t0", "line 2: tag time -inf is not finite"),
         ("check", "end\tnan\tcomplete\t0\t0", "line 2: end time nan is not finite"),
-        renamed_message_kind_row("readWhatever"),
-        renamed_message_kind_row("bogusKind"),
+        edited_run_row("check-run-trace-with-readWhatever", ("snd", "dlv"), 4, "readRequest", "readWhatever",
+                       "unknown message kind 'readWhatever'"),
+        edited_run_row("check-run-trace-with-bogusKind", ("snd", "dlv"), 4, "readRequest", "bogusKind",
+                       "unknown message kind 'bogusKind'"),
+        # netsim.run writes none of these: only a server adopts a tag, op
+        # ids start at 1 and no end count is negative.
+        edited_run_row("check-run-trace-with-tag-by-r0", ("tag",), 2, None, "r0",
+                       "tag by r0, which is not a server"),
+        edited_run_row("check-run-trace-with-op-0", ("inv", "res", "wtag"), 3, "1", "0",
+                       "inv for op 0: op ids start at 1"),
+        edited_run_row("check-run-trace-with-op--5", ("inv", "res", "wtag"), 3, "1", "-5",
+                       "inv for op -5: op ids start at 1"),
+        edited_run_row("check-run-trace-with-end-skipping--3", ("end",), 4, None, "-3",
+                       "end counts below 0: 0 stale drops, -3 skipped invocations"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),

@@ -13,9 +13,8 @@ from regsim.config import (
     validate,
     with_overrides,
 )
-from regsim.harness import trace_to_text
-from regsim.netsim import Trace
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
+from regsim.trace import Trace, trace_to_text
 
 MINIMAL = """
 [scenario]

@@ -25,9 +25,10 @@ import hashlib
 import pytest
 
 from regsim.config import ScenarioConfig, validate
-from regsim.harness import run_scenario, trace_to_text
+from regsim.harness import run_scenario
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
 from regsim.quorum import QuorumSystem
+from regsim.trace import trace_to_text
 
 # algorithm -> (sha256 of the trace text, sha256 of the CSV text)
 GOLDEN = {

@@ -14,26 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsim import harness
+from regsim import trace as trace_module
 from regsim.config import ConfigError, ScenarioConfig, parse_grid, parse_header, validate
 from regsim.core import MessageKind, parse_pid, reader, server
 from regsim.harness import (
-    _REC_TYPES,
     AGGREGATE_HEADER,
     CSV_HEADER,
     EXIT_ATOMICITY,
     EXIT_LIVENESS,
     EXIT_OK,
     SweepError,
-    replay_wire,
     run_scenario,
     sweep,
-    trace_from_text,
-    trace_to_text,
     write_outputs,
 )
 from regsim.metrics import summarize
-from regsim.netsim import Trace
 from regsim.protocols import ALGORITHMS
+from regsim.trace import _REC_TYPES, Trace, replay_wire, trace_from_text, trace_to_text
 
 
 def cfg(**kw) -> ScenarioConfig:
@@ -408,7 +405,7 @@ def test_parser_matches_the_per_field_parser(data) -> None:
 @given(data=st.data())
 def test_parser_matches_the_per_field_parser_across_chunk_cuts(data) -> None:
     # Chunks of a few characters put a cut after almost every line.
-    with mock.patch.object(harness, "_CHUNK_CHARS", data.draw(st.integers(1, 80))):
+    with mock.patch.object(trace_module, "_CHUNK_CHARS", data.draw(st.integers(1, 80))):
         check_parser_matches(data)
 
 
@@ -427,8 +424,8 @@ def test_line_breaks_are_those_of_splitlines(where, brk) -> None:
         text = "\n".join(lines) + "\n"
     expected = parse_outcome(reference_trace_from_text, text)
     assert isinstance(expected, Trace) == (where == "line end")
-    for chunk_chars in [*range(1, 100), harness._CHUNK_CHARS]:
-        with mock.patch.object(harness, "_CHUNK_CHARS", chunk_chars):
+    for chunk_chars in [*range(1, 100), trace_module._CHUNK_CHARS]:
+        with mock.patch.object(trace_module, "_CHUNK_CHARS", chunk_chars):
             assert parse_outcome(trace_from_text, text) == expected
 
 
@@ -458,7 +455,7 @@ def relay_run() -> tuple[Trace, str]:
 
 def test_relay_sized_trace_round_trips() -> None:
     run, text = relay_run()
-    assert len(text) > 10 * harness._CHUNK_CHARS
+    assert len(text) > 10 * trace_module._CHUNK_CHARS
     parsed = trace_from_text(text)
     assert trace_to_text(parsed) == text
     replay_wire(parsed)
@@ -482,6 +479,22 @@ def test_parse_memory_is_the_trace_it_returns() -> None:
     assert len(constants) == 7
     wire = [rec for rec in parsed.records if rec[0] in ("snd", "dlv")]
     assert wire and all(id(rec[4]) in constants for rec in wire)
+
+
+def test_serialising_holds_the_lines_and_one_text() -> None:
+    # The list of lines and their join come to about three times the
+    # text's size; one more copy of the text, such as appending the last
+    # "\n" to the join, makes about four.
+    run, text = relay_run()
+    assert len(text) >= 2**20
+    tracemalloc.start()
+    try:
+        written = trace_to_text(run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written == text
+    assert peak < 3.5 * len(text)
 
 
 def test_csv_schema_and_determinism() -> None:

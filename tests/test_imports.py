@@ -3,13 +3,16 @@
 Every name imported in src/ and tests/ is used: an imported name counts
 as used when the module references it or lists it in __all__.  src/
 imports only at module level.  Every source file parses as Python 3.10,
-the oldest version the package supports.
+the oldest version the package supports.  The layers stay apart: the
+checker and metrics import no regsim module but core at run time, and
+the trace format imports neither its writer nor its judges.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "regsim"
 
 
 def python_files(*dirs: str) -> list[Path]:
@@ -60,3 +63,39 @@ def test_no_import_inside_a_function() -> None:
 def test_sources_parse_as_python_3_10() -> None:
     for path in python_files("src", "tests", "perfbench"):
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def runtime_regsim_imports(path: Path) -> set[str]:
+    """The regsim modules a module of the regsim package imports, the
+    package itself included, outside the body of an `if TYPE_CHECKING:`."""
+    found = set()
+    stack: list[ast.AST] = [ast.parse(path.read_text())]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            stack += node.orelse
+            continue
+        stack += ast.iter_child_nodes(node)
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:  # a relative import in src/regsim/ names a regsim module
+                module = "regsim." + module if module else "regsim"
+            found.add(module)
+            if module == "regsim":
+                found.update("regsim." + alias.name for alias in node.names)
+    return {m for m in found if m == "regsim" or m.startswith("regsim.")}
+
+
+def test_checker_and_metrics_import_only_core_at_run_time() -> None:
+    # The judges of a trace do not load the simulator, config or the
+    # protocols that wrote it.
+    for name in ("checker", "metrics"):
+        assert runtime_regsim_imports(SRC / ("%s.py" % name)) <= {"regsim.core"}, name
+
+
+def test_trace_imports_neither_its_writer_nor_its_judges() -> None:
+    forbidden = {"regsim", "regsim.netsim", "regsim.harness", "regsim.checker", "regsim.metrics",
+                 "regsim.cli"}
+    assert runtime_regsim_imports(SRC / "trace.py") & forbidden == set()

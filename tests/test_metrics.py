@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from regsim.config import ScenarioConfig, validate
 from regsim.core import reader, server, writer
-from regsim.harness import replay_wire, run_scenario, trace_to_text, verify_trace
+from regsim.harness import run_scenario, verify_trace
 from regsim.metrics import (
     OpStats,
     per_operation_stats,
@@ -22,6 +22,7 @@ from regsim.metrics import (
 from regsim.netsim import WorkItem, build_topology, run
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
 from regsim.quorum import build_majority, build_matrix
+from regsim.trace import replay_wire, trace_to_text
 
 
 def sim(algorithm: str, qs, n_servers: int, items, crashes=()):

@@ -2,10 +2,10 @@
 topology, workload and protocol, run the simulation, check the result,
 and emit trace logs / CSV rows.
 
-The trace log's format is trace.py's.  verify_trace adds what only
-`regsim check` pays for: the wire replay, the header's scenario
-validates, the text is canonical, and a trace whose header holds a
-scenario is what re-running that scenario writes.
+The trace log's format is trace.py's.  verify_trace is what `regsim
+check` runs: a trace whose header holds a scenario must be exactly what
+re-running that scenario writes, and the re-run's wire must replay; a
+bare header's trace is parsed, replayed and must be canonical.
 
 Operation CSV: one row per completed operation, fixed column schema
 (CSV_HEADER below); same seed, same config, same bytes.
@@ -25,7 +25,7 @@ from regsim.core import reader, server, writer
 from regsim.metrics import OpStats, per_operation_stats, summarize
 from regsim.netsim import Network, build_topology, run
 from regsim.protocols import get_algorithm
-from regsim.trace import Trace, replay_wire, trace_from_text, trace_to_text
+from regsim.trace import Trace, read_header, replay_wire, trace_from_text, trace_to_text
 from regsim.workload import build_workload
 
 CSV_HEADER = (
@@ -48,44 +48,45 @@ def outcome_exit_code(atomic: bool, incomplete: bool) -> int:
 
 
 def verify_trace(text: str) -> Trace:
-    """Parse a trace as `regsim check` does: trace_from_text, then the
-    checks only check pays for, each raising ValueError:
-    - the wire replays (replay_wire, "line N: ...");
-    - the header's scenario, if it has one, passes config.validate, and
-      a bare header names a known algorithm ("line 1: ...");
-    - the text is exactly what trace_to_text writes for the parsed trace,
-      so every number and node has one spelling, the header keys are in
-      their order and no line is blank ("line N: ..." at the first line
-      that differs);
-    - if the header holds a scenario, the text is exactly what
-      trace_to_text writes for run_scenario of it ("line N: re-run
-      gives ..." at the first line that differs).  A bare header names
-      no scenario, so its trace is not re-run.
-    They stay out of trace_from_text because the replay costs about half
-    a parse, validating a scenario scans quorums, re-serialising costs
-    about three quarters of a parse and the re-run about two parses, and
-    the parse alone is what a benchmark's re-check times.
+    """The trace `regsim check` judges, or ValueError("line N: ...") at
+    the first fault found.  read_header reads line 1, and its scenario
+    passes config.validate or a bare header names a known algorithm
+    ("line 1: ...").  Then the text is held to the trace its header
+    says wrote it, whose wire replays (replay_wire):
+    - a scenario header's trace is run_scenario of it: a run is a pure
+      function of its config and seed, so the text must be exactly what
+      trace_to_text writes for the re-run ("line N: re-run gives ..." at
+      the first line that differs).  That one comparison implies the
+      parse, the replay of the parsed wire and the canonical compare,
+      as a parsed text equals the trace it was written from;
+    - a bare header names no scenario, so its trace is trace_from_text
+      of the text, whose parse and replay refuse first; then the text
+      must be exactly what trace_to_text writes for it, so every number
+      and node has one spelling, the header keys are in their order and
+      no line is blank ("line N: ... is not canonical" at the first line
+      that differs).
+    The replay, the scenario's validation and the comparison stay out of
+    trace_from_text, which is what a benchmark's re-check times.
     """
-    trace = trace_from_text(text)
-    replay_wire(trace)
+    algorithm, _, config = read_header(text)
     try:
-        if trace.config is None:
-            get_algorithm(trace.algorithm)
+        if config is None:
+            get_algorithm(algorithm)
         else:
-            validate(trace.config)
+            validate(config)
     except ConfigError as exc:
         raise ValueError("line 1: %s" % exc) from None
     except KeyError as exc:
         raise ValueError("line 1: %s" % exc.args[0]) from None
-    canonical = trace_to_text(trace)
-    if canonical != text:
-        raise ValueError("line %d: %r is not canonical, trace_to_text writes %r"
-                         % _first_difference(text, canonical))
-    if trace.config is not None:
-        rerun = trace_to_text(run_scenario(trace.config).trace)
-        if rerun != text:
-            lineno, found, expected = _first_difference(text, rerun)
-            raise ValueError("line %d: re-run gives %r, trace has %r" % (lineno, expected, found))
+    if config is None:
+        trace, refusal = trace_from_text(text), "%(found)r is not canonical, trace_to_text writes %(want)r"
+    else:
+        trace, refusal = run_scenario(config).trace, "re-run gives %(want)r, trace has %(found)r"
+    replay_wire(trace)
+    expected = trace_to_text(trace)
+    if expected != text:
+        lineno, found, want = _first_difference(text, expected)
+        raise ValueError("line %d: " % lineno + refusal % {"found": found, "want": want})
     return trace
 
 

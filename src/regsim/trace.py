@@ -27,7 +27,7 @@ from functools import cache
 from itertools import chain
 from typing import Optional
 
-from regsim.config import ScenarioConfig, parse_header
+from regsim.config import ConfigError, ScenarioConfig, parse_header
 from regsim.core import MessageKind, OperationRecord, Tag, parse_pid
 
 # A client's role letter -> the operation kind its invocations run.
@@ -229,12 +229,28 @@ def trace_to_text(trace: Trace) -> str:
     return "\n".join(lines)
 
 
+def read_header(text: str) -> tuple[str, int, Optional[ScenarioConfig]]:
+    """(algorithm, seed, scenario or None) of a trace's run header, its
+    line 1 as text.splitlines() cuts it.  A line 1 that is not a run
+    header raises ValueError("line 1: no run header"), one that
+    config.parse_header refuses ValueError("line 1: ...").  Only the text
+    up to the first "\n" is split, not the chunk that holds it."""
+    head = text[:text.find("\n") + 1 or None]  # line 1 lies within it
+    parts = (head.splitlines() or [""])[0].split("\t")
+    if parts[0] != "run":
+        raise ValueError("line 1: no run header")
+    try:
+        return parse_header(parts[1:])
+    except ConfigError as exc:
+        raise ValueError("line 1: %s" % exc) from None
+
+
 def trace_from_text(text: str) -> Trace:
-    """Parse a trace log; a first line that is not a run header, a
+    """Parse a trace log; a run header that read_header refuses, a
     malformed line, one that contradicts an earlier line (see Trace.add),
-    a run header not on line 1 or one config.parse_header refuses, a
-    record after the end record, or a trace with no end record (reported
-    at its last line) raises ValueError("line N: ...").
+    a run header not on line 1, a record after the end record, or a trace
+    with no end record (reported at its last line) raises
+    ValueError("line N: ...").
 
     Every record's time and every snd's arrival must be finite, and a snd
     must arrive strictly after it is sent: every link and the loopback
@@ -247,20 +263,19 @@ def trace_from_text(text: str) -> Trace:
     besides the trace it returns the parse holds one chunk's lines, not a
     list of every line.
     """
-    lines = chain.from_iterable(_line_chunks(text))
-    first = next(lines, "")
-    if first.split("\t", 1)[0] != "run":
-        raise ValueError("line 1: no run header")
     trace = Trace()
+    trace.algorithm, trace.seed, trace.config = read_header(text)
+    lines = chain.from_iterable(_line_chunks(text))
+    next(lines)  # the run header, which read_header has read
     append = trace.records.append
     # Each distinct node name is validated once, and all records naming
     # the node share the str of its first mention.
     name = cache(parse_pid)
     builders = _BUILDERS
     isfinite = math.isfinite
-    lineno = 0
+    lineno = 1  # a trace of its header alone has no end record at line 1
     try:
-        for lineno, line in enumerate(chain((first,), lines), start=1):
+        for lineno, line in enumerate(lines, start=2):
             if not line:
                 continue
             parts = line.split("\t")
@@ -268,10 +283,7 @@ def trace_from_text(text: str) -> Trace:
             if trace._ended and kind != "end":  # Trace.add refuses a second end
                 raise ValueError("%s record after the end record" % kind)
             if kind == "run":
-                if lineno != 1:
-                    raise ValueError("run header not on line 1")
-                trace.algorithm, trace.seed, trace.config = parse_header(parts[1:])
-                continue
+                raise ValueError("run header not on line 1")
             arity, build = builders.get(kind, (0, None))
             if len(parts) != arity:
                 raise ValueError("bad trace record %r" % line)

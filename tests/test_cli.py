@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,10 @@ def test_check_incomplete_trace(tmp_path, capsys) -> None:
 
 # A row's text follows a bare run header, unless it starts with this.
 HEADERLESS = "<no run header>"
+# The run header of a scenario with more quorums than validate lets a run
+# list.
+TOO_MANY_QUORUMS_HEADER = "\t".join(
+    ["run"] + ["%s=%s" % pair for pair in replace(parse_config(CONFIG), n_servers=18).describe().items()])
 
 
 def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message: str):
@@ -242,6 +247,11 @@ def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message
         ("check", "inv\t0.1\tr0\t1\tread\t-\nrun\talgorithm=abd\tseed=3", "line 3: run header not on line 1"),
         ("check", HEADERLESS + "inv\t0.1\tr0\t1\tread\t-\nend\t1.0\tcomplete\t0\t0", "line 1: no run header"),
         ("check", HEADERLESS + "\nrun\talgorithm=erato\tseed=0\nend\t1.0\tcomplete\t0\t0", "line 1: no run header"),
+        # The header read apart from the records is still line 1.
+        ("check", HEADERLESS + "run\talgorithm=erato\tseed=0", "line 1: trace has no end record"),
+        pytest.param("check", HEADERLESS + TOO_MANY_QUORUMS_HEADER,
+                     "line 1: scenario.n_servers: majority quorums over 18 servers number more than 32768",
+                     id="check-header-with-too-many-quorums"),
         ("check", "end\t0.3\tcomplete\t0\t0\ncrs\t0.4\ts0", "line 3: crs record after the end record"),
         ("check", "inv\tnan\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t\nend\t1.0\tcomplete\t0\t0",
          "line 2: inv time nan is not finite"),
@@ -311,6 +321,9 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
         # A node crashes once.
         ("ops_per_client = 2", "ops_per_client = 2\n[crashes]\nservers = 0@0.5, 0@0.1", [],
          "crashes.servers: index 0 listed twice"),
+        # Refused before any quorum is listed.
+        ("n_servers = 3", "n_servers = 18", [],
+         "scenario.n_servers: majority quorums over 18 servers number more than 32768"),
     ],
 )
 def test_run_refuses_non_finite_numbers(old, new, args, message, tmp_path, capsys) -> None:
@@ -413,16 +426,49 @@ def zero_first_jitter(lines: list[str]) -> int:
     return i + 1
 
 
+# Edits that the re-run refuses at the edited line when the header holds
+# the scenario.  A bare header names no scenario to re-run, and under one
+# the canonical compare and the wire's recount refuse each edit at that
+# line, with these messages.
+RECOUNTED_EDITS = [
+    # Numbers, lines and the header have one spelling each.
+    pytest.param(edit_field("inv", 1, lambda t: t + "0"), "is not canonical", id="time_0.20"),
+    pytest.param(edit_field("inv", 3, lambda op: "0_" + op), "is not canonical", id="op_0_1"),
+    pytest.param(edit_field("inv", 3, lambda op: "\u0661"), "is not canonical", id="arabic_indic_digit"),
+    pytest.param(insert_blank_line, "'\\n' is not canonical", id="blank_line"),
+    pytest.param(edit_header("algorithm=erato\tseed=0", "seed=0\talgorithm=erato"), "is not canonical",
+                 id="header_order"),
+    # The wire's numbers are recounted.
+    pytest.param(edit_field("res", 4, lambda n: "7"), "claims 7 exchanges, the wire shows 2", id="res_exchanges"),
+    pytest.param(edit_field("end", 3, lambda n: "999"), "end claims 999 stale drops, the wire shows 0",
+                 id="end_stale_drops"),
+]
+
+# The message of a RECOUNTED_EDITS row under its scenario header: the
+# re-run's line and the edited line.
+RERUN = None
+
+
+def check_refuses(lines: list[str], lineno: int, message: str, tmp_path, capsys) -> None:
+    edited = tmp_path / "edited.log"
+    edited.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["check", str(edited)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+    assert err.startswith("input error: %s: line %d: " % (edited, lineno))
+
+
+def run_trace_lines(config_file, tmp_path) -> list[str]:
+    out = tmp_path / "out"
+    assert main(["run", str(config_file), "--out-dir", str(out)]) == 0
+    return (out / "trace.log").read_text().splitlines()
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
-        # Numbers, lines and the header have one spelling each.
-        pytest.param(edit_field("inv", 1, lambda t: t + "0"), "is not canonical", id="time_0.20"),
-        pytest.param(edit_field("inv", 3, lambda op: "0_" + op), "is not canonical", id="op_0_1"),
-        pytest.param(edit_field("inv", 3, lambda op: "\u0661"), "is not canonical", id="arabic_indic_digit"),
-        pytest.param(insert_blank_line, "'\\n' is not canonical", id="blank_line"),
-        pytest.param(edit_header("algorithm=erato\tseed=0", "seed=0\talgorithm=erato"), "is not canonical",
-                     id="header_order"),
+        *[pytest.param(row.values[0], RERUN, id=row.id) for row in RECOUNTED_EDITS],
         # The header is a scenario that validates.
         pytest.param(edit_header("\tscheme=", "\tbogus=1\tscheme="), "bogus: unknown key", id="unknown_key"),
         pytest.param(edit_header("n_servers=3", "n_servers=x"), "n_servers: expected int, got 'x'", id="bad_int"),
@@ -432,10 +478,6 @@ def zero_first_jitter(lines: list[str]) -> int:
         # A bare header names an algorithm that exists.
         pytest.param(lambda lines: edit_header(lines[0], "run\talgorithm=paxos\tseed=0")(lines),
                      "unknown algorithm 'paxos'", id="bare_unknown_algorithm"),
-        # The wire's numbers are recounted.
-        pytest.param(edit_field("res", 4, lambda n: "7"), "claims 7 exchanges, the wire shows 2", id="res_exchanges"),
-        pytest.param(edit_field("end", 3, lambda n: "999"), "end claims 999 stale drops, the wire shows 0",
-                     id="end_stale_drops"),
         # The header's scenario is re-run.
         pytest.param(reported_at("inv", 2, edit_header("n_readers=1\tn_servers=3", "n_readers=5\tn_servers=7")),
                      "re-run gives 'snd\\t0.2\\tr0\\ts3\\t", id="more_readers_and_servers"),
@@ -445,17 +487,20 @@ def zero_first_jitter(lines: list[str]) -> int:
     ],
 )
 def test_check_refuses_an_edited_trace(edit, message, config_file, tmp_path, capsys) -> None:
-    out = tmp_path / "out"
-    assert main(["run", str(config_file), "--out-dir", str(out)]) == 0
-    lines = (out / "trace.log").read_text().splitlines()
+    lines = run_trace_lines(config_file, tmp_path)
+    rerun = list(lines)
     lineno = edit(lines)
-    edited = tmp_path / "edited.log"
-    edited.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["check", str(edited)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and message in err
-    assert err.startswith("input error: %s: line %d: " % (edited, lineno))
+    if message is RERUN:
+        message = "re-run gives %r, trace has %r\n" % (rerun[lineno - 1] + "\n", lines[lineno - 1] + "\n")
+    check_refuses(lines, lineno, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("edit,message", RECOUNTED_EDITS)
+def test_check_refuses_an_edited_bare_trace(edit, message, config_file, tmp_path, capsys) -> None:
+    lines = run_trace_lines(config_file, tmp_path)
+    lines[0] = "run\talgorithm=erato\tseed=0"
+    lineno = edit(lines)
+    check_refuses(lines, lineno, message, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))

@@ -1,5 +1,7 @@
 """Config parsing and validation tests."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,21 @@ def test_matrix_requires_square_server_count() -> None:
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert any("square required" in e for e in exc.value.errors)
+
+
+@pytest.mark.parametrize("quorums,n_servers", [
+    ("majority", 18), ("majority", 30), ("majority", 10**6), ("majority", 10**100), ("matrix", 182**2),
+])
+def test_quorum_system_too_large_to_list_is_refused(quorums, n_servers) -> None:
+    # Refused from the count alone: majority(30)'s masks would take about
+    # 5 GB, and math.comb takes 10 s at 10**6 servers and overflows at
+    # 10**100.  Majority(17), 24,310 quorums, is the largest that runs.
+    config = ScenarioConfig(quorums=quorums, n_servers=n_servers)
+    with mock.patch("regsim.config.build_quorum_system", side_effect=AssertionError("listed")):
+        with pytest.raises(ConfigError) as exc:
+            validate(config)
+    assert exc.value.errors == [
+        "scenario.n_servers: %s quorums over %d servers number more than 32768" % (quorums, n_servers)]
 
 
 def test_unknown_section_and_key_paths() -> None:

@@ -29,7 +29,8 @@ from regsim.harness import (
     write_outputs,
 )
 from regsim.metrics import summarize
-from regsim.protocols import ALGORITHMS
+from regsim.netsim import run as netsim_run
+from regsim.protocols import ALGORITHMS, get_algorithm
 from regsim.trace import _REC_TYPES, Trace, replay_wire, trace_from_text, trace_to_text
 
 
@@ -407,6 +408,155 @@ def test_parser_matches_the_per_field_parser_across_chunk_cuts(data) -> None:
     # Chunks of a few characters put a cut after almost every line.
     with mock.patch.object(trace_module, "_CHUNK_CHARS", data.draw(st.integers(1, 80))):
         check_parser_matches(data)
+
+
+# ------------------------------- the previous verify_trace as an oracle
+
+def reference_verify_trace(text: str) -> Trace:
+    """verify_trace as it was before a scenario trace was held to its
+    re-run alone: the parse, the replay of the parsed wire, the header's
+    validation, the canonical compare, then the re-run's compare."""
+    trace = trace_from_text(text)
+    replay_wire(trace)
+    try:
+        if trace.config is None:
+            get_algorithm(trace.algorithm)
+        else:
+            validate(trace.config)
+    except ConfigError as exc:
+        raise ValueError("line 1: %s" % exc) from None
+    except KeyError as exc:
+        raise ValueError("line 1: %s" % exc.args[0]) from None
+    canonical = trace_to_text(trace)
+    if canonical != text:
+        raise ValueError("line %d: %r is not canonical, trace_to_text writes %r"
+                         % harness._first_difference(text, canonical))
+    if trace.config is not None:
+        rerun = trace_to_text(run_scenario(trace.config).trace)
+        if rerun != text:
+            lineno, found, expected = harness._first_difference(text, rerun)
+            raise ValueError("line %d: re-run gives %r, trace has %r" % (lineno, expected, found))
+    return trace
+
+
+@functools.cache
+def small_scenario_lines() -> tuple[tuple[str, ...], ...]:
+    """Lines of small scenario traces of erato, erato_mw, abd and ohmam,
+    with crashes."""
+    configs = [cfg(crash_servers=((2, 0.3),), seed=3),
+               cfg(algorithm="ohmam", n_writers=2, ops_per_client=1, crash_writers=((1, 0.25),), seed=5)]
+    return fuzz_base_lines() + tuple(tuple(trace_to_text(run_scenario(c).trace).splitlines())
+                                     for c in configs)
+
+
+def edited_header_values(value: str) -> list[str]:
+    """Values for a header field that now reads value: ones that do not
+    parse or that validate refuses, the other names a text field takes,
+    and half a number, never a larger one: a larger scenario can take
+    long to run (majority(30) lists 145,422,675 quorums)."""
+    out = ["x", "", "0", "-1", "nan", *sorted(ALGORITHMS), "series", "star", "majority", "matrix",
+           "fixed", "stochastic"]
+    if value.isdigit():
+        out.append(str(int(value) // 2))
+    elif value.replace(".", "", 1).isdigit():
+        out.append(repr(float(value) / 2))
+    return out
+
+
+def verify_outcome(verify, text: str):
+    """What a verify_trace makes of a text: its Trace, or its ValueError's
+    text."""
+    try:
+        return verify(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_trace_matches_the_previous_verify_trace(data) -> None:
+    """Both accept a singly mutated scenario trace, returning equal
+    traces, or both refuse it with one line naming a line; verify_trace
+    names that line or an earlier one, but in two cases.  A trace whose
+    end line is deleted ends where the re-run has that line: the parser
+    refused it at the line before.  A crs line edited to an earlier time
+    or another node differs from the re-run there, while the replay
+    refused an earlier act of the crashed node."""
+    lines = list(data.draw(st.sampled_from(small_scenario_lines())))
+    mutation = data.draw(st.sampled_from(["delete", "duplicate", "swap", "field", "header"]))
+    i = data.draw(st.integers(0 if mutation in ("delete", "duplicate", "swap") else 1, len(lines) - 1))
+    if mutation == "delete":
+        del lines[i]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    elif mutation == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif mutation == "field":
+        parts = lines[i].split("\t")
+        k = data.draw(st.integers(1, len(parts) - 1))
+        column = [ln.split("\t")[k] for ln in lines if ln.split("\t")[0] == parts[0]]
+        parts[k] = data.draw(st.sampled_from(column + ["x", "", "0", "-1", "nan", "s0", "r0", "w1"]))
+        lines[i] = "\t".join(parts)
+    else:
+        parts = lines[0].split("\t")
+        k = data.draw(st.integers(1, len(parts) - 1))
+        key, _, value = parts[k].partition("=")
+        parts[k] = "%s=%s" % (key, data.draw(st.sampled_from(edited_header_values(value))))
+        lines[0] = "\t".join(parts)
+    text = "\n".join(lines) + "\n"
+    expected = verify_outcome(reference_verify_trace, text)
+    found = verify_outcome(harness.verify_trace, text)
+    if isinstance(expected, Trace):
+        assert found == expected
+        return
+    assert isinstance(found, str) and len(found.splitlines()) == 1
+    n_expected = int(re.match(r"line (\d+): ", expected).group(1))
+    n_found = int(re.match(r"line (\d+): ", found).group(1))
+    if mutation == "delete" and i == len(lines):
+        assert expected == "line %d: trace has no end record" % i
+        assert n_found == i + 1 and found.endswith(", trace has ''")
+    elif mutation == "field" and lines[i].startswith("crs\t") and n_found > n_expected:
+        assert ", at or after its crash at " in expected and n_found == i + 1
+    else:
+        assert n_found <= n_expected
+
+
+def test_a_scenario_trace_is_held_to_one_rerun_and_no_parse() -> None:
+    # A scenario trace costs one run, one serialisation and one replay;
+    # a bare trace is parsed.
+    trace = run_scenario(cfg()).trace
+    text = trace_to_text(trace)
+    bare = "run\talgorithm=erato\tseed=1\n" + text.split("\n", 1)[1]
+    with mock.patch.object(harness, "trace_from_text", side_effect=AssertionError("parsed")), \
+            mock.patch.object(harness, "run", wraps=harness.run) as run, \
+            mock.patch.object(harness, "trace_to_text", wraps=trace_to_text) as to_text, \
+            mock.patch.object(harness, "replay_wire", wraps=replay_wire) as replay:
+        assert harness.verify_trace(text) == trace
+        with pytest.raises(AssertionError, match="parsed"):
+            harness.verify_trace(bare)
+    assert (run.call_count, to_text.call_count, replay.call_count) == (1, 1, 1)
+    with mock.patch.object(harness, "trace_from_text", wraps=trace_from_text) as parse:
+        assert harness.verify_trace(bare).config is None
+    parse.assert_called_once_with(bare)
+
+
+def test_the_rerun_wire_is_replayed() -> None:
+    # A run whose first res claims 7 exchanges writes the text its re-run
+    # writes: only the replay of the re-run's wire refuses it.
+    def run_claiming_7(*args, **kwargs):
+        trace = netsim_run(*args, **kwargs)
+        i = next(i for i, rec in enumerate(trace.records) if rec[0] == "res")
+        trace.records[i] = trace.records[i][:4] + (7,) + trace.records[i][5:]
+        return trace
+
+    with mock.patch.object(harness, "run", run_claiming_7):
+        text = trace_to_text(run_scenario(cfg()).trace)
+        with pytest.raises(ValueError) as exc:
+            harness.verify_trace(text)
+    lineno = next(n for n, ln in enumerate(text.splitlines(), start=1) if ln.startswith("res\t"))
+    assert re.fullmatch(r"line %d: res for op \d+ at \S+ claims 7 exchanges, the wire shows 2" % lineno,
+                        str(exc.value))
 
 
 @pytest.mark.parametrize("where", ["line end", "inside a line"])

@@ -209,7 +209,7 @@ def assert_wire_counts(trace) -> None:
     records state them, match replay_wire's recount from the
     records alone; and verify_trace, which makes that recount and
     re-runs the scenario for `regsim check`, accepts the trace's text
-    and parses it back into an equal trace."""
+    and returns an equal trace."""
     replay_wire(trace)
     assert verify_trace(trace_to_text(trace)) == trace
 

@@ -18,17 +18,26 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from regsim.protocols import ALGORITHMS, get_algorithm
-from regsim.quorum import QuorumSystem, build_majority, build_matrix, surviving_quorum_exists
+from regsim.quorum import QuorumSystem, build_majority, build_matrix, majority_survives, matrix_survives
 
 CrashList = tuple[tuple[int, float], ...]
 
 TOPOLOGIES = ("series", "star")
 QUORUMS = ("majority", "matrix")
 SCHEMES = ("fixed", "stochastic")
-# The most quorums validate lets build_quorum_system list: majority(17)
-# has 24,310 and runs, majority(18) has 43,758, and the 145,422,675 of
-# majority(30) would take about 5 GB of masks before a run could start.
+# The most quorums validate lets run_scenario list, once per run; validate
+# lists none, and no command tests them pairwise.  Majority(17) has 24,310
+# and runs in about a second, majority(18) has 43,758, and the 145,422,675
+# of majority(30) would take about 5 GB of masks before a run could start.
 MAX_QUORUMS = 1 << 15
+# The most servers, readers and writers together: Network.path_params
+# builds a table of two floats per pair of nodes, about 36 MB at 512.
+MAX_NODES = 512
+# The most operations a scenario may list: build_workload lists them all
+# before the run starts, and a run keeps every one in its trace.
+MAX_OPERATIONS = 50_000
+# The most octets write_payload pads each write's value to.
+MAX_VALUE_SIZE = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -265,6 +274,10 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         errors.append("scenario.n_readers: negative")
     if config.n_writers < 0:
         errors.append("scenario.n_writers: negative")
+    nodes = config.n_servers + config.n_readers + config.n_writers
+    if nodes > MAX_NODES:
+        errors.append("scenario: %d servers, readers and writers number more than %d"
+                      % (nodes, MAX_NODES))
     if swmr and config.n_writers != 1:
         errors.append("scenario.n_writers: SWMR requires one writer")
     if config.scheme not in SCHEMES:
@@ -278,12 +291,19 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         v = getattr(config, name)
         if v is not None and v < 0:
             errors.append("workload.%s: negative" % name)
+    reads, writes = (config.ops_per_client if v is None else v
+                     for v in (config.reads_per_client, config.writes_per_client))
+    operations = max(config.n_readers, 0) * max(reads, 0) + max(config.n_writers, 0) * max(writes, 0)
+    if operations > MAX_OPERATIONS:
+        errors.append("workload: %d operations listed, more than %d" % (operations, MAX_OPERATIONS))
     if not 0 <= config.jitter_max < math.inf:
         errors.append("network.jitter_max: must be non-negative and finite, got %r" % config.jitter_max)
     if not 0 < config.cap_seconds < math.inf:
         errors.append("network.cap_seconds: must be positive and finite, got %r" % config.cap_seconds)
     if config.value_size < 1:
         errors.append("network.value_size: must be at least one octet")
+    elif config.value_size > MAX_VALUE_SIZE:
+        errors.append("network.value_size: more than %d octets" % MAX_VALUE_SIZE)
 
     for label, crashes, count in (
         ("servers", config.crash_servers, config.n_servers),
@@ -300,11 +320,12 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         indices = [idx for idx, _ in crashes]
         for idx in sorted({i for i in indices if indices.count(i) > 1}):
             errors.append("crashes.%s: index %d listed twice" % (label, idx))
-    if config.n_servers >= 1 and not errors:
-        # Only meaningful once indices are in range.
-        qs = build_quorum_system(config)
+    if not errors:
+        # Only meaningful once indices are in range; no quorum is listed.
         crashed = [idx for idx, _ in config.crash_servers]
-        if not surviving_quorum_exists(qs, crashed):
+        side = math.isqrt(config.n_servers)
+        if not (majority_survives(config.n_servers, crashed) if config.quorums == "majority"
+                else matrix_survives(side, side, crashed)):
             errors.append("crashes.servers: no quorum survives the schedule")
     if errors:
         raise ConfigError(errors)

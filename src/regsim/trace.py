@@ -349,7 +349,7 @@ def replay_wire(trace: Trace) -> dict[int, int]:
     running: dict[str, int] = {}  # client name -> op it last invoked
     op_of: dict[tuple[str, int], int] = {}  # (client name, op_seq) -> op
     exchange_of: dict[str, int] = {}  # node name -> its current exchange
-    in_flight: dict[tuple, deque] = {}  # snd fields -> exchanges of the undelivered
+    in_flight: dict[tuple, deque] = {}  # snd fields -> exchanges of the undelivered, never empty
     own_seq: dict[str, int] = {}  # client name -> op_seq of its latest snd
     stale = 0
     lineno = 0
@@ -388,11 +388,14 @@ def replay_wire(trace: Trace) -> dict[int, int]:
                     own_seq[src] = op_seq
             elif kind == "dlv":
                 _, _, dst, src, msg_kind, client, op_seq = rec
-                pending = in_flight.get((src, dst, msg_kind, client, op_seq, t))
+                key = (src, dst, msg_kind, client, op_seq, t)
+                pending = in_flight.get(key)
                 if not pending:
                     raise ValueError("dlv of %s (client %s, op %s) from %s to %s at %s "
                                      "matches no earlier snd" % (msg_kind, client, op_seq, src, dst, t))
                 exchange_of[dst] = pending.popleft()
+                if not pending:
+                    del in_flight[key]
                 if op_seq < own_seq.get(dst, 0):
                     stale += 1
             elif kind == "tag" and not node.startswith("s"):

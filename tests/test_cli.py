@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ from regsim.cli import main
 from regsim.config import parse_config, with_overrides
 from regsim.harness import run_scenario
 from regsim.protocols import ALGORITHMS
+from regsim.quorum import QuorumSystem, build_majority
 from regsim.trace import trace_to_text
 
 CONFIG = """
@@ -127,6 +129,20 @@ def test_check_incomplete_trace(tmp_path, capsys) -> None:
         capsys.readouterr()
         assert main(["check", str(out / "trace.log")]) == 4
         assert "pending" in capsys.readouterr().err
+
+
+def test_run_and_check_build_the_quorum_system_once_and_never_validate_it(tmp_path) -> None:
+    # Majority(13) lists 1,716 quorums: their pairwise test would try
+    # 1.5 million pairs, and each construction intersects by design.
+    config_file = tmp_path / "majority13.ini"
+    config_file.write_text(CONFIG.replace("n_servers = 3", "n_servers = 13"))
+    out = tmp_path / "out"
+    for argv in (["run", str(config_file), "--out-dir", str(out)], ["check", str(out / "trace.log")]):
+        with mock.patch.object(QuorumSystem, "validate", autospec=True,
+                               side_effect=QuorumSystem.validate) as validate, \
+                mock.patch("regsim.config.build_majority", wraps=build_majority) as build:
+            assert main(argv) == 0
+        assert (validate.call_count, build.call_count) == (0, 1), argv[0]
 
 
 # A row's text follows a bare run header, unless it starts with this.
@@ -324,6 +340,11 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
         # Refused before any quorum is listed.
         ("n_servers = 3", "n_servers = 18", [],
          "scenario.n_servers: majority quorums over 18 servers number more than 32768"),
+        # Refused before the path table, the workload or a payload is built.
+        ("n_readers = 1", "n_readers = 509", [], "scenario: 513 servers, readers and writers number more than 512"),
+        ("ops_per_client = 2", "ops_per_client = 25001", [], "workload: 50002 operations listed, more than 50000"),
+        ("ops_per_client = 2", "ops_per_client = 2\n[network]\nvalue_size = 65537", [],
+         "network.value_size: more than 65536 octets"),
     ],
 )
 def test_run_refuses_non_finite_numbers(old, new, args, message, tmp_path, capsys) -> None:
@@ -475,6 +496,12 @@ def run_trace_lines(config_file, tmp_path) -> list[str]:
         pytest.param(edit_header("algorithm=erato", "algorithm=nonsense"),
                      "scenario.algorithm: unknown 'nonsense'", id="unknown_algorithm"),
         pytest.param(edit_header("\ttopology=series", ""), "topology: missing key", id="missing_topology"),
+        pytest.param(edit_header("n_readers=1\t", "n_readers=509\t"),
+                     "scenario: 513 servers, readers and writers number more than 512", id="too_many_nodes"),
+        pytest.param(edit_header("ops_per_client=2\t", "ops_per_client=25001\t"),
+                     "workload: 50002 operations listed, more than 50000", id="too_many_operations"),
+        pytest.param(edit_header("value_size=64\t", "value_size=65537\t"),
+                     "network.value_size: more than 65536 octets", id="value_too_large"),
         # A bare header names an algorithm that exists.
         pytest.param(lambda lines: edit_header(lines[0], "run\talgorithm=paxos\tseed=0")(lines),
                      "unknown algorithm 'paxos'", id="bare_unknown_algorithm"),

@@ -57,12 +57,45 @@ def test_quorum_system_too_large_to_list_is_refused(quorums, n_servers) -> None:
     # Refused from the count alone: majority(30)'s masks would take about
     # 5 GB, and math.comb takes 10 s at 10**6 servers and overflows at
     # 10**100.  Majority(17), 24,310 quorums, is the largest that runs.
+    # Above 512 nodes the node bound is reported too.
     config = ScenarioConfig(quorums=quorums, n_servers=n_servers)
+    nodes = n_servers + config.n_readers + config.n_writers
     with mock.patch("regsim.config.build_quorum_system", side_effect=AssertionError("listed")):
         with pytest.raises(ConfigError) as exc:
             validate(config)
     assert exc.value.errors == [
-        "scenario.n_servers: %s quorums over %d servers number more than 32768" % (quorums, n_servers)]
+        "scenario.n_servers: %s quorums over %d servers number more than 32768" % (quorums, n_servers)
+    ] + ["scenario: %d servers, readers and writers number more than 512" % nodes] * (nodes > 512)
+
+
+@pytest.mark.parametrize("fields,error", [
+    (dict(n_servers=3, n_readers=509, n_writers=1), "scenario: 513 servers, readers and writers number more than 512"),
+    (dict(algorithm="erato_mw", n_servers=9, quorums="matrix", n_readers=0, n_writers=504),
+     "scenario: 513 servers, readers and writers number more than 512"),
+    (dict(n_servers=3, n_readers=2, ops_per_client=16_667), "workload: 50001 operations listed, more than 50000"),
+    (dict(n_servers=3, n_readers=1, ops_per_client=0, writes_per_client=50_001),
+     "workload: 50001 operations listed, more than 50000"),
+    (dict(n_servers=3, n_readers=10**9, reads_per_client=10**9, writes_per_client=0),
+     "workload: %d operations listed, more than 50000" % 10**18),
+    (dict(n_servers=3, n_readers=1, value_size=65_537), "network.value_size: more than 65536 octets"),
+])
+def test_scenario_too_large_to_build_is_refused(fields, error) -> None:
+    # Refused before anything is built: the nodes^2 path table, the list of
+    # every operation, or a payload padded to value_size per write.
+    config = ScenarioConfig(quorums=fields.pop("quorums", "majority"), **fields)
+    with mock.patch("regsim.config.build_quorum_system", side_effect=AssertionError("listed")):
+        with pytest.raises(ConfigError) as exc:
+            validate(config)
+    assert error in exc.value.errors
+
+
+@pytest.mark.parametrize("fields", [
+    dict(n_servers=3, n_readers=508, n_writers=1, ops_per_client=0),
+    dict(n_servers=17, n_readers=2, ops_per_client=16_666),
+    dict(n_servers=3, n_readers=1, value_size=65_536),
+])
+def test_scenario_at_the_bounds_validates(fields) -> None:
+    validate(ScenarioConfig(quorums="majority", **fields))
 
 
 def test_unknown_section_and_key_paths() -> None:

@@ -647,6 +647,21 @@ def test_serialising_holds_the_lines_and_one_text() -> None:
     assert peak < 3.5 * len(text)
 
 
+def test_replay_holds_only_the_messages_in_flight() -> None:
+    # A delivered message leaves nothing behind: an emptied queue kept
+    # per key would hold one entry for every message ever sent, about
+    # eight times the text's size on this trace.
+    run, text = relay_run()
+    assert len(text) >= 2**20
+    tracemalloc.start()
+    try:
+        replay_wire(run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * len(text)
+
+
 def test_csv_schema_and_determinism() -> None:
     a = run_scenario(cfg(seed=5))
     b = run_scenario(cfg(seed=5))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from regsim.quorum import QuorumSystem, bits, build_majority, build_matrix, surviving_quorum_exists
+from regsim.quorum import QuorumSystem, bits, build_majority, build_matrix, majority_survives, matrix_survives
 
 
 def mask(servers):
@@ -59,17 +59,21 @@ def test_matrix_1x1():
     assert build_matrix(1, 1).masks == (0b1,)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+# The builders do not validate: pairwise intersection is a theorem of
+# both constructions, held here.
+@pytest.mark.parametrize("n", range(1, 13))
 def test_majority_pairwise_intersection(n):
     qs = build_majority(n)
+    qs.validate()
     for a in qs.masks:
         for b in qs.masks:
             assert a & b
 
 
-@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 3), (4, 4), (5, 5)])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (5, 5)])
 def test_matrix_pairwise_intersection(rows, cols):
     qs = build_matrix(rows, cols)
+    qs.validate()
     for a in qs.masks:
         for b in qs.masks:
             assert a & b
@@ -227,7 +231,33 @@ def test_relay_destinations_contain_self(make):
 
 
 def test_surviving_quorum_check():
-    qs = build_majority(3)
-    assert surviving_quorum_exists(qs, [])
-    assert surviving_quorum_exists(qs, [0])
-    assert not surviving_quorum_exists(qs, [0, 1])
+    assert majority_survives(3, [])
+    assert majority_survives(3, [0])
+    assert not majority_survives(3, [0, 1])
+    assert majority_survives(3, [2, 2])  # one server listed twice crashes once
+    assert matrix_survives(3, 3, [0, 4])
+    assert not matrix_survives(3, 3, [0, 4, 8])  # every row and column hit
+    assert not matrix_survives(1, 1, [0])
+
+
+def scan_survives(qs, crashed):
+    """The scan the survival rules replace: some quorum within the live servers."""
+    return qs.first_contained_mask(((1 << qs.n) - 1) & ~mask(crashed)) >= 0
+
+
+def crash_sets(n):
+    return [c for k in range(n + 1) for c in combinations(range(n), k)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_majority_survival_rule_matches_the_scan(n):
+    qs = build_majority(n)
+    for crashed in crash_sets(n):
+        assert majority_survives(n, crashed) == scan_survives(qs, crashed), crashed
+
+
+@pytest.mark.parametrize("rows,cols", [(r, c) for r in range(1, 4) for c in range(1, 4)])
+def test_matrix_survival_rule_matches_the_scan(rows, cols):
+    qs = build_matrix(rows, cols)
+    for crashed in crash_sets(rows * cols):
+        assert matrix_survives(rows, cols, crashed) == scan_survives(qs, crashed), crashed

@@ -106,9 +106,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        trace = verify_trace(Path(args.trace).read_text())
-        # Raises ValueError on overlapping operations of one client.
-        verdict = check_atomicity_tagged(extract_history(trace), strict=args.strict)
+        trace, verdict = verify_trace(Path(args.trace).read_text())
+        if verdict is None or args.strict:
+            # Raises ValueError on overlapping operations of one client.
+            verdict = check_atomicity_tagged(extract_history(trace), strict=args.strict)
     except ValueError as exc:
         print("input error: %s: %s" % (args.trace, exc), file=sys.stderr)
         return EXIT_CONFIG

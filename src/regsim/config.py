@@ -25,13 +25,10 @@ CrashList = tuple[tuple[int, float], ...]
 TOPOLOGIES = ("series", "star")
 QUORUMS = ("majority", "matrix")
 SCHEMES = ("fixed", "stochastic")
-# The most quorums validate lets run_scenario list, once per run; validate
-# lists none, and no command tests them pairwise.  Majority(17) has 24,310
-# and runs in about a second, majority(18) has 43,758, and the 145,422,675
-# of majority(30) would take about 5 GB of masks before a run could start.
-MAX_QUORUMS = 1 << 15
 # The most servers, readers and writers together: Network.path_params
-# builds a table of two floats per pair of nodes, about 36 MB at 512.
+# builds a table of two floats per pair of nodes, about 36 MB at 512.  It
+# bounds the quorums too: a majority lists none and a matrix lists one per
+# server, once per run, and no command tests them pairwise.
 MAX_NODES = 512
 # The most operations a scenario may list: build_workload lists them all
 # before the run starts, and a run keeps every one in its trace.
@@ -267,9 +264,6 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
         errors.append("scenario.n_servers: need at least one server")
     elif config.quorums == "matrix" and math.isqrt(config.n_servers) ** 2 != config.n_servers:
         errors.append("scenario.n_servers: square required for matrix quorums")
-    elif config.quorums in QUORUMS and _quorum_count(config) > MAX_QUORUMS:
-        errors.append("scenario.n_servers: %s quorums over %d servers number more than %d"
-                      % (config.quorums, config.n_servers, MAX_QUORUMS))
     if config.n_readers < 0:
         errors.append("scenario.n_readers: negative")
     if config.n_writers < 0:
@@ -330,17 +324,6 @@ def validate(config: ScenarioConfig) -> ScenarioConfig:
     if errors:
         raise ConfigError(errors)
     return config
-
-
-def _quorum_count(config: ScenarioConfig) -> int:
-    """How many quorums build_quorum_system lists for config.  A majority
-    system has C(n, n // 2 + 1), which grows with n and is far above
-    MAX_QUORUMS at n = 64, so it is counted over at most 64 servers:
-    math.comb over a huge n would itself take memory and time."""
-    if config.quorums == "matrix":
-        return config.n_servers
-    n = min(config.n_servers, 64)
-    return math.comb(n, n // 2 + 1)
 
 
 def build_quorum_system(config: ScenarioConfig) -> QuorumSystem:

@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
+from typing import Optional
 
 from regsim.checker import Verdict, check_atomicity_tagged, extract_history
 from regsim.config import ConfigError, ScenarioConfig, build_quorum_system, validate
@@ -47,10 +48,11 @@ def outcome_exit_code(atomic: bool, incomplete: bool) -> int:
     return EXIT_LIVENESS if incomplete else EXIT_OK
 
 
-def verify_trace(text: str) -> Trace:
-    """The trace `regsim check` judges, or ValueError("line N: ...") at
-    the first fault found.  read_header reads line 1, and its scenario
-    passes config.validate or a bare header names a known algorithm
+def verify_trace(text: str) -> tuple[Trace, Optional[Verdict]]:
+    """The trace `regsim check` judges and the re-run's verdict (None for
+    a bare header), or ValueError("line N: ...") at the first fault
+    found.  read_header reads line 1, and its scenario passes
+    config.validate or a bare header names a known algorithm
     ("line 1: ...").  Then the text is held to the trace its header
     says wrote it, whose wire replays (replay_wire):
     - a scenario header's trace is run_scenario of it: a run is a pure
@@ -79,15 +81,17 @@ def verify_trace(text: str) -> Trace:
     except KeyError as exc:
         raise ValueError("line 1: %s" % exc.args[0]) from None
     if config is None:
-        trace, refusal = trace_from_text(text), "%(found)r is not canonical, trace_to_text writes %(want)r"
+        trace, verdict = trace_from_text(text), None
+        refusal = "%(found)r is not canonical, trace_to_text writes %(want)r"
     else:
-        trace, refusal = run_scenario(config).trace, "re-run gives %(want)r, trace has %(found)r"
+        result = run_scenario(config)
+        trace, verdict, refusal = result.trace, result.verdict, "re-run gives %(want)r, trace has %(found)r"
     replay_wire(trace)
     expected = trace_to_text(trace)
     if expected != text:
         lineno, found, want = _first_difference(text, expected)
         raise ValueError("line %d: " % lineno + refusal % {"found": found, "want": want})
-    return trace
+    return trace, verdict
 
 
 def _first_difference(text: str, expected: str) -> tuple[int, str, str]:

@@ -156,7 +156,7 @@ def run(
     names = network.names
     node_id = names.index
     steps = {"r": algorithm.reader_step, "w": algorithm.writer_step, "s": algorithm.server_step}
-    states = [algorithm.new_state(name, pid, qs) for pid, name in enumerate(names)]
+    states = [algorithm.new_state(name, pid) for pid, name in enumerate(names)]
     step_of = [steps[name[0]] for name in names]
     paths = network.path_params()
     jitter_max = network.jitter_max

@@ -31,7 +31,7 @@ class Algorithm:
     server_step: StepFn
     relay_to_reader: bool
 
-    def new_state(self, name: str, pid: int, qs: QuorumSystem):
+    def new_state(self, name: str, pid: int):
         """Initial state, under this protocol, of the node with this name
         ("r0", "w1", "s2") and id pid (a server's id is its index)."""
         role = name[0]
@@ -39,7 +39,7 @@ class Algorithm:
             return self.reader_state(pid)
         if role == "w":
             return base.MWWriterState(pid, int(name[1:])) if self.mw else base.SWMRWriterState(pid)
-        return base.ServerState(pid, qs.relay_mask(pid), self.relay_to_reader)
+        return base.ServerState(pid, self.relay_to_reader)
 
 
 ALGORITHMS: dict[str, Algorithm] = {

@@ -47,11 +47,11 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
     bit = event.sender
     state.acks[bit] = event
     state.ack_mask |= 1 << bit
-    qi = qs.first_contained_mask(state.ack_mask)
-    if qi < 0:
+    quorum = qs.first_contained_mask(state.ack_mask)
+    if not quorum:
         return out
     if state.phase == "query":
-        best = quorum_extreme(state.acks, qs.masks[qi], smallest=False)
+        best = quorum_extreme(state.acks, quorum, smallest=False)
         state.chosen_tag = best.tag
         state.chosen_value = best.value
         state.read_op += 1

@@ -32,7 +32,7 @@ from regsim.core import (
     MessageKind,
     Tag,
 )
-from regsim.quorum import QuorumSystem, bits
+from regsim.quorum import QuorumSystem
 from regsim.views import quorum_extreme
 
 
@@ -91,7 +91,7 @@ def swmr_writer_step(state: SWMRWriterState, event: Event, qs: QuorumSystem) -> 
     # An earlier write's ack (op_seq below ts) falls through, like a trailing one.
     if state.pending and event.kind == MessageKind.WRITE_ACK and event.op_seq == state.ts:
         state.ack_mask |= 1 << event.sender
-        if qs.first_contained_mask(state.ack_mask) >= 0:
+        if qs.first_contained_mask(state.ack_mask):
             state.pending = False
             out.response = Response(state.value, Tag(state.ts, 0))
     return out
@@ -133,9 +133,9 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
         bit = event.sender
         state.acks[bit] = event
         state.ack_mask |= 1 << bit
-        qi = qs.first_contained_mask(state.ack_mask)
-        if qi >= 0:
-            max_ts = quorum_extreme(state.acks, qs.masks[qi], smallest=False).tag.ts
+        quorum = qs.first_contained_mask(state.ack_mask)
+        if quorum:
+            max_ts = quorum_extreme(state.acks, quorum, smallest=False).tag.ts
             state.tag = Tag(max_ts + 1, state.wid)
             state.write_op += 1
             state.phase = "put"
@@ -149,7 +149,7 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
             )
     elif state.phase == "put" and event.kind == MessageKind.WRITE_ACK:
         state.ack_mask |= 1 << event.sender
-        if qs.first_contained_mask(state.ack_mask) >= 0:
+        if qs.first_contained_mask(state.ack_mask):
             state.phase = "idle"
             out.response = Response(state.value, state.tag)
     return out
@@ -183,11 +183,11 @@ def handle_writer_message(state: ServerState, msg: Message, out: StepOutput) -> 
 
 @dataclass
 class ServerState:
-    """Server of every protocol.  Only relay_server_step reads d_mask and
-    the relay bookkeeping; under plain_server_step they stay empty."""
+    """Server of every protocol.  Only relay_server_step reads the relay
+    bookkeeping; under plain_server_step it stays empty.  A relay goes to
+    every server, as each shares a quorum with every other (see quorum)."""
 
     pid: int  # its quorum bit
-    d_mask: int  # servers sharing a quorum with this one
     relay_to_reader: bool
     tag: Tag = INITIAL_TAG
     value: bytes = INITIAL_VALUE
@@ -203,7 +203,7 @@ def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
     assert isinstance(event, Message)
     if event.kind == MessageKind.READ_REQUEST:
         relay = Message(MessageKind.READ_RELAY, state.pid, event.client, event.op_seq, state.tag, state.value)
-        out.sends = [(b, relay) for b in bits(state.d_mask)]
+        broadcast(out, qs, relay)
         if state.relay_to_reader:
             out.sends.append((event.client, relay))
     elif event.kind == MessageKind.READ_RELAY:
@@ -214,7 +214,7 @@ def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
             state.relays[r] = 0
         if state.operations[r] == ro:
             state.relays[r] |= 1 << event.sender
-            if state.acked.get(r, 0) < ro and qs.first_contained_mask(state.relays[r]) >= 0:
+            if state.acked.get(r, 0) < ro and qs.first_contained_mask(state.relays[r]):
                 state.acked[r] = ro  # at most one ack per (reader, read_op)
                 out.sends.append((r, Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)))
     else:

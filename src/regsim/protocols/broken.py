@@ -25,9 +25,9 @@ from regsim.quorum import QuorumSystem
 
 @cache
 def one_relay_quorums(n: int) -> QuorumSystem:
-    """n singleton quorums.  They do not intersect, which is the fault
-    this variant models, so the system is never validated."""
-    return QuorumSystem(n, tuple(1 << i for i in range(n)))
+    """n singleton quorums, the 1-of-n system.  They do not intersect, which
+    is the fault this variant models, so the system is never validated."""
+    return QuorumSystem(n, k=1)
 
 
 def broken_reader_step(state: RelayReaderState, event: Event, qs: QuorumSystem) -> StepOutput:

@@ -63,17 +63,17 @@ def relay_reader_step(
     if event.kind == MessageKind.READ_ACK:
         state.ra[bit] = event
         state.ra_mask |= 1 << bit
-        qi = qs.first_contained_mask(state.ra_mask)
-        if qi < 0:
+        quorum = qs.first_contained_mask(state.ra_mask)
+        if not quorum:
             return out
-        m = quorum_extreme(state.ra, qs.masks[qi], smallest_ack)
+        m = quorum_extreme(state.ra, quorum, smallest_ack)
     elif event.kind == MessageKind.READ_RELAY and state.mode == "collect" and analyze is not None:
         state.rr[bit] = event
         state.rr_mask |= 1 << bit
-        qi = qs.first_contained_mask(state.rr_mask)
-        if qi < 0:
+        quorum = qs.first_contained_mask(state.rr_mask)
+        if not quorum:
             return out
-        m = analyze(qs, state.rr, qs.masks[qi])
+        m = analyze(qs, state.rr, quorum)
         if m is None:
             state.mode = "await"
             return out

@@ -1,26 +1,28 @@
 """Quorum systems over small server sets, as bitmasks.
 
 Bit i of a quorum mask is server i, whose node id in the simulator and
-the protocol steps is i too, so quorum scans, relay sets, read views and
-message senders all work on the same bits.
+the protocol steps is i too, so quorum scans, read views and message
+senders all work on the same bits.
 
-Two constructions are provided: majority quorums (all subsets of size
-floor(n/2)+1 of servers 0..n-1, in lexicographic order) and matrix
-quorums (servers 0..rows*cols-1 laid out row-major, one quorum per
-(row, column) pair, the union of that row and column, rows enumerated
-before columns).  Any two quorums of either intersect by construction, so
-the builders skip validate, the O(q^2) pairwise test, which the tests run;
-whether a quorum survives a crash set follows from the construction too.
+A majority is the k-of-n system, k = floor(n/2)+1: its quorums are every
+k of servers 0..n-1 in lexicographic (itertools.combinations) order, and
+are never listed, as its scans follow from k and n.  A matrix lists one
+quorum per (row, column) pair of servers 0..rows*cols-1 laid out
+row-major, the union of that row and column, rows before columns.  Any
+two quorums of either intersect by construction (k-of-n ones exactly when
+2k > n: Naor and Wool, SIAM J. Comput. 1998), so the builders skip
+validate, which the tests run.  Crash survival follows from the
+construction too, and under both every server shares a quorum with every
+other, so a server relays to all of them.
 
-A QuorumSystem is immutable (its masks are a tuple), so the answer of
-first_contained_mask for a responder mask never changes and is memoised
-per mask: a run asks about the same few hundred masks many times.
+A listed system is immutable (its masks are a tuple), so it memoises
+first_contained_mask per responder mask: a run asks about the same few
+hundred masks many times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Collection, Iterator
 
 
@@ -35,8 +37,9 @@ def bits(mask: int) -> Iterator[int]:
 @dataclass(frozen=True)
 class QuorumSystem:
     n: int  # servers, bits 0..n-1
-    masks: tuple[int, ...]  # a list passed in is stored as a tuple
-    # responder mask -> first_contained_mask's answer
+    masks: tuple[int, ...] = ()  # a list passed in is stored as a tuple
+    k: int = 0  # when positive, the quorums are every k of the n servers, unlisted
+    # responder mask -> first_contained_mask's answer, for a listed system
     _first_contained: dict[int, int] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -47,6 +50,10 @@ class QuorumSystem:
     def validate(self) -> None:
         """Raise ValueError unless every quorum is non-empty and within
         the n server bits, and every pair of quorums intersects."""
+        if self.k:
+            if not self.n < 2 * self.k <= 2 * self.n:
+                raise ValueError("%d-of-%d quorums: need n/2 < k <= n" % (self.k, self.n))
+            return
         if not self.masks:
             raise ValueError("quorum system has no quorums")
         for i, m in enumerate(self.masks):
@@ -65,10 +72,15 @@ class QuorumSystem:
     # Mask-level scans used by the protocol state machines.
 
     def first_contained_mask(self, responders: int) -> int:
-        """Index of the first quorum fully inside the responder mask, or -1."""
+        """Mask of the first quorum fully inside the responder mask, or 0.
+        Of a k-of-n system that is the k lowest responders."""
+        if self.k:
+            for _ in range(responders.bit_count() - self.k):  # drop all but the k lowest
+                responders ^= 1 << responders.bit_length() - 1
+            return responders if responders.bit_count() == self.k else 0
         found = self._first_contained.get(responders)
         if found is None:
-            found = next((i for i, m in enumerate(self.masks) if m & ~responders == 0), -1)
+            found = next((m for m in self.masks if m & ~responders == 0), 0)
             self._first_contained[responders] = found
         return found
 
@@ -79,25 +91,23 @@ class QuorumSystem:
         can be empty; the subset test is then vacuously true, which is the
         conservative behaviour the iterative read analysis wants.
         """
+        if self.k:
+            # The k-subsets of the `free` servers, those outside current or
+            # in maxset; just one is current itself when it is all of them.
+            outside = self.n - current.bit_count()
+            free = outside + (current & maxset).bit_count()
+            return free > self.k or free == self.k and (outside > 0 or current & ~maxset != 0)
         for m in self.masks:
             if m != current and (m & current) & ~maxset == 0:
                 return True
         return False
 
-    def relay_mask(self, bit: int) -> int:
-        """Mask of every server sharing a quorum with server bit `bit`."""
-        m = 0
-        for qm in self.masks:
-            if qm >> bit & 1:
-                m |= qm
-        return m
-
 
 def build_majority(n: int) -> QuorumSystem:
-    """Majority quorums over servers 0..n-1 (n=3: 0b011, 0b101, 0b110), not validated."""
+    """Majority quorums over servers 0..n-1, every n // 2 + 1 of them; not validated."""
     if n < 1:
         raise ValueError("need at least one server")
-    return QuorumSystem(n, [sum(1 << b for b in c) for c in combinations(range(n), n // 2 + 1)])
+    return QuorumSystem(n, k=n // 2 + 1)
 
 
 def majority_survives(n: int, crashed: Collection[int]) -> bool:

@@ -10,8 +10,9 @@ from unittest import mock
 
 import pytest
 
+from regsim.checker import check_atomicity_tagged, extract_history
 from regsim.cli import main
-from regsim.config import parse_config, with_overrides
+from regsim.config import ScenarioConfig, parse_config, validate, with_overrides
 from regsim.harness import run_scenario
 from regsim.protocols import ALGORITHMS
 from regsim.quorum import QuorumSystem, build_majority
@@ -145,11 +146,62 @@ def test_run_and_check_build_the_quorum_system_once_and_never_validate_it(tmp_pa
         assert (validate.call_count, build.call_count) == (0, 1), argv[0]
 
 
+@pytest.mark.parametrize("n_servers", [18, 31])
+def test_run_and_check_a_large_majority(n_servers, tmp_path, capsys) -> None:
+    # A majority lists no quorum, so majority(31) runs like majority(3).
+    config_file = tmp_path / "majority.ini"
+    config_file.write_text(CONFIG.replace("n_servers = 3", "n_servers = %d" % n_servers))
+    out = tmp_path / "out"
+    assert main(["run", str(config_file), "--out-dir", str(out)]) == 0
+    assert main(["check", str(out / "trace.log")]) == 0
+    assert "atomicity: ok" in capsys.readouterr().out
+
+
+def count_checks(argv: list[str]) -> tuple[int, int]:
+    """main(argv)'s exit code and how many times it ran the atomicity
+    checker, in the re-run and in check itself."""
+    counted = mock.Mock(wraps=check_atomicity_tagged)
+    with mock.patch("regsim.harness.check_atomicity_tagged", counted), \
+            mock.patch("regsim.cli.check_atomicity_tagged", counted):
+        code = main(argv)
+    return code, counted.call_count
+
+
+def test_check_runs_the_checker_once_unless_strict(config_file, tmp_path, capsys) -> None:
+    out = tmp_path / "out"
+    assert main(["run", str(config_file), "--out-dir", str(out)]) == 0
+    trace = out / "trace.log"
+    bare = tmp_path / "bare.log"
+    bare.write_text("\n".join(["run\talgorithm=erato\tseed=0"] + trace.read_text().splitlines()[1:]) + "\n")
+    # A scenario trace takes its re-run's verdict; --strict judges again.
+    assert count_checks(["check", str(trace)]) == (0, 1)
+    assert count_checks(["check", str(bare)]) == (0, 1)
+    assert count_checks(["check", "--strict", str(trace)]) == (0, 2)
+    assert count_checks(["check", "--strict", str(bare)]) == (0, 1)
+
+
+def test_check_reports_the_rerun_verdict_of_a_violating_scenario(tmp_path, capsys) -> None:
+    # Seed 303 of the acceptance suite's adversarial erato_broken scenario
+    # violates atomicity: check re-runs it and reports the checker's words.
+    config = validate(ScenarioConfig(
+        algorithm="erato_broken", topology="series", n_servers=3, quorums="majority",
+        n_readers=12, scheme="stochastic", read_interval=0.08, write_interval=0.15,
+        ops_per_client=10, writes_per_client=5, jitter_max=0.15, seed=303))
+    result = run_scenario(config)
+    v = check_atomicity_tagged(extract_history(result.trace))
+    assert not v.ok
+    path = tmp_path / "trace.log"
+    path.write_text(trace_to_text(result.trace))
+    assert count_checks(["check", str(path)]) == (3, 1)
+    assert capsys.readouterr().err == "atomicity VIOLATED (%s): %s (witness %s)\n" % (
+        v.violated, v.detail, list(v.witness))
+
+
 # A row's text follows a bare run header, unless it starts with this.
 HEADERLESS = "<no run header>"
-# The run header of a scenario with more quorums than validate lets a run
-# list.
-TOO_MANY_QUORUMS_HEADER = "\t".join(
+# The run header of a majority(18) scenario, which lists no quorum: the
+# header alone is re-run and refused at line 2.
+MAJORITY18_HEADER = "\t".join(
     ["run"] + ["%s=%s" % pair for pair in replace(parse_config(CONFIG), n_servers=18).describe().items()])
 
 
@@ -265,9 +317,8 @@ def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message
         ("check", HEADERLESS + "\nrun\talgorithm=erato\tseed=0\nend\t1.0\tcomplete\t0\t0", "line 1: no run header"),
         # The header read apart from the records is still line 1.
         ("check", HEADERLESS + "run\talgorithm=erato\tseed=0", "line 1: trace has no end record"),
-        pytest.param("check", HEADERLESS + TOO_MANY_QUORUMS_HEADER,
-                     "line 1: scenario.n_servers: majority quorums over 18 servers number more than 32768",
-                     id="check-header-with-too-many-quorums"),
+        pytest.param("check", HEADERLESS + MAJORITY18_HEADER, "line 2: re-run gives 'inv\\t",
+                     id="check-majority18-header-alone"),
         ("check", "end\t0.3\tcomplete\t0\t0\ncrs\t0.4\ts0", "line 3: crs record after the end record"),
         ("check", "inv\tnan\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t\nend\t1.0\tcomplete\t0\t0",
          "line 2: inv time nan is not finite"),
@@ -337,10 +388,8 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
         # A node crashes once.
         ("ops_per_client = 2", "ops_per_client = 2\n[crashes]\nservers = 0@0.5, 0@0.1", [],
          "crashes.servers: index 0 listed twice"),
-        # Refused before any quorum is listed.
-        ("n_servers = 3", "n_servers = 18", [],
-         "scenario.n_servers: majority quorums over 18 servers number more than 32768"),
         # Refused before the path table, the workload or a payload is built.
+        ("n_servers = 3", "n_servers = 511", [], "scenario: 513 servers, readers and writers number more than 512"),
         ("n_readers = 1", "n_readers = 509", [], "scenario: 513 servers, readers and writers number more than 512"),
         ("ops_per_client = 2", "ops_per_client = 25001", [], "workload: 50002 operations listed, more than 50000"),
         ("ops_per_client = 2", "ops_per_client = 2\n[network]\nvalue_size = 65537", [],

@@ -453,7 +453,7 @@ def edited_header_values(value: str) -> list[str]:
     """Values for a header field that now reads value: ones that do not
     parse or that validate refuses, the other names a text field takes,
     and half a number, never a larger one: a larger scenario can take
-    long to run (majority(30) lists 145,422,675 quorums)."""
+    long to run (ops_per_client alone decides how long)."""
     out = ["x", "", "0", "-1", "nan", *sorted(ALGORITHMS), "series", "star", "majority", "matrix",
            "fixed", "stochastic"]
     if value.isdigit():
@@ -506,7 +506,7 @@ def test_verify_trace_matches_the_previous_verify_trace(data) -> None:
         lines[0] = "\t".join(parts)
     text = "\n".join(lines) + "\n"
     expected = verify_outcome(reference_verify_trace, text)
-    found = verify_outcome(harness.verify_trace, text)
+    found = verify_outcome(lambda t: harness.verify_trace(t)[0], text)
     if isinstance(expected, Trace):
         assert found == expected
         return
@@ -524,20 +524,22 @@ def test_verify_trace_matches_the_previous_verify_trace(data) -> None:
 
 def test_a_scenario_trace_is_held_to_one_rerun_and_no_parse() -> None:
     # A scenario trace costs one run, one serialisation and one replay;
-    # a bare trace is parsed.
-    trace = run_scenario(cfg()).trace
+    # a bare trace is parsed.  The re-run's verdict comes with its trace.
+    result = run_scenario(cfg())
+    trace = result.trace
     text = trace_to_text(trace)
     bare = "run\talgorithm=erato\tseed=1\n" + text.split("\n", 1)[1]
     with mock.patch.object(harness, "trace_from_text", side_effect=AssertionError("parsed")), \
             mock.patch.object(harness, "run", wraps=harness.run) as run, \
             mock.patch.object(harness, "trace_to_text", wraps=trace_to_text) as to_text, \
             mock.patch.object(harness, "replay_wire", wraps=replay_wire) as replay:
-        assert harness.verify_trace(text) == trace
+        assert harness.verify_trace(text) == (trace, result.verdict)
         with pytest.raises(AssertionError, match="parsed"):
             harness.verify_trace(bare)
     assert (run.call_count, to_text.call_count, replay.call_count) == (1, 1, 1)
     with mock.patch.object(harness, "trace_from_text", wraps=trace_from_text) as parse:
-        assert harness.verify_trace(bare).config is None
+        parsed, verdict = harness.verify_trace(bare)
+        assert parsed.config is None and verdict is None
     parse.assert_called_once_with(bare)
 
 

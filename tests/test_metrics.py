@@ -211,7 +211,7 @@ def assert_wire_counts(trace) -> None:
     re-runs the scenario for `regsim check`, accepts the trace's text
     and returns an equal trace."""
     replay_wire(trace)
-    assert verify_trace(trace_to_text(trace)) == trace
+    assert verify_trace(trace_to_text(trace))[0] == trace
 
 
 @settings(max_examples=60, deadline=None)

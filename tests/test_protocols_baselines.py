@@ -50,7 +50,7 @@ def test_abd_read_uniform_tags_still_four_exchanges():
 
 
 def test_abd_server_answers_queries_and_write_backs():
-    s = get_algorithm("abd").new_state("s1", 1, QS3)
+    s = get_algorithm("abd").new_state("s1", 1)
     out = base.plain_server_step(s, Message(MessageKind.READ_REQUEST, R0, R0, 1), QS3)
     assert len(out.sends) == 1 and out.sends[0][0] == R0
     assert out.sends[0][1].tag == Tag(0, 0)
@@ -63,21 +63,21 @@ def test_abd_server_answers_queries_and_write_backs():
 
 def test_abd_writer_variants():
     step = get_algorithm("abd").writer_step
-    w = get_algorithm("abd").new_state("w0", W0, QS3)
+    w = get_algorithm("abd").new_state("w0", W0)
     step(w, Invoke(b"v"), QS3)
     for b in (0, 1):
         out = step(w, Message(MessageKind.WRITE_ACK, b, W0, 1, Tag(1, 0)), QS3)
     assert out.response == Response(b"v", Tag(1, 0))  # on the first ack quorum
 
     # Writer 1 behind two writers' worth of ids: its tags carry its index.
-    w = get_algorithm("abd_mw").new_state("w1", 5, QS3)
+    w = get_algorithm("abd_mw").new_state("w1", 5)
     assert (w.pid, w.wid) == (5, 1)
     out = get_algorithm("abd_mw").writer_step(w, Invoke(b"v"), QS3)
     assert out.sends[0][1].kind == MessageKind.WRITE_DISCOVER
 
 
 def test_ohsam_server_relays_to_servers_only():
-    s = get_algorithm("ohsam").new_state("s0", 0, QS3)
+    s = get_algorithm("ohsam").new_state("s0", 0)
     out = base.relay_server_step(s, Message(MessageKind.READ_REQUEST, R0, R0, 1), QS3)
     assert [dst for dst, _ in out.sends] == [0, 1, 2]
 
@@ -112,7 +112,7 @@ def test_ohmam_min_uses_writer_id_tiebreak():
 
 
 def test_broken_variant_acks_eagerly_and_returns_max():
-    s = get_algorithm("erato_broken").new_state("s0", 0, QS3)
+    s = get_algorithm("erato_broken").new_state("s0", 0)
     one_relay = Message(MessageKind.READ_RELAY, 1, R0, 1, Tag(3, 0), b"v3")
     out = broken.broken_server_step(s, one_relay, QS3)
     assert len(out.sends) == 1 and out.sends[0][1].kind == MessageKind.READ_ACK
@@ -127,7 +127,7 @@ def test_broken_variant_acks_eagerly_and_returns_max():
 @pytest.mark.parametrize("name", ["erato", "abd"])
 def test_single_writer_server_acks_reordered_write_requests(name):
     alg = get_algorithm(name)
-    s = alg.new_state("s0", 0, QS3)
+    s = alg.new_state("s0", 0)
     adopted = []
     for op in (2, 1):
         req = Message(MessageKind.WRITE_REQUEST, W0, W0, op, Tag(op, 0), b"v%d" % op)
@@ -144,6 +144,6 @@ def test_registry_contents():
     for name, alg in ALGORITHMS.items():
         assert alg.name == name
         writer_state = base.MWWriterState if alg.mw else base.SWMRWriterState
-        assert type(alg.new_state("w0", W0, QS3)) is writer_state
+        assert type(alg.new_state("w0", W0)) is writer_state
     assert get_algorithm("erato").mw is False
     assert get_algorithm("erato_broken").name == "erato_broken"

@@ -70,7 +70,7 @@ def test_stale_write_ack_flagged():
 
 
 def test_server_relays_to_quorum_peers_and_reader():
-    s = ERATO.new_state("s0", 0, QS3)
+    s = ERATO.new_state("s0", 0)
     req = Message(MessageKind.READ_REQUEST, R0, R0, 1)
     out = base.relay_server_step(s, req, QS3)
     assert [dst for dst, _ in out.sends] == [0, 1, 2, R0]
@@ -79,7 +79,7 @@ def test_server_relays_to_quorum_peers_and_reader():
 
 
 def test_server_acks_once_after_relay_quorum():
-    s = ERATO.new_state("s0", 0, QS3)
+    s = ERATO.new_state("s0", 0)
     out = base.relay_server_step(s, relay(1, 3, b"v3"), QS3)
     assert out.sends == [] and s.tag == Tag(3, 0) and s.value == b"v3"
     assert out.adopted == Tag(3, 0)
@@ -95,7 +95,7 @@ def test_server_acks_once_after_relay_quorum():
 
 
 def test_server_adoption_is_monotone():
-    s = ERATO.new_state("s0", 0, QS3)
+    s = ERATO.new_state("s0", 0)
     base.relay_server_step(s, relay(1, 3, b"v3"), QS3)
     base.relay_server_step(s, relay(2, 2, b"v2"), QS3)
     assert s.tag == Tag(3, 0) and s.value == b"v3"

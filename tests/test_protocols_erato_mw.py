@@ -65,7 +65,7 @@ def test_write_ignores_stale_phase_acks():
 
 
 def test_server_write_freshness_guard():
-    s = ERATO_MW.new_state("s0", 0, QS3)
+    s = ERATO_MW.new_state("s0", 0)
     req = Message(MessageKind.WRITE_REQUEST, W1, W1, 2, Tag(4, 1), b"new")
     out = base.relay_server_step(s, req, QS3)
     assert s.tag == Tag(4, 1)
@@ -78,7 +78,7 @@ def test_server_write_freshness_guard():
 
 
 def test_server_discover_ack_reports_current_tag():
-    s = ERATO_MW.new_state("s2", 2, QS3)
+    s = ERATO_MW.new_state("s2", 2)
     s.tag = Tag(7, 0)
     out = base.relay_server_step(s, Message(MessageKind.WRITE_DISCOVER, W1, W1, 3), QS3)
     dst, m = out.sends[0]
@@ -88,7 +88,7 @@ def test_server_discover_ack_reports_current_tag():
 
 
 def test_server_adopts_on_writer_id_tiebreak():
-    s = ERATO_MW.new_state("s0", 0, QS3)
+    s = ERATO_MW.new_state("s0", 0)
     base.relay_server_step(s, relay(1, Tag(4, 1), b"a"), QS3)
     base.relay_server_step(s, relay(2, Tag(4, 2), b"b"), QS3)
     assert s.tag == Tag(4, 2) and s.value == b"b"

@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -12,14 +13,31 @@ def mask(servers):
     return sum(1 << s for s in servers)
 
 
+@cache
+def listed(qs):
+    """qs with every quorum listed: a k-of-n system's k-subsets in
+    combinations order, which is what build_majority listed before it
+    answered its scans in closed form.  The closed forms are held to
+    the scans over this listing."""
+    if not qs.k:
+        return qs
+    return QuorumSystem(qs.n, [mask(c) for c in combinations(range(qs.n), qs.k)])
+
+
+def test_majority_is_k_of_n_and_lists_nothing():
+    for n in range(1, 20):
+        qs = build_majority(n)
+        assert (qs.n, qs.k, qs.masks) == (n, n // 2 + 1, ())
+
+
 def test_majority_3_enumeration():
-    qs = build_majority(3)
+    qs = listed(build_majority(3))
     assert qs.n == 3
     assert qs.masks == (0b011, 0b101, 0b110)
 
 
 def test_majority_5_counts():
-    qs = build_majority(5)
+    qs = listed(build_majority(5))
     assert len(qs.masks) == 10  # C(5, 3)
     assert all(len(list(bits(m))) == 3 for m in qs.masks)
     # Lexicographic enumeration of member tuples.
@@ -28,7 +46,10 @@ def test_majority_5_counts():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_majority_masks_are_the_majority_combinations_in_order(n):
-    assert build_majority(n).masks == tuple(mask(c) for c in combinations(range(n), n // 2 + 1))
+    qs = build_majority(n)
+    quorums = listed(qs).masks
+    assert quorums == tuple(mask(c) for c in combinations(range(n), n // 2 + 1))
+    assert [qs.first_contained_mask(m) for m in quorums] == list(quorums)
 
 
 @pytest.mark.parametrize("rows,cols", [(1, 1), (1, 3), (2, 3), (3, 2), (3, 3), (4, 5)])
@@ -63,7 +84,8 @@ def test_matrix_1x1():
 # both constructions, held here.
 @pytest.mark.parametrize("n", range(1, 13))
 def test_majority_pairwise_intersection(n):
-    qs = build_majority(n)
+    build_majority(n).validate()
+    qs = listed(build_majority(n))
     qs.validate()
     for a in qs.masks:
         for b in qs.masks:
@@ -77,6 +99,26 @@ def test_matrix_pairwise_intersection(rows, cols):
     for a in qs.masks:
         for b in qs.masks:
             assert a & b
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_k_of_n_validate_agrees_with_the_pairwise_test(n):
+    # k = n + 1 lists no quorum at all.
+    for k in range(1, n + 2):
+        closed, pairwise = QuorumSystem(n, k=k), listed(QuorumSystem(n, k=k))
+        try:
+            pairwise.validate()
+        except ValueError:
+            with pytest.raises(ValueError, match="%d-of-%d quorums: need n/2 < k <= n" % (k, n)):
+                closed.validate()
+        else:
+            closed.validate()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_validate_refuses_one_of_n(n):
+    with pytest.raises(ValueError, match="1-of-%d quorums" % n):
+        QuorumSystem(n, k=1).validate()
 
 
 def test_validate_rejects_disjoint_quorums():
@@ -94,17 +136,31 @@ def test_validate_rejects_empty_and_out_of_range_quorums(masks, message):
         QuorumSystem(3, masks).validate()
 
 
+# Under both constructions a server relays to every server: each shares
+# a quorum with every other.
+@pytest.mark.parametrize(
+    "qs",
+    [build_majority(n) for n in range(1, 13)] + [build_matrix(s, s) for s in range(1, 6)],
+    ids=["majority%d" % n for n in range(1, 13)] + ["matrix%dx%d" % (s, s) for s in range(1, 6)],
+)
+def test_every_server_shares_a_quorum_with_every_other(qs):
+    quorums = listed(qs).masks
+    for a in range(qs.n):
+        for b in range(qs.n):
+            assert any(m >> a & m >> b & 1 for m in quorums), (a, b)
+
+
 def test_first_contained_matrix_example():
     qs = build_matrix(3, 3)
     responders = {0, 1, 2, 3, 6, 8}  # row 0 + column 0 + extra server
-    assert qs.first_contained_mask(mask(responders)) == 0
+    assert qs.first_contained_mask(mask(responders)) == mask({0, 1, 2, 3, 6})
 
 
 def test_first_contained_none_and_order():
     qs = build_majority(3)
-    assert qs.first_contained_mask(mask({1})) == -1
-    assert qs.first_contained_mask(mask({1, 2})) == 2
-    assert qs.first_contained_mask(mask({0, 1, 2})) == 0  # first in enumeration order
+    assert qs.first_contained_mask(mask({1})) == 0
+    assert qs.first_contained_mask(mask({1, 2})) == mask({1, 2})
+    assert qs.first_contained_mask(mask({0, 1, 2})) == mask({0, 1})  # first in enumeration order
     # Deterministic on repeat.
     assert qs.first_contained_mask(0b110) == qs.first_contained_mask(0b110)
 
@@ -116,15 +172,16 @@ def test_first_contained_monotone_in_responders(n, data):
     extra = data.draw(st.integers(0, (1 << n) - 1))
     before = qs.first_contained_mask(resp)
     after = qs.first_contained_mask(resp | extra)
-    if before >= 0:
-        assert 0 <= after <= before
+    if before:
+        # No later in enumeration order: member lists compare lexicographically.
+        assert after and list(bits(after)) <= list(bits(before))
 
 
 def test_mask_scan_semantics():
     qs = QuorumSystem(3, [0b011, 0b101, 0b110])
-    assert qs.first_contained_mask(0b111) == 0
-    assert qs.first_contained_mask(0b110) == 2
-    assert qs.first_contained_mask(0b001) == -1
+    assert qs.first_contained_mask(0b111) == 0b011
+    assert qs.first_contained_mask(0b110) == 0b110
+    assert qs.first_contained_mask(0b001) == 0
     # current={bit0}, maxset={bit0}: quorum 0b101 intersects only inside maxset
     assert qs.view3_mask(0b001, 0b001)
     # empty intersection counts as contained
@@ -151,16 +208,17 @@ def quorum_sets(qs):
 def test_first_contained_mask_matches_set_definition(qs, data):
     quorums = quorum_sets(qs)
     responders = data.draw(server_sets(qs))
-    expected = next((i for i, q in enumerate(quorums) if q <= responders), -1)
+    expected = next((mask(q) for q in quorums if q <= responders), 0)
     assert qs.first_contained_mask(mask(responders)) == expected
 
 
 def plain_scan(qs, responders):
-    return next((i for i, m in enumerate(qs.masks) if m & ~responders == 0), -1)
+    return next((m for m in listed(qs).masks if m & ~responders == 0), 0)
 
 
-def assert_memo_matches_plain_scan(qs, masks):
-    """Asked cold, then warm, the memoised scan answers as a plain scan."""
+def assert_scan_matches_plain_scan(qs, masks):
+    """Asked cold, then warm, the scan answers as a plain scan over the
+    listing: a listed system's memo and a k-of-n system's closed form."""
     for warm in (False, True):
         for responders in masks:
             assert qs.first_contained_mask(responders) == plain_scan(qs, responders), (warm, responders)
@@ -168,16 +226,18 @@ def assert_memo_matches_plain_scan(qs, masks):
 
 @pytest.mark.parametrize(
     "qs",
-    [build_majority(n) for n in range(1, 10)] + [build_matrix(2, 2), build_matrix(3, 3)],
-    ids=["majority%d" % n for n in range(1, 10)] + ["matrix2x2", "matrix3x3"],
+    [build_majority(n) for n in range(1, 12)] + [QuorumSystem(n, k=1) for n in range(1, 12)]
+    + [build_matrix(2, 2), build_matrix(3, 3)],
+    ids=["majority%d" % n for n in range(1, 12)] + ["1-of-%d" % n for n in range(1, 12)]
+    + ["matrix2x2", "matrix3x3"],
 )
-def test_memoised_scan_matches_plain_scan_on_every_responder_mask(qs):
-    assert_memo_matches_plain_scan(qs, range(1 << qs.n))
+def test_scan_matches_plain_scan_on_every_responder_mask(qs):
+    assert_scan_matches_plain_scan(qs, range(1 << qs.n))
 
 
 @given(quorum_systems(), st.lists(st.integers(0, (1 << 10) - 1), max_size=30))
 def test_memoised_scan_matches_plain_scan_on_random_systems(qs, masks):
-    assert_memo_matches_plain_scan(qs, [m & ((1 << qs.n) - 1) for m in masks])
+    assert_scan_matches_plain_scan(qs, [m & ((1 << qs.n) - 1) for m in masks])
 
 
 def test_quorum_system_is_immutable():
@@ -187,8 +247,10 @@ def test_quorum_system_is_immutable():
         qs.masks = (0b111,)
     with pytest.raises(FrozenInstanceError):
         qs.n = 4
+    with pytest.raises(FrozenInstanceError):
+        build_majority(3).k = 1
     qs.first_contained_mask(0b011)
-    assert qs == build_majority(3)  # the memo takes no part in equality
+    assert qs == QuorumSystem(3, (0b011, 0b101, 0b110))  # the memo takes no part in equality
 
 
 @given(quorum_systems(), st.data())
@@ -200,34 +262,22 @@ def test_view3_mask_matches_set_definition(qs, data):
     assert qs.view3_mask(mask(current), mask(maxset)) == expected
 
 
-@given(quorum_systems(), st.data())
-def test_relay_mask_matches_set_definition(qs, data):
-    quorums = quorum_sets(qs)
-    s = data.draw(st.integers(0, qs.n - 1))
-    expected = frozenset().union(*(q for q in quorums if s in q))
-    assert qs.relay_mask(s) == mask(expected)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_k_of_n_view3_mask_matches_the_listing(n):
+    for qs in (build_majority(n), QuorumSystem(n, k=1)):
+        reference = listed(qs)
+        for current in range(1 << n):
+            sub = current
+            while True:  # every maxset within current, down to 0
+                assert qs.view3_mask(current, sub) == reference.view3_mask(current, sub), (qs.k, current, sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & current
 
 
 @given(st.integers(0, 1 << 12))
 def test_bits_ascending(mask):
     assert list(bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def test_relay_destinations_majority():
-    qs = build_majority(3)
-    assert qs.relay_mask(0) == 0b111  # server 0 shares a quorum with 1 and 2
-
-
-def test_relay_destinations_matrix_center():
-    qs = build_matrix(3, 3)
-    assert qs.relay_mask(4) == (1 << 9) - 1  # centre: its row and column reach every server
-
-
-@pytest.mark.parametrize("make", [lambda: build_majority(4), lambda: build_matrix(3, 3)])
-def test_relay_destinations_contain_self(make):
-    qs = make()
-    for b in range(qs.n):
-        assert qs.relay_mask(b) >> b & 1
 
 
 def test_surviving_quorum_check():
@@ -242,7 +292,7 @@ def test_surviving_quorum_check():
 
 def scan_survives(qs, crashed):
     """The scan the survival rules replace: some quorum within the live servers."""
-    return qs.first_contained_mask(((1 << qs.n) - 1) & ~mask(crashed)) >= 0
+    return plain_scan(qs, ((1 << qs.n) - 1) & ~mask(crashed)) != 0
 
 
 def crash_sets(n):

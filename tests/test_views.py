@@ -5,6 +5,8 @@ them, and turned into what a reader holds: relay messages keyed by server
 bit plus the quorum's mask.
 """
 
+from itertools import combinations
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -13,8 +15,15 @@ from regsim.quorum import bits, build_majority, build_matrix
 from regsim.views import ViewClass, classify, iterative_analyze
 
 
+def quorum_masks(qs):
+    """Every quorum of qs, a k-of-n system's k-subsets in combinations order."""
+    if not qs.k:
+        return qs.masks
+    return tuple(sum(1 << s for s in c) for c in combinations(range(qs.n), qs.k))
+
+
 def quorum_sets(qs):
-    return [frozenset(bits(m)) for m in qs.masks]
+    return [frozenset(bits(m)) for m in quorum_masks(qs)]
 
 
 def naive_classify(qs, quorum_index, tag_by_server):
@@ -53,7 +62,7 @@ def view(qs, idx, tags, values=None):
         s: Message(MessageKind.READ_RELAY, server(s), reader(0), 1, tag, None if values is None else values[s])
         for s, tag in tags.items()
     }
-    return msgs, qs.masks[idx]
+    return msgs, quorum_masks(qs)[idx]
 
 
 def test_uniform_tags_are_view1():
@@ -108,10 +117,10 @@ quorum_systems = st.sampled_from(
 
 
 def draw_tags(qs, data):
-    idx = data.draw(st.integers(0, len(qs.masks) - 1))
+    idx = data.draw(st.integers(0, len(quorum_masks(qs)) - 1))
     tags = {
         s: data.draw(st.builds(Tag, ts=st.integers(0, 3), wid=st.integers(0, 2)), label="tag%d" % s)
-        for s in bits(qs.masks[idx])
+        for s in bits(quorum_masks(qs)[idx])
     }
     return idx, tags
 

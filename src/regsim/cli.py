@@ -106,7 +106,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        trace, verdict = verify_trace(Path(args.trace).read_text())
+        # No newline translation: the file's own line breaks are judged.
+        with open(args.trace, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        trace, verdict = verify_trace(text)
         if verdict is None or args.strict:
             # Raises ValueError on overlapping operations of one client.
             verdict = check_atomicity_tagged(extract_history(trace), strict=args.strict)

@@ -5,17 +5,25 @@ fields that config.py writes and reads back (ScenarioConfig.describe,
 parse_header); then one event per line, tab separated, first field the
 record type, last record the end record.  A node appears by its name,
 which has exactly one spelling (see core.parse_pid).  One table
-(_REC_TYPES) gives every record kind its format string, so a record is
-written with a single %, and its builder, which turns a line's fields
-into the record in one call once their count is checked; parsing and
-re-serializing a trace reproduces it byte for byte.  The parser splits
-the text into lines a bounded chunk at a time, never the whole text at
-once, and checks each line by itself and against the operations of the
-lines before it.  One table (_MESSAGE_KINDS) holds the message kinds: the
-parser refuses a kind it lacks and gives each record the simulator's own
-MessageKind str, and replay_wire reads from it whether a message serves a
-read or a write (see trace_from_text).  replay_wire holds the whole wire
-to its rules in one pass.
+(_REC_TYPES) gives every record kind its number of fields and, but for
+snd and dlv, its format string, so a record is written with a single %,
+and its builder, which turns a line's fields into the record in one call
+once their count is checked.  snd and dlv lines, 90-99 % of a run's, are
+written and read inline, each time turned into text and back about once
+through two caches: a snd's or dlv's time that is the last snd's or
+dlv's (the same float when writing, the same text when reading) reuses
+that text or float, as the sends a delivery triggers do, and a snd's
+arrival waits in a map until the dlv at that time takes it, so the map
+holds only the messages in flight.  Parsing and re-serializing a trace
+reproduces it byte for byte, and a parsed trace shares its time floats
+as a simulated one does.  The parser splits the text into lines a
+bounded chunk at a time, never the whole text at once, and checks each
+line by itself and against the operations of the lines before it.  One
+table (_MESSAGE_KINDS) holds the message kinds: the parser refuses a
+kind it lacks and gives each record the simulator's own MessageKind str,
+and replay_wire reads from it whether a message serves a read or a write
+(see trace_from_text).  replay_wire holds the whole wire to its rules in
+one pass.
 """
 
 from __future__ import annotations
@@ -172,34 +180,33 @@ _MESSAGE_KINDS = _MessageKindTable({
 })
 
 
-# One entry per record kind: its format string, the record-type token
-# included, and its builder, which turns the line's tab-split fields into
-# the record, name being parse_pid or a cache of it.  A float's %r is its
-# str, so both directions reproduce the text.
+# One entry per record kind: its number of tab-separated fields, the
+# record-type token included, then its format string and its builder,
+# which turns the line's fields into the record, name being parse_pid or
+# a cache of it.  snd and dlv, 90-99 % of a run's records, have neither:
+# trace_to_text and trace_from_text write and read them inline, turning
+# each time into text and back about once (see their time caches).  A
+# float's %r is its str, so both directions reproduce the text.
 _REC_TYPES: dict[str, tuple] = {
-    "inv": ("%s\t%r\t%s\t%d\t%s\t%s",
+    "inv": (6, "%s\t%r\t%s\t%d\t%s\t%s",
             lambda p, name: ("inv", float(p[1]), name(p[2]), int(p[3]), p[4], p[5])),
-    "res": ("%s\t%r\t%s\t%d\t%d\t%d\t%d\t%s",
+    "res": (8, "%s\t%r\t%s\t%d\t%d\t%d\t%d\t%s",
             lambda p, name: ("res", float(p[1]), name(p[2]), int(p[3]), int(p[4]), int(p[5]),
                              int(p[6]), p[7])),
-    "snd": ("%s\t%r\t%s\t%s\t%s\t%s\t%d\t%r",
-            lambda p, name: ("snd", float(p[1]), name(p[2]), name(p[3]),
-                             _MESSAGE_KINDS[p[4]][0], name(p[5]), int(p[6]), float(p[7]))),
-    "dlv": ("%s\t%r\t%s\t%s\t%s\t%s\t%d",
-            lambda p, name: ("dlv", float(p[1]), name(p[2]), name(p[3]),
-                             _MESSAGE_KINDS[p[4]][0], name(p[5]), int(p[6]))),
-    "tag": ("%s\t%r\t%s\t%d\t%d",
+    "snd": (8, None, None),
+    "dlv": (7, None, None),
+    "tag": (5, "%s\t%r\t%s\t%d\t%d",
             lambda p, name: ("tag", float(p[1]), name(p[2]), int(p[3]), int(p[4]))),
-    "wtag": ("%s\t%r\t%s\t%d\t%d\t%d",
+    "wtag": (6, "%s\t%r\t%s\t%d\t%d\t%d",
              lambda p, name: ("wtag", float(p[1]), name(p[2]), int(p[3]), int(p[4]), int(p[5]))),
-    "crs": ("%s\t%r\t%s", lambda p, name: ("crs", float(p[1]), name(p[2]))),
-    "end": ("%s\t%r\t%s\t%d\t%d",
+    "crs": (3, "%s\t%r\t%s", lambda p, name: ("crs", float(p[1]), name(p[2]))),
+    "end": (5, "%s\t%r\t%s\t%d\t%d",
             lambda p, name: ("end", float(p[1]), p[2], int(p[3]), int(p[4]))),
 }
 
-_FORMATS = {kind: fmt for kind, (fmt, _) in _REC_TYPES.items()}
-# Per record kind, the number of tab-separated fields and the builder.
-_BUILDERS = {kind: (fmt.count("\t") + 1, build) for kind, (fmt, build) in _REC_TYPES.items()}
+_ARITY = {kind: arity for kind, (arity, _, _) in _REC_TYPES.items()}
+_FORMATS = {kind: fmt for kind, (_, fmt, _) in _REC_TYPES.items()}
+_BUILDERS = {kind: build for kind, (_, _, build) in _REC_TYPES.items()}
 
 # About how many characters of a trace's text trace_from_text splits into
 # lines at a time.
@@ -219,13 +226,44 @@ def _line_chunks(text: str):
 
 
 def trace_to_text(trace: Trace) -> str:
+    """The trace's text: its run header, then one line per record.  A
+    snd's or dlv's time that is the very float of the last snd's or
+    dlv's time reuses that text, as the sends a delivery triggers do;
+    a snd's arrival text waits in a map until a dlv at that time takes
+    it, so the map holds only messages not yet delivered.  Any other
+    time is written by repr."""
     if trace.config is None:
         header = {"algorithm": trace.algorithm, "seed": trace.seed}
     else:
         header = trace.config.describe()
     lines = ["\t".join(["run"] + ["%s=%s" % pair for pair in header.items()])]
-    lines += [_FORMATS[rec[0]] % rec for rec in trace.records]
-    lines.append("")  # the join ends the text in "\n", with no second copy
+    append = lines.append
+    formats = _FORMATS
+    # Arrival -> its text: equal floats have one repr, but for the zeros.
+    in_flight: dict[float, str] = {}
+    take = in_flight.pop
+    last_t = last_text = None
+    for rec in trace.records:
+        kind = rec[0]
+        if kind == "snd":
+            _, t, src, dst, msg_kind, client, op_seq, arrive = rec
+            if t is not last_t:
+                last_t, last_text = t, repr(t)
+            arrive_text = repr(arrive)
+            if arrive:  # else a dlv at -0.0 could take the text "0.0"
+                in_flight[arrive] = arrive_text
+            append("snd\t%s\t%s\t%s\t%s\t%s\t%d\t%s"
+                   % (last_text, src, dst, msg_kind, client, op_seq, arrive_text))
+        elif kind == "dlv":
+            _, t, dst, src, msg_kind, client, op_seq = rec
+            text = take(t, None)
+            if text is None:
+                text = last_text if t is last_t else repr(t)
+            last_t, last_text = t, text
+            append("dlv\t%s\t%s\t%s\t%s\t%s\t%d" % (text, dst, src, msg_kind, client, op_seq))
+        else:
+            append(formats[kind] % rec)
+    append("")  # the join ends the text in "\n", with no second copy
     return "\n".join(lines)
 
 
@@ -271,8 +309,18 @@ def trace_from_text(text: str) -> Trace:
     # Each distinct node name is validated once, and all records naming
     # the node share the str of its first mention.
     name = cache(parse_pid)
+    arity = _ARITY
+    snd_arity, dlv_arity = arity["snd"], arity["dlv"]
     builders = _BUILDERS
+    kinds = _MESSAGE_KINDS
     isfinite = math.isfinite
+    # A snd's or dlv's time spelled as the last snd's or dlv's is that
+    # line's float; a snd's arrival is turned into a float once, held
+    # under its text until a dlv at that text takes it.  So a parsed
+    # trace shares its time floats as a simulated one does.
+    arrivals: dict[str, float] = {}
+    take = arrivals.pop
+    last_text = last_t = None
     lineno = 1  # a trace of its header alone has no end record at line 1
     try:
         for lineno, line in enumerate(lines, start=2):
@@ -282,28 +330,48 @@ def trace_from_text(text: str) -> Trace:
             kind = parts[0]
             if trace._ended and kind != "end":  # Trace.add refuses a second end
                 raise ValueError("%s record after the end record" % kind)
-            if kind == "run":
-                raise ValueError("run header not on line 1")
-            arity, build = builders.get(kind, (0, None))
-            if len(parts) != arity:
-                raise ValueError("bad trace record %r" % line)
-            rec = build(parts, name)
-            if not isfinite(rec[1]):
-                raise ValueError("%s time %s is not finite" % (kind, parts[1]))
-            if kind == "snd":
-                if not isfinite(rec[7]):
-                    raise ValueError("snd arrival %s is not finite" % parts[7])
-                if rec[7] <= rec[1]:
+            if kind == "snd" and len(parts) == snd_arity:
+                _, t_text, src, dst, msg_kind, client, op_seq, arrive_text = parts
+                if t_text != last_text:
+                    last_t, last_text = float(t_text), t_text
+                arrive = arrivals.get(arrive_text)
+                rec = ("snd", last_t, name(src), name(dst), kinds[msg_kind][0], name(client),
+                       int(op_seq), float(arrive_text) if arrive is None else arrive)
+                t, arrive = last_t, rec[7]
+                if not isfinite(t):
+                    raise ValueError("snd time %s is not finite" % t_text)
+                if not isfinite(arrive):
+                    raise ValueError("snd arrival %s is not finite" % arrive_text)
+                if arrive <= t:
                     raise ValueError(
                         "snd of %s (client %s, op %s) from %s to %s at %s arrives at %s, "
                         "not after its send"
-                        % (parts[4], parts[5], parts[6], parts[2], parts[3], parts[1], parts[7])
+                        % (msg_kind, client, op_seq, src, dst, t_text, arrive_text)
                     )
+                arrivals[arrive_text] = arrive
                 append(rec)
-            elif kind == "dlv" or kind == "tag":
+            elif kind == "dlv" and len(parts) == dlv_arity:
+                _, t_text, dst, src, msg_kind, client, op_seq = parts
+                t = take(t_text, None)
+                if t is None:
+                    t = last_t if t_text == last_text else float(t_text)
+                last_t, last_text = t, t_text
+                rec = ("dlv", t, name(dst), name(src), kinds[msg_kind][0], name(client), int(op_seq))
+                if not isfinite(t):
+                    raise ValueError("dlv time %s is not finite" % t_text)
                 append(rec)
             else:
-                trace.add(rec)
+                if kind == "run":
+                    raise ValueError("run header not on line 1")
+                if len(parts) != arity.get(kind, 0):
+                    raise ValueError("bad trace record %r" % line)
+                rec = builders[kind](parts, name)
+                if not isfinite(rec[1]):
+                    raise ValueError("%s time %s is not finite" % (kind, parts[1]))
+                if kind == "tag":
+                    append(rec)
+                else:
+                    trace.add(rec)
         if not trace._ended:
             raise ValueError("trace has no end record")
     except ValueError as exc:

@@ -579,6 +579,20 @@ def test_check_refuses_an_edited_bare_trace(edit, message, config_file, tmp_path
     check_refuses(lines, lineno, message, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("brk", ["\r\n", "\r"])
+def test_check_judges_the_files_own_line_breaks(brk, config_file, tmp_path, capsys) -> None:
+    # Read with newline translation, either copy would be the re-run's
+    # text; its bytes are not.
+    lines = run_trace_lines(config_file, tmp_path)
+    copy = tmp_path / "copy.log"
+    copy.write_bytes("".join(line + brk for line in lines).encode())
+    capsys.readouterr()
+    assert main(["check", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: %s: line 1: re-run gives " % copy)
+
+
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_check_accepts_every_simulated_crash_trace(algorithm, tmp_path, capsys) -> None:
     # The wire check must never refuse a trace the simulator wrote,

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tracemalloc
+from collections import deque
 from unittest import mock
 
 import pytest
@@ -123,13 +124,9 @@ def test_round_trip_corpus_covers_every_record_kind() -> None:
 
 @functools.cache
 def name_fields(kind: str) -> list[int]:
-    """The indices of a record kind's node name fields: those its builder
-    passes through name, run on a line of that kind."""
-    _, build = _REC_TYPES[kind]
-    marker = object()
-    line = next(ln for lines in fuzz_base_lines() for ln in lines if ln.split("\t")[0] == kind)
-    rec = build(line.split("\t"), lambda _: marker)
-    return [i for i, field in enumerate(rec) if field is marker]
+    """The indices of a record kind's node name fields: those the
+    reference parser's table reads with parse_pid."""
+    return [i for i, field in enumerate(REFERENCE_REC_TYPES[kind], start=1) if field is _NAME]
 
 
 def node_refs(trace) -> list:
@@ -333,6 +330,97 @@ def reference_trace_from_text(text: str) -> Trace:
     except ValueError as exc:
         raise ValueError("line %d: %s" % (lineno, exc)) from None
     return trace
+
+
+# ------------------------------------- the previous writer as an oracle
+
+def reference_trace_to_text(trace: Trace) -> str:
+    """trace_to_text before it wrote snd and dlv lines inline: one
+    %-format per record kind, the per-field table's conversions, so
+    every float is written by its repr."""
+    if trace.config is None:
+        header = {"algorithm": trace.algorithm, "seed": trace.seed}
+    else:
+        header = trace.config.describe()
+    formats = {kind: "\t".join(["%s"] + [conv for _, conv in fields])
+               for kind, fields in REFERENCE_REC_TYPES.items()}
+    lines = ["\t".join(["run"] + ["%s=%s" % pair for pair in header.items()])]
+    lines += [formats[rec[0]] % rec for rec in trace.records]
+    return "\n".join(lines) + "\n"
+
+
+def test_writer_matches_the_reference_writer_on_the_corpus() -> None:
+    for config in ROUND_TRIP_CORPUS:
+        run = run_scenario(config).trace
+        text = trace_to_text(run)
+        assert text == reference_trace_to_text(run)
+        assert reference_trace_to_text(trace_from_text(text)) == text
+
+
+# Time spellings for repeating_time_traces: both zeros, and a latest
+# arrival above every send.
+SPELLED_TIMES = ("-1.0", "-0.0", "0.0", "0.1", "0.25", "1.0", "2.0")
+
+
+@st.composite
+def repeating_time_traces(draw) -> Trace:
+    """A bare trace of snd, dlv and tag records whose times repeat: each
+    is one of SPELLED_TIMES, as an earlier record's very float or as an
+    equal copy.  Messages in flight share arrivals, snds are timed at
+    pending arrivals, a dlv's time is its snd's arrival or an equal
+    float, the other zero included, and some messages are never
+    delivered."""
+    floats = [float(spelled) for spelled in SPELLED_TIMES]
+
+    def a_time(fits) -> float:
+        t = draw(st.sampled_from([x for x in floats if fits(x)]))
+        if draw(st.booleans()):
+            t = float(repr(t))
+            floats.append(t)
+        return t
+
+    trace = Trace(algorithm="abd", seed=0)
+    in_flight: list[tuple[float, int]] = []
+    for op_seq in range(1, draw(st.integers(1, 30)) + 1):
+        step = draw(st.sampled_from(["snd", "dlv", "tag"] if in_flight else ["snd", "tag"]))
+        if step == "snd":
+            t = a_time(lambda x: x < 2.0)
+            arrive = a_time(lambda x: x > t)
+            trace.records.append(("snd", t, "r0", "s0", MessageKind.READ_REQUEST, "r0", op_seq, arrive))
+            in_flight.append((arrive, op_seq))
+        elif step == "dlv":
+            arrive, sent_seq = in_flight.pop(draw(st.integers(0, len(in_flight) - 1)))
+            t = arrive if draw(st.booleans()) else a_time(lambda x: x == arrive)
+            trace.records.append(("dlv", t, "s0", "r0", MessageKind.READ_REQUEST, "r0", sent_seq))
+        else:
+            trace.records.append(("tag", a_time(lambda x: True), "s0", 1, 0))
+    trace.add(("end", 3.0, "incomplete", 0, 0))
+    return trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace=repeating_time_traces())
+def test_writer_matches_the_reference_writer_where_times_repeat(trace) -> None:
+    text = trace_to_text(trace)
+    assert text == reference_trace_to_text(trace)
+    parsed = trace_from_text(text)
+    assert trace_to_text(parsed) == text
+    assert reference_trace_to_text(parsed) == text
+
+
+def test_a_delivery_at_minus_zero_keeps_its_sign() -> None:
+    # -0.0 == 0.0, so a snd arriving at 0.0 matches a dlv at -0.0 on the
+    # wire; the dlv's text must still be its own.
+    text = "".join("\t".join(fields) + "\n" for fields in [
+        ("run", "algorithm=abd", "seed=0"),
+        ("inv", "-1.0", "r0", "1", "read", "-"),
+        ("snd", "-1.0", "r0", "s0", "readRequest", "r0", "1", "0.0"),
+        ("dlv", "-0.0", "s0", "r0", "readRequest", "r0", "1"),
+        ("end", "1.0", "incomplete", "0", "0"),
+    ])
+    trace, verdict = harness.verify_trace(text)
+    assert verdict is None
+    assert trace_to_text(trace) == reference_trace_to_text(trace) == text
 
 
 def parse_outcome(parse, text: str):
@@ -612,6 +700,23 @@ def test_relay_sized_trace_round_trips() -> None:
     assert trace_to_text(parsed) == text
     replay_wire(parsed)
     assert parsed == run
+
+
+def test_deliveries_share_their_sends_arrival() -> None:
+    # A dlv's time is the very float of its snd's arrival, in the
+    # simulated trace and in its parse.
+    run, text = relay_run()
+    for trace in (run, trace_from_text(text)):
+        in_flight: dict[tuple, deque] = {}
+        delivered = 0
+        for rec in trace.records:
+            if rec[0] == "snd":
+                in_flight.setdefault(rec[2:], deque()).append(rec[7])
+            elif rec[0] == "dlv":
+                _, t, dst, src, kind, client, op_seq = rec
+                assert in_flight[(src, dst, kind, client, op_seq, t)].popleft() is t
+                delivered += 1
+        assert delivered > 10_000
 
 
 def test_parse_memory_is_the_trace_it_returns() -> None:

@@ -39,11 +39,21 @@ each node by network.names[id], one shared str per node.  Events at
 equal times keep node order (readers, writers, servers, then index; see
 core.node_key): crashes are queued first in that order, then the
 invocations.
+
+A message costs its sender once, not once per destination: a
+broadcast's sends share one Message, whose kind, names, op_seq and size
+are read once, and only the delay, the destination and the two records
+are per send.  Each send's heap entry carries the delivery's dlv record,
+built at send time with the very arrival float of its snd record; a
+delivery to a live node appends it, one to a crashed node appends
+nothing.  message_delay, looked up per send, is the one delay function
+of every send but a loopback.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -123,11 +133,14 @@ def message_delay(
     params: tuple[float, float], size_bits: int, jitter_max: float, rng: random.Random
 ) -> float:
     """Propagation + transmission over one path (see Network.path_params)
-    + one jitter draw; the path must join two different nodes."""
+    + jitter; the path must join two different nodes.  The jitter is
+    jitter_max * rng.random(), one draw, bit for bit rng.uniform(0.0,
+    jitter_max); with jitter_max 0 there is no draw.  run calls this once
+    per send that is not a loopback."""
     prop, per_bit = params
     d = prop + size_bits * per_bit
     if jitter_max > 0.0:
-        d += rng.uniform(0.0, jitter_max)
+        d += jitter_max * rng.random()
     return d
 
 
@@ -167,19 +180,21 @@ def run(
             raise ValueError("crash schedule names %s twice" % name)
         crashed_at[pid] = t
 
+    # Heap entries: (time, tick, kind, pid, payload, exchange, op, dlv).
+    # tick is the insertion order, so no two entries tie and the fields
+    # after it are never compared.  pid is the node the event happens at.
+    # A delivery's payload is its message, with its exchange number, its
+    # op and its dlv record, built when the message was sent; an
+    # invocation's payload is its WorkItem; a crash carries nothing.
     heap: list[tuple] = []
-    seq = 0
-
-    def push(t: float, kind: str, payload) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, payload))
-        seq += 1
+    heappush, heappop = heapq.heappush, heapq.heappop
+    tick = itertools.count()
 
     for pid in sorted(range(len(names)), key=lambda pid: node_key(names[pid])):
         if crashed_at[pid] < math.inf:
-            push(crashed_at[pid], "crash", pid)
+            heappush(heap, (crashed_at[pid], next(tick), "crash", pid, None, 0, 0, None))
     for item in sorted(workload, key=lambda w: (w.time, node_key(w.pid))):
-        push(item.time, "invoke", (node_id(item.pid), item))
+        heappush(heap, (item.time, next(tick), "invoke", node_id(item.pid), item, 0, 0, None))
 
     current_op: list[Optional[int]] = [None] * len(names)
     # op_seq of each client's latest send of its own; servers stay at 0.
@@ -207,16 +222,21 @@ def run(
             if last.client == pid:
                 own_seq[pid] = last.op_seq
             row = paths[pid]
+            hop = exchange + 1
+            prev = None
             for dst, msg in sends:
+                if msg is not prev:
+                    prev = msg
+                    kind, op_seq, size = msg.kind, msg.op_seq, msg.size_bits()
+                    client, sender = names[msg.client], names[msg.sender]
                 if dst == pid:
-                    delay = LOOPBACK_DELAY
+                    arrive = t + LOOPBACK_DELAY
                 else:
-                    delay = message_delay(row[dst], msg.size_bits(), jitter_max, rng)
-                arrive = t + delay
-                records.append(
-                    ("snd", t, name, names[dst], msg.kind, names[msg.client], msg.op_seq, arrive)
-                )
-                push(arrive, "deliver", (dst, msg, exchange + 1, op))
+                    arrive = t + message_delay(row[dst], size, jitter_max, rng)
+                dst_name = names[dst]
+                records.append(("snd", t, name, dst_name, kind, client, op_seq, arrive))
+                heappush(heap, (arrive, next(tick), "deliver", dst, msg, hop, op,
+                                ("dlv", arrive, dst_name, sender, kind, client, op_seq)))
         res = out.response
         if res is not None:
             current_op[pid] = None
@@ -226,39 +246,37 @@ def run(
     while heap:
         if heap[0][0] > cap_s:
             break
-        t, _, kind, payload = heapq.heappop(heap)
+        t, _, kind, pid, payload, exchange, op, dlv = heappop(heap)
         last_t = t
-        if kind == "crash":
-            trace.add(("crs", t, names[payload]))
-            continue
-        if kind == "invoke":
-            pid, item = payload
+        if kind == "deliver":
             if crashed_at[pid] <= t:
                 continue
-            if current_op[pid] is not None:
-                skipped_invokes += 1
-                continue
-            # Writes carry their intended value from invocation on, so a
-            # crashed write still shows what it was writing.
-            value = item.value if item.kind == "write" else None
-            trace.add(("inv", t, names[pid], next_op, item.kind, value.hex() if value is not None else "-"))
-            op = current_op[pid] = next_op
-            next_op += 1
-            handle_output(pid, t, step_of[pid](states[pid], Invoke(value), qs), 0, op)
+            records.append(dlv)
+            if payload.op_seq < own_seq[pid]:
+                stale_drops += 1
+            handle_output(pid, t, step_of[pid](states[pid], payload, qs), exchange, op)
             continue
-        dst, msg, exchange, op = payload
-        if crashed_at[dst] <= t:
+        if kind == "crash":
+            trace.add(("crs", t, names[pid]))
             continue
-        records.append(("dlv", t, names[dst], names[msg.sender], msg.kind, names[msg.client], msg.op_seq))
-        if msg.op_seq < own_seq[dst]:
-            stale_drops += 1
-        handle_output(dst, t, step_of[dst](states[dst], msg, qs), exchange, op)
+        if crashed_at[pid] <= t:
+            continue
+        if current_op[pid] is not None:
+            skipped_invokes += 1
+            continue
+        # Writes carry their intended value from invocation on, so a
+        # crashed write still shows what it was writing.
+        value = payload.value if payload.kind == "write" else None
+        trace.add(("inv", t, names[pid], next_op, payload.kind, value.hex() if value is not None else "-"))
+        op = current_op[pid] = next_op
+        next_op += 1
+        handle_output(pid, t, step_of[pid](states[pid], Invoke(value), qs), 0, op)
 
     end_time = min(last_t, cap_s) if not heap else cap_s
     pending_live = any(
         op.responded_at is None and trace.live(op.process) for op in trace.ops.values()
     )
-    unreached = [e for e in heap if e[2] == "invoke" and crashed_at[e[3][0]] > e[0]]
+    unreached = [e for e in heap if e[2] == "invoke" and crashed_at[e[3]] > e[0]]
     incomplete = pending_live or bool(unreached)
     trace.add(("end", end_time, "incomplete" if incomplete else "complete",
                stale_drops, skipped_invokes))

@@ -252,15 +252,14 @@ def trace_to_text(trace: Trace) -> str:
             arrive_text = repr(arrive)
             if arrive:  # else a dlv at -0.0 could take the text "0.0"
                 in_flight[arrive] = arrive_text
-            append("snd\t%s\t%s\t%s\t%s\t%s\t%d\t%s"
-                   % (last_text, src, dst, msg_kind, client, op_seq, arrive_text))
+            append(f"snd\t{last_text}\t{src}\t{dst}\t{msg_kind}\t{client}\t{op_seq}\t{arrive_text}")
         elif kind == "dlv":
             _, t, dst, src, msg_kind, client, op_seq = rec
             text = take(t, None)
             if text is None:
                 text = last_text if t is last_t else repr(t)
             last_t, last_text = t, text
-            append("dlv\t%s\t%s\t%s\t%s\t%s\t%d" % (text, dst, src, msg_kind, client, op_seq))
+            append(f"dlv\t{text}\t{dst}\t{src}\t{msg_kind}\t{client}\t{op_seq}")
         else:
             append(formats[kind] % rec)
     append("")  # the join ends the text in "\n", with no second copy

@@ -7,11 +7,15 @@ hops, dst access link.
 """
 
 import copy
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regsim.core import Tag, reader, server, writer
+from regsim import netsim
+from regsim.core import Message, MessageKind, Tag, reader, server, writer
 from regsim.netsim import (
     DEFAULT_JITTER_MAX,
     LOOPBACK_DELAY,
@@ -21,8 +25,9 @@ from regsim.netsim import (
     message_delay,
     run,
 )
-from regsim.protocols import get_algorithm
+from regsim.protocols import Invoke, StepOutput, get_algorithm
 from regsim.quorum import build_majority
+from regsim.trace import replay_wire
 
 ERATO = get_algorithm("erato")
 
@@ -256,3 +261,84 @@ def test_same_seed_same_trace_different_seed_differs() -> None:
     c = run(net, ERATO, qs, copy.deepcopy(items), seed=43)
     assert a.records == b.records
     assert a.records != c.records
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    prop=st.floats(0.0, 0.1),
+    per_bit=st.floats(0.0, 1e-5),
+    size=st.integers(0, 10**6),
+    jitter_max=st.just(0.0) | st.floats(0.0, 0.01),
+)
+def test_message_delay_draws_as_uniform_jitter(seed, prop, per_bit, size, jitter_max) -> None:
+    # One uniform(0, jitter_max) draw when there is jitter, none without:
+    # the same float, bit for bit, and the generator left in the same state.
+    rng, ref = random.Random(seed), random.Random(seed)
+    expected = prop + size * per_bit
+    if jitter_max > 0.0:
+        expected += ref.uniform(0.0, jitter_max)
+    got = message_delay((prop, per_bit), size, jitter_max, rng)
+    assert got.hex() == expected.hex()
+    assert rng.getstate() == ref.getstate()
+
+
+def test_message_delay_is_the_per_send_hook(monkeypatch) -> None:
+    # run takes every non-loopback send's delay from netsim.message_delay,
+    # looked up per send, so patching the module name reroutes them all.
+    constant = 0.0025
+    calls = []
+
+    def fixed_delay(params, size_bits, jitter_max, rng):
+        calls.append(size_bits)
+        return constant
+
+    monkeypatch.setattr(netsim, "message_delay", fixed_delay)
+    items = [
+        WorkItem(0.0, writer(0), "write", b"x" * 64),
+        WorkItem(0.05, reader(0), "read"),
+        WorkItem(0.07, reader(1), "read"),
+    ]
+    trace = run(series(3, 2, 1, jitter=0.002), ERATO, build_majority(3), items, seed=3)
+    sends = [r for r in trace.records if r[0] == "snd"]
+    remote = [r for r in sends if r[2] != r[3]]
+    loopback = [r for r in sends if r[2] == r[3]]
+    assert loopback and len(calls) == len(remote)
+    for r in remote:
+        assert r[7] - r[1] == pytest.approx(constant, abs=1e-12)
+    for r in loopback:
+        assert r[7] - r[1] == pytest.approx(LOOPBACK_DELAY, abs=1e-12)
+    assert all(op.completed for op in trace.ops.values())
+
+
+def test_each_send_reads_its_own_message() -> None:
+    # One writer step sends two different messages, interleaved, to
+    # several servers: every snd names its own message's kind, client and
+    # op_seq and has its own size's delay, and every dlv matches its snd.
+    discover = Message(MessageKind.WRITE_DISCOVER, 3, 3, 1)
+    request = Message(MessageKind.WRITE_REQUEST, 3, 3, 2, Tag(1, 0), b"v" * 100)
+    plan = [(0, discover), (1, discover), (0, request), (1, request), (2, request), (2, discover)]
+
+    def writer_step(state, event, qs):
+        return StepOutput(sends=list(plan) if isinstance(event, Invoke) else [])
+
+    def server_step(state, event, qs):
+        return StepOutput()
+
+    stub = dataclasses.replace(ERATO, writer_step=writer_step, server_step=server_step)
+    net = series(3, 0, 1)
+    assert net.names[3] == writer(0)
+    trace = run(net, stub, build_majority(3), [WorkItem(0.0, writer(0), "write", b"v" * 100)])
+    paths = net.path_params()[3]
+    sends = [r for r in trace.records if r[0] == "snd"]
+    assert len(sends) == len(plan)
+    for r, (dst, msg) in zip(sends, plan):
+        prop, per_bit = paths[dst]
+        assert r[1:7] == (0.0, writer(0), server(dst), msg.kind, writer(0), msg.op_seq)
+        assert r[7] == prop + msg.size_bits() * per_bit
+    delivered = {(r[1], r[2], r[3], r[4], r[5], r[6]): r for r in trace.records if r[0] == "dlv"}
+    assert len(delivered) == len(sends)
+    for r in sends:
+        dlv = delivered[(r[7], r[3], r[2], r[4], r[5], r[6])]
+        assert dlv[1] is r[7]  # the very float, which trace_to_text's time cache needs
+    assert replay_wire(trace) == {1: len(plan)}

@@ -26,9 +26,9 @@ TOPOLOGIES = ("series", "star")
 QUORUMS = ("majority", "matrix")
 SCHEMES = ("fixed", "stochastic")
 # The most servers, readers and writers together: Network.path_params
-# builds a table of two floats per pair of nodes, about 36 MB at 512.  It
-# bounds the quorums too: a majority lists none and a matrix lists one per
-# server, once per run, and no command tests them pairwise.
+# builds a table of two floats per pair of nodes, about 36 MB at 512.  The
+# quorums need no bound of their own: neither construction lists them, and
+# no command tests them pairwise.
 MAX_NODES = 512
 # The most operations a scenario may list: build_workload lists them all
 # before the run starts, and a run keeps every one in its trace.

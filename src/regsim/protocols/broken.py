@@ -26,7 +26,7 @@ from regsim.quorum import QuorumSystem
 @cache
 def one_relay_quorums(n: int) -> QuorumSystem:
     """n singleton quorums, the 1-of-n system.  They do not intersect, which
-    is the fault this variant models, so the system is never validated."""
+    is the fault this variant models."""
     return QuorumSystem(n, k=1)
 
 

@@ -4,20 +4,16 @@ Bit i of a quorum mask is server i, whose node id in the simulator and
 the protocol steps is i too, so quorum scans, read views and message
 senders all work on the same bits.
 
-A majority is the k-of-n system, k = floor(n/2)+1: its quorums are every
-k of servers 0..n-1 in lexicographic (itertools.combinations) order, and
-are never listed, as its scans follow from k and n.  A matrix lists one
-quorum per (row, column) pair of servers 0..rows*cols-1 laid out
-row-major, the union of that row and column, rows before columns.  Any
-two quorums of either intersect by construction (k-of-n ones exactly when
-2k > n: Naor and Wool, SIAM J. Comput. 1998), so the builders skip
-validate, which the tests run.  Crash survival follows from the
-construction too, and under both every server shares a quorum with every
-other, so a server relays to all of them.
-
-A listed system is immutable (its masks are a tuple), so it memoises
-first_contained_mask per responder mask: a run asks about the same few
-hundred masks many times.
+No quorum is listed: both constructions answer their scans from their
+shape.  A majority is the k-of-n system, k = floor(n/2)+1, whose quorums
+are every k of servers 0..n-1 in lexicographic (itertools.combinations)
+order.  A matrix lays servers 0..rows*cols-1 out row-major, and its
+quorum (r, c) is row r united with column c, in r-major order.  Any two
+quorums of either intersect by construction (k-of-n ones exactly when
+2k > n: Naor and Wool, SIAM J. Comput. 1998), which the tests hold on a
+listing of each.  Crash survival follows from the construction too, and
+under both every server shares a quorum with every other, so a server
+relays to all of them.
 """
 
 from __future__ import annotations
@@ -37,52 +33,37 @@ def bits(mask: int) -> Iterator[int]:
 @dataclass(frozen=True)
 class QuorumSystem:
     n: int  # servers, bits 0..n-1
-    masks: tuple[int, ...] = ()  # a list passed in is stored as a tuple
-    k: int = 0  # when positive, the quorums are every k of the n servers, unlisted
-    # responder mask -> first_contained_mask's answer, for a listed system
-    _first_contained: dict[int, int] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    k: int = 0  # when positive, the quorums are every k of the n servers
+    cols: int = 0  # otherwise the servers form a grid of n // cols rows
+    # the grid's rows and columns as masks, top to bottom and left to right
+    row_masks: tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
+    col_masks: tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "masks", tuple(self.masks))
-
-    def validate(self) -> None:
-        """Raise ValueError unless every quorum is non-empty and within
-        the n server bits, and every pair of quorums intersects."""
-        if self.k:
-            if not self.n < 2 * self.k <= 2 * self.n:
-                raise ValueError("%d-of-%d quorums: need n/2 < k <= n" % (self.k, self.n))
-            return
-        if not self.masks:
-            raise ValueError("quorum system has no quorums")
-        for i, m in enumerate(self.masks):
-            if not m:
-                raise ValueError("quorum %d is empty" % i)
-            if m >> self.n:
-                raise ValueError("quorum %d not within the %d servers" % (i, self.n))
-        for i in range(len(self.masks)):
-            for j in range(i + 1, len(self.masks)):
-                if self.masks[i] & self.masks[j] == 0:
-                    raise ValueError(
-                        "quorums %d and %d are disjoint: %s, %s"
-                        % (i, j, list(bits(self.masks[i])), list(bits(self.masks[j])))
-                    )
+        if not self.k:
+            starts = range(0, self.n, self.cols)  # each row's first server
+            row0, col0 = (1 << self.cols) - 1, sum(1 << i for i in starts)
+            object.__setattr__(self, "row_masks", tuple(row0 << i for i in starts))
+            object.__setattr__(self, "col_masks", tuple(col0 << c for c in range(self.cols)))
 
     # Mask-level scans used by the protocol state machines.
 
     def first_contained_mask(self, responders: int) -> int:
         """Mask of the first quorum fully inside the responder mask, or 0.
-        Of a k-of-n system that is the k lowest responders."""
+        Of a k-of-n system that is the k lowest responders; of a grid, the
+        first full row united with the first full column."""
         if self.k:
             for _ in range(responders.bit_count() - self.k):  # drop all but the k lowest
                 responders ^= 1 << responders.bit_length() - 1
             return responders if responders.bit_count() == self.k else 0
-        found = self._first_contained.get(responders)
-        if found is None:
-            found = next((m for m in self.masks if m & ~responders == 0), 0)
-            self._first_contained[responders] = found
-        return found
+        missing = ~responders
+        for row in self.row_masks:
+            if not row & missing:
+                for col in self.col_masks:
+                    if not col & missing:
+                        return row | col
+                return 0
+        return 0
 
     def view3_mask(self, current: int, maxset: int) -> bool:
         """True when some quorum other than `current` intersects it only in maxset.
@@ -97,14 +78,15 @@ class QuorumSystem:
             outside = self.n - current.bit_count()
             free = outside + (current & maxset).bit_count()
             return free > self.k or free == self.k and (outside > 0 or current & ~maxset != 0)
-        for m in self.masks:
-            if m != current and (m & current) & ~maxset == 0:
-                return True
-        return False
+        # A row and a column that both miss current's servers outside
+        # maxset unite to a quorum that meets current only inside maxset.
+        taken = current & ~maxset
+        rows = [row for row in self.row_masks if not row & taken]
+        return any(row | col != current for col in self.col_masks if not col & taken for row in rows)
 
 
 def build_majority(n: int) -> QuorumSystem:
-    """Majority quorums over servers 0..n-1, every n // 2 + 1 of them; not validated."""
+    """Majority quorums over servers 0..n-1, every n // 2 + 1 of them."""
     if n < 1:
         raise ValueError("need at least one server")
     return QuorumSystem(n, k=n // 2 + 1)
@@ -116,13 +98,10 @@ def majority_survives(n: int, crashed: Collection[int]) -> bool:
 
 
 def build_matrix(rows: int, cols: int) -> QuorumSystem:
-    """Grid quorums, quorum (r, c) being row r united with column c; not validated."""
+    """Grid quorums, quorum (r, c) being row r united with column c."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    row0 = (1 << cols) - 1
-    col0 = sum(1 << (r * cols) for r in range(rows))
-    masks = [row0 << (r * cols) | col0 << c for r in range(rows) for c in range(cols)]
-    return QuorumSystem(rows * cols, masks)
+    return QuorumSystem(rows * cols, cols=cols)
 
 
 def matrix_survives(rows: int, cols: int, crashed: Collection[int]) -> bool:

@@ -66,11 +66,11 @@ def test_quorum_system_over_the_node_bound_is_refused(quorums, n_servers) -> Non
 
 @pytest.mark.parametrize("n_servers", [18, 31, 501])
 def test_a_majority_of_any_size_within_the_node_bound_validates(n_servers) -> None:
-    # A majority is the k-of-n system: it lists no masks, so only the
+    # A majority is the k-of-n system: it lists no quorum, so only the
     # node bound limits it (501 servers, 10 readers and 1 writer is 512).
     config = validate(ScenarioConfig(quorums="majority", n_servers=n_servers))
     qs = build_quorum_system(config)
-    assert (qs.n, qs.k, qs.masks) == (n_servers, n_servers // 2 + 1, ())
+    assert (qs.n, qs.k, qs.cols) == (n_servers, n_servers // 2 + 1, 0)
 
 
 @pytest.mark.parametrize("fields,error", [
@@ -163,9 +163,9 @@ def test_mw_algorithms_allow_multiple_writers() -> None:
 def test_quorum_construction_matches_kind() -> None:
     cfg = parse_config(MINIMAL)
     qs = build_quorum_system(cfg)
-    assert qs.n == 9 and len(qs.masks) == 9  # 3x3 grid: one per (row, col)
+    assert (qs.n, qs.k, qs.cols) == (9, 0, 3)  # 3x3 grid: row r with column c
     maj = build_quorum_system(validate(ScenarioConfig(n_servers=5, quorums="majority")))
-    assert (maj.n, maj.k, maj.masks) == (5, 3, ())  # every 3 of 5, none listed
+    assert (maj.n, maj.k, maj.cols) == (5, 3, 0)  # every 3 of 5
 
 
 def test_with_overrides_revalidates() -> None:

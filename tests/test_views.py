@@ -5,21 +5,13 @@ them, and turned into what a reader holds: relay messages keyed by server
 bit plus the quorum's mask.
 """
 
-from itertools import combinations
-
 from hypothesis import given
 from hypothesis import strategies as st
+from quorum_listing import quorum_masks
 
 from regsim.core import Message, MessageKind, Tag, reader, server
 from regsim.quorum import bits, build_majority, build_matrix
 from regsim.views import ViewClass, classify, iterative_analyze
-
-
-def quorum_masks(qs):
-    """Every quorum of qs, a k-of-n system's k-subsets in combinations order."""
-    if not qs.k:
-        return qs.masks
-    return tuple(sum(1 << s for s in c) for c in combinations(range(qs.n), qs.k))
 
 
 def quorum_sets(qs):
@@ -112,7 +104,8 @@ def test_iterative_discards_max_holders_then_decides():
 
 
 quorum_systems = st.sampled_from(
-    [build_majority(3), build_majority(4), build_majority(5), build_matrix(2, 2), build_matrix(3, 3)]
+    [build_majority(3), build_majority(4), build_majority(5)]
+    + [build_matrix(r, c) for r, c in [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]]
 )
 
 

@@ -26,7 +26,15 @@ from regsim.core import reader, server, writer
 from regsim.metrics import OpStats, per_operation_stats, summarize
 from regsim.netsim import Network, build_topology, run
 from regsim.protocols import get_algorithm
-from regsim.trace import Trace, read_header, replay_wire, trace_from_text, trace_to_text
+from regsim.trace import (
+    Trace,
+    first_line,
+    header_line,
+    read_header,
+    replay_wire,
+    trace_from_text,
+    trace_to_text,
+)
 from regsim.workload import build_workload
 
 CSV_HEADER = (
@@ -60,7 +68,9 @@ def verify_trace(text: str) -> tuple[Trace, Optional[Verdict]]:
       trace_to_text writes for the re-run ("line N: re-run gives ..." at
       the first line that differs).  That one comparison implies the
       parse, the replay of the parsed wire and the canonical compare,
-      as a parsed text equals the trace it was written from;
+      as a parsed text equals the trace it was written from.  Line 1 is
+      compared before the re-run, with the header_line it would write,
+      so a header that is not the canonical one runs nothing;
     - a bare header names no scenario, so its trace is trace_from_text
       of the text, whose parse and replay refuse first; then the text
       must be exactly what trace_to_text writes for it, so every number
@@ -70,7 +80,7 @@ def verify_trace(text: str) -> tuple[Trace, Optional[Verdict]]:
     The replay, the scenario's validation and the comparison stay out of
     trace_from_text, which is what a benchmark's re-check times.
     """
-    algorithm, _, config = read_header(text)
+    algorithm, seed, config = read_header(text)
     try:
         if config is None:
             get_algorithm(algorithm)
@@ -84,8 +94,12 @@ def verify_trace(text: str) -> tuple[Trace, Optional[Verdict]]:
         trace, verdict = trace_from_text(text), None
         refusal = "%(found)r is not canonical, trace_to_text writes %(want)r"
     else:
+        refusal = "re-run gives %(want)r, trace has %(found)r"
+        header, found = header_line(algorithm, seed, config) + "\n", first_line(text)
+        if found != header:  # the re-run would write that header first
+            raise ValueError("line 1: " + refusal % {"found": found, "want": header})
         result = run_scenario(config)
-        trace, verdict, refusal = result.trace, result.verdict, "re-run gives %(want)r, trace has %(found)r"
+        trace, verdict = result.trace, result.verdict
     replay_wire(trace)
     expected = trace_to_text(trace)
     if expected != text:

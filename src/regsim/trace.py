@@ -225,6 +225,14 @@ def _line_chunks(text: str):
         start = cut
 
 
+def header_line(algorithm: str, seed: int, config: Optional[ScenarioConfig]) -> str:
+    """The run header line, without its line end, of a trace that
+    read_header reads as (algorithm, seed, config): the scenario's
+    fields (ScenarioConfig.describe), or algorithm and seed alone."""
+    header = {"algorithm": algorithm, "seed": seed} if config is None else config.describe()
+    return "\t".join(["run"] + ["%s=%s" % pair for pair in header.items()])
+
+
 def trace_to_text(trace: Trace) -> str:
     """The trace's text: its run header, then one line per record.  A
     snd's or dlv's time that is the very float of the last snd's or
@@ -232,11 +240,7 @@ def trace_to_text(trace: Trace) -> str:
     a snd's arrival text waits in a map until a dlv at that time takes
     it, so the map holds only messages not yet delivered.  Any other
     time is written by repr."""
-    if trace.config is None:
-        header = {"algorithm": trace.algorithm, "seed": trace.seed}
-    else:
-        header = trace.config.describe()
-    lines = ["\t".join(["run"] + ["%s=%s" % pair for pair in header.items()])]
+    lines = [header_line(trace.algorithm, trace.seed, trace.config)]
     append = lines.append
     formats = _FORMATS
     # Arrival -> its text: equal floats have one repr, but for the zeros.
@@ -266,14 +270,20 @@ def trace_to_text(trace: Trace) -> str:
     return "\n".join(lines)
 
 
+def first_line(text: str) -> str:
+    """Line 1 of text as text.splitlines(True) cuts it, its line end
+    included, or '' for an empty text.  Only the text up to the first
+    "\n" is split, never the whole text."""
+    head = text[:text.find("\n") + 1 or None]  # line 1 lies within it
+    return (head.splitlines(True) or [""])[0]
+
+
 def read_header(text: str) -> tuple[str, int, Optional[ScenarioConfig]]:
     """(algorithm, seed, scenario or None) of a trace's run header, its
-    line 1 as text.splitlines() cuts it.  A line 1 that is not a run
-    header raises ValueError("line 1: no run header"), one that
-    config.parse_header refuses ValueError("line 1: ...").  Only the text
-    up to the first "\n" is split, not the chunk that holds it."""
-    head = text[:text.find("\n") + 1 or None]  # line 1 lies within it
-    parts = (head.splitlines() or [""])[0].split("\t")
+    first_line without the line end.  A line 1 that is not a run header
+    raises ValueError("line 1: no run header"), one that
+    config.parse_header refuses ValueError("line 1: ...")."""
+    parts = (first_line(text).splitlines() or [""])[0].split("\t")
     if parts[0] != "run":
         raise ValueError("line 1: no run header")
     try:

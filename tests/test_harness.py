@@ -540,14 +540,17 @@ def small_scenario_lines() -> tuple[tuple[str, ...], ...]:
 def edited_header_values(value: str) -> list[str]:
     """Values for a header field that now reads value: ones that do not
     parse or that validate refuses, the other names a text field takes,
-    and half a number, never a larger one: a larger scenario can take
-    long to run (ops_per_client alone decides how long)."""
+    half and four times a number, and a thousand times it spelled as its
+    type does not write it.  Both verifiers refuse that spelling before
+    any run; a canonical value is re-run, so it stays small (a larger
+    scenario can take long to run, ops_per_client alone decides how
+    long)."""
     out = ["x", "", "0", "-1", "nan", *sorted(ALGORITHMS), "series", "star", "majority", "matrix",
            "fixed", "stochastic"]
     if value.isdigit():
-        out.append(str(int(value) // 2))
+        out += [str(int(value) // 2), str(int(value) * 4), "0%s000" % value]
     elif value.replace(".", "", 1).isdigit():
-        out.append(repr(float(value) / 2))
+        out += [repr(float(value) / 2), repr(float(value) * 4), value + "e3"]
     return out
 
 
@@ -629,6 +632,37 @@ def test_a_scenario_trace_is_held_to_one_rerun_and_no_parse() -> None:
         parsed, verdict = harness.verify_trace(bare)
         assert parsed.config is None and verdict is None
     parse.assert_called_once_with(bare)
+
+
+# One header line of erato/star, 5 servers, 4 readers and 3000 operations
+# per client: 211 bytes whose re-run would take seconds and hundreds of MB.
+CAP_1E9_HEADER = ("run\talgorithm=erato\tseed=0\tcap_seconds=1e9\tjitter_max=0.001\tn_readers=4"
+                  "\tn_servers=5\tn_writers=1\tops_per_client=3000\tquorums=majority\tread_interval=2.0"
+                  "\tscheme=fixed\ttopology=star\tvalue_size=64\twrite_interval=2.0\n")
+
+
+@pytest.mark.parametrize("edit", ["as is", "seed", "majority(500)", "crlf"])
+def test_a_header_the_rerun_would_not_write_is_refused_before_it_runs(edit) -> None:
+    # Line 1 is compared with the header the re-run writes before the
+    # re-run, with the message the comparison after it gives.
+    if edit == "crlf":
+        text = trace_to_text(run_scenario(cfg()).trace)
+        want = text.splitlines(True)[0]
+        text = text.replace("\n", "\r\n")
+    else:
+        text = CAP_1E9_HEADER
+        if edit == "seed":
+            text = text.replace("\tseed=0\t", "\tseed=12\t")
+        elif edit == "majority(500)":
+            text = (text.replace("\tn_readers=4\t", "\tn_readers=1\t")
+                    .replace("\tn_servers=5\t", "\tn_servers=500\t")
+                    .replace("\tops_per_client=3000\t", "\tops_per_client=2\t"))
+        want = text.replace("cap_seconds=1e9", "cap_seconds=1000000000.0")
+    assert text.splitlines(True)[0] != want
+    with mock.patch.object(harness, "run", side_effect=AssertionError("ran")), \
+            pytest.raises(ValueError) as exc:
+        harness.verify_trace(text)
+    assert str(exc.value) == "line 1: re-run gives %r, trace has %r" % (want, text.splitlines(True)[0])
 
 
 def test_the_rerun_wire_is_replayed() -> None:

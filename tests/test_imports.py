@@ -5,11 +5,17 @@ as used when the module references it or lists it in __all__.  src/
 imports only at module level.  Every source file parses as Python 3.10,
 the oldest version the package supports.  The layers stay apart: the
 checker and metrics import no regsim module but core at run time, and
-the trace format imports neither its writer nor its judges.
+the trace format imports neither its writer nor its judges, both in the
+source and in the modules a fresh interpreter holds after the import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "regsim"
@@ -99,3 +105,25 @@ def test_trace_imports_neither_its_writer_nor_its_judges() -> None:
     forbidden = {"regsim", "regsim.netsim", "regsim.harness", "regsim.checker", "regsim.metrics",
                  "regsim.cli"}
     assert runtime_regsim_imports(SRC / "trace.py") & forbidden == set()
+
+
+def modules_loaded_by(module: str) -> set[str]:
+    """The regsim modules a fresh interpreter holds after `import module`."""
+    code = "import sys, %s; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'regsim'))" % module
+    path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("name", ["checker", "metrics"])
+def test_importing_a_judge_loads_only_core(name) -> None:
+    # Python imports the package before its module, so the package may
+    # import nothing either.
+    module = "regsim." + name
+    assert modules_loaded_by(module) - {"regsim", "regsim.core", module} == set()
+
+
+def test_importing_the_trace_format_loads_neither_its_writer_nor_its_judges() -> None:
+    forbidden = {"regsim.netsim", "regsim.harness", "regsim.checker", "regsim.metrics", "regsim.cli"}
+    assert modules_loaded_by("regsim.trace") & forbidden == set()

@@ -9,21 +9,24 @@ which has exactly one spelling (see core.parse_pid).  One table
 snd and dlv, its format string, so a record is written with a single %,
 and its builder, which turns a line's fields into the record in one call
 once their count is checked.  snd and dlv lines, 90-99 % of a run's, are
-written and read inline, each time turned into text and back about once
-through two caches: a snd's or dlv's time that is the last snd's or
-dlv's (the same float when writing, the same text when reading) reuses
-that text or float, as the sends a delivery triggers do, and a snd's
-arrival waits in a map until the dlv at that time takes it, so the map
-holds only the messages in flight.  Parsing and re-serializing a trace
-reproduces it byte for byte, and a parsed trace shares its time floats
-as a simulated one does.  The parser splits the text into lines a
-bounded chunk at a time, never the whole text at once, and checks each
-line by itself and against the operations of the lines before it.  One
-table (_MESSAGE_KINDS) holds the message kinds: the parser refuses a
-kind it lacks and gives each record the simulator's own MessageKind str,
-and replay_wire reads from it whether a message serves a read or a write
-(see trace_from_text).  replay_wire holds the whole wire to its rules in
-one pass.
+written and read inline.  Writing turns each time into text once: a
+time that is the last snd's or dlv's very float reuses that text, as the
+sends a delivery triggers do, and a snd's arrival text waits in a map
+until the dlv at that time takes it.  Reading parses each message once:
+a snd that passes its checks foretells its delivery, the dlv record and
+the exact text of its line spelled with the snd's own fields, and a dlv
+line with that text takes the record unparsed; any other dlv line is
+parsed field by field.  A snd's or dlv's time spelled as the last snd's
+or dlv's reuses that float.  Both maps hold only messages in flight.
+Parsing and re-serializing a trace reproduces it byte for byte, and a
+parsed trace shares its time floats as a simulated one does.  The
+parser splits the text into lines a bounded chunk at a time, never the
+whole text at once, and checks each line by itself and against the
+operations of the lines before it.  One table (_MESSAGE_KINDS) holds the
+message kinds: the parser refuses a kind it lacks and gives each record
+the simulator's own MessageKind str, and replay_wire reads from it
+whether a message serves a read or a write (see trace_from_text).
+replay_wire holds the whole wire to its rules in one pass.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import chain
 from typing import Optional
 
@@ -180,28 +182,38 @@ _MESSAGE_KINDS = _MessageKindTable({
 })
 
 
+class _NodeNames(dict):
+    """Node name -> itself, each distinct name validated by parse_pid on
+    its first lookup, so all records naming a node share the str of its
+    first mention."""
+
+    def __missing__(self, token: str) -> str:
+        self[token] = pid = parse_pid(token)
+        return pid
+
+
 # One entry per record kind: its number of tab-separated fields, the
 # record-type token included, then its format string and its builder,
-# which turns the line's fields into the record, name being parse_pid or
-# a cache of it.  snd and dlv, 90-99 % of a run's records, have neither:
-# trace_to_text and trace_from_text write and read them inline, turning
-# each time into text and back about once (see their time caches).  A
-# float's %r is its str, so both directions reproduce the text.
+# which turns the line's fields into the record, names being a
+# _NodeNames.  snd and dlv, 90-99 % of a run's records, have neither:
+# trace_to_text and trace_from_text write and read them inline (see
+# their time caches and the foretold dlv lines).  A float's %r is its
+# str, so both directions reproduce the text.
 _REC_TYPES: dict[str, tuple] = {
     "inv": (6, "%s\t%r\t%s\t%d\t%s\t%s",
-            lambda p, name: ("inv", float(p[1]), name(p[2]), int(p[3]), p[4], p[5])),
+            lambda p, names: ("inv", float(p[1]), names[p[2]], int(p[3]), p[4], p[5])),
     "res": (8, "%s\t%r\t%s\t%d\t%d\t%d\t%d\t%s",
-            lambda p, name: ("res", float(p[1]), name(p[2]), int(p[3]), int(p[4]), int(p[5]),
-                             int(p[6]), p[7])),
+            lambda p, names: ("res", float(p[1]), names[p[2]], int(p[3]), int(p[4]), int(p[5]),
+                              int(p[6]), p[7])),
     "snd": (8, None, None),
     "dlv": (7, None, None),
     "tag": (5, "%s\t%r\t%s\t%d\t%d",
-            lambda p, name: ("tag", float(p[1]), name(p[2]), int(p[3]), int(p[4]))),
+            lambda p, names: ("tag", float(p[1]), names[p[2]], int(p[3]), int(p[4]))),
     "wtag": (6, "%s\t%r\t%s\t%d\t%d\t%d",
-             lambda p, name: ("wtag", float(p[1]), name(p[2]), int(p[3]), int(p[4]), int(p[5]))),
-    "crs": (3, "%s\t%r\t%s", lambda p, name: ("crs", float(p[1]), name(p[2]))),
+             lambda p, names: ("wtag", float(p[1]), names[p[2]], int(p[3]), int(p[4]), int(p[5]))),
+    "crs": (3, "%s\t%r\t%s", lambda p, names: ("crs", float(p[1]), names[p[2]])),
     "end": (5, "%s\t%r\t%s\t%d\t%d",
-            lambda p, name: ("end", float(p[1]), p[2], int(p[3]), int(p[4]))),
+            lambda p, names: ("end", float(p[1]), p[2], int(p[3]), int(p[4]))),
 }
 
 _ARITY = {kind: arity for kind, (arity, _, _) in _REC_TYPES.items()}
@@ -292,6 +304,19 @@ def read_header(text: str) -> tuple[str, int, Optional[ScenarioConfig]]:
         raise ValueError("line 1: %s" % exc) from None
 
 
+def _record(parts: list[str], line: str, names: _NodeNames) -> tuple:
+    """The record of a line's fields, parts, that trace_from_text does
+    not read inline: a wrong field count, an unknown record type or a
+    non-finite time raises ValueError."""
+    kind = parts[0]
+    if len(parts) != _ARITY.get(kind, 0):
+        raise ValueError("bad trace record %r" % line)
+    rec = _BUILDERS[kind](parts, names)
+    if not math.isfinite(rec[1]):
+        raise ValueError("%s time %s is not finite" % (kind, parts[1]))
+    return rec
+
+
 def trace_from_text(text: str) -> Trace:
     """Parse a trace log; a run header that read_header refuses, a
     malformed line, one that contradicts an earlier line (see Trace.add),
@@ -306,46 +331,54 @@ def trace_from_text(text: str) -> Trace:
     the wire as a whole shows, deliveries, crashes and counts, is
     replay_wire's to check.
 
+    Each message is parsed once.  A snd that passes its checks foretells
+    its delivery: it files the dlv record netsim.run would write, timed
+    at the snd's very arrival float, under the text of that dlv's line
+    spelled with the snd's own fields.  A line with that text takes the
+    record as it is, since the snd's fields already passed every check a
+    dlv line gets.  Any other dlv line, one spelled otherwise than its
+    snd (-0.0, 07, 5e-1), a second copy of a line in flight or one that
+    matches no snd (replay_wire refuses it), is parsed field by field.
+
     Lines are split from the text in bounded chunks (_line_chunks), so
-    besides the trace it returns the parse holds one chunk's lines, not a
-    list of every line.
+    besides the trace it returns the parse holds one chunk's lines and
+    the messages in flight, not a list of every line.
     """
     trace = Trace()
     trace.algorithm, trace.seed, trace.config = read_header(text)
-    lines = chain.from_iterable(_line_chunks(text))
+    lines = enumerate(chain.from_iterable(_line_chunks(text)), start=1)
     next(lines)  # the run header, which read_header has read
     append = trace.records.append
-    # Each distinct node name is validated once, and all records naming
-    # the node share the str of its first mention.
-    name = cache(parse_pid)
-    arity = _ARITY
-    snd_arity, dlv_arity = arity["snd"], arity["dlv"]
-    builders = _BUILDERS
+    names = _NodeNames()
+    snd_arity, dlv_arity = _ARITY["snd"], _ARITY["dlv"]
     kinds = _MESSAGE_KINDS
     isfinite = math.isfinite
+    # The text of each foretold dlv line -> (its time's text, its record).
+    foretold: dict[str, tuple[str, tuple]] = {}
+    take = foretold.pop
     # A snd's or dlv's time spelled as the last snd's or dlv's is that
-    # line's float; a snd's arrival is turned into a float once, held
-    # under its text until a dlv at that text takes it.  So a parsed
-    # trace shares its time floats as a simulated one does.
-    arrivals: dict[str, float] = {}
-    take = arrivals.pop
+    # line's float, so a parsed trace shares its time floats as a
+    # simulated one does.
     last_text = last_t = None
     lineno = 1  # a trace of its header alone has no end record at line 1
     try:
-        for lineno, line in enumerate(lines, start=2):
+        for lineno, line in lines:
+            hit = take(line, None)
+            if hit is not None:
+                last_text, rec = hit
+                last_t = rec[1]
+                append(rec)
+                continue
             if not line:
                 continue
             parts = line.split("\t")
             kind = parts[0]
-            if trace._ended and kind != "end":  # Trace.add refuses a second end
-                raise ValueError("%s record after the end record" % kind)
             if kind == "snd" and len(parts) == snd_arity:
                 _, t_text, src, dst, msg_kind, client, op_seq, arrive_text = parts
                 if t_text != last_text:
                     last_t, last_text = float(t_text), t_text
-                arrive = arrivals.get(arrive_text)
-                rec = ("snd", last_t, name(src), name(dst), kinds[msg_kind][0], name(client),
-                       int(op_seq), float(arrive_text) if arrive is None else arrive)
+                rec = ("snd", last_t, names[src], names[dst], kinds[msg_kind][0], names[client],
+                       int(op_seq), float(arrive_text))
                 t, arrive = last_t, rec[7]
                 if not isfinite(t):
                     raise ValueError("snd time %s is not finite" % t_text)
@@ -357,32 +390,36 @@ def trace_from_text(text: str) -> Trace:
                         "not after its send"
                         % (msg_kind, client, op_seq, src, dst, t_text, arrive_text)
                     )
-                arrivals[arrive_text] = arrive
                 append(rec)
+                foretold[f"dlv\t{arrive_text}\t{dst}\t{src}\t{msg_kind}\t{client}\t{op_seq}"] = (
+                    arrive_text, ("dlv", arrive, rec[3], rec[2], rec[4], rec[5], rec[6]))
             elif kind == "dlv" and len(parts) == dlv_arity:
                 _, t_text, dst, src, msg_kind, client, op_seq = parts
-                t = take(t_text, None)
-                if t is None:
-                    t = last_t if t_text == last_text else float(t_text)
-                last_t, last_text = t, t_text
-                rec = ("dlv", t, name(dst), name(src), kinds[msg_kind][0], name(client), int(op_seq))
-                if not isfinite(t):
+                if t_text != last_text:
+                    last_t, last_text = float(t_text), t_text
+                rec = ("dlv", last_t, names[dst], names[src], kinds[msg_kind][0], names[client],
+                       int(op_seq))
+                if not isfinite(last_t):
                     raise ValueError("dlv time %s is not finite" % t_text)
                 append(rec)
+            elif kind == "run":
+                raise ValueError("run header not on line 1")
             else:
-                if kind == "run":
-                    raise ValueError("run header not on line 1")
-                if len(parts) != arity.get(kind, 0):
-                    raise ValueError("bad trace record %r" % line)
-                rec = builders[kind](parts, name)
-                if not isfinite(rec[1]):
-                    raise ValueError("%s time %s is not finite" % (kind, parts[1]))
+                rec = _record(parts, line, names)
                 if kind == "tag":
                     append(rec)
                 else:
                     trace.add(rec)
-        if not trace._ended:
+                    if kind == "end":
+                        break
+        else:
             raise ValueError("trace has no end record")
+        for lineno, line in lines:
+            if line:
+                parts = line.split("\t")
+                if parts[0] != "end":
+                    raise ValueError("%s record after the end record" % parts[0])
+                trace.add(_record(parts, line, names))  # refuses a second end
     except ValueError as exc:
         raise ValueError("line %d: %s" % (lineno, exc)) from None
     return trace

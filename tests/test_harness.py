@@ -423,6 +423,32 @@ def test_a_delivery_at_minus_zero_keeps_its_sign() -> None:
     assert trace_to_text(trace) == reference_trace_to_text(trace) == text
 
 
+def test_identical_messages_in_flight_and_a_minus_zero_delivery() -> None:
+    # Two identical snd lines share the text of their dlv lines, which
+    # one foretold record can serve once; a dlv at -0.0 is spelled
+    # otherwise than its snd's arrival at 0.0.  Each is parsed as the
+    # per-field parser parses it, and the wire replays.
+    text = "".join("\t".join(fields) + "\n" for fields in [
+        ("run", "algorithm=abd", "seed=0"),
+        ("inv", "-1.0", "r0", "1", "read", "-"),
+        ("snd", "-1.0", "r0", "s0", "readRequest", "r0", "1", "0.5"),
+        ("snd", "-1.0", "r0", "s0", "readRequest", "r0", "1", "0.5"),
+        ("snd", "-1.0", "r0", "s1", "readRequest", "r0", "1", "0.0"),
+        ("dlv", "-0.0", "s1", "r0", "readRequest", "r0", "1"),
+        ("dlv", "0.5", "s0", "r0", "readRequest", "r0", "1"),
+        ("dlv", "0.5", "s0", "r0", "readRequest", "r0", "1"),
+        ("end", "1.0", "incomplete", "0", "0"),
+    ])
+    parsed = trace_from_text(text)
+    assert parsed == reference_trace_from_text(text)
+    replay_wire(parsed)
+    assert trace_to_text(parsed) == text
+    arrivals = [rec[7] for rec in parsed.records if rec[0] == "snd"]
+    dlv_times = [rec[1] for rec in parsed.records if rec[0] == "dlv"]
+    assert math.copysign(1.0, dlv_times[0]) == -1.0
+    assert all(any(t is arrive for arrive in arrivals) for t in dlv_times[1:])
+
+
 def parse_outcome(parse, text: str):
     """What a parser makes of a text: its Trace, or its ValueError's text."""
     try:
@@ -432,22 +458,46 @@ def parse_outcome(parse, text: str):
 
 
 PARSE_MUTATIONS = ["add_field", "drop_field", "bad_time", "non_finite", "early_arrival",
-                   "unknown_kind", "after_end", "blank", "pid", "message_kind"]
+                   "unknown_kind", "after_end", "blank", "pid", "message_kind", "respell",
+                   "repeat_dlv"]
+
+
+def respellings(field: str) -> list[str]:
+    """Other spellings of a time or op_seq field's value: an int with a
+    leading zero or sign, a float with a trailing zero, an exponent or
+    17 significant digits."""
+    if field.isdecimal():
+        return ["0" + field, "+" + field]
+    x = float(field)
+    spelled = [format(x, ".17e"), format(x, ".16e")]
+    if "e" not in field:
+        spelled += [field + "e0", field + "0"]
+    return [other for other in spelled if other != field and float(other) == x]
 
 
 def check_parser_matches(data) -> None:
     """Mutate one line of a fuzz base trace and parse it with both
     parsers: the same Trace or the same ValueError text, but for the two
     checks only trace_from_text makes, a run header on line 1 and a known
-    message kind."""
+    message kind.  respell and repeat_dlv make dlv lines that no snd
+    foretells, which trace_from_text parses field by field."""
     lines = list(data.draw(st.sampled_from(fuzz_base_lines())))
     mutation = data.draw(st.sampled_from(PARSE_MUTATIONS))
     kinds = {"early_arrival": ["snd"], "pid": ["snd", "dlv", "inv", "crs"],
-             "message_kind": ["snd", "dlv"]}.get(mutation, sorted(_REC_TYPES))
+             "message_kind": ["snd", "dlv"], "respell": ["dlv"],
+             "repeat_dlv": ["dlv"]}.get(mutation, sorted(_REC_TYPES))
     kind = data.draw(st.sampled_from(kinds))
     i = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.split("\t")[0] == kind]))
     parts = lines[i].split("\t")
-    if mutation == "add_field":
+    if mutation == "respell":
+        if data.draw(st.booleans()):  # respell the dlv's snd instead
+            key = wire_key(parts)
+            i = max(j for j in range(i) if lines[j].startswith("snd\t")
+                    and wire_key(lines[j].split("\t")) == key)
+            parts = lines[i].split("\t")
+        j = data.draw(st.sampled_from([1, 6, 7] if parts[0] == "snd" else [1, 6]))
+        parts[j] = data.draw(st.sampled_from(respellings(parts[j])))
+    elif mutation == "add_field":
         parts.insert(data.draw(st.integers(1, len(parts))), "0")
     elif mutation == "drop_field":
         del parts[data.draw(st.integers(1, len(parts) - 1))]
@@ -472,6 +522,8 @@ def check_parser_matches(data) -> None:
         lines.append("\t".join(parts))
     elif mutation == "blank":
         lines.insert(data.draw(st.integers(0, len(lines))), "")
+    elif mutation == "repeat_dlv":
+        lines.insert(i, lines[i])
     else:
         lines[i] = "\t".join(parts)
     text = "\n".join(lines) + "\n"

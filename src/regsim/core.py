@@ -2,7 +2,9 @@
 
 Everything here is deliberately small and hashable: tags order writes,
 and Message is the single wire format all protocols share (field
-presence depends on the kind).
+presence depends on the kind).  Tag and Message are named tuples, so
+each compares equal to the plain tuple of its fields, and a Tag orders
+and hashes as the tuple (ts, wid).
 
 A node has two representations.  Inside the simulator and the protocol
 steps it is a dense int id: servers 0..n-1, so a server's id is its bit
@@ -14,7 +16,7 @@ else (traces, operation records, CSVs, the checker) it is its name:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # Initial register content: empty payload under tag (0, smallest writer id).
 INITIAL_VALUE = b""
@@ -52,8 +54,7 @@ def parse_pid(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True, order=True)
-class Tag:
+class Tag(NamedTuple):
     """Logical timestamp with writer id tiebreak, ordered lexicographically.
 
     wid is the writer's index; single-writer runs keep it constant at 0 so
@@ -79,8 +80,7 @@ class MessageKind:
     DISCOVER_ACK = "discoverAck"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One protocol message.
 
     kind decides which optional fields are meaningful:

@@ -13,8 +13,8 @@ Operation CSV: one row per completed operation, fixed column schema
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
@@ -256,7 +256,9 @@ def sweep(
     raises ConfigError if parallelism is below 1 or a cell would pool
     runs that are not one scenario's seeds (see _refuse_pooled_cells).
     At most parallelism worker processes run, and never more than there
-    are configs or CPUs: a fork pool starts all its workers at once."""
+    are configs or CPUs: a fork pool starts all its workers at once.
+    The pool's module, and multiprocessing with it, loads only when more
+    than one worker runs."""
     if parallelism < 1:
         raise ConfigError(["sweep: parallelism must be at least 1, got %d" % parallelism])
     _refuse_pooled_cells(configs)
@@ -264,7 +266,7 @@ def sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = min(parallelism, len(configs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_job, configs, chunksize=1))
     else:
         outcomes = [_sweep_job(c) for c in configs]

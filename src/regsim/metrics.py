@@ -4,21 +4,21 @@ netsim.run counts each operation's messages and exchanges while it runs,
 and per_operation_stats reads those counts from the operation records.
 A parsed trace's res records carry the exchanges; its message counts
 come from trace.replay_wire, which recounts them from the wire.
+OpStats and Summary are named tuples, so each compares equal to the
+plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from regsim.trace import Trace
 
 
-@dataclass(frozen=True)
-class OpStats:
+class OpStats(NamedTuple):
     algorithm: str
     op_id: int
     process: str  # node name
@@ -29,8 +29,7 @@ class OpStats:
     messages: int
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     algorithm: str
     op_kind: str
     count: int

@@ -10,6 +10,8 @@ transmission (size/bandwidth), plus one uniform jitter draw; there is no
 queueing.  Event order is (time, insertion sequence), the RNG is seeded
 per run, and nodes perform no computation in simulated time, so a run is
 a pure function of (workload, crash schedule, seed).
+LinkParams and WorkItem are named tuples, so each compares equal to the
+plain tuple of its fields.
 
 A node crashes at most once: a crash schedule naming a node twice raises
 ValueError.  Crashed nodes process no event from their crash time on;
@@ -57,7 +59,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from regsim.config import ScenarioConfig
 from regsim.core import node_key, reader, server, writer
@@ -71,8 +73,7 @@ DEFAULT_JITTER_MAX = ScenarioConfig.jitter_max
 DEFAULT_CAP_S = ScenarioConfig.cap_seconds
 
 
-@dataclass(frozen=True)
-class LinkParams:
+class LinkParams(NamedTuple):
     bw_bps: float
     prop_s: float
 
@@ -144,8 +145,7 @@ def message_delay(
     return d
 
 
-@dataclass(frozen=True)
-class WorkItem:
+class WorkItem(NamedTuple):
     time: float
     pid: str  # the invoking client's name
     kind: str  # "read" | "write"

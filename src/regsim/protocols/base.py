@@ -18,12 +18,15 @@ its own counter (a stale one) and a message for its current operation
 that arrives after the response; either yields an empty output.  How
 many exchanges an operation took and how many deliveries were stale the
 simulator measures on the wire (see netsim).
+
+Invoke and Response are named tuples, as core's Tag and Message are, so
+each compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from regsim.core import (
     INITIAL_TAG,
@@ -36,16 +39,14 @@ from regsim.quorum import QuorumSystem
 from regsim.views import quorum_extreme
 
 
-@dataclass(frozen=True)
-class Invoke:
+class Invoke(NamedTuple):
     value: Optional[bytes] = None  # payload for writes, None for reads
 
 
 Event = Union[Invoke, Message]
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     value: bytes
     tag: Tag
 

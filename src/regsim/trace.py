@@ -336,9 +336,12 @@ def trace_from_text(text: str) -> Trace:
     at the snd's very arrival float, under the text of that dlv's line
     spelled with the snd's own fields.  A line with that text takes the
     record as it is, since the snd's fields already passed every check a
-    dlv line gets.  Any other dlv line, one spelled otherwise than its
-    snd (-0.0, 07, 5e-1), a second copy of a line in flight or one that
-    matches no snd (replay_wire refuses it), is parsed field by field.
+    dlv line gets.  A snd to a node whose crs line came before it
+    foretells nothing, as the crashed node takes no delivery.  Any other
+    dlv line, one spelled otherwise than its snd (-0.0, 07, 5e-1), a
+    second copy of a line in flight, one that matches no snd or one to a
+    crashed node (replay_wire refuses the last two), is parsed field by
+    field.
 
     Lines are split from the text in bounded chunks (_line_chunks), so
     besides the trace it returns the parse holds one chunk's lines and
@@ -349,6 +352,7 @@ def trace_from_text(text: str) -> Trace:
     lines = enumerate(chain.from_iterable(_line_chunks(text)), start=1)
     next(lines)  # the run header, which read_header has read
     append = trace.records.append
+    crash_at = trace.crash_at
     names = _NodeNames()
     snd_arity, dlv_arity = _ARITY["snd"], _ARITY["dlv"]
     kinds = _MESSAGE_KINDS
@@ -391,6 +395,8 @@ def trace_from_text(text: str) -> Trace:
                         % (msg_kind, client, op_seq, src, dst, t_text, arrive_text)
                     )
                 append(rec)
+                if dst in crash_at:  # a crashed node takes no delivery
+                    continue
                 foretold[f"dlv\t{arrive_text}\t{dst}\t{src}\t{msg_kind}\t{client}\t{op_seq}"] = (
                     arrive_text, ("dlv", arrive, rec[3], rec[2], rec[4], rec[5], rec[6]))
             elif kind == "dlv" and len(parts) == dlv_arity:

@@ -1,3 +1,6 @@
+import pickle
+
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -14,6 +17,9 @@ from regsim.core import (
     server,
     writer,
 )
+from regsim.metrics import OpStats, Summary
+from regsim.netsim import LinkParams, WorkItem
+from regsim.protocols.base import Invoke, Response
 
 tags = st.builds(Tag, ts=st.integers(0, 50), wid=st.integers(0, 8))
 
@@ -54,6 +60,9 @@ def test_message_size_header_plus_payload():
     assert m.size_bits() == (HEADER_OCTETS + 64) * 8
     bare = Message(MessageKind.READ_REQUEST, 3, 3, 1)
     assert bare.size_bits() == HEADER_OCTETS * 8
+    ack = Message(MessageKind.WRITE_ACK, 0, 3, 2, Tag(2, 0))
+    assert (ack.tag, ack.value) == (Tag(2, 0), None)
+    assert ack.size_bits() == HEADER_OCTETS * 8
 
 
 @given(st.sampled_from([reader, writer, server]), st.integers(0, 10_000))
@@ -74,3 +83,49 @@ def test_parse_pid_accepts_only_canonical_names(text):
         assert str(exc) == "not a process id: %r" % text
     else:
         assert name is text
+
+
+# One value of each immutable value type the layers pass around.
+VALUES = [
+    Tag(3, 1),
+    Message(MessageKind.READ_ACK, 0, 3, 1, Tag(1, 0), b"x"),
+    Invoke(b"v"),
+    Response(b"v", Tag(1, 0)),
+    LinkParams(10e6, 0.006),
+    WorkItem(0.5, "r0", "read"),
+    OpStats("erato", 1, "r0", "read", 0.0, 0.01, 2, 10),
+    Summary("erato", "read", 1, 0.01, 0.01, 0.01, 0.01, {2: 1}, 1.0),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_values_are_immutable_tuples_of_their_fields(value):
+    names = type(value)._fields
+    assert value == tuple(getattr(value, name) for name in names)
+    for name in names + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_value_reprs_name_their_fields():
+    # Violation messages print tags, and a Message's repr shows its tag.
+    assert repr(Tag(3, 1)) == str(Tag(3, 1)) == "Tag(ts=3, wid=1)"
+    assert repr(VALUES[1]) == (
+        "Message(kind='readAck', sender=0, client=3, op_seq=1, tag=Tag(ts=1, wid=0), value=b'x')")
+    assert repr(Invoke()) == "Invoke(value=None)"
+
+
+@given(st.lists(tags, max_size=20))
+def test_tags_sort_and_hash_as_ts_wid_pairs(ts):
+    pairs = [(t.ts, t.wid) for t in ts]
+    assert [(t.ts, t.wid) for t in sorted(ts)] == sorted(pairs)
+    assert [hash(t) for t in ts] == [hash(p) for p in pairs]
+    assert len(set(ts)) == len(set(pairs))
+
+
+@pytest.mark.parametrize("value", VALUES[-2:], ids=lambda v: type(v).__name__)
+def test_stats_survive_a_pickle_round_trip(value):
+    # A sweep's worker processes return their stats pickled.
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert copy == value

@@ -824,6 +824,60 @@ def test_parse_memory_is_the_trace_it_returns() -> None:
     assert wire and all(id(rec[4]) in constants for rec in wire)
 
 
+def crash_run() -> tuple[Trace, str]:
+    """An erato run on majority(5)/series, 5 readers, 40 operations per
+    client, whose server s0 and reader r0 crash at 1 s of about 20, and
+    its text: 0.6 MB, of which one snd in seven goes to a crashed node."""
+    config = cfg(n_servers=5, n_readers=5, read_interval=0.5, write_interval=0.5,
+                 ops_per_client=40, crash_servers=((0, 1.0),), crash_readers=((0, 1.0),))
+    run = run_scenario(config).trace
+    return run, trace_to_text(run)
+
+
+def test_parse_files_no_delivery_to_a_crashed_node() -> None:
+    # A snd to a node whose crs line came first is never delivered; a
+    # delivery foretold for each would stay until the parse ends, 0.40x
+    # the text above what the parse returns on this trace.
+    run, text = crash_run()
+    assert len(text) >= 2**19
+    crashed: set = set()
+    late = 0
+    for rec in run.records:
+        if rec[0] == "crs":
+            crashed.add(rec[2])
+        late += rec[0] == "snd" and rec[3] in crashed
+    assert late > 500
+    tracemalloc.start()
+    try:
+        parsed = trace_from_text(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < len(text) / 5
+    replay_wire(parsed)
+    assert parsed == run
+
+
+def test_delivery_sent_after_the_crash_is_parsed_and_refused() -> None:
+    # A dlv line for a snd to s0 made after s0's crs line is foretold by
+    # nothing: it parses field by field, as the reference parser does,
+    # and the replay refuses it.
+    lines = list(fuzz_base_lines()[0])
+    crs = next(i for i, ln in enumerate(lines) if ln.startswith("crs\t") and ln.endswith("\ts0"))
+    crash = lines[crs].split("\t")[1]
+    j = next(j for j in range(crs, len(lines))
+             if lines[j].startswith("snd\t") and lines[j].split("\t")[3] == "s0")
+    _, _, src, dst, kind, client, op_seq, arrive = lines[j].split("\t")
+    lines.insert(j + 1, "\t".join(["dlv", arrive, dst, src, kind, client, op_seq]))
+    text = "\n".join(lines) + "\n"
+    parsed = trace_from_text(text)
+    assert parsed == reference_trace_from_text(text)
+    assert parsed.records[j] == ("dlv", float(arrive), "s0", src, kind, client, int(op_seq))
+    with pytest.raises(ValueError) as exc:
+        replay_wire(parsed)
+    assert str(exc.value) == "line %d: dlv to s0 at %s, at or after its crash at %s" % (j + 2, arrive, crash)
+
+
 def test_serialising_holds_the_lines_and_one_text() -> None:
     # The list of lines and their join come to about three times the
     # text's size; one more copy of the text, such as appending the last
@@ -979,7 +1033,7 @@ def test_sweep_caps_its_worker_processes(cpus, workers, tmp_path, monkeypatch) -
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     sweep([cfg(seed=s) for s in range(3)], tmp_path, parallelism=5000)
     assert started == ([] if workers is None else [workers])

@@ -7,6 +7,7 @@ the oldest version the package supports.  The layers stay apart: the
 checker and metrics import no regsim module but core at run time, and
 the trace format imports neither its writer nor its judges, both in the
 source and in the modules a fresh interpreter holds after the import.
+Importing the CLI loads no process pool.
 """
 
 import ast
@@ -108,8 +109,8 @@ def test_trace_imports_neither_its_writer_nor_its_judges() -> None:
 
 
 def modules_loaded_by(module: str) -> set[str]:
-    """The regsim modules a fresh interpreter holds after `import module`."""
-    code = "import sys, %s; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'regsim'))" % module
+    """The modules a fresh interpreter holds after `import module`."""
+    code = "import sys, %s; print(*sys.modules)" % module
     path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -121,9 +122,16 @@ def test_importing_a_judge_loads_only_core(name) -> None:
     # Python imports the package before its module, so the package may
     # import nothing either.
     module = "regsim." + name
-    assert modules_loaded_by(module) - {"regsim", "regsim.core", module} == set()
+    regsim = {m for m in modules_loaded_by(module) if m.split(".")[0] == "regsim"}
+    assert regsim - {"regsim", "regsim.core", module} == set()
 
 
 def test_importing_the_trace_format_loads_neither_its_writer_nor_its_judges() -> None:
     forbidden = {"regsim.netsim", "regsim.harness", "regsim.checker", "regsim.metrics", "regsim.cli"}
     assert modules_loaded_by("regsim.trace") & forbidden == set()
+
+
+def test_a_plain_import_loads_no_process_pool() -> None:
+    # Only a sweep over more than one worker needs the pool, and
+    # multiprocessing with it.
+    assert modules_loaded_by("regsim.cli") & {"multiprocessing", "concurrent.futures.process"} == set()

@@ -42,6 +42,11 @@ equal times keep node order (readers, writers, servers, then index; see
 core.node_key): crashes are queued first in that order, then the
 invocations.
 
+A step's output goes through one block at the end of the loop body,
+for a delivery and an invocation alike: the wtag, the adopted tag, the
+sends and the response, in that order.  A delivery whose step returns
+protocols.base.NOTHING, the one output that decides nothing, skips that
+block; an empty output that is not NOTHING takes it and records nothing.
 A message costs its sender once, not once per destination: a
 broadcast's sends share one Message, whose kind, names, op_seq and size
 are read once, and only the delay, the destination and the two records
@@ -63,7 +68,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from regsim.config import ScenarioConfig
 from regsim.core import node_key, reader, server, writer
-from regsim.protocols import Algorithm, Invoke
+from regsim.protocols import NOTHING, Algorithm, Invoke
 from regsim.quorum import QuorumSystem
 from regsim.trace import Trace
 
@@ -205,43 +210,6 @@ def run(
     next_op = 1
     stale_drops = skipped_invokes = 0
 
-    def handle_output(pid: int, t: float, out, exchange: int, op: int) -> None:
-        """Record a step's decisions; exchange and op are those of the
-        event that triggered it, exchange 0 and the opened op for an
-        invocation."""
-        op_id = current_op[pid]
-        name = names[pid]
-        if out.wtag is not None:
-            trace.add(("wtag", t, name, op_id, out.wtag.ts, out.wtag.wid))
-        if out.adopted is not None:
-            records.append(("tag", t, name, out.adopted.ts, out.adopted.wid))
-        sends = out.sends
-        if sends:
-            trace.ops[op].messages += len(sends)
-            last = sends[-1][1]
-            if last.client == pid:
-                own_seq[pid] = last.op_seq
-            row = paths[pid]
-            hop = exchange + 1
-            prev = None
-            for dst, msg in sends:
-                if msg is not prev:
-                    prev = msg
-                    kind, op_seq, size = msg.kind, msg.op_seq, msg.size_bits()
-                    client, sender = names[msg.client], names[msg.sender]
-                if dst == pid:
-                    arrive = t + LOOPBACK_DELAY
-                else:
-                    arrive = t + message_delay(row[dst], size, jitter_max, rng)
-                dst_name = names[dst]
-                records.append(("snd", t, name, dst_name, kind, client, op_seq, arrive))
-                heappush(heap, (arrive, next(tick), "deliver", dst, msg, hop, op,
-                                ("dlv", arrive, dst_name, sender, kind, client, op_seq)))
-        res = out.response
-        if res is not None:
-            current_op[pid] = None
-            trace.add(("res", t, name, op_id, exchange, res.tag.ts, res.tag.wid, res.value.hex()))
-
     last_t = 0.0
     while heap:
         if heap[0][0] > cap_s:
@@ -254,23 +222,58 @@ def run(
             records.append(dlv)
             if payload.op_seq < own_seq[pid]:
                 stale_drops += 1
-            handle_output(pid, t, step_of[pid](states[pid], payload, qs), exchange, op)
-            continue
-        if kind == "crash":
+            out = step_of[pid](states[pid], payload, qs)
+            if out is NOTHING:
+                continue
+        elif kind == "crash":
             trace.add(("crs", t, names[pid]))
             continue
-        if crashed_at[pid] <= t:
+        elif crashed_at[pid] <= t:
             continue
-        if current_op[pid] is not None:
+        elif current_op[pid] is not None:
             skipped_invokes += 1
             continue
-        # Writes carry their intended value from invocation on, so a
-        # crashed write still shows what it was writing.
-        value = payload.value if payload.kind == "write" else None
-        trace.add(("inv", t, names[pid], next_op, payload.kind, value.hex() if value is not None else "-"))
-        op = current_op[pid] = next_op
-        next_op += 1
-        handle_output(pid, t, step_of[pid](states[pid], Invoke(value), qs), 0, op)
+        else:
+            # Writes carry their intended value from invocation on, so a
+            # crashed write still shows what it was writing.
+            value = payload.value if payload.kind == "write" else None
+            trace.add(("inv", t, names[pid], next_op, payload.kind, value.hex() if value is not None else "-"))
+            op = current_op[pid] = next_op
+            next_op += 1
+            out = step_of[pid](states[pid], Invoke(value), qs)
+        # Record the step's decisions.  exchange and op are those of the
+        # event that triggered it: exchange 0 and the opened op for an
+        # invocation.
+        sends, res, wtag, adopted = out
+        name = names[pid]
+        if wtag is not None:
+            trace.add(("wtag", t, name, current_op[pid], wtag.ts, wtag.wid))
+        if adopted is not None:
+            records.append(("tag", t, name, adopted.ts, adopted.wid))
+        if sends:
+            trace.ops[op].messages += len(sends)
+            last = sends[-1][1]
+            if last.client == pid:
+                own_seq[pid] = last.op_seq
+            row = paths[pid]
+            hop = exchange + 1
+            prev = None
+            for dst, msg in sends:
+                if msg is not prev:
+                    prev = msg
+                    msg_kind, op_seq, size = msg.kind, msg.op_seq, msg.size_bits()
+                    client, sender = names[msg.client], names[msg.sender]
+                if dst == pid:
+                    arrive = t + LOOPBACK_DELAY
+                else:
+                    arrive = t + message_delay(row[dst], size, jitter_max, rng)
+                dst_name = names[dst]
+                records.append(("snd", t, name, dst_name, msg_kind, client, op_seq, arrive))
+                heappush(heap, (arrive, next(tick), "deliver", dst, msg, hop, op,
+                                ("dlv", arrive, dst_name, sender, msg_kind, client, op_seq)))
+        if res is not None:
+            trace.add(("res", t, name, current_op[pid], exchange, res.tag.ts, res.tag.wid, res.value.hex()))
+            current_op[pid] = None
 
     end_time = min(last_t, cap_s) if not heap else cap_s
     pending_live = any(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from regsim.protocols import abd, base, broken, erato, erato_mw
-from regsim.protocols.base import Event, Invoke, Response, StepOutput
+from regsim.protocols.base import NOTHING, Event, Invoke, Response, StepOutput
 from regsim.protocols.readers import RelayReaderState, relay_reader_step
 from regsim.quorum import QuorumSystem
 
@@ -93,6 +93,7 @@ def get_algorithm(name: str) -> Algorithm:
 
 __all__ = [
     "ALGORITHMS",
+    "NOTHING",
     "EXTRA_ALGORITHMS",
     "Algorithm",
     "Event",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from regsim.core import Message, MessageKind, Tag
-from regsim.protocols.base import Event, Invoke, Response, StepOutput, broadcast
+from regsim.protocols.base import NOTHING, Event, Invoke, Response, StepOutput, broadcast
 from regsim.quorum import QuorumSystem
 from regsim.views import quorum_extreme
 
@@ -33,23 +33,21 @@ class QueryReaderState:
 
 
 def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -> StepOutput:
-    out = StepOutput()
     if isinstance(event, Invoke):
         assert state.phase == "idle" and event.value is None
         state.read_op += 1
         state.phase = "query"
         state.acks = {}
         state.ack_mask = 0
-        broadcast(out, qs, Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op))
-        return out
+        return StepOutput(broadcast(qs, Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op)))
     if event.op_seq < state.read_op or state.phase == "idle" or event.kind != MessageKind.READ_ACK:
-        return out  # stale, trailing, or not an acknowledgement
+        return NOTHING  # stale, trailing, or not an acknowledgement
     bit = event.sender
     state.acks[bit] = event
     state.ack_mask |= 1 << bit
     quorum = qs.first_contained_mask(state.ack_mask)
     if not quorum:
-        return out
+        return NOTHING
     if state.phase == "query":
         best = quorum_extreme(state.acks, quorum, smallest=False)
         state.chosen_tag = best.tag
@@ -58,12 +56,7 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         state.phase = "writeback"
         state.acks = {}
         state.ack_mask = 0
-        broadcast(
-            out,
-            qs,
-            Message(MessageKind.READ_RELAY, state.pid, state.pid, state.read_op, best.tag, best.value),
-        )
-    else:
-        state.phase = "idle"
-        out.response = Response(state.chosen_value, state.chosen_tag)
-    return out
+        writeback = Message(MessageKind.READ_RELAY, state.pid, state.pid, state.read_op, best.tag, best.value)
+        return StepOutput(broadcast(qs, writeback))
+    state.phase = "idle"
+    return StepOutput(response=Response(state.chosen_value, state.chosen_tag))

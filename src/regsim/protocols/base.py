@@ -13,20 +13,24 @@ server's reply is recorded under its sender id directly.
 An event is an Invoke, which starts an operation at a client, or the
 Message being delivered.  A step reports only what the protocol decides:
 its sends, its response (value, tag), the tag a writer chose and the tag
-a server took over.  A client ignores a message whose op_seq is behind
-its own counter (a stale one) and a message for its current operation
-that arrives after the response; either yields an empty output.  How
-many exchanges an operation took and how many deliveries were stale the
-simulator measures on the wire (see netsim).
+a server took over.  It returns them as one StepOutput, built at its
+return; the helpers below return their part of it and never change an
+output.  A step that decides nothing returns NOTHING, the one empty
+output, which the simulator skips without a look.  A client ignores a
+message whose op_seq is behind its own counter (a stale one) and a
+message for its current operation that arrives after the response;
+either yields NOTHING.  How many exchanges an operation took and how
+many deliveries were stale the simulator measures on the wire (see
+netsim).
 
-Invoke and Response are named tuples, as core's Tag and Message are, so
-each compares equal to the plain tuple of its fields.
+Invoke, Response and StepOutput are named tuples, as core's Tag and
+Message are, so each compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from regsim.core import (
     INITIAL_TAG,
@@ -51,17 +55,19 @@ class Response(NamedTuple):
     tag: Tag
 
 
-@dataclass
-class StepOutput:
-    sends: list[tuple[int, Message]] = field(default_factory=list)
+class StepOutput(NamedTuple):
+    sends: Sequence[tuple[int, Message]] = ()
     response: Optional[Response] = None
     # At most one of these per step; the simulator writes them to the trace.
     wtag: Optional[Tag] = None  # the tag a writer decided for its running write
     adopted: Optional[Tag] = None  # the tag a server took over
 
 
-def broadcast(out: StepOutput, qs: QuorumSystem, msg: Message) -> None:
-    out.sends.extend((i, msg) for i in range(qs.n))
+NOTHING = StepOutput()
+
+
+def broadcast(qs: QuorumSystem, msg: Message) -> list[tuple[int, Message]]:
+    return [(i, msg) for i in range(qs.n)]
 
 
 # --- writers ---------------------------------------------------------------
@@ -79,23 +85,22 @@ class SWMRWriterState:
 
 
 def swmr_writer_step(state: SWMRWriterState, event: Event, qs: QuorumSystem) -> StepOutput:
-    out = StepOutput()
     if isinstance(event, Invoke):
         assert not state.pending and event.value is not None
         state.ts += 1
         state.value = event.value
         state.ack_mask = 0
         state.pending = True
-        out.wtag = Tag(state.ts, 0)
-        broadcast(out, qs, Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.ts, out.wtag, event.value))
-        return out
+        wtag = Tag(state.ts, 0)
+        msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.ts, wtag, event.value)
+        return StepOutput(broadcast(qs, msg), wtag=wtag)
     # An earlier write's ack (op_seq below ts) falls through, like a trailing one.
     if state.pending and event.kind == MessageKind.WRITE_ACK and event.op_seq == state.ts:
         state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask):
             state.pending = False
-            out.response = Response(state.value, Tag(state.ts, 0))
-    return out
+            return StepOutput(response=Response(state.value, Tag(state.ts, 0)))
+    return NOTHING
 
 
 @dataclass
@@ -118,7 +123,6 @@ class MWWriterState:
 
 
 def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> StepOutput:
-    out = StepOutput()
     if isinstance(event, Invoke):
         assert state.phase == "idle" and event.value is not None
         state.write_op += 1
@@ -126,10 +130,9 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
         state.value = event.value
         state.acks = {}
         state.ack_mask = 0
-        broadcast(out, qs, Message(MessageKind.WRITE_DISCOVER, state.pid, state.pid, state.write_op))
-        return out
+        return StepOutput(broadcast(qs, Message(MessageKind.WRITE_DISCOVER, state.pid, state.pid, state.write_op)))
     if event.op_seq < state.write_op:
-        return out
+        return NOTHING
     if state.phase == "discover" and event.kind == MessageKind.DISCOVER_ACK:
         bit = event.sender
         state.acks[bit] = event
@@ -142,44 +145,45 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
             state.phase = "put"
             state.acks = {}
             state.ack_mask = 0
-            out.wtag = state.tag
-            broadcast(
-                out,
-                qs,
-                Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, state.tag, state.value),
-            )
+            msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, state.tag, state.value)
+            return StepOutput(broadcast(qs, msg), wtag=state.tag)
     elif state.phase == "put" and event.kind == MessageKind.WRITE_ACK:
         state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask):
             state.phase = "idle"
-            out.response = Response(state.value, state.tag)
-    return out
+            return StepOutput(response=Response(state.value, state.tag))
+    return NOTHING
 
 
 # --- servers ---------------------------------------------------------------
 
 
-def adopt(state, msg: Message, out: StepOutput) -> None:
-    """Take over the message's tag/value pair when it is newer."""
+def adopt(state, msg: Message) -> Optional[Tag]:
+    """Take over the message's tag/value pair when it is newer; the tag
+    taken over, or None."""
     if msg.tag > state.tag:
         state.tag = msg.tag
         state.value = msg.value
-        out.adopted = state.tag
+        return state.tag
+    return None
 
 
-def handle_writer_message(state: ServerState, msg: Message, out: StepOutput) -> None:
+def handle_writer_message(state: ServerState, msg: Message) -> StepOutput:
     """A server's reply to a writer's WRITE_DISCOVER or WRITE_REQUEST;
     any other message kind is ignored."""
     if msg.kind == MessageKind.WRITE_DISCOVER:
-        out.sends.append((msg.client, Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag)))
-    elif msg.kind == MessageKind.WRITE_REQUEST:
-        # Adoption is gated on per-writer freshness; the ack is not.  A
-        # single writer's op_seq is its timestamp, so the gate drops only
-        # requests whose tag adopt would ignore anyway.
-        if state.write_ops.get(msg.client, 0) < msg.op_seq:
-            state.write_ops[msg.client] = msg.op_seq
-            adopt(state, msg, out)
-        out.sends.append((msg.client, Message(MessageKind.WRITE_ACK, state.pid, msg.client, msg.op_seq, state.tag)))
+        return StepOutput([(msg.client, Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag))])
+    if msg.kind != MessageKind.WRITE_REQUEST:
+        return NOTHING
+    # Adoption is gated on per-writer freshness; the ack is not.  A
+    # single writer's op_seq is its timestamp, so the gate drops only
+    # requests whose tag adopt would ignore anyway.
+    adopted = None
+    if state.write_ops.get(msg.client, 0) < msg.op_seq:
+        state.write_ops[msg.client] = msg.op_seq
+        adopted = adopt(state, msg)
+    ack = Message(MessageKind.WRITE_ACK, state.pid, msg.client, msg.op_seq, state.tag)
+    return StepOutput([(msg.client, ack)], adopted=adopted)
 
 
 @dataclass
@@ -200,38 +204,36 @@ class ServerState:
 
 
 def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
-    out = StepOutput()
     assert isinstance(event, Message)
     if event.kind == MessageKind.READ_REQUEST:
         relay = Message(MessageKind.READ_RELAY, state.pid, event.client, event.op_seq, state.tag, state.value)
-        broadcast(out, qs, relay)
+        sends = broadcast(qs, relay)
         if state.relay_to_reader:
-            out.sends.append((event.client, relay))
-    elif event.kind == MessageKind.READ_RELAY:
-        adopt(state, event, out)
-        r, ro = event.client, event.op_seq
-        if state.operations.get(r, 0) < ro:
-            state.operations[r] = ro
-            state.relays[r] = 0
-        if state.operations[r] == ro:
-            state.relays[r] |= 1 << event.sender
-            if state.acked.get(r, 0) < ro and qs.first_contained_mask(state.relays[r]):
-                state.acked[r] = ro  # at most one ack per (reader, read_op)
-                out.sends.append((r, Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)))
-    else:
-        handle_writer_message(state, event, out)
-    return out
+            sends.append((event.client, relay))
+        return StepOutput(sends)
+    if event.kind != MessageKind.READ_RELAY:
+        return handle_writer_message(state, event)
+    adopted = adopt(state, event)
+    r, ro = event.client, event.op_seq
+    if state.operations.get(r, 0) < ro:
+        state.operations[r] = ro
+        state.relays[r] = 0
+    if state.operations[r] == ro:
+        state.relays[r] |= 1 << event.sender
+        if state.acked.get(r, 0) < ro and qs.first_contained_mask(state.relays[r]):
+            state.acked[r] = ro  # at most one ack per (reader, read_op)
+            ack = Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)
+            return StepOutput([(r, ack)], adopted=adopted)
+    return NOTHING if adopted is None else StepOutput(adopted=adopted)
 
 
 def plain_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
-    out = StepOutput()
     assert isinstance(event, Message)
     if event.kind == MessageKind.READ_REQUEST:
-        out.sends.append((event.client, Message(MessageKind.READ_ACK, state.pid, event.client, event.op_seq, state.tag, state.value)))
+        adopted = None
     elif event.kind == MessageKind.READ_RELAY:
-        # Write-back of the chosen tag by a reading client.
-        adopt(state, event, out)
-        out.sends.append((event.client, Message(MessageKind.READ_ACK, state.pid, event.client, event.op_seq, state.tag, state.value)))
+        adopted = adopt(state, event)  # write-back of the chosen tag by a reading client
     else:
-        handle_writer_message(state, event, out)
-    return out
+        return handle_writer_message(state, event)
+    ack = Message(MessageKind.READ_ACK, state.pid, event.client, event.op_seq, state.tag, state.value)
+    return StepOutput([(event.client, ack)], adopted=adopted)

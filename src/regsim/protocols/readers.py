@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from regsim.core import Message, MessageKind
-from regsim.protocols.base import Event, Invoke, Response, StepOutput, broadcast
+from regsim.protocols.base import NOTHING, Event, Invoke, Response, StepOutput, broadcast
 from regsim.quorum import QuorumSystem
 from regsim.views import quorum_extreme
 
@@ -46,7 +46,6 @@ def relay_reader_step(
     analyze: Optional[Analyzer] = None,
     smallest_ack: bool = True,
 ) -> StepOutput:
-    out = StepOutput()
     if isinstance(event, Invoke):
         assert state.mode == "idle" and event.value is None
         state.read_op += 1
@@ -55,30 +54,28 @@ def relay_reader_step(
         state.rr_mask = 0
         state.ra = {}
         state.ra_mask = 0
-        broadcast(out, qs, Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op))
-        return out
+        return StepOutput(broadcast(qs, Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op)))
     if event.op_seq < state.read_op or state.mode == "idle":
-        return out  # stale or trailing
+        return NOTHING  # stale or trailing
     bit = event.sender
     if event.kind == MessageKind.READ_ACK:
         state.ra[bit] = event
         state.ra_mask |= 1 << bit
         quorum = qs.first_contained_mask(state.ra_mask)
         if not quorum:
-            return out
+            return NOTHING
         m = quorum_extreme(state.ra, quorum, smallest_ack)
     elif event.kind == MessageKind.READ_RELAY and state.mode == "collect" and analyze is not None:
         state.rr[bit] = event
         state.rr_mask |= 1 << bit
         quorum = qs.first_contained_mask(state.rr_mask)
         if not quorum:
-            return out
+            return NOTHING
         m = analyze(qs, state.rr, quorum)
         if m is None:
             state.mode = "await"
-            return out
+            return NOTHING
     else:
-        return out
+        return NOTHING
     state.mode = "idle"
-    out.response = Response(m.value, m.tag)
-    return out
+    return StepOutput(response=Response(m.value, m.tag))

@@ -19,7 +19,7 @@ from regsim.core import (
 )
 from regsim.metrics import OpStats, Summary
 from regsim.netsim import LinkParams, WorkItem
-from regsim.protocols.base import Invoke, Response
+from regsim.protocols.base import NOTHING, Invoke, Response, StepOutput
 
 tags = st.builds(Tag, ts=st.integers(0, 50), wid=st.integers(0, 8))
 
@@ -91,6 +91,7 @@ VALUES = [
     Message(MessageKind.READ_ACK, 0, 3, 1, Tag(1, 0), b"x"),
     Invoke(b"v"),
     Response(b"v", Tag(1, 0)),
+    StepOutput([(0, Message(MessageKind.READ_ACK, 0, 3, 1, Tag(1, 0), b"x"))], adopted=Tag(1, 0)),
     LinkParams(10e6, 0.006),
     WorkItem(0.5, "r0", "read"),
     OpStats("erato", 1, "r0", "read", 0.0, 0.01, 2, 10),
@@ -105,6 +106,10 @@ def test_values_are_immutable_tuples_of_their_fields(value):
     for name in names + ("extra",):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
+
+
+def test_the_empty_step_output_is_nothing():
+    assert StepOutput() == NOTHING == ((), None, None, None)
 
 
 def test_value_reprs_name_their_fields():

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsim import netsim
+from regsim.config import ScenarioConfig, build_quorum_system
 from regsim.core import Message, MessageKind, Tag, reader, server, writer
+from regsim.harness import build_network, crash_schedule
 from regsim.netsim import (
     DEFAULT_JITTER_MAX,
     LOOPBACK_DELAY,
@@ -25,9 +27,10 @@ from regsim.netsim import (
     message_delay,
     run,
 )
-from regsim.protocols import Invoke, StepOutput, get_algorithm
+from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, NOTHING, Invoke, StepOutput, get_algorithm
 from regsim.quorum import build_majority
-from regsim.trace import replay_wire
+from regsim.trace import replay_wire, trace_to_text
+from regsim.workload import build_workload
 
 ERATO = get_algorithm("erato")
 
@@ -315,6 +318,9 @@ def test_each_send_reads_its_own_message() -> None:
     # One writer step sends two different messages, interleaved, to
     # several servers: every snd names its own message's kind, client and
     # op_seq and has its own size's delay, and every dlv matches its snd.
+    # The servers decide nothing, first by a fresh empty output, which
+    # takes the full output path, then by NOTHING, which skips it: both
+    # runs write the same bytes.
     discover = Message(MessageKind.WRITE_DISCOVER, 3, 3, 1)
     request = Message(MessageKind.WRITE_REQUEST, 3, 3, 2, Tag(1, 0), b"v" * 100)
     plan = [(0, discover), (1, discover), (0, request), (1, request), (2, request), (2, discover)]
@@ -326,6 +332,7 @@ def test_each_send_reads_its_own_message() -> None:
         return StepOutput()
 
     stub = dataclasses.replace(ERATO, writer_step=writer_step, server_step=server_step)
+    assert server_step(None, None, None) is not NOTHING
     net = series(3, 0, 1)
     assert net.names[3] == writer(0)
     trace = run(net, stub, build_majority(3), [WorkItem(0.0, writer(0), "write", b"v" * 100)])
@@ -342,3 +349,35 @@ def test_each_send_reads_its_own_message() -> None:
         dlv = delivered[(r[7], r[3], r[2], r[4], r[5], r[6])]
         assert dlv[1] is r[7]  # the very float, which trace_to_text's time cache needs
     assert replay_wire(trace) == {1: len(plan)}
+    skipping = dataclasses.replace(stub, server_step=lambda state, event, qs: NOTHING)
+    again = run(net, skipping, build_majority(3), [WorkItem(0.0, writer(0), "write", b"v" * 100)])
+    assert trace_to_text(again) == trace_to_text(trace)
+
+
+@pytest.mark.parametrize("quorums, n_servers", [("majority", 5), ("matrix", 9)])
+@pytest.mark.parametrize("name", sorted(ALGORITHMS) + sorted(EXTRA_ALGORITHMS))
+def test_a_step_that_decides_nothing_returns_nothing(name, quorums, n_servers) -> None:
+    # The simulator skips only the output that is NOTHING, so every empty
+    # output must be that one.
+    outputs = []
+
+    def kept(step):
+        def kept_step(state, event, qs):
+            out = step(state, event, qs)
+            outputs.append(out)
+            return out
+        return kept_step
+
+    alg = get_algorithm(name)
+    alg = dataclasses.replace(alg, reader_step=kept(alg.reader_step), writer_step=kept(alg.writer_step),
+                              server_step=kept(alg.server_step))
+    config = ScenarioConfig(algorithm=name, quorums=quorums, n_servers=n_servers, n_readers=3,
+                            n_writers=2 if alg.mw else 1, scheme="stochastic", ops_per_client=4,
+                            crash_servers=((1, 3.0),), crash_readers=((0, 4.0),))
+    trace = run(build_network(config), alg, build_quorum_system(config), build_workload(config),
+                crash_schedule(config), seed=config.seed)
+    assert all(op.completed for op in trace.ops.values() if trace.live(op.process))
+    decided = [out for out in outputs if out is not NOTHING]
+    assert len(decided) < len(outputs)
+    assert all(out.sends or out.response is not None or out.wtag is not None or out.adopted is not None
+               for out in decided)

@@ -81,7 +81,7 @@ def test_server_relays_to_quorum_peers_and_reader():
 def test_server_acks_once_after_relay_quorum():
     s = ERATO.new_state("s0", 0)
     out = base.relay_server_step(s, relay(1, 3, b"v3"), QS3)
-    assert out.sends == [] and s.tag == Tag(3, 0) and s.value == b"v3"
+    assert out.sends == () and s.tag == Tag(3, 0) and s.value == b"v3"
     assert out.adopted == Tag(3, 0)
     out = base.relay_server_step(s, relay(2, 0, b""), QS3)  # completes quorum {1,2}
     assert out.adopted is None
@@ -91,7 +91,7 @@ def test_server_acks_once_after_relay_quorum():
     assert m.tag == Tag(3, 0) and m.value == b"v3"  # ack carries adopted pair
     # Third relay arrives: no duplicate ack for the same read.
     out = base.relay_server_step(s, relay(0, 0, b""), QS3)
-    assert out.sends == []
+    assert out.sends == ()
 
 
 def test_server_adoption_is_monotone():

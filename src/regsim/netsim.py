@@ -47,6 +47,7 @@ for a delivery and an invocation alike: the wtag, the adopted tag, the
 sends and the response, in that order.  A delivery whose step returns
 protocols.base.NOTHING, the one output that decides nothing, skips that
 block; an empty output that is not NOTHING takes it and records nothing.
+
 A message costs its sender once, not once per destination: a
 broadcast's sends share one Message, whose kind, names, op_seq and size
 are read once, and only the delay, the destination and the two records

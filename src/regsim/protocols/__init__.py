@@ -93,8 +93,8 @@ def get_algorithm(name: str) -> Algorithm:
 
 __all__ = [
     "ALGORITHMS",
-    "NOTHING",
     "EXTRA_ALGORITHMS",
+    "NOTHING",
     "Algorithm",
     "Event",
     "Invoke",

@@ -26,15 +26,14 @@ from regsim.harness import (
     EXIT_CONFIG,
     EXIT_LIVENESS,
     EXIT_OK,
-    SweepError,
     outcome_exit_code,
     run_scenario,
-    sweep,
     verify_trace,
     write_outputs,
 )
 from regsim.metrics import OpStats, summarize
 from regsim.protocols import get_algorithm
+from regsim.sweep import SweepError, sweep
 
 
 def _print_summaries(result_like_stats) -> None:

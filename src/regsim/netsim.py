@@ -37,10 +37,17 @@ delivery to the delivered message's operation, however late they come.
 Inside run a node is its dense id (see core): the states, step
 functions, running operations and crash times are lists indexed by it,
 and the path parameters a 2-D list built once per run.  The trace names
-each node by network.names[id], one shared str per node.  Events at
-equal times keep node order (readers, writers, servers, then index; see
-core.node_key): crashes are queued first in that order, then the
-invocations.
+each node by network.names[id], one shared str per node.
+
+run keeps two event sets.  The schedule holds the events known before
+the run, built once: the crashes in node order (readers, writers,
+servers, then index; see core.node_key), then the invocations by (time,
+node), stably sorted by time; it is consumed from the front.  The heap
+holds only the deliveries of the messages in flight, ordered by
+(arrival, send order).  The next event is the schedule's head when its
+time is at most the heap's head time: every scheduled event is known
+before any message is sent, so it goes first at equal times.  A run
+ends at the first event past the cap, or when both sets are empty.
 
 A step's output goes through one block at the end of the loop body,
 for a delivery and an invocation alike: the wtag, the adopted tag, the
@@ -186,21 +193,24 @@ def run(
             raise ValueError("crash schedule names %s twice" % name)
         crashed_at[pid] = t
 
-    # Heap entries: (time, tick, kind, pid, payload, exchange, op, dlv).
-    # tick is the insertion order, so no two entries tie and the fields
-    # after it are never compared.  pid is the node the event happens at.
-    # A delivery's payload is its message, with its exchange number, its
-    # op and its dlv record, built when the message was sent; an
-    # invocation's payload is its WorkItem; a crash carries nothing.
+    # The schedule, (time, pid, item), reversed so that its front is its
+    # last entry and a pop frees what it consumes.  item is the
+    # invocation's WorkItem, or None for a crash.
+    schedule = [(crashed_at[pid], pid, None)
+                for pid in sorted(range(len(names)), key=lambda pid: node_key(names[pid]))
+                if crashed_at[pid] < math.inf]
+    schedule += [(item.time, node_id(item.pid), item)
+                 for item in sorted(workload, key=lambda w: (w.time, node_key(w.pid)))]
+    schedule.sort(key=lambda e: e[0])
+    schedule.reverse()
+    due = schedule[-1][0] if schedule else math.inf  # the schedule head's time
+    # Heap entries: (arrival, tick, dst, msg, exchange, op, dlv).  tick
+    # is the send order, so no two entries tie and the fields after it
+    # are never compared.  msg is delivered to node dst, with its
+    # exchange number, its op and its dlv record, built at send time.
     heap: list[tuple] = []
     heappush, heappop = heapq.heappush, heapq.heappop
     tick = itertools.count()
-
-    for pid in sorted(range(len(names)), key=lambda pid: node_key(names[pid])):
-        if crashed_at[pid] < math.inf:
-            heappush(heap, (crashed_at[pid], next(tick), "crash", pid, None, 0, 0, None))
-    for item in sorted(workload, key=lambda w: (w.time, node_key(w.pid))):
-        heappush(heap, (item.time, next(tick), "invoke", node_id(item.pid), item, 0, 0, None))
 
     current_op: list[Optional[int]] = [None] * len(names)
     # op_seq of each client's latest send of its own; servers stay at 0.
@@ -212,35 +222,41 @@ def run(
     stale_drops = skipped_invokes = 0
 
     last_t = 0.0
-    while heap:
-        if heap[0][0] > cap_s:
-            break
-        t, _, kind, pid, payload, exchange, op, dlv = heappop(heap)
-        last_t = t
-        if kind == "deliver":
+    while heap or schedule:
+        if heap and heap[0][0] < due:
+            if heap[0][0] > cap_s:
+                break
+            t, _, pid, msg, exchange, op, dlv = heappop(heap)
+            last_t = t
             if crashed_at[pid] <= t:
                 continue
             records.append(dlv)
-            if payload.op_seq < own_seq[pid]:
+            if msg.op_seq < own_seq[pid]:
                 stale_drops += 1
-            out = step_of[pid](states[pid], payload, qs)
+            out = step_of[pid](states[pid], msg, qs)
             if out is NOTHING:
                 continue
-        elif kind == "crash":
-            trace.add(("crs", t, names[pid]))
-            continue
-        elif crashed_at[pid] <= t:
-            continue
-        elif current_op[pid] is not None:
-            skipped_invokes += 1
-            continue
         else:
+            if due > cap_s:
+                break
+            t, pid, item = schedule.pop()
+            due = schedule[-1][0] if schedule else math.inf
+            last_t = t
+            if item is None:
+                trace.add(("crs", t, names[pid]))
+                continue
+            if crashed_at[pid] <= t:
+                continue
+            if current_op[pid] is not None:
+                skipped_invokes += 1
+                continue
             # Writes carry their intended value from invocation on, so a
             # crashed write still shows what it was writing.
-            value = payload.value if payload.kind == "write" else None
-            trace.add(("inv", t, names[pid], next_op, payload.kind, value.hex() if value is not None else "-"))
+            value = item.value if item.kind == "write" else None
+            trace.add(("inv", t, names[pid], next_op, item.kind, value.hex() if value is not None else "-"))
             op = current_op[pid] = next_op
             next_op += 1
+            exchange = 0
             out = step_of[pid](states[pid], Invoke(value), qs)
         # Record the step's decisions.  exchange and op are those of the
         # event that triggered it: exchange 0 and the opened op for an
@@ -270,17 +286,17 @@ def run(
                     arrive = t + message_delay(row[dst], size, jitter_max, rng)
                 dst_name = names[dst]
                 records.append(("snd", t, name, dst_name, msg_kind, client, op_seq, arrive))
-                heappush(heap, (arrive, next(tick), "deliver", dst, msg, hop, op,
+                heappush(heap, (arrive, next(tick), dst, msg, hop, op,
                                 ("dlv", arrive, dst_name, sender, msg_kind, client, op_seq)))
         if res is not None:
             trace.add(("res", t, name, current_op[pid], exchange, res.tag.ts, res.tag.wid, res.value.hex()))
             current_op[pid] = None
 
-    end_time = min(last_t, cap_s) if not heap else cap_s
+    end_time = min(last_t, cap_s) if not heap and not schedule else cap_s
     pending_live = any(
         op.responded_at is None and trace.live(op.process) for op in trace.ops.values()
     )
-    unreached = [e for e in heap if e[2] == "invoke" and crashed_at[e[3]] > e[0]]
+    unreached = [e for e in schedule if e[2] is not None and crashed_at[e[1]] > e[0]]
     incomplete = pending_live or bool(unreached)
     trace.add(("end", end_time, "incomplete" if incomplete else "complete",
                stale_drops, skipped_invokes))

@@ -2,19 +2,27 @@
 
 netsim.message_delay is the one per-send delay hook, so patching it
 turns any delay policy into a schedule (randomised schedule exploration,
-as in Burckhardt et al., ASPLOS 2010).  The policy here is bimodal: most
-messages take about 0.1 ms and the rest about 1 s, so a slow message is
-overtaken by whole operations.  Under it the correct protocols stay
-atomic, erato_broken is caught, and every trace, with many deliveries
-in flight at once, round-trips through its text and replays.
+as in Burckhardt et al., ASPLOS 2010).  Two policies ignore the path:
+a bimodal one, where most messages take about 0.1 ms and the rest about
+1 s, so a slow message is overtaken by whole operations, and a
+log-uniform one, 0.1 ms to 1 s spread evenly over four decades.  Under
+both the correct protocols stay atomic, erato_broken is caught, and every
+trace, with many deliveries in flight at once, round-trips through its
+text and replays.  Under both, netsim.run writes the reference
+simulator's trace byte for byte, a crashed server of three included.
 """
+
+import dataclasses
 
 import pytest
 
+from reference_netsim import reference_run
 from regsim import netsim
-from regsim.config import ScenarioConfig, validate
-from regsim.harness import run_scenario
+from regsim.config import ScenarioConfig, build_quorum_system, validate
+from regsim.harness import build_network, crash_schedule, run_scenario
+from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
 from regsim.trace import replay_wire, trace_from_text, trace_to_text
+from regsim.workload import build_workload
 
 CORRECT = ("erato", "erato_mw", "abd", "abd_mw", "ohsam", "ohmam")
 
@@ -26,6 +34,14 @@ def bimodal_delay(params, size_bits, jitter_max, rng) -> float:
     return 1 + rng.random()
 
 
+def log_uniform_delay(params, size_bits, jitter_max, rng) -> float:
+    """10 ** uniform(-4, 0) s: the path is ignored."""
+    return 10 ** rng.uniform(-4, 0)
+
+
+POLICIES = {"bimodal": bimodal_delay, "log_uniform": log_uniform_delay}
+
+
 def scenario(algorithm: str, seed: int) -> ScenarioConfig:
     return validate(ScenarioConfig(
         algorithm=algorithm, topology="series", n_servers=3, quorums="majority",
@@ -35,10 +51,10 @@ def scenario(algorithm: str, seed: int) -> ScenarioConfig:
     ))
 
 
-def adversarial_runs(algorithm: str, seeds, monkeypatch):
-    """Each seed's RunResult under bimodal delays, its trace held to a
-    byte-exact round trip through text and to a replay of its wire."""
-    monkeypatch.setattr(netsim, "message_delay", bimodal_delay)
+def adversarial_runs(algorithm: str, seeds, monkeypatch, policy=bimodal_delay):
+    """Each seed's RunResult under the policy's delays, its trace held to
+    a byte-exact round trip through text and to a replay of its wire."""
+    monkeypatch.setattr(netsim, "message_delay", policy)
     for seed in seeds:
         result = run_scenario(scenario(algorithm, seed))
         text = trace_to_text(result.trace)
@@ -70,3 +86,35 @@ def test_erato_broken_is_caught_under_bimodal_delays(monkeypatch) -> None:
     assert [r.config.seed for r in results if not r.verdict.ok]
     delays = link_delays(results)
     assert max(delays) / min(delays) >= 1e3
+
+
+@pytest.mark.parametrize("algorithm", CORRECT)
+def test_correct_protocols_stay_atomic_under_log_uniform_delays(algorithm, monkeypatch) -> None:
+    results = list(adversarial_runs(algorithm, range(100), monkeypatch, log_uniform_delay))
+    assert [r.config.seed for r in results if not r.verdict.ok] == []
+    assert not any(r.trace.incomplete for r in results)
+    delays = link_delays(results)
+    assert max(delays) / min(delays) >= 1e3
+
+
+def test_erato_broken_is_caught_under_log_uniform_delays(monkeypatch) -> None:
+    # Seeds 551, 936, 1165 and 1838 violate atomicity; the search stops
+    # at the first.
+    results = adversarial_runs("erato_broken", range(2000), monkeypatch, log_uniform_delay)
+    assert any(not r.verdict.ok for r in results)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS) + sorted(EXTRA_ALGORITHMS))
+def test_run_writes_the_reference_trace_under_adversarial_delays(algorithm, policy, monkeypatch) -> None:
+    monkeypatch.setattr(netsim, "message_delay", POLICIES[policy])
+    for seed in range(4):
+        config = scenario(algorithm, seed)
+        if seed % 2:
+            config = dataclasses.replace(config, crash_servers=((seed % 3, 0.1 * seed),))
+        args = (build_network(config), get_algorithm(algorithm), build_quorum_system(config),
+                build_workload(config), crash_schedule(config), config.seed, config.cap_seconds)
+        trace = netsim.run(*args)
+        assert trace_to_text(trace) == trace_to_text(reference_run(*args))
+        # A majority of three survives one crash: no live client waits.
+        assert not trace.incomplete

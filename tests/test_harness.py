@@ -15,23 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsim import harness
+from regsim import sweep as sweep_module
 from regsim import trace as trace_module
 from regsim.config import ConfigError, ScenarioConfig, parse_grid, parse_header, validate
 from regsim.core import MessageKind, parse_pid, reader, server
 from regsim.harness import (
-    AGGREGATE_HEADER,
     CSV_HEADER,
     EXIT_ATOMICITY,
     EXIT_LIVENESS,
     EXIT_OK,
-    SweepError,
     run_scenario,
-    sweep,
     write_outputs,
 )
 from regsim.metrics import summarize
 from regsim.netsim import run as netsim_run
 from regsim.protocols import ALGORITHMS, get_algorithm
+from regsim.sweep import AGGREGATE_HEADER, SweepError, sweep
 from regsim.trace import _REC_TYPES, Trace, replay_wire, trace_from_text, trace_to_text
 
 
@@ -1033,7 +1032,7 @@ def test_sweep_caps_its_worker_processes(cpus, workers, tmp_path, monkeypatch) -
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sweep_module.concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     sweep([cfg(seed=s) for s in range(3)], tmp_path, parallelism=5000)
     assert started == ([] if workers is None else [workers])

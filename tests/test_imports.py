@@ -7,7 +7,9 @@ the oldest version the package supports.  The layers stay apart: the
 checker and metrics import no regsim module but core at run time, and
 the trace format imports neither its writer nor its judges, both in the
 source and in the modules a fresh interpreter holds after the import.
-Importing the CLI loads no process pool.
+Importing the CLI loads no process pool, and importing the harness
+loads no concurrent.futures: only the sweep module, which only the CLI
+imports, needs it.
 """
 
 import ast
@@ -135,3 +137,11 @@ def test_a_plain_import_loads_no_process_pool() -> None:
     # Only a sweep over more than one worker needs the pool, and
     # multiprocessing with it.
     assert modules_loaded_by("regsim.cli") & {"multiprocessing", "concurrent.futures.process"} == set()
+
+
+def test_the_harness_loads_no_concurrent_futures() -> None:
+    # concurrent.futures brings logging and threading; a run or a check
+    # needs neither.
+    loaded = modules_loaded_by("regsim.harness")
+    assert {m for m in loaded if m.split(".")[0] == "concurrent"} == set()
+    assert "logging" not in loaded

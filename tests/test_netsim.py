@@ -221,6 +221,35 @@ def test_cap_marks_incomplete() -> None:
     assert trace.end_time == 0.001
 
 
+def test_the_heap_holds_only_messages(monkeypatch) -> None:
+    # Crashes and invocations wait in the schedule; the heap gets one
+    # entry per send, at the send's arrival, and nothing else: not the
+    # crashes, the skipped invocation or those the cap leaves unreached.
+    pushes = []
+    heappush = netsim.heapq.heappush
+
+    def counted(heap, entry):
+        pushes.append(entry)
+        heappush(heap, entry)
+
+    monkeypatch.setattr(netsim.heapq, "heappush", counted)
+    items = [
+        WorkItem(0.0, writer(0), "write", b"x" * 64),
+        WorkItem(0.0, reader(0), "read"),
+        WorkItem(0.001, reader(0), "read"),  # still pending: skipped
+        WorkItem(0.05, reader(1), "read"),
+        WorkItem(2.0, reader(0), "read"),  # past the cap: unreached
+        WorkItem(3.0, reader(1), "read"),  # after its client's crash
+    ]
+    trace = run(series(3, 2, 1), ERATO, build_majority(3), items,
+                crash_schedule=[(server(2), 0.01), (reader(1), 0.5)], cap_s=1.0)
+    assert trace.skipped_invokes == 1
+    assert ("crs", 0.01, server(2)) in trace.records and ("crs", 0.5, reader(1)) in trace.records
+    assert trace.records[-1][:3] == ("end", 1.0, "incomplete")
+    sends = [r for r in trace.records if r[0] == "snd"]
+    assert sends and [entry[0] for entry in pushes] == [r[7] for r in sends]
+
+
 def test_crashed_client_pending_op_is_not_a_liveness_failure() -> None:
     qs = build_majority(3)
     net = series(3, 1, 2)

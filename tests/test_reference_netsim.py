@@ -7,7 +7,8 @@ crashes, jitter 0 (so that equal times are common and their order shows)
 and caps short enough that some runs end incomplete.  Crash times are
 often the very instants at which operations invoke, or the very time of
 a delivery, so that a crash and an event at the same time show which
-comes first.
+comes first.  Likewise an invocation added at the very time of a
+delivery shows that the invocation, known before the run, goes first.
 """
 
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from reference_netsim import reference_run
 from regsim.config import ScenarioConfig
 from regsim.core import reader, server, writer
-from regsim.netsim import build_topology, run
+from regsim.netsim import WorkItem, build_topology, run
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
 from regsim.quorum import build_majority, build_matrix
 from regsim.trace import trace_to_text
@@ -73,5 +74,20 @@ def test_a_crash_at_a_delivery_time_drops_that_delivery(scenario, data):
     if deliveries:
         _, t, dst, *_ = data.draw(st.sampled_from(deliveries))
         schedule = schedule + [(dst, t)]
+    scenario = network, algorithm, qs, workload, schedule, seed, cap_s
+    assert trace_to_text(run(*scenario)) == trace_to_text(reference_run(*scenario))
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenarios(), st.data())
+def test_an_invocation_at_a_delivery_time_goes_first(scenario, data):
+    network, algorithm, qs, workload, schedule, seed, cap_s = scenario
+    deliveries = [r for r in reference_run(*scenario).records if r[0] == "dlv"]
+    if deliveries:
+        _, t, dst, *_ = data.draw(st.sampled_from(deliveries))
+        clients = [name for name in network.names if name[0] in "rw"]
+        pid = dst if dst in clients else data.draw(st.sampled_from(clients))
+        item = WorkItem(t, pid, "read") if pid[0] == "r" else WorkItem(t, pid, "write", b"\xee" * 8)
+        workload = workload + [item]
     scenario = network, algorithm, qs, workload, schedule, seed, cap_s
     assert trace_to_text(run(*scenario)) == trace_to_text(reference_run(*scenario))

@@ -5,14 +5,18 @@
     regsim check <trace.log>    re-verify a persisted trace
     regsim report <csv...>      summarize operation CSVs
 
-Exit codes: 0 ok, 2 config or input error, 3 atomicity violation, 4 liveness cap hit.
+Exit codes: 0 ok, 1 output error (a closed stdout ends quietly), 2 config or
+input error, 3 atomicity violation, 4 liveness cap hit.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as csv_module
+import io
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -26,6 +30,7 @@ from regsim.harness import (
     EXIT_CONFIG,
     EXIT_LIVENESS,
     EXIT_OK,
+    EXIT_OUTPUT,
     outcome_exit_code,
     run_scenario,
     verify_trace,
@@ -34,6 +39,18 @@ from regsim.harness import (
 from regsim.metrics import OpStats, summarize
 from regsim.protocols import get_algorithm
 from regsim.sweep import SweepError, sweep
+
+
+class _InputError(Exception):
+    """An input file that cannot be read, with its OSError's text."""
+
+
+def _read_text(path: str, **open_args) -> str:
+    try:
+        with open(path, **open_args) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _InputError(exc) from None
 
 
 def _print_summaries(result_like_stats) -> None:
@@ -48,18 +65,8 @@ def _print_summaries(result_like_stats) -> None:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = parse_config(Path(args.config).read_text())
-        config = with_overrides(
-            config,
-            seed=args.seed,
-            jitter_max=args.jitter_max,
-            cap_seconds=args.cap_seconds,
-        )
-    except ConfigError as exc:
-        for e in exc.errors:
-            print("config error: %s" % e, file=sys.stderr)
-        return EXIT_CONFIG
+    config = with_overrides(parse_config(_read_text(args.config)), seed=args.seed,
+                            jitter_max=args.jitter_max, cap_seconds=args.cap_seconds)
     result = run_scenario(config)
     print("scenario: %s on %s, %d servers (%s quorums), %d readers, %d writers, seed %d"
           % (config.algorithm, config.topology, config.n_servers, config.quorums,
@@ -87,13 +94,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     try:
-        configs = parse_grid(Path(args.grid).read_text())
+        configs = parse_grid(_read_text(args.grid))
         print("sweep: %d runs" % len(configs))
         paths = sweep(configs, Path(args.out_dir), parallelism=args.parallelism)
-    except ConfigError as exc:
-        for e in exc.errors:
-            print("config error: %s" % e, file=sys.stderr)
-        return EXIT_CONFIG
     except SweepError as exc:
         for line in exc.report:
             print("failed: %s" % line, file=sys.stderr)
@@ -106,9 +109,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     try:
         # No newline translation: the file's own line breaks are judged.
-        with open(args.trace, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-        trace, verdict = verify_trace(text)
+        trace, verdict = verify_trace(_read_text(args.trace, encoding="utf-8", newline=""))
         if verdict is None or args.strict:
             # Raises ValueError on overlapping operations of one client.
             verdict = check_atomicity_tagged(extract_history(trace), strict=args.strict)
@@ -180,18 +181,17 @@ def _op_stats(row: dict) -> OpStats:
 def _cmd_report(args) -> int:
     stats: list[OpStats] = []
     for path in args.csv:
-        with open(path, newline="") as fh:
-            reader = csv_module.DictReader(fh)
-            if reader.fieldnames != CSV_HEADER.split(","):
-                print("%s: not a per-operation csv (header %r)"
-                      % (path, ",".join(reader.fieldnames or [])), file=sys.stderr)
+        reader = csv_module.DictReader(io.StringIO(_read_text(path, newline=""), newline=""))
+        if reader.fieldnames != CSV_HEADER.split(","):
+            print("%s: not a per-operation csv (header %r)"
+                  % (path, ",".join(reader.fieldnames or [])), file=sys.stderr)
+            return EXIT_CONFIG
+        for row in reader:
+            try:
+                stats.append(_op_stats(row))
+            except ValueError as exc:
+                print("%s: line %d: %s" % (path, reader.line_num, exc), file=sys.stderr)
                 return EXIT_CONFIG
-            for row in reader:
-                try:
-                    stats.append(_op_stats(row))
-                except ValueError as exc:
-                    print("%s: line %d: %s" % (path, reader.line_num, exc), file=sys.stderr)
-                    return EXIT_CONFIG
     if not stats:
         print("no operations found", file=sys.stderr)
         return EXIT_OK
@@ -232,10 +232,23 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except OSError as exc:  # an input that is missing or unreadable
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except ConfigError as exc:
+        for e in exc.errors:
+            print("config error: %s" % e, file=sys.stderr)
+        return EXIT_CONFIG
+    except _InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:  # what stdout still buffers goes to devnull, not to the exit's flush
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())  # fails on a stdout with no descriptor
+        return EXIT_OUTPUT
+    except OSError as exc:
+        print("output error: %s" % exc, file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

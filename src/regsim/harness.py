@@ -41,6 +41,7 @@ CSV_HEADER = (
 )
 
 EXIT_OK = 0
+EXIT_OUTPUT = 1
 EXIT_CONFIG = 2
 EXIT_ATOMICITY = 3
 EXIT_LIVENESS = 4

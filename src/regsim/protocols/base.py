@@ -205,26 +205,29 @@ class ServerState:
 
 def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:
     assert isinstance(event, Message)
-    if event.kind == MessageKind.READ_REQUEST:
+    kind = event.kind
+    if kind == MessageKind.READ_RELAY:
+        adopted = adopt(state, event)
+        r, ro = event.client, event.op_seq
+        # Once this server acked the read, its relays only adopt: no step reads the rest.
+        if state.acked.get(r, 0) < ro:
+            if state.operations.get(r, 0) < ro:
+                state.operations[r] = ro
+                state.relays[r] = 0
+            if state.operations[r] == ro:
+                state.relays[r] |= 1 << event.sender
+                if qs.first_contained_mask(state.relays[r]):
+                    state.acked[r] = ro  # at most one ack per (reader, read_op)
+                    ack = Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)
+                    return StepOutput([(r, ack)], adopted=adopted)
+        return NOTHING if adopted is None else StepOutput(adopted=adopted)
+    if kind == MessageKind.READ_REQUEST:
         relay = Message(MessageKind.READ_RELAY, state.pid, event.client, event.op_seq, state.tag, state.value)
         sends = broadcast(qs, relay)
         if state.relay_to_reader:
             sends.append((event.client, relay))
         return StepOutput(sends)
-    if event.kind != MessageKind.READ_RELAY:
-        return handle_writer_message(state, event)
-    adopted = adopt(state, event)
-    r, ro = event.client, event.op_seq
-    if state.operations.get(r, 0) < ro:
-        state.operations[r] = ro
-        state.relays[r] = 0
-    if state.operations[r] == ro:
-        state.relays[r] |= 1 << event.sender
-        if state.acked.get(r, 0) < ro and qs.first_contained_mask(state.relays[r]):
-            state.acked[r] = ro  # at most one ack per (reader, read_op)
-            ack = Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)
-            return StepOutput([(r, ack)], adopted=adopted)
-    return NOTHING if adopted is None else StepOutput(adopted=adopted)
+    return handle_writer_message(state, event)
 
 
 def plain_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:

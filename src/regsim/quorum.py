@@ -53,9 +53,11 @@ class QuorumSystem:
         Of a k-of-n system that is the k lowest responders; of a grid, the
         first full row united with the first full column."""
         if self.k:
-            for _ in range(responders.bit_count() - self.k):  # drop all but the k lowest
-                responders ^= 1 << responders.bit_length() - 1
-            return responders if responders.bit_count() == self.k else 0
+            extra = responders.bit_count() - self.k
+            if extra > 0:  # drop all but the k lowest
+                for _ in range(extra):
+                    responders ^= 1 << responders.bit_length() - 1
+            return responders if extra >= 0 else 0
         missing = ~responders
         for row in self.row_masks:
             if not row & missing:

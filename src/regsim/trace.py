@@ -13,11 +13,12 @@ written and read inline.  Writing turns each time into text once: a
 time that is the last snd's or dlv's very float reuses that text, as the
 sends a delivery triggers do, and a snd's arrival text waits in a map
 until the dlv at that time takes it.  Reading parses each message once:
-a snd that passes its checks foretells its delivery, the dlv record and
-the exact text of its line spelled with the snd's own fields, and a dlv
-line with that text takes the record unparsed; any other dlv line is
-parsed field by field.  A snd's or dlv's time spelled as the last snd's
-or dlv's reuses that float.  Both maps hold only messages in flight.
+a broadcast's lines parse their shared fields once, a snd that passes
+its checks foretells its delivery, the dlv record and the exact text of
+its line spelled with the snd's own fields, and a dlv line with that
+text takes the record unparsed; any other dlv line is parsed field by
+field.  A snd's or dlv's time spelled as the last snd's or dlv's reuses
+that float.  Both maps hold only messages in flight.
 Parsing and re-serializing a trace reproduces it byte for byte, and a
 parsed trace shares its time floats as a simulated one does.  The
 parser splits the text into lines a bounded chunk at a time, never the
@@ -331,17 +332,19 @@ def trace_from_text(text: str) -> Trace:
     the wire as a whole shows, deliveries, crashes and counts, is
     replay_wire's to check.
 
-    Each message is parsed once.  A snd that passes its checks foretells
-    its delivery: it files the dlv record netsim.run would write, timed
-    at the snd's very arrival float, under the text of that dlv's line
-    spelled with the snd's own fields.  A line with that text takes the
-    record as it is, since the snd's fields already passed every check a
-    dlv line gets.  A snd to a node whose crs line came before it
-    foretells nothing, as the crashed node takes no delivery.  Any other
-    dlv line, one spelled otherwise than its snd (-0.0, 07, 5e-1), a
-    second copy of a line in flight, one that matches no snd or one to a
-    crashed node (replay_wire refuses the last two), is parsed field by
-    field.
+    Each message is parsed once, and a broadcast's shared fields once: a
+    snd line whose src, kind, client and op_seq texts are the last snd
+    line's takes their values and parses only its dst and arrival.  A
+    snd that passes its checks foretells its delivery: it files the dlv
+    record netsim.run would write, timed at the snd's very arrival float,
+    under the text of that dlv's line spelled with the snd's own fields.
+    A line with that text takes the record as it is, since the snd's
+    fields already passed every check a dlv line gets.  A snd to a node
+    whose crs line came before it foretells nothing, as the crashed node
+    takes no delivery.  Any other dlv line, one spelled otherwise than
+    its snd (-0.0, 07, 5e-1), a second copy of a line in flight, one that
+    matches no snd or one to a crashed node (replay_wire refuses the
+    last two), is parsed field by field.
 
     Lines are split from the text in bounded chunks (_line_chunks), so
     besides the trace it returns the parse holds one chunk's lines and
@@ -356,7 +359,8 @@ def trace_from_text(text: str) -> Trace:
     names = _NodeNames()
     snd_arity, dlv_arity = _ARITY["snd"], _ARITY["dlv"]
     kinds = _MESSAGE_KINDS
-    isfinite = math.isfinite
+    isfinite, inf = math.isfinite, math.inf
+    shared_text = None  # the src, kind, client and op_seq texts of the last snd line
     # The text of each foretold dlv line -> (its time's text, its record).
     foretold: dict[str, tuple[str, tuple]] = {}
     take = foretold.pop
@@ -381,24 +385,29 @@ def trace_from_text(text: str) -> Trace:
                 _, t_text, src, dst, msg_kind, client, op_seq, arrive_text = parts
                 if t_text != last_text:
                     last_t, last_text = float(t_text), t_text
-                rec = ("snd", last_t, names[src], names[dst], kinds[msg_kind][0], names[client],
-                       int(op_seq), float(arrive_text))
-                t, arrive = last_t, rec[7]
-                if not isfinite(t):
-                    raise ValueError("snd time %s is not finite" % t_text)
-                if not isfinite(arrive):
-                    raise ValueError("snd arrival %s is not finite" % arrive_text)
-                if arrive <= t:
+                if (src, msg_kind, client, op_seq) != shared_text:
+                    # In field order, so that a line's first fault is the one reported.
+                    src_id, dst_id, kind_id = names[src], names[dst], kinds[msg_kind][0]
+                    client_id, seq, shared_text = names[client], int(op_seq), (src, msg_kind, client, op_seq)
+                    tail = f"\t{src}\t{msg_kind}\t{client}\t{op_seq}"
+                else:  # a broadcast's next line
+                    dst_id = names[dst]
+                t, arrive = last_t, float(arrive_text)
+                if not -inf < t < arrive < inf:
+                    if not isfinite(t):
+                        raise ValueError("snd time %s is not finite" % t_text)
+                    if not isfinite(arrive):
+                        raise ValueError("snd arrival %s is not finite" % arrive_text)
                     raise ValueError(
                         "snd of %s (client %s, op %s) from %s to %s at %s arrives at %s, "
                         "not after its send"
                         % (msg_kind, client, op_seq, src, dst, t_text, arrive_text)
                     )
-                append(rec)
+                append(("snd", t, src_id, dst_id, kind_id, client_id, seq, arrive))
                 if dst in crash_at:  # a crashed node takes no delivery
                     continue
-                foretold[f"dlv\t{arrive_text}\t{dst}\t{src}\t{msg_kind}\t{client}\t{op_seq}"] = (
-                    arrive_text, ("dlv", arrive, rec[3], rec[2], rec[4], rec[5], rec[6]))
+                foretold[f"dlv\t{arrive_text}\t{dst}{tail}"] = (
+                    arrive_text, ("dlv", arrive, dst_id, src_id, kind_id, client_id, seq))
             elif kind == "dlv" and len(parts) == dlv_arity:
                 _, t_text, dst, src, msg_kind, client, op_seq = parts
                 if t_text != last_text:

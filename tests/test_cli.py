@@ -1,5 +1,7 @@
 """End-to-end CLI tests via main(argv), and one run under Python 3.10."""
 
+import errno
+import io
 import os
 import shutil
 import subprocess
@@ -689,6 +691,45 @@ def test_report_empty(tmp_path, capsys) -> None:
     p.write_text(CSV_HEADER + "\n")
     assert main(["report", str(p)]) == 0
     assert "no operations" in capsys.readouterr().err
+
+
+class ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_a_closed_stdout_ends_the_command_quietly(config_file, capsys, monkeypatch) -> None:
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(["run", str(config_file)]) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_pipe_leaves_no_line_at_exit(unbuffered, config_file) -> None:
+    # A buffered stdout still holds the run's lines at the flush at exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONUNBUFFERED=unbuffered)
+    try:
+        done = subprocess.run([sys.executable, "-m", "regsim.cli", "run", str(config_file)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_unwritable_out_dir_is_an_output_error(command, config_file, tmp_path, capsys) -> None:
+    inputs = {"run": config_file, "sweep": tmp_path / "grid.ini"}
+    inputs["sweep"].write_text(GRID)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main([command, str(inputs[command]), "--out-dir", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: [Errno %d] " % errno.ENOTDIR) and len(err.splitlines()) == 1
 
 
 def python310():

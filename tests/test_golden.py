@@ -14,6 +14,12 @@ server crash together, just as some of them would invoke.  Nodes order
 readers, writers, servers, then by index, so r2 comes before r10 and w0
 before s1.
 
+A third pins the order of an invocation and a delivery at the same
+time: the erato scenario again, with one more read by r0 at the very
+float time of a delivery to a server, read from a first run, while r0
+is idle.  The schedule goes first at equal times, so the inv record
+comes before that dlv.
+
 The erato scenario also pins how often a run asks the quorum system for
 a contained quorum.  The count is one call per lookup, memoised or not,
 so a step that skips `QuorumSystem.first_contained_mask` fails here as
@@ -24,11 +30,13 @@ import hashlib
 
 import pytest
 
-from regsim.config import ScenarioConfig, validate
-from regsim.harness import run_scenario
+from regsim.config import ScenarioConfig, build_quorum_system, validate
+from regsim.harness import build_network, crash_schedule, run_scenario
+from regsim.netsim import WorkItem, run
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
 from regsim.quorum import QuorumSystem
 from regsim.trace import trace_to_text
+from regsim.workload import build_workload
 
 # algorithm -> (sha256 of the trace text, sha256 of the CSV text)
 GOLDEN = {
@@ -67,6 +75,9 @@ TIE_GOLDEN = (
     "c959a045d7f48bc5297f17a2f03c7a286b76b07b892873ab0eef9f09943a83c4",
     "e23414e23d5a88de06f0edfbbd6e07e72854b642e2d58a8cfcb1a7916bbe115e",
 )
+
+# sha256 of the trace text of test_an_invocation_at_a_delivery_time_goes_first.
+INVOKE_AT_DELIVERY_GOLDEN = "4d76a3bb3c1119cfbccdac3d2f02f45ad253ae02e2f5e477939986e04edbdb7d"
 
 
 def _scenario(name: str) -> ScenarioConfig:
@@ -148,3 +159,23 @@ def test_golden_hashes_of_equal_time_invocations_and_crashes():
     crashes = [line for line in text.splitlines() if line.startswith("crs\t")]
     assert crashes == ["crs\t0.2\tr2", "crs\t0.2\tr10", "crs\t0.2\tw0", "crs\t0.2\ts1"]
     assert (_sha256(text), _sha256(result.csv_text())) == TIE_GOLDEN
+
+
+def test_an_invocation_at_a_delivery_time_goes_first():
+    config = _scenario("erato")
+
+    def run_with(workload):
+        return run(build_network(config), get_algorithm(config.algorithm),
+                   build_quorum_system(config), workload, crash_schedule(config),
+                   seed=config.seed, cap_s=config.cap_seconds)
+
+    workload = build_workload(config)
+    first = run_with(workload)
+    r0_busy = [(op.invoked_at, op.responded_at) for op in first.ops.values() if op.process == "r0"]
+    dlv = next(rec for rec in first.records if rec[0] == "dlv" and rec[2].startswith("s")
+               and not any(start <= rec[1] <= end for start, end in r0_busy))
+    # Up to that time the second run is the first, so the same dlv comes.
+    trace = run_with(workload + [WorkItem(dlv[1], "r0", "read")])
+    inv = next(i for i, rec in enumerate(trace.records) if rec[0] == "inv" and rec[1] == dlv[1])
+    assert trace.records[inv][2] == "r0" and inv < trace.records.index(dlv)
+    assert _sha256(trace_to_text(trace)) == INVOKE_AT_DELIVERY_GOLDEN

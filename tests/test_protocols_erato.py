@@ -175,3 +175,39 @@ def test_steps_replay_identically():
     ev = relay(1, 2, b"x")
     assert erato_reader_step(r, ev, QS3) == erato_reader_step(twin, ev, QS3)
     assert r == twin
+
+
+def test_server_after_its_ack_only_adopts(monkeypatch):
+    # One server of majority(5), reader id 5: servers 0, 1 and 2 relay
+    # op 1, a quorum, then later relays of op 1 and of an older op come.
+    qs, reader_id = build_majority(5), 5
+    s = ERATO.new_state("s0", 0)
+    scan = type(qs).first_contained_mask
+    calls = []
+    monkeypatch.setattr(type(qs), "first_contained_mask",
+                        lambda q, mask: calls.append(mask) or scan(q, mask))
+
+    def relay5(b, ts, op):
+        return relay(b, ts, b"v%d" % ts, op=op, r=reader_id)
+
+    for b in (0, 1):
+        assert base.relay_server_step(s, relay5(b, 1, op=1), qs).sends == ()
+    out = base.relay_server_step(s, relay5(2, 1, op=1), qs)
+    assert [(dst, m.kind, m.op_seq) for dst, m in out.sends] == [(reader_id, MessageKind.READ_ACK, 1)]
+    assert len(calls) == 3  # one scan per relay up to the ack
+
+    # A later relay of the answered read still hands over its newer tag.
+    out = base.relay_server_step(s, relay5(3, 2, op=1), qs)
+    assert out == StepOutput(adopted=Tag(2, 0)) and s.tag == Tag(2, 0) and s.value == b"v2"
+    assert base.relay_server_step(s, relay5(4, 0, op=1), qs) is base.NOTHING
+    assert len(calls) == 3  # and no scan after it
+
+    # A relay of op 1 after op 2 began changes nothing, on this server
+    # and on one that never acknowledged op 1.
+    fresh = ERATO.new_state("s1", 1)
+    base.relay_server_step(fresh, relay5(0, 0, op=1), qs)
+    for state in (s, fresh):
+        base.relay_server_step(state, relay5(0, 2, op=2), qs)
+        before, scans = deepcopy(state), len(calls)
+        assert base.relay_server_step(state, relay5(1, 1, op=1), qs) is base.NOTHING
+        assert state == before and len(calls) == scans

@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Optional
 
 from regsim.checker import check_atomicity_tagged, extract_history
-from regsim.config import SCHEMES, TOPOLOGIES, ConfigError, parse_config, parse_grid, with_overrides
-from regsim.core import parse_pid
+from regsim.config import ConfigError, parse_config, parse_csv_scenario, parse_grid, with_overrides
+from regsim.core import CLIENT_KIND, parse_pid
 from regsim.harness import (
     CSV_HEADER,
     EXIT_ATOMICITY,
@@ -37,20 +37,21 @@ from regsim.harness import (
     write_outputs,
 )
 from regsim.metrics import OpStats, summarize
-from regsim.protocols import get_algorithm
 from regsim.sweep import SweepError, sweep
 
 
 class _InputError(Exception):
-    """An input file that cannot be read, with its OSError's text."""
+    """An input file that cannot be read or is not UTF-8, with the error's text."""
 
 
 def _read_text(path: str, **open_args) -> str:
     try:
-        with open(path, **open_args) as fh:
+        with open(path, encoding="utf-8", **open_args) as fh:
             return fh.read()
     except OSError as exc:
         raise _InputError(exc) from None
+    except UnicodeDecodeError as exc:
+        raise _InputError("%s: %s" % (path, exc)) from None
 
 
 def _print_summaries(result_like_stats) -> None:
@@ -109,7 +110,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     try:
         # No newline translation: the file's own line breaks are judged.
-        trace, verdict = verify_trace(_read_text(args.trace, encoding="utf-8", newline=""))
+        trace, verdict = verify_trace(_read_text(args.trace, newline=""))
         if verdict is None or args.strict:
             # Raises ValueError on overlapping operations of one client.
             verdict = check_atomicity_tagged(extract_history(trace), strict=args.strict)
@@ -130,10 +131,6 @@ def _cmd_check(args) -> int:
     return code
 
 
-# A client's role letter -> (its op_kind, the column counting its role).
-_CLIENT_ROLES = {"r": ("read", "n_readers"), "w": ("write", "n_writers")}
-
-
 def _at_least(row: dict, column: str, least: int, convert=int):
     """The column's value, refused unless finite and at least least."""
     v = convert(row[column])
@@ -144,30 +141,27 @@ def _at_least(row: dict, column: str, least: int, convert=int):
 
 def _op_stats(row: dict) -> OpStats:
     """A per-operation CSV row as OpStats.  ValueError, naming the first
-    bad column, for a row that `run` never writes."""
+    bad column, for a row that `run` never writes; its scenario columns
+    are held to config.validate, whose first error it gives."""
     if None in row or None in row.values():
         raise ValueError("expected %d fields" % len(CSV_HEADER.split(",")))
     try:
-        get_algorithm(row["algorithm"])
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from None
-    for column, choices in (("topology", TOPOLOGIES), ("scheme", SCHEMES)):
-        if row[column] not in choices:
-            raise ValueError("%s: must be %s, got %r" % (column, " or ".join(choices), row[column]))
-    counts = {column: _at_least(row, column, least)
-              for column, least in (("n_servers", 1), ("n_readers", 0), ("n_writers", 0))}
-    int(row["seed"])  # any integer seeds a run
+        config = parse_csv_scenario(row)
+    except ConfigError as exc:
+        raise ValueError(exc.errors[0]) from None
     op_id = _at_least(row, "op_id", 1)
     process = parse_pid(row["process"])
-    if process[0] not in _CLIENT_ROLES:
+    kind = CLIENT_KIND.get(process[0])
+    if kind is None:
         raise ValueError("process %s is not a client" % process)
-    kind, count_column = _CLIENT_ROLES[process[0]]
-    if int(process[1:]) >= counts[count_column]:
-        raise ValueError("process %s: %s is %d" % (process, count_column, counts[count_column]))
+    count_column = "n_readers" if kind == "read" else "n_writers"
+    count = getattr(config, count_column)
+    if int(process[1:]) >= count:
+        raise ValueError("process %s: %s is %d" % (process, count_column, count))
     if row["op_kind"] != kind:
         raise ValueError("op_kind: %s runs %ss, got %r" % (process, kind, row["op_kind"]))
     return OpStats(
-        algorithm=row["algorithm"],
+        algorithm=config.algorithm,
         op_id=op_id,
         process=process,
         kind=kind,

@@ -2,7 +2,8 @@
 a grid file, a list of them) out.  The only module that knows how a
 scenario is spelled in text: INI sections, [grid] axes and a trace's run
 header (describe and parse_header) all convert their values through one
-field-to-type table and one helper.
+field-to-type table and one helper, and an operation CSV's scenario
+columns are CSV_FIELDS.
 
 All constraint violations in a document are collected and reported
 together with their section.key path, so a bad file needs only one fix
@@ -35,6 +36,9 @@ MAX_NODES = 512
 MAX_OPERATIONS = 50_000
 # The most octets write_payload pads each write's value to.
 MAX_VALUE_SIZE = 1 << 16
+# The scenario columns of an operation CSV, in column order.  A sweep's
+# cell is all of them but the seed.
+CSV_FIELDS = ("algorithm", "topology", "n_servers", "n_readers", "n_writers", "scheme", "seed")
 
 
 class ConfigError(ValueError):
@@ -144,10 +148,9 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     return parser
 
 
-def parse_fields(text: str, ignore_sections: tuple[str, ...] = ()) -> dict:
-    """Parse INI text into a ScenarioConfig field dict, without validating
-    inter-field constraints."""
-    parser = _read_ini(text)
+def parse_fields(parser: configparser.ConfigParser, ignore_sections: tuple[str, ...] = ()) -> dict:
+    """Parsed INI sections as a ScenarioConfig field dict, without
+    validating inter-field constraints."""
     errors: list[str] = []
     values: dict = {}
     for section in parser.sections():
@@ -171,7 +174,7 @@ def parse_fields(text: str, ignore_sections: tuple[str, ...] = ()) -> dict:
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    return validate(ScenarioConfig(**parse_fields(text)))
+    return validate(ScenarioConfig(**parse_fields(_read_ini(text))))
 
 
 def parse_header(pairs: list[str]) -> tuple[str, int, Optional[ScenarioConfig]]:
@@ -196,6 +199,15 @@ def parse_header(pairs: list[str]) -> tuple[str, int, Optional[ScenarioConfig]]:
     return values["algorithm"], values["seed"], config
 
 
+def parse_csv_scenario(row: dict[str, str]) -> ScenarioConfig:
+    """The validated scenario of an operation CSV row, read from its
+    CSV_FIELDS columns: each int through int(), each str as written, and
+    every other field at its default.  A bad number: ValueError; a
+    scenario that validate refuses: ConfigError."""
+    return validate(ScenarioConfig(**{name: int(row[name]) if _FIELD_TYPE[name] == "int" else row[name]
+                                      for name in CSV_FIELDS}))
+
+
 def parse_grid(text: str) -> list[ScenarioConfig]:
     """A grid file is a scenario file plus a [grid] section whose keys hold
     comma-separated alternatives; `seeds = N` (N >= 1) expands to seeds 0..N-1.
@@ -205,7 +217,7 @@ def parse_grid(text: str) -> list[ScenarioConfig]:
     parser = _read_ini(text)
     if not parser.has_section("grid"):
         raise ConfigError(["grid: missing section"])
-    base = ScenarioConfig(**parse_fields(text, ignore_sections=("grid",)))
+    base = ScenarioConfig(**parse_fields(parser, ignore_sections=("grid",)))
 
     seeds = list(range(10))
     axes: list[tuple[str, list]] = []
@@ -223,6 +235,8 @@ def parse_grid(text: str) -> list[ScenarioConfig]:
         typ = _FIELD_TYPE.get(name)
         if typ is None:
             errors.append("%s: unknown key" % path)
+        elif name == "seed":
+            errors.append("%s: not an axis, a sweep's seeds come from seeds = N" % path)
         elif typ == "crashes":
             # The comma separating grid alternatives also separates the
             # crashes of one schedule, so a schedule cannot be an axis.

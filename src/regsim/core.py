@@ -36,6 +36,9 @@ def server(i: int) -> str:
 
 
 _ROLE_RANK = {"r": 0, "w": 1, "s": 2}
+# A client's role letter -> the operation kind it runs: a reader reads, a
+# writer writes.
+CLIENT_KIND = {"r": "read", "w": "write"}
 
 
 def node_key(name: str) -> tuple[int, int]:

@@ -8,7 +8,8 @@ re-running that scenario writes, and the re-run's wire must replay; a
 bare header's trace is parsed, replayed and must be canonical.
 
 Operation CSV: one row per completed operation, fixed column schema
-(CSV_HEADER below); same seed, same config, same bytes.
+(CSV_HEADER below: config.CSV_FIELDS, then the operation's columns);
+same seed, same config, same bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from regsim.checker import Verdict, check_atomicity_tagged, extract_history
-from regsim.config import ConfigError, ScenarioConfig, build_quorum_system, validate
+from regsim.config import CSV_FIELDS, ConfigError, ScenarioConfig, build_quorum_system, validate
 from regsim.core import reader, server, writer
 from regsim.metrics import OpStats, per_operation_stats
 from regsim.netsim import Network, build_topology, run
@@ -35,10 +36,8 @@ from regsim.trace import (
 )
 from regsim.workload import build_workload
 
-CSV_HEADER = (
-    "algorithm,topology,n_servers,n_readers,n_writers,scheme,seed,"
-    "op_id,process,op_kind,invoked_at,latency_s,exchanges,messages"
-)
+CSV_HEADER = ",".join(CSV_FIELDS + ("op_id", "process", "op_kind", "invoked_at", "latency_s",
+                                    "exchanges", "messages"))
 
 EXIT_OK = 0
 EXIT_OUTPUT = 1
@@ -138,11 +137,7 @@ class RunResult:
     stats: list[OpStats]
 
     def csv_text(self) -> str:
-        prefix = "%s,%s,%d,%d,%d,%s,%d" % (
-            self.config.algorithm, self.config.topology, self.config.n_servers,
-            self.config.n_readers, self.config.n_writers, self.config.scheme,
-            self.config.seed,
-        )
+        prefix = ",".join(str(getattr(self.config, name)) for name in CSV_FIELDS)
         lines = [CSV_HEADER]
         for s in self.stats:
             lines.append("%s,%d,%s,%s,%s,%s,%d,%d" % (

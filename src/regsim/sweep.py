@@ -12,14 +12,15 @@ import os
 from dataclasses import fields
 from pathlib import Path
 
-from regsim.config import ConfigError, ScenarioConfig
+from regsim.config import CSV_FIELDS, ConfigError, ScenarioConfig
 from regsim.harness import CSV_HEADER, EXIT_ATOMICITY, EXIT_LIVENESS, outcome_exit_code, run_scenario
 from regsim.metrics import summarize
 
-AGGREGATE_HEADER = (
-    "algorithm,topology,n_servers,n_readers,n_writers,scheme,seeds,op_kind,"
-    "count,mean_latency_s,median_latency_s,p95_latency_s,max_latency_s,fast_read_ratio"
-)
+# A cell's columns: every scenario column of the operation CSV but the seed.
+_CELL_FIELDS = CSV_FIELDS[:-1]
+AGGREGATE_HEADER = ",".join(_CELL_FIELDS + (
+    "seeds", "op_kind", "count", "mean_latency_s", "median_latency_s", "p95_latency_s",
+    "max_latency_s", "fast_read_ratio"))
 
 
 class SweepError(RuntimeError):
@@ -30,8 +31,7 @@ class SweepError(RuntimeError):
 
 
 def _cell_key(config: ScenarioConfig) -> tuple:
-    return (config.algorithm, config.topology, config.n_servers,
-            config.n_readers, config.n_writers, config.scheme)
+    return tuple(getattr(config, name) for name in _CELL_FIELDS)
 
 
 def _cell_name(key: tuple) -> str:
@@ -109,6 +109,7 @@ def sweep(
     agg_lines = [AGGREGATE_HEADER]
     for key in sorted(cells):
         runs = cells[key]
+        prefix = ",".join(map(str, key))
         body = []
         for _, _, csv_text in runs:
             body += csv_text.splitlines()[1:]
@@ -118,8 +119,8 @@ def sweep(
         pooled = [s for _, stats, _ in runs for s in stats]
         for summary in summarize(pooled):
             ratio = "" if summary.fast_read_ratio is None else repr(summary.fast_read_ratio)
-            agg_lines.append("%s,%s,%d,%d,%d,%s,%d,%s,%d,%s,%s,%s,%s,%s" % (
-                key[0], key[1], key[2], key[3], key[4], key[5], len(runs),
+            agg_lines.append("%s,%d,%s,%d,%s,%s,%s,%s,%s" % (
+                prefix, len(runs),
                 summary.op_kind, summary.count,
                 repr(summary.mean_latency), repr(summary.median_latency),
                 repr(summary.p95_latency), repr(summary.max_latency), ratio,

@@ -39,10 +39,7 @@ from itertools import chain
 from typing import Optional
 
 from regsim.config import ConfigError, ScenarioConfig, parse_header
-from regsim.core import MessageKind, OperationRecord, Tag, parse_pid
-
-# A client's role letter -> the operation kind its invocations run.
-_CLIENT_KIND = {"r": "read", "w": "write"}
+from regsim.core import CLIENT_KIND, MessageKind, OperationRecord, Tag, parse_pid
 
 
 @dataclass
@@ -90,9 +87,9 @@ class Trace:
                 raise ValueError("inv for op %s: unknown operation kind %r" % (op_id, op_kind))
             if pid.startswith("s"):
                 raise ValueError("inv for op %s from server %s" % (op_id, pid))
-            if op_kind != _CLIENT_KIND[pid[0]]:
+            if op_kind != CLIENT_KIND[pid[0]]:
                 raise ValueError("inv for op %s: %s runs %ss, not %ss"
-                                 % (op_id, pid, _CLIENT_KIND[pid[0]], op_kind))
+                                 % (op_id, pid, CLIENT_KIND[pid[0]], op_kind))
             if (value_hex == "-") != (op_kind == "read"):
                 raise ValueError("inv for op %s: a %s's value must be %s, got %r"
                                  % (op_id, op_kind, "'-'" if op_kind == "read" else "hex", value_hex))
@@ -100,36 +97,14 @@ class Trace:
             self.ops[op_id] = OperationRecord(op_id, pid, op_kind, t, value=value)
         elif kind == "res":
             _, t, pid, op_id, exchanges, ts, wid, value_hex = rec
-            op = self.ops.get(op_id)
-            if op is None:
-                raise ValueError("res for op %s with no earlier inv" % op_id)
-            if op.responded_at is not None:
-                raise ValueError("second res for op %s" % op_id)
-            if pid != op.process:
-                raise ValueError(
-                    "res for op %s from %s, but %s invoked it" % (op_id, pid, op.process)
-                )
-            if t < op.invoked_at:
-                raise ValueError(
-                    "res for op %s at %s precedes its inv at %s" % (op_id, t, op.invoked_at)
-                )
+            op = self._own_op(kind, t, pid, op_id)
             op.responded_at = t
             op.exchanges = exchanges
             op.tag = Tag(ts, wid)
             op.value = bytes.fromhex(value_hex)
         elif kind == "wtag":
             _, t, pid, op_id, ts, wid = rec
-            op = self.ops.get(op_id)
-            if op is None:
-                raise ValueError("wtag for op %s with no earlier inv" % op_id)
-            if pid != op.process:
-                raise ValueError(
-                    "wtag for op %s from %s, but %s invoked it" % (op_id, pid, op.process)
-                )
-            if t < op.invoked_at:
-                raise ValueError(
-                    "wtag for op %s at %s precedes its inv at %s" % (op_id, t, op.invoked_at)
-                )
+            op = self._own_op(kind, t, pid, op_id)
             if op.kind != "write":
                 raise ValueError("wtag for op %s, which is a %s" % (op_id, op.kind))
             op.tag = Tag(ts, wid)
@@ -148,6 +123,21 @@ class Trace:
                 raise ValueError("end counts below 0: %d stale drops, %d skipped invocations" % rec[3:])
             self._ended = True
             self.incomplete = status == "incomplete"
+
+    def _own_op(self, kind: str, t: float, pid: str, op_id: int) -> OperationRecord:
+        """The operation a res or wtag record reports on, or ValueError
+        unless it has an earlier inv, a res is its first, and the record
+        is by its invoker and not timed before its inv."""
+        op = self.ops.get(op_id)
+        if op is None:
+            raise ValueError("%s for op %s with no earlier inv" % (kind, op_id))
+        if kind == "res" and op.responded_at is not None:
+            raise ValueError("second res for op %s" % op_id)
+        if pid != op.process:
+            raise ValueError("%s for op %s from %s, but %s invoked it" % (kind, op_id, pid, op.process))
+        if t < op.invoked_at:
+            raise ValueError("%s for op %s at %s precedes its inv at %s" % (kind, op_id, t, op.invoked_at))
+        return op
 
     def live(self, pid: str) -> bool:
         return pid not in self.crash_at

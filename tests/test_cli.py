@@ -243,6 +243,7 @@ def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message
         ("check", "inv\t0.2\tw0\t1\twrite\t76\nwtag\t0.1\tw0\t1\t1\t0",
          "line 3: wtag for op 1 at 0.1 precedes its inv at 0.2"),
         ("check", "inv\t0.1\tr0\t1\tread\t-\nwtag\t0.15\tr0\t1\t1\t0", "line 3: wtag for op 1, which is a read"),
+        ("check", "wtag\t0.1\tw0\t1\t1\t0", "line 2: wtag for op 1 with no earlier inv"),
         ("check", "end\t0.3\tbogus\t0\t0", "line 2: end status 'bogus' is neither complete nor incomplete"),
         ("check", "end\t0.3\tcomplete\t0\t0\nend\t0.4\tincomplete\t0\t0", "line 3: second end record"),
         ("check", "crs\t0.2\ts0\ncrs\t0.1\ts0\nend\t0.3\tcomplete\t0\t0", "line 3: second crs for s0"),
@@ -358,11 +359,19 @@ def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),
         ("report", None, "No such file"),
+        # Every input is read as UTF-8.
+        ("run", b"\xff", "input error: %s: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ("sweep", b"\xff", "input error: %s: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ("check", b"\xff", "input error: %s: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ("report", b"\xff", "input error: %s: 'utf-8' codec can't decode byte 0xff in position 0"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsys) -> None:
     path = tmp_path / "input"
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+        message %= path
+    elif text is not None:
         header = "" if text.startswith(HEADERLESS) else "run\talgorithm=erato\tseed=0\n"
         path.write_text(header + text.removeprefix(HEADERLESS) + "\n")
     assert main([command, str(path)]) == 2
@@ -397,6 +406,13 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
         ("ops_per_client = 2", "ops_per_client = 25001", [], "workload: 50002 operations listed, more than 50000"),
         ("ops_per_client = 2", "ops_per_client = 2\n[network]\nvalue_size = 65537", [],
          "network.value_size: more than 65536 octets"),
+        ("quorums = majority", "quorums = grid", [], "scenario.quorums: must be majority or matrix"),
+        ("n_servers = 3", "n_servers = 0", [], "scenario.n_servers: need at least one server"),
+        ("n_readers = 1", "n_readers = -1", [], "scenario.n_readers: negative"),
+        ("ops_per_client = 2", "ops_per_client = 2\nreads_per_client = -1", [], "workload.reads_per_client: negative"),
+        ("n_servers = 3", "n_servers = 3\nn_servers = 4", [],
+         "not parseable: While reading from '<string>' [line  6]: option 'n_servers' in section 'scenario' "
+         "already exists"),
     ],
 )
 def test_run_refuses_non_finite_numbers(old, new, args, message, tmp_path, capsys) -> None:
@@ -421,6 +437,7 @@ def test_run_refuses_non_finite_numbers(old, new, args, message, tmp_path, capsy
         ("seeds = 1", "seeds = 1\nwriters = 0@0.5, 0@0.7",
          "grid.writers: crash schedules go in [crashes], not [grid]"),
         ("seeds = 1", "seeds = 1\ncrash_readers = 0@0.5", "grid.crash_readers: unknown key"),
+        ("seeds = 1", "seeds = 1\nseed = 1, 2", "grid.seed: not an axis, a sweep's seeds come from seeds = N"),
         # quorums is no cell column, so both quorum systems would share
         # one cell's files; a repeated axis value would run each seed twice.
         ("algorithm = erato, ohsam\nseeds = 1", "quorums = majority, matrix\nn_servers = 9\nseeds = 2",
@@ -435,6 +452,16 @@ def test_bad_grid_value_exits_2_with_one_line(old, new, message, tmp_path, capsy
     assert main(["sweep", str(grid), "--out-dir", str(tmp_path / "sweep")]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
     assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_reports_each_failed_run(tmp_path, capsys) -> None:
+    grid = tmp_path / "grid.ini"
+    grid.write_text(GRID + "[network]\ncap_seconds = 0.01\n")
+    assert main(["sweep", str(grid), "--out-dir", str(tmp_path / "sweep")]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "failed: %s_series_s3_r1_w1_fixed seed 0: liveness cap hit with operations pending" % algorithm
+        for algorithm in ("erato", "ohsam")
+    ]
 
 
 @pytest.mark.parametrize("parallelism", ["0", "-3"])
@@ -661,16 +688,23 @@ def test_sweep_and_report(tmp_path, capsys) -> None:
         ("1,s0,read,0.1,0.2,2,10", "line 3: process s0 is not a client"),
         ("1,r1,read,0.1,0.2,2,10", "line 3: process r1: n_readers is 1"),
         ("erato,nowhere,3,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
-         "line 3: topology: must be series or star, got 'nowhere'"),
+         "line 3: scenario.topology: must be series or star"),
         ("erato,series,abc,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
          "line 3: invalid literal for int() with base 10: 'abc'"),
         ("erato,series,0,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
-         "line 3: n_servers: expected a finite value >= 1, got 0"),
+         "line 3: scenario.n_servers: need at least one server"),
         ("erato,series,3,1,1,often,0,1,r0,read,0.1,0.2,2,10",
-         "line 3: scheme: must be fixed or stochastic, got 'often'"),
+         "line 3: workload.scheme: must be fixed or stochastic"),
         ("erato,series,3,1,1,fixed,zero,1,r0,read,0.1,0.2,2,10",
          "line 3: invalid literal for int() with base 10: 'zero'"),
-        ("paxos,series,3,1,1,fixed,0,1,r0,read,0.1,0.2,2,10", "line 3: unknown algorithm 'paxos'"),
+        ("paxos,series,3,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
+         "line 3: scenario.algorithm: unknown 'paxos' (choose from abd, abd_mw, erato, erato_mw, ohmam, ohsam)"),
+        # A row's scenario columns are held to config.validate, as a config is.
+        ("erato,series,3,1,2,fixed,0,1,r0,read,0.1,0.2,2,10", "line 3: scenario.n_writers: SWMR requires one writer"),
+        ("abd,series,600,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
+         "line 3: scenario: 602 servers, readers and writers number more than 512"),
+        (" erato,series,3,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
+         "line 3: scenario.algorithm: unknown ' erato' (choose from abd, abd_mw, erato, erato_mw, ohmam, ohsam)"),
     ],
 )
 def test_report_bad_row_exits_2_with_one_line(row, message, tmp_path, capsys) -> None:

@@ -1053,6 +1053,18 @@ def test_sweep_reports_liveness_failures(tmp_path) -> None:
     assert any("liveness" in line for line in exc.value.report)
 
 
+def test_sweep_reports_atomicity_failures(tmp_path) -> None:
+    # The broken-read scenario of the acceptance tests, whose seed 303
+    # violates atomicity.
+    config = cfg(algorithm="erato_broken", n_readers=12, read_interval=0.08, write_interval=0.15,
+                 ops_per_client=10, writes_per_client=5, jitter_max=0.15, seed=303)
+    with pytest.raises(SweepError) as exc:
+        sweep([config], tmp_path)
+    assert exc.value.exit_code == EXIT_ATOMICITY
+    [line] = exc.value.report
+    assert line.startswith("erato_broken_series_s3_r12_w1_stochastic seed 303: atomicity A1 — read 11 ")
+
+
 def test_sweep_parallel_matches_serial(tmp_path) -> None:
     configs = parse_grid(GRID.replace("seeds = 2", "seeds = 1"))
     serial = sweep(configs, tmp_path / "s", parallelism=1)

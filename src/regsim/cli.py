@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from regsim.checker import check_atomicity_tagged, extract_history
-from regsim.config import ConfigError, parse_config, parse_csv_scenario, parse_grid, with_overrides
+from regsim.config import ConfigError, csv_int, parse_config, parse_csv_scenario, parse_grid, with_overrides
 from regsim.core import CLIENT_KIND, parse_pid
 from regsim.harness import (
     CSV_HEADER,
@@ -131,9 +131,10 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _at_least(row: dict, column: str, least: int, convert=int):
-    """The column's value, refused unless finite and at least least."""
-    v = convert(row[column])
+def _at_least(row: dict, column: str, least: int, convert=None):
+    """The column's value, refused unless finite and at least least: an
+    int as config.csv_int reads it, or convert of the column's text."""
+    v = csv_int(row, column) if convert is None else convert(row[column])
     if not least <= v < math.inf:
         raise ValueError("%s: expected a finite value >= %d, got %s" % (column, least, row[column]))
     return v

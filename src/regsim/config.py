@@ -144,7 +144,9 @@ def _read_ini(text: str) -> configparser.ConfigParser:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(["not parseable: %s" % exc]) from exc
+        # Some of configparser's messages run over several lines; a config error is one.
+        message = " ".join(part.strip() for part in str(exc).splitlines())
+        raise ConfigError(["not parseable: %s" % message]) from exc
     return parser
 
 
@@ -199,12 +201,22 @@ def parse_header(pairs: list[str]) -> tuple[str, int, Optional[ScenarioConfig]]:
     return values["algorithm"], values["seed"], config
 
 
+def csv_int(row: dict[str, str], column: str) -> int:
+    """An operation CSV row's int column, spelled as run writes it: a
+    text that int() refuses, or one that is not str() of its value (" 3",
+    "+3", "03", "1_0"), raises ValueError."""
+    value = int(row[column])
+    if str(value) != row[column]:
+        raise ValueError("%s: expected an integer spelled as run writes it, got %r" % (column, row[column]))
+    return value
+
+
 def parse_csv_scenario(row: dict[str, str]) -> ScenarioConfig:
     """The validated scenario of an operation CSV row, read from its
-    CSV_FIELDS columns: each int through int(), each str as written, and
-    every other field at its default.  A bad number: ValueError; a
+    CSV_FIELDS columns: each int through csv_int, each str as written,
+    and every other field at its default.  A bad number: ValueError; a
     scenario that validate refuses: ConfigError."""
-    return validate(ScenarioConfig(**{name: int(row[name]) if _FIELD_TYPE[name] == "int" else row[name]
+    return validate(ScenarioConfig(**{name: csv_int(row, name) if _FIELD_TYPE[name] == "int" else row[name]
                                       for name in CSV_FIELDS}))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from regsim.core import Message, MessageKind, Tag
+from regsim.core import Message, MessageKind
 from regsim.protocols.base import NOTHING, Event, Invoke, Response, StepOutput, broadcast
 from regsim.quorum import QuorumSystem
 from regsim.views import quorum_extreme
@@ -28,8 +28,7 @@ class QueryReaderState:
     phase: str = "idle"  # idle | query | writeback
     acks: dict[int, Message] = field(default_factory=dict)
     ack_mask: int = 0
-    chosen_tag: Optional[Tag] = None
-    chosen_value: Optional[bytes] = None
+    chosen: Optional[Message] = None  # the query quorum's greatest-tag reply
 
 
 def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -> StepOutput:
@@ -49,9 +48,7 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
     if not quorum:
         return NOTHING
     if state.phase == "query":
-        best = quorum_extreme(state.acks, quorum, smallest=False)
-        state.chosen_tag = best.tag
-        state.chosen_value = best.value
+        best = state.chosen = quorum_extreme(state.acks, quorum, smallest=False)
         state.read_op += 1
         state.phase = "writeback"
         state.acks = {}
@@ -59,4 +56,4 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         writeback = Message(MessageKind.READ_RELAY, state.pid, state.pid, state.read_op, best.tag, best.value)
         return StepOutput(broadcast(qs, writeback))
     state.phase = "idle"
-    return StepOutput(response=Response(state.chosen_value, state.chosen_tag))
+    return StepOutput(response=Response(state.chosen.value, state.chosen.tag))

@@ -188,18 +188,17 @@ def handle_writer_message(state: ServerState, msg: Message) -> StepOutput:
 
 @dataclass
 class ServerState:
-    """Server of every protocol.  Only relay_server_step reads the relay
-    bookkeeping; under plain_server_step it stays empty.  A relay goes to
-    every server, as each shares a quorum with every other (see quorum)."""
+    """Server of every protocol.  Only relay_server_step keeps reads;
+    under plain_server_step it stays empty.  A relay goes to every
+    server, as each shares a quorum with every other (see quorum)."""
 
     pid: int  # its quorum bit
     relay_to_reader: bool
     tag: Tag = INITIAL_TAG
     value: bytes = INITIAL_VALUE
-    # Keyed by the client's id.
-    operations: dict[int, int] = field(default_factory=dict)
-    relays: dict[int, int] = field(default_factory=dict)
-    acked: dict[int, int] = field(default_factory=dict)
+    # Keyed by the client's id: a reader's newest read's op_seq and the
+    # mask of the servers that relayed it, 0 once this server acked it.
+    reads: dict[int, tuple[int, int]] = field(default_factory=dict)
     write_ops: dict[int, int] = field(default_factory=dict)
 
 
@@ -209,17 +208,15 @@ def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
     if kind == MessageKind.READ_RELAY:
         adopted = adopt(state, event)
         r, ro = event.client, event.op_seq
-        # Once this server acked the read, its relays only adopt: no step reads the rest.
-        if state.acked.get(r, 0) < ro:
-            if state.operations.get(r, 0) < ro:
-                state.operations[r] = ro
-                state.relays[r] = 0
-            if state.operations[r] == ro:
-                state.relays[r] |= 1 << event.sender
-                if qs.first_contained_mask(state.relays[r]):
-                    state.acked[r] = ro  # at most one ack per (reader, read_op)
-                    ack = Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)
-                    return StepOutput([(r, ack)], adopted=adopted)
+        seq, mask = state.reads.get(r, (0, 0))
+        # A relay of an older read, or of one this server acked, only adopts.
+        if seq < ro or seq == ro and mask:
+            mask = (mask if seq == ro else 0) | 1 << event.sender
+            if qs.first_contained_mask(mask):
+                state.reads[r] = (ro, 0)  # at most one ack per (reader, read_op)
+                ack = Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)
+                return StepOutput([(r, ack)], adopted=adopted)
+            state.reads[r] = (ro, mask)
         return NOTHING if adopted is None else StepOutput(adopted=adopted)
     if kind == MessageKind.READ_REQUEST:
         relay = Message(MessageKind.READ_RELAY, state.pid, event.client, event.op_seq, state.tag, state.value)

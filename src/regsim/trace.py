@@ -437,11 +437,14 @@ def replay_wire(trace: Trace) -> dict[int, int]:
 
     A record that breaks a rule below raises ValueError("line N: ..."),
     N being the record's line in the trace's text: its index + 2, after
-    the run header.  Per record, the crash rule comes first.
+    the run header.  Per record, the rules come in this order.
     - No node acts at or after its crash, wherever the crs sits: every
       record but crs and end is an act of the node it names first, the
       sender of a snd, the receiver of a dlv, the process of an inv, res
       or wtag, and the adopting server of a tag.
+    - No record, crs and end included, is timed before the record above
+      it: netsim.run takes its events in time order.
+    - A client invokes only once its last operation has its res.
     - Only a server adopts a tag: a tag by a reader or writer is refused.
     - Each dlv takes up an earlier snd not yet delivered with the same
       sender, receiver, kind, client, op_seq and an arrival equal to the
@@ -450,61 +453,44 @@ def replay_wire(trace: Trace) -> dict[int, int]:
     - Every send attributes to exactly one operation, of the kind
       _MESSAGE_KINDS gives the message's kind.  A send carries the
       originating client and that client's operation sequence number
-      (op_seq), and a client sends only while one of its operations
-      runs, so the first send of a (client, op_seq) pair comes from the
-      client itself and names the operation; every later send with that
-      pair, a server's relay or ack included, belongs to the same
-      operation.
+      (op_seq).  The first send of a (client, op_seq) pair comes from
+      the client itself, within its own step, and takes that step's
+      operation, as netsim.run's sends do; every later send with that
+      pair, a server's relay or ack included, belongs to the same one.
+    - A step is an inv or a dlv, and every snd, res, wtag and tag is an
+      output of the step before it: made by its node at its time.
     - Each res's exchanges and the end's stale drops are what the wire
-      shows, counted as netsim.run counts them: a node's current
-      exchange is 0 at its inv and that of the snd its dlv takes up;
-      each snd is its sender's current exchange + 1, and a res takes its
-      node's current exchange.  A client's dlv is stale when its op_seq
-      is below that of the client's latest snd.
+      shows, counted as netsim.run counts them: an inv's step is
+      exchange 0 of the op it opens, a dlv's step the exchange and op
+      its snd carried; a snd carries its step's exchange + 1 and its own
+      op, and a res claims its step's exchange.  A client's dlv is stale
+      when its op_seq is below that of the client's latest snd.
     """
     crash_at = trace.crash_at
     ops = trace.ops
     counts: dict[int, int] = {op_id: 0 for op_id in ops}
-    running: dict[str, int] = {}  # client name -> op it last invoked
     op_of: dict[tuple[str, int], int] = {}  # (client name, op_seq) -> op
-    exchange_of: dict[str, int] = {}  # node name -> its current exchange
-    in_flight: dict[tuple, deque] = {}  # snd fields -> exchanges of the undelivered, never empty
+    open_op: dict[str, int] = {}  # client name -> its op that has no res yet
+    in_flight: dict[tuple, deque] = {}  # snd fields -> (exchange, op) of the undelivered, never empty
     own_seq: dict[str, int] = {}  # client name -> op_seq of its latest snd
+    step_t = step_node = exchange = op = None  # the last inv's or dlv's time and node, exchange and op
+    last_t = -math.inf
     stale = 0
     lineno = 0
     try:
         for lineno, rec in enumerate(trace.records, start=2):
-            kind = rec[0]
-            if kind == "crs":
-                continue
-            if kind == "end":
-                if rec[3] != stale:
-                    raise ValueError("end claims %d stale drops, the wire shows %d" % (rec[3], stale))
-                continue
-            t, node = rec[1], rec[2]
-            if t >= crash_at.get(node, math.inf):
+            kind, t, node = rec[:3]  # an end's third field is its status, which names no node
+            if kind != "crs" and t >= crash_at.get(node, math.inf):
                 raise ValueError("%s %s %s at %s, at or after its crash at %s"
                                  % (kind, "to" if kind == "dlv" else "by", node, t, crash_at[node]))
+            if t < last_t:
+                raise ValueError("%s at %s precedes the record before it, at %s" % (kind, t, last_t))
+            last_t = t
             if kind == "inv":
-                running[node] = rec[3]
-                exchange_of[node] = 0
-            elif kind == "snd":
-                _, _, src, _dst, msg_kind, client, op_seq, _arrive = rec
-                op_id = op_of.get((client, op_seq))
-                if op_id is None:
-                    op_id = running.get(client)
-                    if op_id is None or src != client:
-                        raise ValueError("send %s for client %s op_seq %d does not attribute "
-                                         "to any operation" % (msg_kind, client, op_seq))
-                    op_of[(client, op_seq)] = op_id
-                expect = _MESSAGE_KINDS[msg_kind][1]
-                if ops[op_id].kind != expect:
-                    raise ValueError("send %s attributed to a %s operation"
-                                     % (msg_kind, ops[op_id].kind))
-                counts[op_id] += 1
-                in_flight.setdefault(rec[2:], deque()).append(exchange_of.get(src, 0) + 1)
-                if src == client:
-                    own_seq[src] = op_seq
+                if node in open_op:
+                    raise ValueError("inv for op %d by %s while its op %d runs" % (rec[3], node, open_op[node]))
+                step_t, step_node, exchange, op = t, node, 0, rec[3]
+                open_op[node] = op
             elif kind == "dlv":
                 _, _, dst, src, msg_kind, client, op_seq = rec
                 key = (src, dst, msg_kind, client, op_seq, t)
@@ -512,16 +498,43 @@ def replay_wire(trace: Trace) -> dict[int, int]:
                 if not pending:
                     raise ValueError("dlv of %s (client %s, op %s) from %s to %s at %s "
                                      "matches no earlier snd" % (msg_kind, client, op_seq, src, dst, t))
-                exchange_of[dst] = pending.popleft()
+                step_t, step_node = t, dst
+                exchange, op = pending.popleft()
                 if not pending:
                     del in_flight[key]
                 if op_seq < own_seq.get(dst, 0):
                     stale += 1
-            elif kind == "tag" and not node.startswith("s"):
-                raise ValueError("tag by %s, which is not a server" % node)
-            elif kind == "res" and rec[4] != exchange_of[node]:
-                raise ValueError("res for op %d at %r claims %d exchanges, the wire shows %d"
-                                 % (rec[3], t, rec[4], exchange_of[node]))
+            elif kind == "end":
+                if rec[3] != stale:
+                    raise ValueError("end claims %d stale drops, the wire shows %d" % (rec[3], stale))
+            elif kind != "crs":  # a snd, res, wtag or tag: an output of the current step
+                if kind == "tag" and not node.startswith("s"):
+                    raise ValueError("tag by %s, which is not a server" % node)
+                if kind == "snd":
+                    _, _, src, _dst, msg_kind, client, op_seq, _arrive = rec
+                    op_id = op_of.get((client, op_seq))
+                    if op_id is None:
+                        if src != client or step_node != client:
+                            raise ValueError("send %s for client %s op_seq %d does not attribute "
+                                             "to any operation" % (msg_kind, client, op_seq))
+                        op_id = op_of[(client, op_seq)] = op
+                    expect = _MESSAGE_KINDS[msg_kind][1]
+                    if ops[op_id].kind != expect:
+                        raise ValueError("send %s attributed to a %s operation"
+                                         % (msg_kind, ops[op_id].kind))
+                if t != step_t or node != step_node:
+                    raise ValueError("%s by %s at %s is no output of the inv or dlv before it"
+                                     % (kind, node, t))
+                if kind == "snd":
+                    counts[op_id] += 1
+                    in_flight.setdefault(rec[2:], deque()).append((exchange + 1, op_id))
+                    if src == client:
+                        own_seq[src] = op_seq
+                elif kind == "res":
+                    if rec[4] != exchange:
+                        raise ValueError("res for op %d at %r claims %d exchanges, the wire shows %d"
+                                         % (rec[3], t, rec[4], exchange))
+                    open_op.pop(node, None)
     except ValueError as exc:
         raise ValueError("line %d: %s" % (lineno, exc)) from None
     for op_id, n in counts.items():

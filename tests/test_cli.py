@@ -200,6 +200,29 @@ def test_check_reports_the_rerun_verdict_of_a_violating_scenario(tmp_path, capsy
         v.violated, v.detail, list(v.witness))
 
 
+def test_check_refuses_a_res_moved_off_its_step(tmp_path, capsys) -> None:
+    # Seed 330 of the acceptance suite's adversarial erato_broken scenario
+    # violates atomicity: read 18 precedes read 27 in real time, not in
+    # tag order.  Read 18's res moved past read 27's inv would hide that,
+    # but a res is an output of the step before it, at that step's time.
+    config = validate(ScenarioConfig(
+        algorithm="erato_broken", topology="series", n_servers=3, quorums="majority",
+        n_readers=12, n_writers=1, scheme="stochastic", read_interval=0.08, write_interval=0.15,
+        ops_per_client=10, writes_per_client=5, jitter_max=0.15, seed=330))
+    lines = ["run\talgorithm=erato_broken\tseed=330"] + trace_to_text(run_scenario(config).trace).splitlines()[1:]
+    path = tmp_path / "bare.log"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(path)]) == 3
+    assert "VIOLATED (A1): read 18 " in capsys.readouterr().err
+    assert lines[693].startswith("res\t0.3617690705580209\tr1\t18\t")
+    lines[693] = lines[693].replace("0.3617690705580209", "0.37300099999999997")
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: %s: line 694: res by r1 at 0.37300099999999997 is no output of the inv or dlv "
+        "before it\n" % path)
+
+
 # A row's text follows a bare run header, unless it starts with this.
 HEADERLESS = "<no run header>"
 # The run header of a majority(18) scenario, which lists no quorum: the
@@ -232,7 +255,7 @@ def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message
         ("check", "inv\t0.1\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t2\t0\t0\t\nres\t0.3\tr0\t1\t2\t0\t0\t",
          "line 4: second res for op 1"),
         ("check", "inv\t0.1\tr0\t1\tread\t-\ninv\t0.2\tr0\t2\tread\t-\nend\t1.0\tcomplete\t0\t0",
-         "malformed history: process r0: operations 1 and 2 overlap"),
+         "line 3: inv for op 2 by r0 while its op 1 runs"),
         ("check", "inv\t2.0\tr0\t2\tread\t-\nres\t1.5\tr0\t2\t2\t0\t0\t",
          "line 3: res for op 2 at 1.5 precedes its inv at 2.0"),
         ("check", "inv\t0.1\tw0\t1\twrite\t76\nres\t0.2\tr5\t1\t2\t1\t0\t76",
@@ -282,7 +305,7 @@ def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message
         ("check", "inv\t0.1\tr0\t1\tread\t-\nsnd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\n"
          "dlv\t0.3\ts0\tr0\treadRequest\tr0\t1\ndlv\t0.3\ts0\tr0\treadRequest\tr0\t1\nend\t1.0\tcomplete\t0\t0",
          "line 5: dlv of readRequest (client r0, op 1) from r0 to s0 at 0.3 matches no earlier snd"),
-        ("check", "inv\t0.1\tr0\t1\tread\t-\ncrs\t0.2\ts0\nsnd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\n"
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nsnd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\ncrs\t0.2\ts0\n"
          "dlv\t0.3\ts0\tr0\treadRequest\tr0\t1\nend\t1.0\tcomplete\t0\t0",
          "line 5: dlv to s0 at 0.3, at or after its crash at 0.2"),
         ("check", "inv\t0.1\tr0\t1\tread\t-\nsnd\t0.1\tr0\ts0\treadRequest\tr0\t1\t0.3\n"
@@ -298,6 +321,14 @@ def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message
          "line 3: wtag by w0 at 0.3, at or after its crash at 0.2"),
         ("check", "crs\t0.2\ts1\ntag\t0.25\ts1\t1\t0\nend\t1.0\tcomplete\t0\t0",
          "line 3: tag by s1 at 0.25, at or after its crash at 0.2"),
+        # Every output follows the inv or dlv of its step, and no record
+        # is timed before the one above it.
+        ("check", "inv\t0.1\tr0\t1\tread\t-\nres\t0.2\tr0\t1\t0\t0\t0\t\nend\t1.0\tcomplete\t0\t0",
+         "line 3: res by r0 at 0.2 is no output of the inv or dlv before it"),
+        ("check", "inv\t0.25\tw0\t1\twrite\t76\ninv\t0.0\tr0\t2\tread\t-\nend\t1.0\tincomplete\t0\t0",
+         "line 3: inv at 0.0 precedes the record before it, at 0.25"),
+        ("check", "inv\t0.5\tr0\t1\tread\t-\nend\t0.25\tincomplete\t0\t0",
+         "line 3: end at 0.25 precedes the record before it, at 0.5"),
         ("check", "inv\t0.5\ts0\t1\tread\t-", "line 2: inv for op 1 from server s0"),
         # A reader reads and a writer writes; a write carries a hex
         # value and a read "-".
@@ -413,6 +444,13 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
         ("n_servers = 3", "n_servers = 3\nn_servers = 4", [],
          "not parseable: While reading from '<string>' [line  6]: option 'n_servers' in section 'scenario' "
          "already exists"),
+        # configparser's errors on one line each, with the line they name.
+        ("[scenario]\n", "", [],
+         "not parseable: File contains no section headers. file: '<string>', line: 2 'algorithm = erato\\n'"),
+        ("[workload]", "[scenario]", [],
+         "not parseable: While reading from '<string>' [line  9]: section 'scenario' already exists"),
+        ("ops_per_client = 2", "ops_per_client = 2\nnot a setting", [],
+         "not parseable: Source contains parsing errors: '<string>' [line 14]: 'not a setting\\n'"),
     ],
 )
 def test_run_refuses_non_finite_numbers(old, new, args, message, tmp_path, capsys) -> None:
@@ -705,6 +743,14 @@ def test_sweep_and_report(tmp_path, capsys) -> None:
          "line 3: scenario: 602 servers, readers and writers number more than 512"),
         (" erato,series,3,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
          "line 3: scenario.algorithm: unknown ' erato' (choose from abd, abd_mw, erato, erato_mw, ohmam, ohsam)"),
+        # An int column is spelled as run writes it.
+        ("erato,series,1_0,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
+         "line 3: n_servers: expected an integer spelled as run writes it, got '1_0'"),
+        ("erato,series, 3,1,1,fixed,0,1,r0,read,0.1,0.2,2,10",
+         "line 3: n_servers: expected an integer spelled as run writes it, got ' 3'"),
+        ("erato,series,3,1,1,fixed,+3,1,r0,read,0.1,0.2,2,10",
+         "line 3: seed: expected an integer spelled as run writes it, got '+3'"),
+        ("03,r0,read,0.1,0.2,2,10", "line 3: op_id: expected an integer spelled as run writes it, got '03'"),
     ],
 )
 def test_report_bad_row_exits_2_with_one_line(row, message, tmp_path, capsys) -> None:

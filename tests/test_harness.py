@@ -188,7 +188,7 @@ def first_unmatched_dlv(lines: list[str], key: tuple):
 @given(data=st.data())
 def test_mutated_trace_line_fails_with_its_line_number(data) -> None:
     lines = list(data.draw(st.sampled_from(fuzz_base_lines())))
-    mutation = data.draw(st.sampled_from(["drop", "add", "pid", "del_snd", "late_dlv"]))
+    mutation = data.draw(st.sampled_from(["drop", "add", "pid", "del_snd", "late_dlv", "retime"]))
     crash_at = {ln.split("\t")[2]: float(ln.split("\t")[1]) for ln in lines if ln.startswith("crs\t")}
     if mutation == "late_dlv":
         targets = [i for i, ln in enumerate(lines)
@@ -198,6 +198,8 @@ def test_mutated_trace_line_fails_with_its_line_number(data) -> None:
     elif mutation == "pid":
         targets = [i for i, ln in enumerate(lines)
                    if any(PID_TOKEN.fullmatch(p) for p in ln.split("\t")[1:])]
+    elif mutation == "retime":  # an output of a step, moved off it
+        targets = [i for i, ln in enumerate(lines) if ln.split("\t")[0] in ("snd", "res", "wtag", "tag")]
     else:
         targets = list(range(1, len(lines)))  # every record line after the header
     assert targets
@@ -214,6 +216,14 @@ def test_mutated_trace_line_fails_with_its_line_number(data) -> None:
         parts[j] = parts[j][0] + data.draw(st.sampled_from(["0" + digits, digits.translate(ARABIC_INDIC_DIGITS)]))
     elif mutation == "late_dlv":
         parts[1] = repr(crash_at[parts[2]] + data.draw(st.sampled_from([0.0, 0.5])))
+    elif mutation == "retime":
+        # Another time, or the name of another node of the same role.
+        names = {p for ln in lines for p in ln.split("\t")[1:] if PID_TOKEN.fullmatch(p) and p[0] == parts[2][0]}
+        change = data.draw(st.sampled_from([-0.25, 1e-6, 0.5] + sorted(names - {parts[2]})))
+        if isinstance(change, float):
+            parts[1] = repr(float(parts[1]) + change)
+        else:
+            parts[2] = change
     if mutation == "del_snd":
         del lines[i]
         expected = first_unmatched_dlv(lines, wire_key(parts))

@@ -140,7 +140,8 @@ def _convert(errors: list[str], path: str, typ: str, raw: str, axis: bool = Fals
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No interpolation: every value is read as written, "%" included.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:

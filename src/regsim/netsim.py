@@ -51,18 +51,20 @@ ends at the first event past the cap, or when both sets are empty.
 
 A step's output goes through one block at the end of the loop body,
 for a delivery and an invocation alike: the wtag, the adopted tag, the
-sends and the response, in that order.  A delivery whose step returns
-protocols.base.NOTHING, the one output that decides nothing, skips that
-block; an empty output that is not NOTHING takes it and records nothing.
+sends of its message and the response, in that order.  A delivery whose
+step returns protocols.base.NOTHING, the one output that decides
+nothing, skips that block; an empty output that is not NOTHING takes it
+and records nothing.
 
-A message costs its sender once, not once per destination: a
-broadcast's sends share one Message, whose kind, names, op_seq and size
-are read once, and only the delay, the destination and the two records
-are per send.  Each send's heap entry carries the delivery's dlv record,
-built at send time with the very arrival float of its snd record; a
-delivery to a live node appends it, one to a crashed node appends
-nothing.  message_delay, looked up per send, is the one delay function
-of every send but a loopback.
+A step sends at most one message, to any number of nodes: its output
+names the Message once beside the ids it goes to (see protocols.base).
+The message's kind, names, op_seq and size are read once per output,
+and only the delay, the destination and the two records are per send.
+Each send's heap entry carries the delivery's dlv record, built at send
+time with the very arrival float of its snd record; a delivery to a
+live node appends it, one to a crashed node appends nothing.
+message_delay, looked up per send, is the one delay function of every
+send but a loopback.
 """
 
 from __future__ import annotations
@@ -261,32 +263,28 @@ def run(
         # Record the step's decisions.  exchange and op are those of the
         # event that triggered it: exchange 0 and the opened op for an
         # invocation.
-        sends, res, wtag, adopted = out
+        message, to, res, wtag, adopted = out
         name = names[pid]
         if wtag is not None:
             trace.add(("wtag", t, name, current_op[pid], wtag.ts, wtag.wid))
         if adopted is not None:
             records.append(("tag", t, name, adopted.ts, adopted.wid))
-        if sends:
-            trace.ops[op].messages += len(sends)
-            last = sends[-1][1]
-            if last.client == pid:
-                own_seq[pid] = last.op_seq
+        if message is not None:
+            trace.ops[op].messages += len(to)
+            msg_kind, op_seq, size = message.kind, message.op_seq, message.size_bits()
+            if message.client == pid:
+                own_seq[pid] = op_seq
+            client, sender = names[message.client], names[message.sender]
             row = paths[pid]
             hop = exchange + 1
-            prev = None
-            for dst, msg in sends:
-                if msg is not prev:
-                    prev = msg
-                    msg_kind, op_seq, size = msg.kind, msg.op_seq, msg.size_bits()
-                    client, sender = names[msg.client], names[msg.sender]
+            for dst in to:
                 if dst == pid:
                     arrive = t + LOOPBACK_DELAY
                 else:
                     arrive = t + message_delay(row[dst], size, jitter_max, rng)
                 dst_name = names[dst]
                 records.append(("snd", t, name, dst_name, msg_kind, client, op_seq, arrive))
-                heappush(heap, (arrive, next(tick), dst, msg, hop, op,
+                heappush(heap, (arrive, next(tick), dst, message, hop, op,
                                 ("dlv", arrive, dst_name, sender, msg_kind, client, op_seq)))
         if res is not None:
             trace.add(("res", t, name, current_op[pid], exchange, res.tag.ts, res.tag.wid, res.value.hex()))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from regsim.core import Message, MessageKind
-from regsim.protocols.base import NOTHING, Event, Invoke, Response, StepOutput, broadcast
+from regsim.protocols.base import NOTHING, Event, Invoke, Response, StepOutput
 from regsim.quorum import QuorumSystem
 from regsim.views import quorum_extreme
 
@@ -38,7 +38,7 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         state.phase = "query"
         state.acks = {}
         state.ack_mask = 0
-        return StepOutput(broadcast(qs, Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op)))
+        return StepOutput(Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op), range(qs.n))
     if event.op_seq < state.read_op or state.phase == "idle" or event.kind != MessageKind.READ_ACK:
         return NOTHING  # stale, trailing, or not an acknowledgement
     bit = event.sender
@@ -54,6 +54,6 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         state.acks = {}
         state.ack_mask = 0
         writeback = Message(MessageKind.READ_RELAY, state.pid, state.pid, state.read_op, best.tag, best.value)
-        return StepOutput(broadcast(qs, writeback))
+        return StepOutput(writeback, range(qs.n))
     state.phase = "idle"
     return StepOutput(response=Response(state.chosen.value, state.chosen.tag))

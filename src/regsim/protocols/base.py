@@ -7,21 +7,24 @@ same event against a copy of the state reproduces the same output.
 
 A node is its dense int id here (see core): a state's pid, a message's
 sender and client, and every send's destination.  Server i is id i and
-bit i of every quorum mask, so a broadcast sends to ids 0..n-1 and a
+bit i of every quorum mask, so a broadcast goes to ids 0..n-1 and a
 server's reply is recorded under its sender id directly.
 
 An event is an Invoke, which starts an operation at a client, or the
 Message being delivered.  A step reports only what the protocol decides:
-its sends, its response (value, tag), the tag a writer chose and the tag
-a server took over.  It returns them as one StepOutput, built at its
-return; the helpers below return their part of it and never change an
-output.  A step that decides nothing returns NOTHING, the one empty
-output, which the simulator skips without a look.  A client ignores a
-message whose op_seq is behind its own counter (a stale one) and a
-message for its current operation that arrives after the response;
-either yields NOTHING.  How many exchanges an operation took and how
-many deliveries were stale the simulator measures on the wire (see
-netsim).
+the one message it sends and the node ids it goes to, its response
+(value, tag), the tag a writer chose and the tag a server took over.
+Every protocol sends at most one message per step, to any number of
+nodes: range(qs.n) for a broadcast to the servers, (client,) for a
+reply, the servers and then the reader for a relay echoed to the
+reader.  A step returns them as one StepOutput, built at its return;
+the helpers below return their part of it and never change an output.
+A step that decides nothing returns NOTHING, the one empty output,
+which the simulator skips without a look.  A client ignores a message
+whose op_seq is behind its own counter (a stale one) and a message for
+its current operation that arrives after the response; either yields
+NOTHING.  How many exchanges an operation took and how many deliveries
+were stale the simulator measures on the wire (see netsim).
 
 Invoke, Response and StepOutput are named tuples, as core's Tag and
 Message are, so each compares equal to the plain tuple of its fields.
@@ -56,7 +59,8 @@ class Response(NamedTuple):
 
 
 class StepOutput(NamedTuple):
-    sends: Sequence[tuple[int, Message]] = ()
+    message: Optional[Message] = None  # the one message the step sends
+    to: Sequence[int] = ()  # the node ids it goes to, empty when message is None
     response: Optional[Response] = None
     # At most one of these per step; the simulator writes them to the trace.
     wtag: Optional[Tag] = None  # the tag a writer decided for its running write
@@ -64,10 +68,6 @@ class StepOutput(NamedTuple):
 
 
 NOTHING = StepOutput()
-
-
-def broadcast(qs: QuorumSystem, msg: Message) -> list[tuple[int, Message]]:
-    return [(i, msg) for i in range(qs.n)]
 
 
 # --- writers ---------------------------------------------------------------
@@ -93,7 +93,7 @@ def swmr_writer_step(state: SWMRWriterState, event: Event, qs: QuorumSystem) -> 
         state.pending = True
         wtag = Tag(state.ts, 0)
         msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.ts, wtag, event.value)
-        return StepOutput(broadcast(qs, msg), wtag=wtag)
+        return StepOutput(msg, range(qs.n), wtag=wtag)
     # An earlier write's ack (op_seq below ts) falls through, like a trailing one.
     if state.pending and event.kind == MessageKind.WRITE_ACK and event.op_seq == state.ts:
         state.ack_mask |= 1 << event.sender
@@ -130,7 +130,7 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
         state.value = event.value
         state.acks = {}
         state.ack_mask = 0
-        return StepOutput(broadcast(qs, Message(MessageKind.WRITE_DISCOVER, state.pid, state.pid, state.write_op)))
+        return StepOutput(Message(MessageKind.WRITE_DISCOVER, state.pid, state.pid, state.write_op), range(qs.n))
     if event.op_seq < state.write_op:
         return NOTHING
     if state.phase == "discover" and event.kind == MessageKind.DISCOVER_ACK:
@@ -146,7 +146,7 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
             state.acks = {}
             state.ack_mask = 0
             msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, state.tag, state.value)
-            return StepOutput(broadcast(qs, msg), wtag=state.tag)
+            return StepOutput(msg, range(qs.n), wtag=state.tag)
     elif state.phase == "put" and event.kind == MessageKind.WRITE_ACK:
         state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask):
@@ -172,7 +172,7 @@ def handle_writer_message(state: ServerState, msg: Message) -> StepOutput:
     """A server's reply to a writer's WRITE_DISCOVER or WRITE_REQUEST;
     any other message kind is ignored."""
     if msg.kind == MessageKind.WRITE_DISCOVER:
-        return StepOutput([(msg.client, Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag))])
+        return StepOutput(Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag), (msg.client,))
     if msg.kind != MessageKind.WRITE_REQUEST:
         return NOTHING
     # Adoption is gated on per-writer freshness; the ack is not.  A
@@ -183,7 +183,7 @@ def handle_writer_message(state: ServerState, msg: Message) -> StepOutput:
         state.write_ops[msg.client] = msg.op_seq
         adopted = adopt(state, msg)
     ack = Message(MessageKind.WRITE_ACK, state.pid, msg.client, msg.op_seq, state.tag)
-    return StepOutput([(msg.client, ack)], adopted=adopted)
+    return StepOutput(ack, (msg.client,), adopted=adopted)
 
 
 @dataclass
@@ -215,15 +215,15 @@ def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
             if qs.first_contained_mask(mask):
                 state.reads[r] = (ro, 0)  # at most one ack per (reader, read_op)
                 ack = Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)
-                return StepOutput([(r, ack)], adopted=adopted)
+                return StepOutput(ack, (r,), adopted=adopted)
             state.reads[r] = (ro, mask)
         return NOTHING if adopted is None else StepOutput(adopted=adopted)
     if kind == MessageKind.READ_REQUEST:
         relay = Message(MessageKind.READ_RELAY, state.pid, event.client, event.op_seq, state.tag, state.value)
-        sends = broadcast(qs, relay)
+        to = range(qs.n)
         if state.relay_to_reader:
-            sends.append((event.client, relay))
-        return StepOutput(sends)
+            to = (*to, event.client)
+        return StepOutput(relay, to)
     return handle_writer_message(state, event)
 
 
@@ -236,4 +236,4 @@ def plain_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
     else:
         return handle_writer_message(state, event)
     ack = Message(MessageKind.READ_ACK, state.pid, event.client, event.op_seq, state.tag, state.value)
-    return StepOutput([(event.client, ack)], adopted=adopted)
+    return StepOutput(ack, (event.client,), adopted=adopted)

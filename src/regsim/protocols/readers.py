@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from regsim.core import Message, MessageKind
-from regsim.protocols.base import NOTHING, Event, Invoke, Response, StepOutput, broadcast
+from regsim.protocols.base import NOTHING, Event, Invoke, Response, StepOutput
 from regsim.quorum import QuorumSystem
 from regsim.views import quorum_extreme
 
@@ -54,7 +54,7 @@ def relay_reader_step(
         state.rr_mask = 0
         state.ra = {}
         state.ra_mask = 0
-        return StepOutput(broadcast(qs, Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op)))
+        return StepOutput(Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op), range(qs.n))
     if event.op_seq < state.read_op or state.mode == "idle":
         return NOTHING  # stale or trailing
     bit = event.sender

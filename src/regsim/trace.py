@@ -445,6 +445,8 @@ def replay_wire(trace: Trace) -> dict[int, int]:
     - No record, crs and end included, is timed before the record above
       it: netsim.run takes its events in time order.
     - A client invokes only once its last operation has its res.
+    - Each inv's op id is above every earlier inv's: netsim.run numbers
+      operations in inv order.
     - Only a server adopts a tag: a tag by a reader or writer is refused.
     - Each dlv takes up an earlier snd not yet delivered with the same
       sender, receiver, kind, client, op_seq and an arrival equal to the
@@ -474,6 +476,7 @@ def replay_wire(trace: Trace) -> dict[int, int]:
     in_flight: dict[tuple, deque] = {}  # snd fields -> (exchange, op) of the undelivered, never empty
     own_seq: dict[str, int] = {}  # client name -> op_seq of its latest snd
     step_t = step_node = exchange = op = None  # the last inv's or dlv's time and node, exchange and op
+    last_op = 0  # the op id of the last inv
     last_t = -math.inf
     stale = 0
     lineno = 0
@@ -489,7 +492,10 @@ def replay_wire(trace: Trace) -> dict[int, int]:
             if kind == "inv":
                 if node in open_op:
                     raise ValueError("inv for op %d by %s while its op %d runs" % (rec[3], node, open_op[node]))
+                if rec[3] <= last_op:
+                    raise ValueError("inv for op %d after the inv for op %d" % (rec[3], last_op))
                 step_t, step_node, exchange, op = t, node, 0, rec[3]
+                last_op = op
                 open_op[node] = op
             elif kind == "dlv":
                 _, _, dst, src, msg_kind, client, op_seq = rec

@@ -58,7 +58,8 @@ def reference_run(network, algorithm, qs, workload, crash_schedule=(), seed=0,
             trace.add(("wtag", t, name, running[name], out.wtag.ts, out.wtag.wid))
         if out.adopted is not None:
             trace.add(("tag", t, name, out.adopted.ts, out.adopted.wid))
-        for dst, msg in out.sends:
+        msg = out.message
+        for dst in out.to:
             trace.ops[op].messages += 1
             if msg.client == pid:
                 own_seq[name] = msg.op_seq

@@ -256,6 +256,10 @@ def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message
          "line 4: second res for op 1"),
         ("check", "inv\t0.1\tr0\t1\tread\t-\ninv\t0.2\tr0\t2\tread\t-\nend\t1.0\tcomplete\t0\t0",
          "line 3: inv for op 2 by r0 while its op 1 runs"),
+        # netsim.run numbers operations in inv order; op 5 answered in its
+        # own inv step would otherwise reach the checker as overlapping op 3.
+        ("check", "inv\t0.1\tr0\t5\tread\t-\nres\t0.1\tr0\t5\t0\t0\t0\t\ninv\t0.1\tr0\t3\tread\t-\n"
+         "end\t0.1\tincomplete\t0\t0", "line 4: inv for op 3 after the inv for op 5"),
         ("check", "inv\t2.0\tr0\t2\tread\t-\nres\t1.5\tr0\t2\t2\t0\t0\t",
          "line 3: res for op 2 at 1.5 precedes its inv at 2.0"),
         ("check", "inv\t0.1\tw0\t1\twrite\t76\nres\t0.2\tr5\t1\t2\t1\t0\t76",
@@ -386,6 +390,9 @@ def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message
                        "inv for op -5: op ids start at 1"),
         edited_run_row("check-run-trace-with-end-skipping--3", ("end",), 4, None, "-3",
                        "end counts below 0: 0 stale drops, -3 skipped invocations"),
+        # A config value is read as written: "%" starts no interpolation.
+        ("run", HEADERLESS + "[scenario]\nalgorithm = 50%",
+         "config error: scenario.algorithm: unknown '50%' (choose from "),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),

@@ -344,42 +344,47 @@ def test_message_delay_is_the_per_send_hook(monkeypatch) -> None:
 
 
 def test_each_send_reads_its_own_message() -> None:
-    # One writer step sends two different messages, interleaved, to
-    # several servers: every snd names its own message's kind, client and
-    # op_seq and has its own size's delay, and every dlv matches its snd.
-    # The servers decide nothing, first by a fresh empty output, which
+    # The writer's invocation sends a discover to three servers, s1 acks
+    # it, and that ack makes the writer send a request to two: every snd
+    # names its own step's message's kind, client and op_seq and has its
+    # own size's delay, and every dlv matches its snd.  The other
+    # deliveries decide nothing, first by a fresh empty output, which
     # takes the full output path, then by NOTHING, which skips it: both
     # runs write the same bytes.
     discover = Message(MessageKind.WRITE_DISCOVER, 3, 3, 1)
+    ack = Message(MessageKind.DISCOVER_ACK, 1, 3, 1, Tag(0, 0))
     request = Message(MessageKind.WRITE_REQUEST, 3, 3, 2, Tag(1, 0), b"v" * 100)
-    plan = [(0, discover), (1, discover), (0, request), (1, request), (2, request), (2, discover)]
+    plan = [(3, 0, discover), (3, 1, discover), (3, 2, discover), (1, 3, ack), (3, 2, request), (3, 0, request)]
 
-    def writer_step(state, event, qs):
-        return StepOutput(sends=list(plan) if isinstance(event, Invoke) else [])
+    def stub(empty):
+        def writer_step(state, event, qs):
+            if isinstance(event, Invoke):
+                return StepOutput(discover, (0, 1, 2))
+            return StepOutput(request, (2, 0)) if event == ack else empty()
 
-    def server_step(state, event, qs):
-        return StepOutput()
+        def server_step(state, event, qs):
+            return StepOutput(ack, (3,)) if state.pid == 1 and event == discover else empty()
 
-    stub = dataclasses.replace(ERATO, writer_step=writer_step, server_step=server_step)
-    assert server_step(None, None, None) is not NOTHING
+        return dataclasses.replace(ERATO, writer_step=writer_step, server_step=server_step)
+
+    assert StepOutput() is not NOTHING
     net = series(3, 0, 1)
     assert net.names[3] == writer(0)
-    trace = run(net, stub, build_majority(3), [WorkItem(0.0, writer(0), "write", b"v" * 100)])
-    paths = net.path_params()[3]
+    trace = run(net, stub(StepOutput), build_majority(3), [WorkItem(0.0, writer(0), "write", b"v" * 100)])
+    paths = net.path_params()
     sends = [r for r in trace.records if r[0] == "snd"]
     assert len(sends) == len(plan)
-    for r, (dst, msg) in zip(sends, plan):
-        prop, per_bit = paths[dst]
-        assert r[1:7] == (0.0, writer(0), server(dst), msg.kind, writer(0), msg.op_seq)
-        assert r[7] == prop + msg.size_bits() * per_bit
+    for r, (src, dst, msg) in zip(sends, plan):
+        prop, per_bit = paths[src][dst]
+        assert r[2:7] == (net.names[src], net.names[dst], msg.kind, writer(0), msg.op_seq)
+        assert r[7] == r[1] + (prop + msg.size_bits() * per_bit)
     delivered = {(r[1], r[2], r[3], r[4], r[5], r[6]): r for r in trace.records if r[0] == "dlv"}
     assert len(delivered) == len(sends)
     for r in sends:
         dlv = delivered[(r[7], r[3], r[2], r[4], r[5], r[6])]
         assert dlv[1] is r[7]  # the very float, which trace_to_text's time cache needs
     assert replay_wire(trace) == {1: len(plan)}
-    skipping = dataclasses.replace(stub, server_step=lambda state, event, qs: NOTHING)
-    again = run(net, skipping, build_majority(3), [WorkItem(0.0, writer(0), "write", b"v" * 100)])
+    again = run(net, stub(lambda: NOTHING), build_majority(3), [WorkItem(0.0, writer(0), "write", b"v" * 100)])
     assert trace_to_text(again) == trace_to_text(trace)
 
 
@@ -403,10 +408,14 @@ def test_a_step_that_decides_nothing_returns_nothing(name, quorums, n_servers) -
     config = ScenarioConfig(algorithm=name, quorums=quorums, n_servers=n_servers, n_readers=3,
                             n_writers=2 if alg.mw else 1, scheme="stochastic", ops_per_client=4,
                             crash_servers=((1, 3.0),), crash_readers=((0, 4.0),))
-    trace = run(build_network(config), alg, build_quorum_system(config), build_workload(config),
+    net = build_network(config)
+    trace = run(net, alg, build_quorum_system(config), build_workload(config),
                 crash_schedule(config), seed=config.seed)
     assert all(op.completed for op in trace.ops.values() if trace.live(op.process))
     decided = [out for out in outputs if out is not NOTHING]
     assert len(decided) < len(outputs)
-    assert all(out.sends or out.response is not None or out.wtag is not None or out.adopted is not None
-               for out in decided)
+    assert all(out.message is not None or out.response is not None or out.wtag is not None
+               or out.adopted is not None for out in decided)
+    # A step sends one message or none: to some node ids of the run, or to none.
+    assert all((out.message is None) == (len(out.to) == 0) for out in outputs)
+    assert {dst for out in outputs for dst in out.to} <= set(range(len(net.names)))

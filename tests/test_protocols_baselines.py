@@ -21,13 +21,13 @@ def rack(b, tag, value, op):
 def test_abd_read_is_always_two_round_trips():
     r = abd.QueryReaderState(R0)
     out = abd.query_reader_step(r, Invoke(), QS3)
-    assert len(out.sends) == 3 and out.sends[0][1].op_seq == 1
+    assert len(out.to) == 3 and out.message.op_seq == 1
 
     abd.query_reader_step(r, rack(0, Tag(2, 0), b"v2", 1), QS3)
     out = abd.query_reader_step(r, rack(1, Tag(5, 0), b"v5", 1), QS3)
     # Quorum maximum goes out as a write-back on a fresh op_seq.
-    assert out.response is None and len(out.sends) == 3
-    wb = out.sends[0][1]
+    assert out.response is None and len(out.to) == 3
+    wb = out.message
     assert wb.kind == MessageKind.READ_RELAY and wb.op_seq == 2
     assert wb.tag == Tag(5, 0) and wb.value == b"v5"
 
@@ -43,7 +43,7 @@ def test_abd_read_uniform_tags_still_four_exchanges():
         out = abd.query_reader_step(r, rack(b, Tag(1, 0), b"v", 1), QS3)
     # Uniform tags earn no early answer: the write-back goes out anyway.
     assert out.response is None and r.phase == "writeback"
-    assert [m.kind for _, m in out.sends] == [MessageKind.READ_RELAY] * 3
+    assert (out.message.kind, list(out.to)) == (MessageKind.READ_RELAY, [0, 1, 2])
     for b in (0, 1):
         out = abd.query_reader_step(r, rack(b, Tag(1, 0), b"v", 2), QS3)
     assert out.response == Response(b"v", Tag(1, 0))
@@ -52,13 +52,13 @@ def test_abd_read_uniform_tags_still_four_exchanges():
 def test_abd_server_answers_queries_and_write_backs():
     s = get_algorithm("abd").new_state("s1", 1)
     out = base.plain_server_step(s, Message(MessageKind.READ_REQUEST, R0, R0, 1), QS3)
-    assert len(out.sends) == 1 and out.sends[0][0] == R0
-    assert out.sends[0][1].tag == Tag(0, 0)
+    assert len(out.to) == 1 and out.to[0] == R0
+    assert out.message.tag == Tag(0, 0)
 
     wb = Message(MessageKind.READ_RELAY, R0, R0, 2, Tag(7, 0), b"v7")
     out = base.plain_server_step(s, wb, QS3)
     assert s.tag == Tag(7, 0) and s.value == b"v7"  # adopted from the write-back
-    assert out.sends[0][1].kind == MessageKind.READ_ACK and out.sends[0][1].op_seq == 2
+    assert out.message.kind == MessageKind.READ_ACK and out.message.op_seq == 2
 
 
 def test_abd_writer_variants():
@@ -73,19 +73,19 @@ def test_abd_writer_variants():
     w = get_algorithm("abd_mw").new_state("w1", 5)
     assert (w.pid, w.wid) == (5, 1)
     out = get_algorithm("abd_mw").writer_step(w, Invoke(b"v"), QS3)
-    assert out.sends[0][1].kind == MessageKind.WRITE_DISCOVER
+    assert out.message.kind == MessageKind.WRITE_DISCOVER
 
 
 def test_ohsam_server_relays_to_servers_only():
     s = get_algorithm("ohsam").new_state("s0", 0)
     out = base.relay_server_step(s, Message(MessageKind.READ_REQUEST, R0, R0, 1), QS3)
-    assert [dst for dst, _ in out.sends] == [0, 1, 2]
+    assert list(out.to) == [0, 1, 2]
 
 
 def test_ohsam_read_three_exchanges_min_tag():
     r = RelayReaderState(R0)
     out = relay_reader_step(r, Invoke(), QS3)
-    assert len(out.sends) == 3
+    assert len(out.to) == 3
     relay_reader_step(r, rack(0, Tag(5, 0), b"v5", 1), QS3)
     out = relay_reader_step(r, rack(1, Tag(4, 0), b"v4", 1), QS3)
     assert out.response == Response(b"v4", Tag(4, 0))
@@ -115,7 +115,7 @@ def test_broken_variant_acks_eagerly_and_returns_max():
     s = get_algorithm("erato_broken").new_state("s0", 0)
     one_relay = Message(MessageKind.READ_RELAY, 1, R0, 1, Tag(3, 0), b"v3")
     out = broken.broken_server_step(s, one_relay, QS3)
-    assert len(out.sends) == 1 and out.sends[0][1].kind == MessageKind.READ_ACK
+    assert len(out.to) == 1 and out.message.kind == MessageKind.READ_ACK
 
     r = RelayReaderState(R0)
     broken.broken_reader_step(r, Invoke(), QS3)
@@ -132,7 +132,7 @@ def test_single_writer_server_acks_reordered_write_requests(name):
     for op in (2, 1):
         req = Message(MessageKind.WRITE_REQUEST, W0, W0, op, Tag(op, 0), b"v%d" % op)
         out = alg.server_step(s, req, QS3)
-        assert [(dst, m.kind, m.op_seq) for dst, m in out.sends] == [(W0, MessageKind.WRITE_ACK, op)]
+        assert (list(out.to), out.message.kind, out.message.op_seq) == ([W0], MessageKind.WRITE_ACK, op)
         adopted.append(out.adopted)
     assert s.tag == Tag(2, 0) and s.value == b"v2"
     assert adopted == [Tag(2, 0), None]

@@ -31,8 +31,8 @@ def wack(b, ts):
 def test_write_broadcast_and_quorum_ack():
     w = base.SWMRWriterState(W0)
     out = base.swmr_writer_step(w, Invoke(b"v1"), QS3)
-    assert [dst for dst, _ in out.sends] == [0, 1, 2]
-    m = out.sends[0][1]
+    assert list(out.to) == [0, 1, 2]
+    m = out.message
     assert m.kind == MessageKind.WRITE_REQUEST and m.tag == Tag(1, 0) and m.value == b"v1"
     assert out.wtag == Tag(1, 0) and out.adopted is None
 
@@ -52,7 +52,7 @@ def test_fourth_write_acked_by_any_quorum():
         base.swmr_writer_step(w, wack(0, k), QS3)
         base.swmr_writer_step(w, wack(1, k), QS3)
     out = base.swmr_writer_step(w, Invoke(b"v4"), QS3)
-    assert out.sends[0][1].tag == Tag(4, 0)
+    assert out.message.tag == Tag(4, 0)
     base.swmr_writer_step(w, wack(1, 4), QS3)
     out = base.swmr_writer_step(w, wack(2, 4), QS3)  # quorum {1,2}
     assert out.response == Response(b"v4", Tag(4, 0))
@@ -73,25 +73,24 @@ def test_server_relays_to_quorum_peers_and_reader():
     s = ERATO.new_state("s0", 0)
     req = Message(MessageKind.READ_REQUEST, R0, R0, 1)
     out = base.relay_server_step(s, req, QS3)
-    assert [dst for dst, _ in out.sends] == [0, 1, 2, R0]
-    m = out.sends[0][1]
+    assert list(out.to) == [0, 1, 2, R0]
+    m = out.message
     assert m.kind == MessageKind.READ_RELAY and m.tag == Tag(0, 0) and m.value == b""
 
 
 def test_server_acks_once_after_relay_quorum():
     s = ERATO.new_state("s0", 0)
     out = base.relay_server_step(s, relay(1, 3, b"v3"), QS3)
-    assert out.sends == () and s.tag == Tag(3, 0) and s.value == b"v3"
+    assert out.message is None and s.tag == Tag(3, 0) and s.value == b"v3"
     assert out.adopted == Tag(3, 0)
     out = base.relay_server_step(s, relay(2, 0, b""), QS3)  # completes quorum {1,2}
     assert out.adopted is None
-    assert len(out.sends) == 1
-    dst, m = out.sends[0]
+    (dst,), m = out.to, out.message
     assert dst == R0 and m.kind == MessageKind.READ_ACK
     assert m.tag == Tag(3, 0) and m.value == b"v3"  # ack carries adopted pair
     # Third relay arrives: no duplicate ack for the same read.
     out = base.relay_server_step(s, relay(0, 0, b""), QS3)
-    assert out.sends == ()
+    assert out.message is None
 
 
 def test_server_adoption_is_monotone():
@@ -104,7 +103,7 @@ def test_server_adoption_is_monotone():
 def test_read_fast_path_uniform_relays():
     r = RelayReaderState(R0)
     out = erato_reader_step(r, Invoke(), QS3)
-    assert len(out.sends) == 3 and out.sends[0][1].kind == MessageKind.READ_REQUEST
+    assert len(out.to) == 3 and out.message.kind == MessageKind.READ_REQUEST
     assert erato_reader_step(r, relay(0, 5, b"v5"), QS3).response is None
     # The fast path answers on the relay delivery itself.
     out = erato_reader_step(r, relay(1, 5, b"v5"), QS3)
@@ -191,9 +190,9 @@ def test_server_after_its_ack_only_adopts(monkeypatch):
         return relay(b, ts, b"v%d" % ts, op=op, r=reader_id)
 
     for b in (0, 1):
-        assert base.relay_server_step(s, relay5(b, 1, op=1), qs).sends == ()
+        assert base.relay_server_step(s, relay5(b, 1, op=1), qs).message is None
     out = base.relay_server_step(s, relay5(2, 1, op=1), qs)
-    assert [(dst, m.kind, m.op_seq) for dst, m in out.sends] == [(reader_id, MessageKind.READ_ACK, 1)]
+    assert (list(out.to), out.message.kind, out.message.op_seq) == ([reader_id], MessageKind.READ_ACK, 1)
     assert len(calls) == 3  # one scan per relay up to the ack
 
     # A later relay of the answered read still hands over its newer tag.

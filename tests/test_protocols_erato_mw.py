@@ -35,14 +35,14 @@ def ack(b, tag, value, op=1, r=R0):
 def test_write_discovers_then_places_max_plus_one():
     w = base.MWWriterState(W1, 1)
     out = base.mw_writer_step(w, Invoke(b"v"), QS4)
-    assert len(out.sends) == 4
-    assert out.sends[0][1].kind == MessageKind.WRITE_DISCOVER and out.sends[0][1].op_seq == 1
+    assert len(out.to) == 4
+    assert out.message.kind == MessageKind.WRITE_DISCOVER and out.message.op_seq == 1
 
     base.mw_writer_step(w, dack(0, Tag(3, 1), 1), QS4)
     base.mw_writer_step(w, dack(1, Tag(5, 2), 1), QS4)
     out = base.mw_writer_step(w, dack(2, Tag(4, 1), 1), QS4)  # quorum {0,1,2}
-    assert out.response is None and len(out.sends) == 4
-    put = out.sends[0][1]
+    assert out.response is None and len(out.to) == 4
+    put = out.message
     assert put.kind == MessageKind.WRITE_REQUEST and put.op_seq == 2
     assert put.tag == Tag(6, 1)  # discovered max 5, own writer id
     assert out.wtag == Tag(6, 1)
@@ -69,19 +69,19 @@ def test_server_write_freshness_guard():
     req = Message(MessageKind.WRITE_REQUEST, W1, W1, 2, Tag(4, 1), b"new")
     out = base.relay_server_step(s, req, QS3)
     assert s.tag == Tag(4, 1)
-    assert out.sends[0][1].kind == MessageKind.WRITE_ACK and out.sends[0][1].op_seq == 2
+    assert out.message.kind == MessageKind.WRITE_ACK and out.message.op_seq == 2
     # A replayed request with an old write_op is acknowledged but not adopted.
     replay = Message(MessageKind.WRITE_REQUEST, W1, W1, 2, Tag(9, 1), b"later")
     out = base.relay_server_step(s, replay, QS3)
     assert s.tag == Tag(4, 1) and s.value == b"new"
-    assert out.sends[0][1].kind == MessageKind.WRITE_ACK
+    assert out.message.kind == MessageKind.WRITE_ACK
 
 
 def test_server_discover_ack_reports_current_tag():
     s = ERATO_MW.new_state("s2", 2)
     s.tag = Tag(7, 0)
     out = base.relay_server_step(s, Message(MessageKind.WRITE_DISCOVER, W1, W1, 3), QS3)
-    dst, m = out.sends[0]
+    (dst,), m = out.to, out.message
     assert dst == W1 and m.kind == MessageKind.DISCOVER_ACK
     assert m.tag == Tag(7, 0) and m.op_seq == 3
     assert s.tag == Tag(7, 0)  # unchanged

@@ -43,13 +43,13 @@ BRUTE_FORCE_LIMIT = 10
 
 @dataclass(frozen=True)
 class Verdict:
-    ok: bool
-    violated: Optional[str] = None
+    violated: Optional[str] = None  # the condition broken, A1, A2 or A3
     witness: tuple[int, ...] = ()
     detail: str = ""
 
-    def __post_init__(self) -> None:
-        assert self.ok == (self.violated is None)
+    @property
+    def ok(self) -> bool:
+        return self.violated is None
 
 
 def well_formedness_errors(ops: Iterable[OperationRecord]) -> list[str]:
@@ -180,7 +180,7 @@ def check_atomicity_tagged(history: History, strict: bool = False) -> Verdict:
         if j is not None:
             b = scan[j]
             return Verdict(
-                False, A1, (a.op_id, b.op_id),
+                A1, (a.op_id, b.op_id),
                 "%s %d (tag %s) precedes %s %d (tag %s) in real time but not in tag order"
                 % (a.kind, a.op_id, a.tag, b.kind, b.op_id, b.tag),
             )
@@ -192,7 +192,7 @@ def check_atomicity_tagged(history: History, strict: bool = False) -> Verdict:
         other = seen.get(op.tag)
         if other is not None:
             return Verdict(
-                False, A2, (other, op.op_id),
+                A2, (other, op.op_id),
                 "writes %d and %d share tag %s" % (other, op.op_id, op.tag),
             )
         seen[op.tag] = op.op_id
@@ -202,7 +202,7 @@ def check_atomicity_tagged(history: History, strict: bool = False) -> Verdict:
     for op in scan:
         if op.kind == "read" and op.tag not in valid_tags:
             return Verdict(
-                False, A3, (op.op_id,),
+                A3, (op.op_id,),
                 "read %d returned tag %s, which no write produced" % (op.op_id, op.tag),
             )
     for i, a in enumerate(scan):
@@ -212,11 +212,11 @@ def check_atomicity_tagged(history: History, strict: bool = False) -> Verdict:
         if j is not None:
             b = scan[j]
             return Verdict(
-                False, A3, (a.op_id, b.op_id),
+                A3, (a.op_id, b.op_id),
                 "read %d returned tag %s although write %d (tag %s) had already completed"
                 % (b.op_id, b.tag, a.op_id, a.tag),
             )
-    return Verdict(True)
+    return Verdict()
 
 
 def brute_force_linearizable(history: History) -> bool:

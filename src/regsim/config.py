@@ -140,15 +140,24 @@ def _convert(errors: list[str], path: str, typ: str, raw: str, axis: bool = Fals
 
 
 def _read_ini(text: str) -> configparser.ConfigParser:
-    # No interpolation: every value is read as written, "%" included.
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # No interpolation: every value is read as written, "%" included.  No header
+    # can name the default section "", so [DEFAULT] is an ordinary, unknown one.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                                       default_section="")
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        # Some of configparser's messages run over several lines; a config error is one.
-        message = " ".join(part.strip() for part in str(exc).splitlines())
-        raise ConfigError(["not parseable: %s" % message]) from exc
-    return parser
+    except configparser.DuplicateOptionError as exc:
+        fault = exc.lineno, "option %r in section %r already exists" % (exc.option, exc.section)
+    except configparser.DuplicateSectionError as exc:
+        fault = exc.lineno, "section %r already exists" % exc.section
+    except configparser.MissingSectionHeaderError as exc:
+        fault = exc.lineno, "%r comes before any section header" % exc.line.strip()
+    except configparser.ParsingError as exc:
+        lineno = exc.errors[0][0]  # read_string numbers the lines of text.split("\n")
+        fault = lineno, "%r is neither a section header nor key = value" % text.split("\n")[lineno - 1].strip()
+    else:
+        return parser
+    raise ConfigError(["not parseable: line %d: %s" % fault])
 
 
 def parse_fields(parser: configparser.ConfigParser, ignore_sections: tuple[str, ...] = ()) -> dict:

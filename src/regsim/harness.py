@@ -131,13 +131,12 @@ def crash_schedule(config: ScenarioConfig) -> list:
 
 @dataclass
 class RunResult:
-    config: ScenarioConfig
-    trace: Trace
+    trace: Trace  # its config is the scenario run
     verdict: Verdict
     stats: list[OpStats]
 
     def csv_text(self) -> str:
-        prefix = ",".join(str(getattr(self.config, name)) for name in CSV_FIELDS)
+        prefix = ",".join(str(getattr(self.trace.config, name)) for name in CSV_FIELDS)
         lines = [CSV_HEADER]
         for s in self.stats:
             lines.append("%s,%d,%s,%s,%s,%s,%d,%d" % (
@@ -165,7 +164,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     trace.config = config
     stats = per_operation_stats(trace)
     verdict = check_atomicity_tagged(extract_history(trace))
-    return RunResult(config, trace, verdict, stats)
+    return RunResult(trace, verdict, stats)
 
 
 def write_outputs(result: RunResult, out_dir: Path) -> dict[str, Path]:

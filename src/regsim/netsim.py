@@ -13,14 +13,16 @@ a pure function of (workload, crash schedule, seed).
 LinkParams and WorkItem are named tuples, so each compares equal to the
 plain tuple of its fields.
 
-A node crashes at most once: a crash schedule naming a node twice raises
-ValueError.  Crashed nodes process no event from their crash time on;
-messages already in flight from them still deliver.  A crash scheduled
-after the run ends is not part of the run: it writes no crs record, so
-the node stays live and its pending operations count against liveness.
-Self-addressed messages (a server relaying to itself) bypass the network
-with a fixed one-microsecond local handoff so that delivery always
-happens strictly after the send.
+A node crashes at most once and only a client invokes: a crash schedule
+naming a node twice, or a WorkItem naming a server, raises ValueError
+before the first event.  An invocation's kind is its client's role
+(core.CLIENT_KIND).  Crashed nodes process no event from their crash
+time on; messages already in flight from them still deliver.  A crash
+scheduled after the run ends is not part of the run: it writes no crs
+record, so the node stays live and its pending operations count against
+liveness.  Self-addressed messages (a server relaying to itself) bypass
+the network with a fixed one-microsecond local handoff so that delivery
+always happens strictly after the send.
 
 The simulator, not the protocols, counts three things on the wire.  An
 exchange is one message hop along the chain that started at an
@@ -47,11 +49,13 @@ holds only the deliveries of the messages in flight, ordered by
 (arrival, send order).  The next event is the schedule's head when its
 time is at most the heap's head time: every scheduled event is known
 before any message is sent, so it goes first at equal times.  A run
-ends at the first event past the cap, or when both sets are empty.
+ends at the first event past the cap, at the cap, or when both sets are
+empty, at the last taken event's time.
 
-A step's output goes through one block at the end of the loop body,
-for a delivery and an invocation alike: the wtag, the adopted tag, the
-sends of its message and the response, in that order.  A delivery whose
+A step's output goes through one block at the end of the loop body, for
+a delivery and an invocation alike: the adopted tag, the wtag, the sends
+of its message and the response, in that order.  A write's wtag is the
+tag of its WRITE_REQUEST, which only writers send.  A delivery whose
 step returns protocols.base.NOTHING, the one output that decides
 nothing, skips that block; an empty output that is not NOTHING takes it
 and records nothing.
@@ -77,8 +81,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from regsim.config import ScenarioConfig
-from regsim.core import node_key, reader, server, writer
-from regsim.protocols import NOTHING, Algorithm, Invoke
+from regsim.core import CLIENT_KIND, MessageKind, node_key, reader, server, writer
+from regsim.protocols import Algorithm
+from regsim.protocols.base import NOTHING, Invoke
 from regsim.quorum import QuorumSystem
 from regsim.trace import Trace
 
@@ -162,9 +167,8 @@ def message_delay(
 
 class WorkItem(NamedTuple):
     time: float
-    pid: str  # the invoking client's name
-    kind: str  # "read" | "write"
-    value: Optional[bytes] = None
+    pid: str  # the invoking client's name; its role fixes the operation's kind
+    value: Optional[bytes] = None  # a write's payload
 
 
 def run(
@@ -195,6 +199,9 @@ def run(
             raise ValueError("crash schedule names %s twice" % name)
         crashed_at[pid] = t
 
+    for item in workload:
+        if item.pid[0] not in CLIENT_KIND:
+            raise ValueError("work item at %r names %s, not a client" % (item.time, item.pid))
     # The schedule, (time, pid, item), reversed so that its front is its
     # last entry and a pop frees what it consumes.  item is the
     # invocation's WorkItem, or None for a crash.
@@ -223,13 +230,12 @@ def run(
     next_op = 1
     stale_drops = skipped_invokes = 0
 
-    last_t = 0.0
+    t = 0.0
     while heap or schedule:
         if heap and heap[0][0] < due:
             if heap[0][0] > cap_s:
                 break
             t, _, pid, msg, exchange, op, dlv = heappop(heap)
-            last_t = t
             if crashed_at[pid] <= t:
                 continue
             records.append(dlv)
@@ -243,7 +249,6 @@ def run(
                 break
             t, pid, item = schedule.pop()
             due = schedule[-1][0] if schedule else math.inf
-            last_t = t
             if item is None:
                 trace.add(("crs", t, names[pid]))
                 continue
@@ -254,8 +259,9 @@ def run(
                 continue
             # Writes carry their intended value from invocation on, so a
             # crashed write still shows what it was writing.
-            value = item.value if item.kind == "write" else None
-            trace.add(("inv", t, names[pid], next_op, item.kind, value.hex() if value is not None else "-"))
+            kind = CLIENT_KIND[names[pid][0]]
+            value = item.value if kind == "write" else None
+            trace.add(("inv", t, names[pid], next_op, kind, value.hex() if value is not None else "-"))
             op = current_op[pid] = next_op
             next_op += 1
             exchange = 0
@@ -263,15 +269,15 @@ def run(
         # Record the step's decisions.  exchange and op are those of the
         # event that triggered it: exchange 0 and the opened op for an
         # invocation.
-        message, to, res, wtag, adopted = out
+        message, to, res, adopted = out
         name = names[pid]
-        if wtag is not None:
-            trace.add(("wtag", t, name, current_op[pid], wtag.ts, wtag.wid))
         if adopted is not None:
             records.append(("tag", t, name, adopted.ts, adopted.wid))
         if message is not None:
             trace.ops[op].messages += len(to)
             msg_kind, op_seq, size = message.kind, message.op_seq, message.size_bits()
+            if msg_kind == MessageKind.WRITE_REQUEST:
+                trace.add(("wtag", t, name, current_op[pid], message.tag.ts, message.tag.wid))
             if message.client == pid:
                 own_seq[pid] = op_seq
             client, sender = names[message.client], names[message.sender]
@@ -290,7 +296,7 @@ def run(
             trace.add(("res", t, name, current_op[pid], exchange, res.tag.ts, res.tag.wid, res.value.hex()))
             current_op[pid] = None
 
-    end_time = min(last_t, cap_s) if not heap and not schedule else cap_s
+    end_time = cap_s if heap or schedule else t
     pending_live = any(
         op.responded_at is None and trace.live(op.process) for op in trace.ops.values()
     )

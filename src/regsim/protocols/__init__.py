@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from regsim.protocols import abd, base, broken, erato, erato_mw
-from regsim.protocols.base import NOTHING, Event, Invoke, Response, StepOutput
+from regsim.protocols.base import Event, StepOutput
 from regsim.protocols.readers import RelayReaderState, relay_reader_step
 from regsim.quorum import QuorumSystem
 
@@ -89,16 +89,3 @@ def get_algorithm(name: str) -> Algorithm:
     if name in EXTRA_ALGORITHMS:
         return EXTRA_ALGORITHMS[name]
     raise KeyError("unknown algorithm %r" % name)
-
-
-__all__ = [
-    "ALGORITHMS",
-    "EXTRA_ALGORITHMS",
-    "NOTHING",
-    "Algorithm",
-    "Event",
-    "Invoke",
-    "Response",
-    "StepOutput",
-    "get_algorithm",
-]

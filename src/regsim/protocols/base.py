@@ -13,7 +13,7 @@ server's reply is recorded under its sender id directly.
 An event is an Invoke, which starts an operation at a client, or the
 Message being delivered.  A step reports only what the protocol decides:
 the one message it sends and the node ids it goes to, its response
-(value, tag), the tag a writer chose and the tag a server took over.
+(value, tag) and the tag a server took over.
 Every protocol sends at most one message per step, to any number of
 nodes: range(qs.n) for a broadcast to the servers, (client,) for a
 reply, the servers and then the reader for a relay echoed to the
@@ -62,8 +62,6 @@ class StepOutput(NamedTuple):
     message: Optional[Message] = None  # the one message the step sends
     to: Sequence[int] = ()  # the node ids it goes to, empty when message is None
     response: Optional[Response] = None
-    # At most one of these per step; the simulator writes them to the trace.
-    wtag: Optional[Tag] = None  # the tag a writer decided for its running write
     adopted: Optional[Tag] = None  # the tag a server took over
 
 
@@ -91,9 +89,8 @@ def swmr_writer_step(state: SWMRWriterState, event: Event, qs: QuorumSystem) -> 
         state.value = event.value
         state.ack_mask = 0
         state.pending = True
-        wtag = Tag(state.ts, 0)
-        msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.ts, wtag, event.value)
-        return StepOutput(msg, range(qs.n), wtag=wtag)
+        msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.ts, Tag(state.ts, 0), event.value)
+        return StepOutput(msg, range(qs.n))
     # An earlier write's ack (op_seq below ts) falls through, like a trailing one.
     if state.pending and event.kind == MessageKind.WRITE_ACK and event.op_seq == state.ts:
         state.ack_mask |= 1 << event.sender
@@ -146,7 +143,7 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
             state.acks = {}
             state.ack_mask = 0
             msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, state.tag, state.value)
-            return StepOutput(msg, range(qs.n), wtag=state.tag)
+            return StepOutput(msg, range(qs.n))
     elif state.phase == "put" and event.kind == MessageKind.WRITE_ACK:
         state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask):

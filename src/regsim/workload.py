@@ -42,9 +42,9 @@ def build_workload(config: ScenarioConfig) -> list[WorkItem]:
     items: list[WorkItem] = []
     for r in range(config.n_readers):
         for t in _times(config.scheme, config.read_interval, n_reads, rng):
-            items.append(WorkItem(t, reader(r), "read"))
+            items.append(WorkItem(t, reader(r)))
     for w in range(config.n_writers):
         for k, t in enumerate(_times(config.scheme, config.write_interval, n_writes, rng), start=1):
-            items.append(WorkItem(t, writer(w), "write", write_payload(w, k, config.value_size)))
+            items.append(WorkItem(t, writer(w), write_payload(w, k, config.value_size)))
     items.sort(key=lambda it: (it.time, node_key(it.pid)))
     return items

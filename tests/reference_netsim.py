@@ -13,8 +13,8 @@ import math
 import random
 
 from regsim import netsim
-from regsim.core import node_key
-from regsim.protocols import Invoke
+from regsim.core import CLIENT_KIND, MessageKind, node_key
+from regsim.protocols.base import Invoke
 from regsim.trace import Trace
 
 
@@ -26,6 +26,9 @@ def reference_run(network, algorithm, qs, workload, crash_schedule=(), seed=0,
     paths = network.path_params()
     states = [algorithm.new_state(name, pid) for pid, name in enumerate(names)]
     step = {"r": algorithm.reader_step, "w": algorithm.writer_step, "s": algorithm.server_step}
+    for item in workload:
+        if item.pid[0] not in CLIENT_KIND:
+            raise ValueError("work item names %s, not a client" % item.pid)
     crashed_at = {}
     for name, t in crash_schedule:
         if name in crashed_at:
@@ -54,11 +57,11 @@ def reference_run(network, algorithm, qs, workload, crash_schedule=(), seed=0,
 
     def output(name, t, out, exchange, op):
         pid = names.index(name)
-        if out.wtag is not None:
-            trace.add(("wtag", t, name, running[name], out.wtag.ts, out.wtag.wid))
         if out.adopted is not None:
             trace.add(("tag", t, name, out.adopted.ts, out.adopted.wid))
         msg = out.message
+        if msg is not None and msg.kind == MessageKind.WRITE_REQUEST:
+            trace.add(("wtag", t, name, running[name], msg.tag.ts, msg.tag.wid))
         for dst in out.to:
             trace.ops[op].messages += 1
             if msg.client == pid:
@@ -97,8 +100,9 @@ def reference_run(network, algorithm, qs, workload, crash_schedule=(), seed=0,
         elif name in running:
             skipped += 1
         else:
-            value = payload.value if payload.kind == "write" else None
-            trace.add(("inv", t, name, next_op, payload.kind,
+            op_kind = CLIENT_KIND[name[0]]
+            value = payload.value if op_kind == "write" else None
+            trace.add(("inv", t, name, next_op, op_kind,
                        "-" if value is None else value.hex()))
             running[name] = op = next_op
             next_op += 1
@@ -107,5 +111,5 @@ def reference_run(network, algorithm, qs, workload, crash_schedule=(), seed=0,
     pending = any(op.responded_at is None and trace.live(op.process) for op in trace.ops.values())
     unreached = any(kind == "invoke" and not crashed(name, t) for t, _, kind, name, _ in events)
     status = "incomplete" if pending or unreached else "complete"
-    trace.add(("end", cap_s if events else min(last_t, cap_s), status, stale, skipped))
+    trace.add(("end", cap_s if events else last_t, status, stale, skipped))
     return trace

@@ -8,8 +8,11 @@ a bimodal one, where most messages take about 0.1 ms and the rest about
 log-uniform one, 0.1 ms to 1 s spread evenly over four decades.  Under
 both the correct protocols stay atomic, erato_broken is caught, and every
 trace, with many deliveries in flight at once, round-trips through its
-text and replays.  Under both, netsim.run writes the reference
-simulator's trace byte for byte, a crashed server of three included.
+text and replays.  Every history is small enough for the brute-force
+oracle, and one it rejects the tag check rejects too.  Every completed
+operation takes the exchanges of README's table.  Under both policies,
+netsim.run writes the reference simulator's trace byte for byte, a
+crashed server of three included.
 """
 
 import dataclasses
@@ -18,6 +21,7 @@ import pytest
 
 from reference_netsim import reference_run
 from regsim import netsim
+from regsim.checker import BRUTE_FORCE_LIMIT, brute_force_linearizable, extract_history
 from regsim.config import ScenarioConfig, build_quorum_system, validate
 from regsim.harness import build_network, crash_schedule, run_scenario
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
@@ -25,6 +29,9 @@ from regsim.trace import replay_wire, trace_from_text, trace_to_text
 from regsim.workload import build_workload
 
 CORRECT = ("erato", "erato_mw", "abd", "abd_mw", "ohsam", "ohmam")
+# README's table: the exchanges a read may take; a write takes 2 under a
+# single writer and 4 under several.
+READ_EXCHANGES = {"erato": (2, 3), "erato_mw": (2, 3), "abd": (4,), "abd_mw": (4,), "ohsam": (3,), "ohmam": (3,)}
 
 
 def bimodal_delay(params, size_bits, jitter_max, rng) -> float:
@@ -53,8 +60,11 @@ def scenario(algorithm: str, seed: int) -> ScenarioConfig:
 
 def adversarial_runs(algorithm: str, seeds, monkeypatch, policy=bimodal_delay):
     """Each seed's RunResult under the policy's delays, its trace held to
-    a byte-exact round trip through text and to a replay of its wire."""
+    a byte-exact round trip through text and to a replay of its wire, its
+    history to the brute-force oracle and, for a protocol of README's
+    table, its completed operations to the exchanges listed there."""
     monkeypatch.setattr(netsim, "message_delay", policy)
+    write_exchanges = 4 if get_algorithm(algorithm).mw else 2
     for seed in seeds:
         result = run_scenario(scenario(algorithm, seed))
         text = trace_to_text(result.trace)
@@ -62,6 +72,14 @@ def adversarial_runs(algorithm: str, seeds, monkeypatch, policy=bimodal_delay):
         assert trace_to_text(parsed) == text
         replay_wire(parsed)
         assert parsed == result.trace
+        history = extract_history(result.trace)
+        completed = history.completed_ops()
+        assert len(completed) <= BRUTE_FORCE_LIMIT  # the scenario is that small
+        # A history the oracle rejects, the tag check rejects too.
+        assert brute_force_linearizable(history) or not result.verdict.ok, seed
+        if algorithm in READ_EXCHANGES:
+            assert [op.op_id for op in completed if op.exchanges not in
+                    (READ_EXCHANGES[algorithm] if op.kind == "read" else (write_exchanges,))] == [], seed
         yield result
 
 
@@ -74,16 +92,17 @@ def link_delays(results) -> list[float]:
 @pytest.mark.parametrize("algorithm", CORRECT)
 def test_correct_protocols_stay_atomic_under_bimodal_delays(algorithm, monkeypatch) -> None:
     results = list(adversarial_runs(algorithm, range(150), monkeypatch))
-    assert [r.config.seed for r in results if not r.verdict.ok] == []
+    assert [r.trace.config.seed for r in results if not r.verdict.ok] == []
     assert not any(r.trace.incomplete for r in results)
     delays = link_delays(results)
     assert max(delays) / min(delays) >= 1e3  # the hook set every link's delay
 
 
 def test_erato_broken_is_caught_under_bimodal_delays(monkeypatch) -> None:
-    # Seeds 211, 300 and 331 violate atomicity.
+    # Seeds 211, 300 and 331 violate atomicity, by values as well as by tags.
     results = list(adversarial_runs("erato_broken", range(400), monkeypatch))
-    assert [r.config.seed for r in results if not r.verdict.ok]
+    assert [r.trace.config.seed for r in results if not r.verdict.ok]
+    assert [r for r in results if not brute_force_linearizable(extract_history(r.trace))]
     delays = link_delays(results)
     assert max(delays) / min(delays) >= 1e3
 
@@ -91,7 +110,7 @@ def test_erato_broken_is_caught_under_bimodal_delays(monkeypatch) -> None:
 @pytest.mark.parametrize("algorithm", CORRECT)
 def test_correct_protocols_stay_atomic_under_log_uniform_delays(algorithm, monkeypatch) -> None:
     results = list(adversarial_runs(algorithm, range(100), monkeypatch, log_uniform_delay))
-    assert [r.config.seed for r in results if not r.verdict.ok] == []
+    assert [r.trace.config.seed for r in results if not r.verdict.ok] == []
     assert not any(r.trace.incomplete for r in results)
     delays = link_delays(results)
     assert max(delays) / min(delays) >= 1e3

@@ -59,8 +59,14 @@ def test_write_then_read_same_tag_ok() -> None:
         op(1, writer(0), "write", 0.0, 1.0, Tag(1, 0), val(1)),
         op(2, reader(0), "read", 2.0, 3.0, Tag(1, 0), val(1)),
     )
-    assert check_atomicity_tagged(h) == Verdict(True)
+    assert check_atomicity_tagged(h) == Verdict()
     assert brute_force_linearizable(h)
+
+
+def test_a_verdict_is_ok_when_it_names_no_violated_condition() -> None:
+    assert Verdict().ok
+    assert not Verdict("A1").ok
+    assert not Verdict(A3, (1, 2), "detail").ok
 
 
 def test_stale_read_is_a3_with_write_read_witness() -> None:
@@ -238,8 +244,8 @@ def test_extract_history_from_simulator_run() -> None:
     net = build_topology("series", 3, 1, 1)
     net.jitter_max = 0.0
     trace = run(net, get_algorithm("erato"), qs, [
-        WorkItem(0.0, writer(0), "write", b"x" * 64),
-        WorkItem(0.1, reader(0), "read"),
+        WorkItem(0.0, writer(0), b"x" * 64),
+        WorkItem(0.1, reader(0)),
     ])
     h = extract_history(trace)
     assert [o.kind for o in h.ops] == ["write", "read"]
@@ -341,7 +347,7 @@ def pairwise_check(history: History, strict: bool = False) -> Verdict:
         )
         if inverted:
             return Verdict(
-                False, A1, (a.op_id, b.op_id),
+                A1, (a.op_id, b.op_id),
                 "%s %d (tag %s) precedes %s %d (tag %s) in real time but not in tag order"
                 % (a.kind, a.op_id, a.tag, b.kind, b.op_id, b.tag),
             )
@@ -352,7 +358,7 @@ def pairwise_check(history: History, strict: bool = False) -> Verdict:
         other = seen.get(op.tag)
         if other is not None:
             return Verdict(
-                False, A2, (other, op.op_id),
+                A2, (other, op.op_id),
                 "writes %d and %d share tag %s" % (other, op.op_id, op.tag),
             )
         seen[op.tag] = op.op_id
@@ -362,17 +368,17 @@ def pairwise_check(history: History, strict: bool = False) -> Verdict:
     for op in scan:
         if op.kind == "read" and op.tag not in valid_tags:
             return Verdict(
-                False, A3, (op.op_id,),
+                A3, (op.op_id,),
                 "read %d returned tag %s, which no write produced" % (op.op_id, op.tag),
             )
     for a, b in ordered_pairs:
         if a.kind == "write" and b.kind == "read" and b.tag < a.tag:
             return Verdict(
-                False, A3, (a.op_id, b.op_id),
+                A3, (a.op_id, b.op_id),
                 "read %d returned tag %s although write %d (tag %s) had already completed"
                 % (b.op_id, b.tag, a.op_id, a.tag),
             )
-    return Verdict(True)
+    return Verdict()
 
 
 def pairwise_realtime_violations(history: History) -> list[str]:
@@ -465,7 +471,7 @@ def test_check_memory_stays_linear() -> None:
     h = hist(*ops)
     tracemalloc.start()
     try:
-        assert check_atomicity_tagged(h) == Verdict(True)
+        assert check_atomicity_tagged(h) == Verdict()
         assert realtime_tag_violations(h) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:

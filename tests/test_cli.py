@@ -393,6 +393,10 @@ def edited_run_row(row_id: str, kinds: tuple, index: int, old, new: str, message
         # A config value is read as written: "%" starts no interpolation.
         ("run", HEADERLESS + "[scenario]\nalgorithm = 50%",
          "config error: scenario.algorithm: unknown '50%' (choose from "),
+        # [DEFAULT] is an ordinary section: its keys reach no other one.
+        ("run", HEADERLESS + "[DEFAULT]\nseed = 3\n[scenario]\nalgorithm = erato",
+         "config error: DEFAULT: unknown section"),
+        ("run", HEADERLESS + "[DEFAULT]\nbogus = 3", "config error: DEFAULT: unknown section"),
         ("run", None, "No such file"),
         ("sweep", None, "No such file"),
         ("check", None, "No such file"),
@@ -448,16 +452,15 @@ def test_bad_input_exits_2_with_one_line(command, text, message, tmp_path, capsy
         ("n_servers = 3", "n_servers = 0", [], "scenario.n_servers: need at least one server"),
         ("n_readers = 1", "n_readers = -1", [], "scenario.n_readers: negative"),
         ("ops_per_client = 2", "ops_per_client = 2\nreads_per_client = -1", [], "workload.reads_per_client: negative"),
-        ("n_servers = 3", "n_servers = 3\nn_servers = 4", [],
-         "not parseable: While reading from '<string>' [line  6]: option 'n_servers' in section 'scenario' "
-         "already exists"),
         # configparser's errors on one line each, with the line they name.
-        ("[scenario]\n", "", [],
-         "not parseable: File contains no section headers. file: '<string>', line: 2 'algorithm = erato\\n'"),
-        ("[workload]", "[scenario]", [],
-         "not parseable: While reading from '<string>' [line  9]: section 'scenario' already exists"),
+        ("n_servers = 3", "n_servers = 3\nn_servers = 4", [],
+         "not parseable: line 6: option 'n_servers' in section 'scenario' already exists"),
+        ("[scenario]\n", "", [], "not parseable: line 2: 'algorithm = erato' comes before any section header"),
+        ("[workload]", "[scenario]", [], "not parseable: line 9: section 'scenario' already exists"),
         ("ops_per_client = 2", "ops_per_client = 2\nnot a setting", [],
-         "not parseable: Source contains parsing errors: '<string>' [line 14]: 'not a setting\\n'"),
+         "not parseable: line 14: 'not a setting' is neither a section header nor key = value"),
+        # [DEFAULT] is an ordinary section: its keys reach no other one.
+        ("[workload]", "[DEFAULT]\nseed = 3\n[workload]", [], "DEFAULT: unknown section"),
     ],
 )
 def test_run_refuses_non_finite_numbers(old, new, args, message, tmp_path, capsys) -> None:
@@ -483,6 +486,7 @@ def test_run_refuses_non_finite_numbers(old, new, args, message, tmp_path, capsy
          "grid.writers: crash schedules go in [crashes], not [grid]"),
         ("seeds = 1", "seeds = 1\ncrash_readers = 0@0.5", "grid.crash_readers: unknown key"),
         ("seeds = 1", "seeds = 1\nseed = 1, 2", "grid.seed: not an axis, a sweep's seeds come from seeds = N"),
+        ("seeds = 1", "seeds = 1\n[DEFAULT]\nseeds = 2", "DEFAULT: unknown section"),
         # quorums is no cell column, so both quorum systems would share
         # one cell's files; a repeated axis value would run each seed twice.
         ("algorithm = erato, ohsam\nseeds = 1", "quorums = majority, matrix\nn_servers = 9\nseeds = 2",

@@ -93,7 +93,7 @@ VALUES = [
     Response(b"v", Tag(1, 0)),
     StepOutput(Message(MessageKind.READ_ACK, 0, 3, 1, Tag(1, 0), b"x"), (3,), adopted=Tag(1, 0)),
     LinkParams(10e6, 0.006),
-    WorkItem(0.5, "r0", "read"),
+    WorkItem(0.5, "r0"),
     OpStats("erato", 1, "r0", "read", 0.0, 0.01, 2, 10),
     Summary("erato", "read", 1, 0.01, 0.01, 0.01, 0.01, {2: 1}, 1.0),
 ]
@@ -109,7 +109,7 @@ def test_values_are_immutable_tuples_of_their_fields(value):
 
 
 def test_the_empty_step_output_is_nothing():
-    assert StepOutput() == NOTHING == (None, (), None, None, None)
+    assert StepOutput() == NOTHING == (None, (), None, None)
 
 
 def test_value_reprs_name_their_fields():

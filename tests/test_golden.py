@@ -175,7 +175,7 @@ def test_an_invocation_at_a_delivery_time_goes_first():
     dlv = next(rec for rec in first.records if rec[0] == "dlv" and rec[2].startswith("s")
                and not any(start <= rec[1] <= end for start, end in r0_busy))
     # Up to that time the second run is the first, so the same dlv comes.
-    trace = run_with(workload + [WorkItem(dlv[1], "r0", "read")])
+    trace = run_with(workload + [WorkItem(dlv[1], "r0")])
     inv = next(i for i, rec in enumerate(trace.records) if rec[0] == "inv" and rec[1] == dlv[1])
     assert trace.records[inv][2] == "r0" and inv < trace.records.index(dlv)
     assert _sha256(trace_to_text(trace)) == INVOKE_AT_DELIVERY_GOLDEN

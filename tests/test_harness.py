@@ -1120,7 +1120,7 @@ def test_exit_codes() -> None:
     doctored = run_scenario(cfg())
     from regsim.checker import Verdict
 
-    doctored.verdict = Verdict(False, "A1", (1, 2), "synthetic")
+    doctored.verdict = Verdict("A1", (1, 2), "synthetic")
     assert doctored.exit_code() == EXIT_ATOMICITY
     # An atomicity violation outranks a liveness failure.
     capped.verdict = doctored.verdict

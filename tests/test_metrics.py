@@ -35,8 +35,8 @@ def test_erato_write_and_read_message_counts() -> None:
     # One writer round trip: S requests + S acks.  One relay read:
     # S requests + S*(S+1) relays + S acks.
     trace = sim("erato", build_majority(3), 3, [
-        WorkItem(0.0, writer(0), "write", b"x" * 64),
-        WorkItem(1.0, reader(0), "read"),
+        WorkItem(0.0, writer(0), b"x" * 64),
+        WorkItem(1.0, reader(0)),
     ])
     counts = replay_wire(trace)
     assert counts == {1: 6, 2: 18}
@@ -46,36 +46,36 @@ def test_erato_write_and_read_message_counts() -> None:
 def test_erato_read_messages_at_nine_servers() -> None:
     # With a square grid of 9 servers every server relays to all nine
     # servers plus the reader: 9 + 9*10 + 9 = 108.
-    trace = sim("erato", build_matrix(3, 3), 9, [WorkItem(0.0, reader(0), "read")])
+    trace = sim("erato", build_matrix(3, 3), 9, [WorkItem(0.0, reader(0))])
     assert replay_wire(trace) == {1: 108}
     assert 108 == 9 * 9 + 3 * 9
 
 
 def test_erato_mw_write_uses_four_waves() -> None:
     trace = sim("erato_mw", build_majority(3), 3, [
-        WorkItem(0.0, writer(1), "write", b"y" * 64),
+        WorkItem(0.0, writer(1), b"y" * 64),
     ])
     assert replay_wire(trace) == {1: 12}  # 4 * |S|
 
 
 def test_ohsam_read_messages() -> None:
     # Relays go server-to-server only: S + S*S + S acks.
-    trace = sim("ohsam", build_majority(3), 3, [WorkItem(0.0, reader(0), "read")])
+    trace = sim("ohsam", build_majority(3), 3, [WorkItem(0.0, reader(0))])
     assert replay_wire(trace) == {1: 15}
 
 
 def test_abd_read_messages() -> None:
     # Query round trip plus write-back round trip, each at most 2S.
-    trace = sim("abd", build_majority(3), 3, [WorkItem(0.0, reader(0), "read")])
+    trace = sim("abd", build_majority(3), 3, [WorkItem(0.0, reader(0))])
     assert replay_wire(trace) == {1: 12}
 
 
 def test_attribution_covers_every_send() -> None:
     trace = sim("erato_mw", build_majority(3), 3, [
-        WorkItem(0.0, writer(0), "write", b"a" * 64),
-        WorkItem(0.0, reader(0), "read"),
-        WorkItem(0.5, writer(1), "write", b"b" * 64),
-        WorkItem(0.6, reader(1), "read"),
+        WorkItem(0.0, writer(0), b"a" * 64),
+        WorkItem(0.0, reader(0)),
+        WorkItem(0.5, writer(1), b"b" * 64),
+        WorkItem(0.6, reader(1)),
     ])
     counts = replay_wire(trace)
     total_sends = sum(1 for r in trace.records if r[0] == "snd")
@@ -85,8 +85,8 @@ def test_attribution_covers_every_send() -> None:
 
 def test_attribution_with_crashed_server() -> None:
     trace = sim("erato", build_majority(3), 3,
-                [WorkItem(0.0, writer(0), "write", b"x" * 64),
-                 WorkItem(1.0, reader(0), "read")],
+                [WorkItem(0.0, writer(0), b"x" * 64),
+                 WorkItem(1.0, reader(0))],
                 crashes=[(server(2), 0.0)])
     counts = replay_wire(trace)
     assert counts[1] == 5   # 3 requests, 2 acks
@@ -95,7 +95,7 @@ def test_attribution_with_crashed_server() -> None:
 
 
 def test_unattributable_send_raises() -> None:
-    trace = sim("erato", build_majority(3), 3, [WorkItem(0.0, reader(0), "read")])
+    trace = sim("erato", build_majority(3), 3, [WorkItem(0.0, reader(0))])
     trace.records.append(("snd", 9.0, reader(1), writer(0), "readRequest", reader(1), 99, 9.1))
     with pytest.raises(ValueError):
         replay_wire(trace)
@@ -109,7 +109,7 @@ def test_unattributable_send_raises() -> None:
      "dlv of readRequest \\(client r0, op 1\\) from r0 to s0 at 9.0 matches no earlier snd"),
 ])
 def test_server_send_that_fits_no_client_operation_raises(rec, message) -> None:
-    trace = sim("erato", build_majority(3), 3, [WorkItem(0.0, reader(0), "read")])
+    trace = sim("erato", build_majority(3), 3, [WorkItem(0.0, reader(0))])
     trace.records.append(rec)
     # The record's line in the trace's text, after the run header.
     with pytest.raises(ValueError, match="^line %d: .*%s" % (len(trace.records) + 1, message)):
@@ -249,10 +249,10 @@ def test_wire_counts_with_stale_and_trailing_deliveries() -> None:
 
 def test_per_operation_stats_excludes_incomplete() -> None:
     trace = sim("erato", build_majority(3), 3,
-                [WorkItem(0.0, writer(0), "write", b"x" * 64)], )
+                [WorkItem(0.0, writer(0), b"x" * 64)], )
     trace2 = sim("erato", build_majority(3), 3,
-                 [WorkItem(0.0, writer(0), "write", b"x" * 64),
-                  WorkItem(1.0, reader(0), "read")],
+                 [WorkItem(0.0, writer(0), b"x" * 64),
+                  WorkItem(1.0, reader(0))],
                  crashes=[(reader(0), 1.001)])
     stats = per_operation_stats(trace)
     assert len(stats) == 1 and stats[0].kind == "write" and stats[0].exchanges == 2

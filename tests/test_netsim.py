@@ -27,7 +27,8 @@ from regsim.netsim import (
     message_delay,
     run,
 )
-from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, NOTHING, Invoke, StepOutput, get_algorithm
+from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
+from regsim.protocols.base import NOTHING, Invoke, StepOutput
 from regsim.quorum import build_majority
 from regsim.trace import replay_wire, trace_to_text
 from regsim.workload import build_workload
@@ -115,7 +116,7 @@ def test_default_jitter_is_one_ms() -> None:
 def test_single_write_trace() -> None:
     qs = build_majority(3)
     net = series(3, 1, 1)
-    trace = run(net, ERATO, qs, [WorkItem(0.0, writer(0), "write", b"x" * 64)])
+    trace = run(net, ERATO, qs, [WorkItem(0.0, writer(0), b"x" * 64)])
 
     op = trace.ops[1]
     assert op.kind == "write" and op.tag == Tag(1, 0) and op.exchanges == 2
@@ -138,8 +139,8 @@ def test_read_send_count_and_self_relays() -> None:
     qs = build_majority(3)
     net = series(3, 1, 1)
     items = [
-        WorkItem(0.0, writer(0), "write", b"v" * 64),
-        WorkItem(0.1, reader(0), "read"),
+        WorkItem(0.0, writer(0), b"v" * 64),
+        WorkItem(0.1, reader(0)),
     ]
     trace = run(net, ERATO, qs, items)
     read_sends = [r for r in trace.records if r[0] == "snd" and r[5] == reader(0)]
@@ -157,7 +158,7 @@ def test_crashed_server_never_acts() -> None:
     net = series(3, 1, 1)
     trace = run(
         net, ERATO, qs,
-        [WorkItem(0.0, writer(0), "write", b"x" * 64)],
+        [WorkItem(0.0, writer(0), b"x" * 64)],
         crash_schedule=[(server(0), 0.0)],
     )
     assert trace.ops[1].completed  # majority {s1, s2} suffices
@@ -175,9 +176,30 @@ def test_a_node_scheduled_to_crash_twice_is_refused() -> None:
     with pytest.raises(ValueError, match="crash schedule names s0 twice"):
         run(
             series(3, 1, 1), ERATO, build_majority(3),
-            [WorkItem(0.0, writer(0), "write", b"x" * 64)],
+            [WorkItem(0.0, writer(0), b"x" * 64)],
             crash_schedule=[(server(0), 0.5), (server(0), 0.1)],
         )
+
+
+def test_a_work_item_naming_a_server_is_refused_before_any_event() -> None:
+    def no_step(state, event, qs):
+        raise AssertionError("a step ran")
+
+    alg = dataclasses.replace(ERATO, reader_step=no_step, writer_step=no_step, server_step=no_step)
+    with pytest.raises(ValueError, match="work item at 1.0 names s0, not a client"):
+        run(series(3, 1, 1), alg, build_majority(3),
+            [WorkItem(0.0, writer(0), b"x" * 64), WorkItem(1.0, server(0))])
+
+
+def test_a_write_records_the_tag_of_its_write_request() -> None:
+    trace = run(series(3, 1, 1), ERATO, build_majority(3),
+                [WorkItem(0.0, writer(0), b"x" * 64), WorkItem(0.5, writer(0), b"y" * 64)])
+    wtags = [r for r in trace.records if r[0] == "wtag"]
+    requests = [r for r in trace.records if r[0] == "snd" and r[4] == MessageKind.WRITE_REQUEST]
+    assert wtags == [("wtag", 0.0, writer(0), 1, 1, 0), ("wtag", 0.5, writer(0), 2, 2, 0)]
+    # Each wtag comes right before its step's snd records.
+    assert [trace.records.index(r) + 1 for r in wtags] == [trace.records.index(r) for r in requests[::3]]
+    assert [(op.kind, op.tag) for op in trace.operations()] == [("write", Tag(1, 0)), ("write", Tag(2, 0))]
 
 
 def test_inflight_from_crashed_node_still_delivers() -> None:
@@ -187,7 +209,7 @@ def test_inflight_from_crashed_node_still_delivers() -> None:
     # at 0.02 s leaves that ack in flight, and it must still arrive.
     trace = run(
         net, ERATO, qs,
-        [WorkItem(0.0, writer(0), "write", b"x" * 64)],
+        [WorkItem(0.0, writer(0), b"x" * 64)],
         crash_schedule=[(server(0), 0.02)],
     )
     acks_from_s0 = [
@@ -201,9 +223,9 @@ def test_overlapping_invocation_is_skipped_and_counted() -> None:
     qs = build_majority(3)
     net = series(3, 1, 1)
     items = [
-        WorkItem(0.0, reader(0), "read"),
-        WorkItem(0.001, reader(0), "read"),  # still pending: skipped
-        WorkItem(1.0, reader(0), "read"),
+        WorkItem(0.0, reader(0)),
+        WorkItem(0.001, reader(0)),  # still pending: skipped
+        WorkItem(1.0, reader(0)),
     ]
     trace = run(net, ERATO, qs, items)
     assert trace.skipped_invokes == 1
@@ -214,7 +236,7 @@ def test_overlapping_invocation_is_skipped_and_counted() -> None:
 def test_cap_marks_incomplete() -> None:
     qs = build_majority(3)
     net = series(3, 1, 1)
-    trace = run(net, ERATO, qs, [WorkItem(0.0, writer(0), "write", b"x" * 64)], cap_s=0.001)
+    trace = run(net, ERATO, qs, [WorkItem(0.0, writer(0), b"x" * 64)], cap_s=0.001)
     assert trace.incomplete
     assert not trace.ops[1].completed
     assert trace.records[-1][0] == "end" and trace.records[-1][2] == "incomplete"
@@ -234,12 +256,12 @@ def test_the_heap_holds_only_messages(monkeypatch) -> None:
 
     monkeypatch.setattr(netsim.heapq, "heappush", counted)
     items = [
-        WorkItem(0.0, writer(0), "write", b"x" * 64),
-        WorkItem(0.0, reader(0), "read"),
-        WorkItem(0.001, reader(0), "read"),  # still pending: skipped
-        WorkItem(0.05, reader(1), "read"),
-        WorkItem(2.0, reader(0), "read"),  # past the cap: unreached
-        WorkItem(3.0, reader(1), "read"),  # after its client's crash
+        WorkItem(0.0, writer(0), b"x" * 64),
+        WorkItem(0.0, reader(0)),
+        WorkItem(0.001, reader(0)),  # still pending: skipped
+        WorkItem(0.05, reader(1)),
+        WorkItem(2.0, reader(0)),  # past the cap: unreached
+        WorkItem(3.0, reader(1)),  # after its client's crash
     ]
     trace = run(series(3, 2, 1), ERATO, build_majority(3), items,
                 crash_schedule=[(server(2), 0.01), (reader(1), 0.5)], cap_s=1.0)
@@ -254,8 +276,8 @@ def test_crashed_client_pending_op_is_not_a_liveness_failure() -> None:
     qs = build_majority(3)
     net = series(3, 1, 2)
     items = [
-        WorkItem(0.0, writer(0), "write", b"x" * 64),
-        WorkItem(0.0, writer(1), "write", b"y" * 64),
+        WorkItem(0.0, writer(0), b"x" * 64),
+        WorkItem(0.0, writer(1), b"y" * 64),
     ]
     trace = run(
         net, get_algorithm("erato_mw"), qs, items,
@@ -270,10 +292,10 @@ def test_delivery_strictly_after_send() -> None:
     qs = build_majority(3)
     net = series(3, 2, 1, jitter=0.002)
     items = [
-        WorkItem(0.0, writer(0), "write", b"a" * 64),
-        WorkItem(0.01, reader(0), "read"),
-        WorkItem(0.02, reader(1), "read"),
-        WorkItem(0.05, writer(0), "write", b"b" * 64),
+        WorkItem(0.0, writer(0), b"a" * 64),
+        WorkItem(0.01, reader(0)),
+        WorkItem(0.02, reader(1)),
+        WorkItem(0.05, writer(0), b"b" * 64),
     ]
     trace = run(net, ERATO, qs, items, seed=5)
     for r in trace.records:
@@ -285,8 +307,8 @@ def test_same_seed_same_trace_different_seed_differs() -> None:
     qs = build_majority(3)
     net = series(3, 1, 1, jitter=0.003)
     items = [
-        WorkItem(0.0, writer(0), "write", b"x" * 64),
-        WorkItem(0.004, reader(0), "read"),
+        WorkItem(0.0, writer(0), b"x" * 64),
+        WorkItem(0.004, reader(0)),
     ]
     a = run(net, ERATO, qs, copy.deepcopy(items), seed=42)
     b = run(net, ERATO, qs, copy.deepcopy(items), seed=42)
@@ -327,9 +349,9 @@ def test_message_delay_is_the_per_send_hook(monkeypatch) -> None:
 
     monkeypatch.setattr(netsim, "message_delay", fixed_delay)
     items = [
-        WorkItem(0.0, writer(0), "write", b"x" * 64),
-        WorkItem(0.05, reader(0), "read"),
-        WorkItem(0.07, reader(1), "read"),
+        WorkItem(0.0, writer(0), b"x" * 64),
+        WorkItem(0.05, reader(0)),
+        WorkItem(0.07, reader(1)),
     ]
     trace = run(series(3, 2, 1, jitter=0.002), ERATO, build_majority(3), items, seed=3)
     sends = [r for r in trace.records if r[0] == "snd"]
@@ -370,7 +392,7 @@ def test_each_send_reads_its_own_message() -> None:
     assert StepOutput() is not NOTHING
     net = series(3, 0, 1)
     assert net.names[3] == writer(0)
-    trace = run(net, stub(StepOutput), build_majority(3), [WorkItem(0.0, writer(0), "write", b"v" * 100)])
+    trace = run(net, stub(StepOutput), build_majority(3), [WorkItem(0.0, writer(0), b"v" * 100)])
     paths = net.path_params()
     sends = [r for r in trace.records if r[0] == "snd"]
     assert len(sends) == len(plan)
@@ -384,7 +406,7 @@ def test_each_send_reads_its_own_message() -> None:
         dlv = delivered[(r[7], r[3], r[2], r[4], r[5], r[6])]
         assert dlv[1] is r[7]  # the very float, which trace_to_text's time cache needs
     assert replay_wire(trace) == {1: len(plan)}
-    again = run(net, stub(lambda: NOTHING), build_majority(3), [WorkItem(0.0, writer(0), "write", b"v" * 100)])
+    again = run(net, stub(lambda: NOTHING), build_majority(3), [WorkItem(0.0, writer(0), b"v" * 100)])
     assert trace_to_text(again) == trace_to_text(trace)
 
 
@@ -414,8 +436,8 @@ def test_a_step_that_decides_nothing_returns_nothing(name, quorums, n_servers) -
     assert all(op.completed for op in trace.ops.values() if trace.live(op.process))
     decided = [out for out in outputs if out is not NOTHING]
     assert len(decided) < len(outputs)
-    assert all(out.message is not None or out.response is not None or out.wtag is not None
-               or out.adopted is not None for out in decided)
+    assert all(out.message is not None or out.response is not None or out.adopted is not None
+               for out in decided)
     # A step sends one message or none: to some node ids of the run, or to none.
     assert all((out.message is None) == (len(out.to) == 0) for out in outputs)
     assert {dst for out in outputs for dst in out.to} <= set(range(len(net.names)))

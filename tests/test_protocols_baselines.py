@@ -3,8 +3,8 @@
 import pytest
 
 from regsim.core import Message, MessageKind, Tag
-from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, Invoke, Response, get_algorithm
-from regsim.protocols import abd, base, broken
+from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, abd, base, broken, get_algorithm
+from regsim.protocols.base import Invoke, Response
 from regsim.protocols.readers import RelayReaderState, relay_reader_step
 from regsim.quorum import build_majority
 

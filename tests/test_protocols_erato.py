@@ -3,7 +3,8 @@
 from copy import deepcopy
 
 from regsim.core import Message, MessageKind, Tag
-from regsim.protocols import Invoke, Response, StepOutput, base, get_algorithm
+from regsim.protocols import base, get_algorithm
+from regsim.protocols.base import Invoke, Response, StepOutput
 from regsim.protocols.erato import erato_reader_step
 from regsim.protocols.readers import RelayReaderState
 from regsim.quorum import build_majority
@@ -34,12 +35,12 @@ def test_write_broadcast_and_quorum_ack():
     assert list(out.to) == [0, 1, 2]
     m = out.message
     assert m.kind == MessageKind.WRITE_REQUEST and m.tag == Tag(1, 0) and m.value == b"v1"
-    assert out.wtag == Tag(1, 0) and out.adopted is None
+    assert out.adopted is None
 
     assert base.swmr_writer_step(w, wack(0, 1), QS3).response is None
     out = base.swmr_writer_step(w, wack(1, 1), QS3)
     # Answered on the first acknowledgement quorum.
-    assert out.response == Response(b"v1", Tag(1, 0)) and out.wtag is None and not w.pending
+    assert out.response == Response(b"v1", Tag(1, 0)) and out.message is None and not w.pending
     # Trailing ack for the answered write: no send, no response, no change.
     before = deepcopy(w)
     assert base.swmr_writer_step(w, wack(2, 1), QS3) == StepOutput() and w == before

@@ -3,7 +3,8 @@
 from copy import deepcopy
 
 from regsim.core import Message, MessageKind, Tag
-from regsim.protocols import Invoke, Response, StepOutput, base, get_algorithm
+from regsim.protocols import base, get_algorithm
+from regsim.protocols.base import Invoke, Response, StepOutput
 from regsim.protocols.erato_mw import eratomw_reader_step
 from regsim.protocols.readers import RelayReaderState
 from regsim.quorum import build_majority
@@ -45,7 +46,6 @@ def test_write_discovers_then_places_max_plus_one():
     put = out.message
     assert put.kind == MessageKind.WRITE_REQUEST and put.op_seq == 2
     assert put.tag == Tag(6, 1)  # discovered max 5, own writer id
-    assert out.wtag == Tag(6, 1)
 
     base.mw_writer_step(w, wack(0, 2), QS4)
     base.mw_writer_step(w, wack(1, 2), QS4)

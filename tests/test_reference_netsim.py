@@ -87,7 +87,7 @@ def test_an_invocation_at_a_delivery_time_goes_first(scenario, data):
         _, t, dst, *_ = data.draw(st.sampled_from(deliveries))
         clients = [name for name in network.names if name[0] in "rw"]
         pid = dst if dst in clients else data.draw(st.sampled_from(clients))
-        item = WorkItem(t, pid, "read") if pid[0] == "r" else WorkItem(t, pid, "write", b"\xee" * 8)
+        item = WorkItem(t, pid) if pid[0] == "r" else WorkItem(t, pid, b"\xee" * 8)
         workload = workload + [item]
     scenario = network, algorithm, qs, workload, schedule, seed, cap_s
     assert trace_to_text(run(*scenario)) == trace_to_text(reference_run(*scenario))

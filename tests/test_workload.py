@@ -1,7 +1,7 @@
 """Workload schedule tests."""
 
 from regsim.config import ScenarioConfig, validate
-from regsim.core import reader, writer
+from regsim.core import CLIENT_KIND, reader, writer
 from regsim.workload import build_workload, write_payload
 
 
@@ -47,7 +47,8 @@ def test_stochastic_reproducible_and_seed_sensitive() -> None:
 
 def test_write_values_unique_and_sized() -> None:
     items = build_workload(cfg(n_writers=2, algorithm="erato_mw"))
-    values = [it.value for it in items if it.kind == "write"]
+    values = [it.value for it in items if CLIENT_KIND[it.pid[0]] == "write"]
+    assert len(values) < len(items) and all(it.value is None for it in items if it.pid[0] == "r")
     assert len(values) == 6 and len(set(values)) == 6
     assert all(len(v) == 64 for v in values)
     assert values[0].startswith(b"w0o1.")

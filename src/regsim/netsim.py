@@ -13,16 +13,17 @@ a pure function of (workload, crash schedule, seed).
 LinkParams and WorkItem are named tuples, so each compares equal to the
 plain tuple of its fields.
 
-A node crashes at most once and only a client invokes: a crash schedule
-naming a node twice, or a WorkItem naming a server, raises ValueError
-before the first event.  An invocation's kind is its client's role
-(core.CLIENT_KIND).  Crashed nodes process no event from their crash
-time on; messages already in flight from them still deliver.  A crash
-scheduled after the run ends is not part of the run: it writes no crs
-record, so the node stays live and its pending operations count against
-liveness.  Self-addressed messages (a server relaying to itself) bypass
-the network with a fixed one-microsecond local handoff so that delivery
-always happens strictly after the send.
+Before the first event run refuses, by a ValueError naming its time and
+node, a crash or WorkItem not timed in [0, inf) or naming a node the
+network lacks, a node's second crash, a server's WorkItem, a reader's
+WorkItem with a value and a writer's without one.  An invocation's kind
+is its client's role (core.CLIENT_KIND).  Crashed nodes process no event
+from their crash time on; messages already in flight from them still
+deliver.  A crash scheduled after the run ends is not part of the run:
+it writes no crs record, so the node stays live and its pending
+operations count against liveness.  Self-addressed messages (a server
+relaying to itself) bypass the network with a fixed one-microsecond
+local handoff so that delivery always happens strictly after the send.
 
 The simulator, not the protocols, counts three things on the wire.  An
 exchange is one message hop along the chain that started at an
@@ -171,6 +172,16 @@ class WorkItem(NamedTuple):
     value: Optional[bytes] = None  # a write's payload
 
 
+def _node_at(what: str, t: float, name: str, node_id: dict[str, int]) -> int:
+    """The id of the node a crash or work item at time t names, refusing
+    a time outside [0, inf) and a name the network lacks."""
+    if not 0 <= t < math.inf:
+        raise ValueError("%s at %r names %s: its time is not in [0, inf)" % (what, t, name))
+    if name not in node_id:
+        raise ValueError("%s at %r names %s, which the network lacks" % (what, t, name))
+    return node_id[name]
+
+
 def run(
     network: Network,
     algorithm: Algorithm,
@@ -186,7 +197,7 @@ def run(
     # Inside the loop a node is its id; records and the operation index
     # name it by names[id], one shared str per node.
     names = network.names
-    node_id = names.index
+    node_id = {name: pid for pid, name in enumerate(names)}
     steps = {"r": algorithm.reader_step, "w": algorithm.writer_step, "s": algorithm.server_step}
     states = [algorithm.new_state(name, pid) for pid, name in enumerate(names)]
     step_of = [steps[name[0]] for name in names]
@@ -194,21 +205,27 @@ def run(
     jitter_max = network.jitter_max
     crashed_at = [math.inf] * len(names)
     for name, t in crash_schedule:
-        pid = node_id(name)
+        pid = _node_at("crash", t, name, node_id)
         if crashed_at[pid] != math.inf:
             raise ValueError("crash schedule names %s twice" % name)
         crashed_at[pid] = t
 
-    for item in workload:
-        if item.pid[0] not in CLIENT_KIND:
-            raise ValueError("work item at %r names %s, not a client" % (item.time, item.pid))
+    for t, name, value in workload:
+        _node_at("work item", t, name, node_id)
+        kind = CLIENT_KIND.get(name[0])
+        if kind is None:
+            raise ValueError("work item at %r names %s, not a client" % (t, name))
+        if kind == "read" and value is not None:
+            raise ValueError("work item at %r names %s, a reader, with a value" % (t, name))
+        if kind == "write" and value is None:
+            raise ValueError("work item at %r names %s, a writer, without a value" % (t, name))
     # The schedule, (time, pid, item), reversed so that its front is its
     # last entry and a pop frees what it consumes.  item is the
     # invocation's WorkItem, or None for a crash.
     schedule = [(crashed_at[pid], pid, None)
                 for pid in sorted(range(len(names)), key=lambda pid: node_key(names[pid]))
                 if crashed_at[pid] < math.inf]
-    schedule += [(item.time, node_id(item.pid), item)
+    schedule += [(item.time, node_id[item.pid], item)
                  for item in sorted(workload, key=lambda w: (w.time, node_key(w.pid)))]
     schedule.sort(key=lambda e: e[0])
     schedule.reverse()
@@ -223,7 +240,7 @@ def run(
 
     current_op: list[Optional[int]] = [None] * len(names)
     # op_seq of each client's latest send of its own; servers stay at 0.
-    # A client advances its counter (read_op, ts, write_op) and sends
+    # A client advances its counter (read_op, write_op) and sends
     # with the new value in the same step, so a delivery below it belongs
     # to an earlier phase or operation: exactly what the step ignores.
     own_seq = [0] * len(names)
@@ -259,8 +276,7 @@ def run(
                 continue
             # Writes carry their intended value from invocation on, so a
             # crashed write still shows what it was writing.
-            kind = CLIENT_KIND[names[pid][0]]
-            value = item.value if kind == "write" else None
+            kind, value = CLIENT_KIND[names[pid][0]], item.value
             trace.add(("inv", t, names[pid], next_op, kind, value.hex() if value is not None else "-"))
             op = current_op[pid] = next_op
             next_op += 1

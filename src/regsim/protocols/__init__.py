@@ -38,7 +38,7 @@ class Algorithm:
         if role == "r":
             return self.reader_state(pid)
         if role == "w":
-            return base.MWWriterState(pid, int(name[1:])) if self.mw else base.SWMRWriterState(pid)
+            return base.WriterState(pid, int(name[1:]))
         return base.ServerState(pid, self.relay_to_reader)
 
 

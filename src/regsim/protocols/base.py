@@ -26,6 +26,11 @@ its current operation that arrives after the response; either yields
 NOTHING.  How many exchanges an operation took and how many deliveries
 were stale the simulator measures on the wire (see netsim).
 
+Both writers share one put phase: broadcast the tag and value, answer
+on a quorum of acks.  An SWMR write is the put alone, 2 exchanges, its
+timestamp its write_op.  An MWMR write first discovers the highest
+timestamp on a quorum, 4 exchanges in all (Attiya, Bar-Noy and Dolev).
+
 Invoke, Response and StepOutput are named tuples, as core's Tag and
 Message are, so each compares equal to the plain tuple of its fields.
 """
@@ -72,45 +77,13 @@ NOTHING = StepOutput()
 
 
 @dataclass
-class SWMRWriterState:
-    """Single writer: the timestamp itself sequences its operations."""
+class WriterState:
+    """A writer of either model.  write_op advances once per phase, so
+    acknowledgement filtering by op_seq also separates the phases of one
+    operation.  wid is the writer's index, the tiebreak of its tags."""
 
     pid: int
-    ts: int = 0
-    value: bytes = INITIAL_VALUE
-    ack_mask: int = 0
-    pending: bool = False
-
-
-def swmr_writer_step(state: SWMRWriterState, event: Event, qs: QuorumSystem) -> StepOutput:
-    if isinstance(event, Invoke):
-        assert not state.pending and event.value is not None
-        state.ts += 1
-        state.value = event.value
-        state.ack_mask = 0
-        state.pending = True
-        msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.ts, Tag(state.ts, 0), event.value)
-        return StepOutput(msg, range(qs.n))
-    # An earlier write's ack (op_seq below ts) falls through, like a trailing one.
-    if state.pending and event.kind == MessageKind.WRITE_ACK and event.op_seq == state.ts:
-        state.ack_mask |= 1 << event.sender
-        if qs.first_contained_mask(state.ack_mask):
-            state.pending = False
-            return StepOutput(response=Response(state.value, Tag(state.ts, 0)))
-    return NOTHING
-
-
-@dataclass
-class MWWriterState:
-    """Two-phase writer: discover the highest timestamp, then place the tag.
-
-    write_op advances once per phase, so acknowledgement filtering by
-    op_seq also separates the phases of one operation.  wid is the
-    writer's index, the tiebreak of its tags.
-    """
-
-    pid: int
-    wid: int
+    wid: int = 0
     write_op: int = 0
     phase: str = "idle"  # idle | discover | put
     value: bytes = INITIAL_VALUE
@@ -119,7 +92,29 @@ class MWWriterState:
     ack_mask: int = 0
 
 
-def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> StepOutput:
+def _put(state: WriterState, tag: Tag, qs: QuorumSystem) -> StepOutput:
+    """Open the put phase of the write of state.value under tag."""
+    state.tag = tag
+    state.write_op += 1
+    state.phase = "put"
+    state.acks = {}
+    state.ack_mask = 0
+    msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, tag, state.value)
+    return StepOutput(msg, range(qs.n))
+
+
+def swmr_writer_step(state: WriterState, event: Event, qs: QuorumSystem) -> StepOutput:
+    """Single writer: the write is the put phase alone, whose acks take
+    mw_writer_step's one ack rule."""
+    if isinstance(event, Invoke):
+        assert state.phase == "idle" and event.value is not None
+        state.value = event.value
+        return _put(state, Tag(state.write_op + 1, 0), qs)
+    return mw_writer_step(state, event, qs)
+
+
+def mw_writer_step(state: WriterState, event: Event, qs: QuorumSystem) -> StepOutput:
+    """Writer of several: discover the highest timestamp, then put."""
     if isinstance(event, Invoke):
         assert state.phase == "idle" and event.value is not None
         state.write_op += 1
@@ -128,6 +123,7 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
         state.acks = {}
         state.ack_mask = 0
         return StepOutput(Message(MessageKind.WRITE_DISCOVER, state.pid, state.pid, state.write_op), range(qs.n))
+    # An earlier phase's or operation's ack falls through, like a trailing one.
     if event.op_seq < state.write_op:
         return NOTHING
     if state.phase == "discover" and event.kind == MessageKind.DISCOVER_ACK:
@@ -137,13 +133,7 @@ def mw_writer_step(state: MWWriterState, event: Event, qs: QuorumSystem) -> Step
         quorum = qs.first_contained_mask(state.ack_mask)
         if quorum:
             max_ts = quorum_extreme(state.acks, quorum, smallest=False).tag.ts
-            state.tag = Tag(max_ts + 1, state.wid)
-            state.write_op += 1
-            state.phase = "put"
-            state.acks = {}
-            state.ack_mask = 0
-            msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, state.tag, state.value)
-            return StepOutput(msg, range(qs.n))
+            return _put(state, Tag(max_ts + 1, state.wid), qs)
     elif state.phase == "put" and event.kind == MessageKind.WRITE_ACK:
         state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask):
@@ -172,13 +162,7 @@ def handle_writer_message(state: ServerState, msg: Message) -> StepOutput:
         return StepOutput(Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag), (msg.client,))
     if msg.kind != MessageKind.WRITE_REQUEST:
         return NOTHING
-    # Adoption is gated on per-writer freshness; the ack is not.  A
-    # single writer's op_seq is its timestamp, so the gate drops only
-    # requests whose tag adopt would ignore anyway.
-    adopted = None
-    if state.write_ops.get(msg.client, 0) < msg.op_seq:
-        state.write_ops[msg.client] = msg.op_seq
-        adopted = adopt(state, msg)
+    adopted = adopt(state, msg)
     ack = Message(MessageKind.WRITE_ACK, state.pid, msg.client, msg.op_seq, state.tag)
     return StepOutput(ack, (msg.client,), adopted=adopted)
 
@@ -196,7 +180,6 @@ class ServerState:
     # Keyed by the client's id: a reader's newest read's op_seq and the
     # mask of the servers that relayed it, 0 once this server acked it.
     reads: dict[int, tuple[int, int]] = field(default_factory=dict)
-    write_ops: dict[int, int] = field(default_factory=dict)
 
 
 def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> StepOutput:

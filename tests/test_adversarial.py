@@ -10,7 +10,9 @@ both the correct protocols stay atomic, erato_broken is caught, and every
 trace, with many deliveries in flight at once, round-trips through its
 text and replays.  Every history is small enough for the brute-force
 oracle, and one it rejects the tag check rejects too.  Every completed
-operation takes the exchanges of README's table.  Under both policies,
+operation takes the exchanges of README's table.  A writer's stale put,
+delivered after a newer one of its own, never moves a server's tag: a
+server takes a write by its tag alone.  Under both policies,
 netsim.run writes the reference simulator's trace byte for byte, a
 crashed server of three included.
 """
@@ -23,6 +25,7 @@ from reference_netsim import reference_run
 from regsim import netsim
 from regsim.checker import BRUTE_FORCE_LIMIT, brute_force_linearizable, extract_history
 from regsim.config import ScenarioConfig, build_quorum_system, validate
+from regsim.core import MessageKind
 from regsim.harness import build_network, crash_schedule, run_scenario
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
 from regsim.trace import replay_wire, trace_from_text, trace_to_text
@@ -58,11 +61,31 @@ def scenario(algorithm: str, seed: int) -> ScenarioConfig:
     ))
 
 
+def stale_write_requests(trace) -> int:
+    """How many of the trace's WRITE_REQUEST deliveries carry an op_seq at
+    or below the largest one their server has been delivered from that
+    writer, each held to adopt nothing: no tag record, its step's first
+    output, follows it."""
+    records = trace.records
+    newest: dict[tuple[str, str], int] = {}
+    stale = 0
+    for i, rec in enumerate(records):
+        if rec[0] == "dlv" and rec[4] == MessageKind.WRITE_REQUEST:
+            key, op_seq = (rec[2], rec[5]), rec[6]
+            if op_seq <= newest.get(key, 0):
+                stale += 1
+                assert records[i + 1][0] != "tag", rec
+            else:
+                newest[key] = op_seq
+    return stale
+
+
 def adversarial_runs(algorithm: str, seeds, monkeypatch, policy=bimodal_delay):
     """Each seed's RunResult under the policy's delays, its trace held to
     a byte-exact round trip through text and to a replay of its wire, its
-    history to the brute-force oracle and, for a protocol of README's
-    table, its completed operations to the exchanges listed there."""
+    history to the brute-force oracle, its stale puts to adopting nothing
+    and, for a protocol of README's table, its completed operations to the
+    exchanges listed there."""
     monkeypatch.setattr(netsim, "message_delay", policy)
     write_exchanges = 4 if get_algorithm(algorithm).mw else 2
     for seed in seeds:
@@ -77,6 +100,7 @@ def adversarial_runs(algorithm: str, seeds, monkeypatch, policy=bimodal_delay):
         assert len(completed) <= BRUTE_FORCE_LIMIT  # the scenario is that small
         # A history the oracle rejects, the tag check rejects too.
         assert brute_force_linearizable(history) or not result.verdict.ok, seed
+        stale_write_requests(result.trace)
         if algorithm in READ_EXCHANGES:
             assert [op.op_id for op in completed if op.exchanges not in
                     (READ_EXCHANGES[algorithm] if op.kind == "read" else (write_exchanges,))] == [], seed
@@ -94,6 +118,7 @@ def test_correct_protocols_stay_atomic_under_bimodal_delays(algorithm, monkeypat
     results = list(adversarial_runs(algorithm, range(150), monkeypatch))
     assert [r.trace.config.seed for r in results if not r.verdict.ok] == []
     assert not any(r.trace.incomplete for r in results)
+    assert any(map(stale_write_requests, (r.trace for r in results)))  # the check is not vacuous
     delays = link_delays(results)
     assert max(delays) / min(delays) >= 1e3  # the hook set every link's delay
 
@@ -103,6 +128,7 @@ def test_erato_broken_is_caught_under_bimodal_delays(monkeypatch) -> None:
     results = list(adversarial_runs("erato_broken", range(400), monkeypatch))
     assert [r.trace.config.seed for r in results if not r.verdict.ok]
     assert [r for r in results if not brute_force_linearizable(extract_history(r.trace))]
+    assert any(map(stale_write_requests, (r.trace for r in results)))  # the check is not vacuous
     delays = link_delays(results)
     assert max(delays) / min(delays) >= 1e3
 
@@ -112,6 +138,7 @@ def test_correct_protocols_stay_atomic_under_log_uniform_delays(algorithm, monke
     results = list(adversarial_runs(algorithm, range(100), monkeypatch, log_uniform_delay))
     assert [r.trace.config.seed for r in results if not r.verdict.ok] == []
     assert not any(r.trace.incomplete for r in results)
+    assert any(map(stale_write_requests, (r.trace for r in results)))  # the check is not vacuous
     delays = link_delays(results)
     assert max(delays) / min(delays) >= 1e3
 
@@ -119,8 +146,13 @@ def test_correct_protocols_stay_atomic_under_log_uniform_delays(algorithm, monke
 def test_erato_broken_is_caught_under_log_uniform_delays(monkeypatch) -> None:
     # Seeds 551, 936, 1165 and 1838 violate atomicity; the search stops
     # at the first.
-    results = adversarial_runs("erato_broken", range(2000), monkeypatch, log_uniform_delay)
-    assert any(not r.verdict.ok for r in results)
+    results = []
+    for result in adversarial_runs("erato_broken", range(2000), monkeypatch, log_uniform_delay):
+        results.append(result)
+        if not result.verdict.ok:
+            break
+    assert not results[-1].verdict.ok
+    assert any(map(stale_write_requests, (r.trace for r in results)))
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))

@@ -8,7 +8,9 @@ hops, dst access link.
 
 import copy
 import dataclasses
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -181,14 +183,35 @@ def test_a_node_scheduled_to_crash_twice_is_refused() -> None:
         )
 
 
-def test_a_work_item_naming_a_server_is_refused_before_any_event() -> None:
-    def no_step(state, event, qs):
-        raise AssertionError("a step ran")
+def no_step(state, event, qs):
+    raise AssertionError("a step ran")
 
-    alg = dataclasses.replace(ERATO, reader_step=no_step, writer_step=no_step, server_step=no_step)
+
+# A run that got past its checks would step w0's write at 0.0 first.
+STEPLESS = dataclasses.replace(ERATO, reader_step=no_step, writer_step=no_step, server_step=no_step)
+FIRST_WRITE = WorkItem(0.0, writer(0), b"x" * 64)
+
+
+def test_a_work_item_naming_a_server_is_refused_before_any_event() -> None:
     with pytest.raises(ValueError, match="work item at 1.0 names s0, not a client"):
-        run(series(3, 1, 1), alg, build_majority(3),
-            [WorkItem(0.0, writer(0), b"x" * 64), WorkItem(1.0, server(0))])
+        run(series(3, 1, 1), STEPLESS, build_majority(3), [FIRST_WRITE, WorkItem(1.0, server(0))])
+
+
+@pytest.mark.parametrize("workload, crashes, error", [
+    ([WorkItem(1.0, reader(5))], (), "work item at 1.0 names r5, which the network lacks"),
+    ([], [(server(7), 1.0)], "crash at 1.0 names s7, which the network lacks"),
+    ([WorkItem(1.0, reader(0), b"zz")], (), "work item at 1.0 names r0, a reader, with a value"),
+    ([WorkItem(1.0, writer(0))], (), "work item at 1.0 names w0, a writer, without a value"),
+    ([WorkItem(math.nan, reader(0))], (), "work item at nan names r0: its time is not in [0, inf)"),
+    ([WorkItem(-1.0, reader(0))], (), "work item at -1.0 names r0: its time is not in [0, inf)"),
+    ([], [(server(0), math.nan)], "crash at nan names s0: its time is not in [0, inf)"),
+    # inf is no crash time, so this is no escape from the twice check.
+    ([], [(server(0), math.inf), (server(0), 1.0)], "crash at inf names s0: its time is not in [0, inf)"),
+], ids=["unknown-reader", "unknown-server-crash", "reader-with-value", "writer-without-value",
+        "nan-time", "negative-time", "nan-crash", "inf-crash"])
+def test_a_bad_work_item_or_crash_is_refused_before_any_event(workload, crashes, error) -> None:
+    with pytest.raises(ValueError, match=re.escape(error)):
+        run(series(3, 1, 1), STEPLESS, build_majority(3), [FIRST_WRITE, *workload], crash_schedule=crashes)
 
 
 def test_a_write_records_the_tag_of_its_write_request() -> None:

@@ -143,7 +143,9 @@ def test_registry_contents():
     assert set(EXTRA_ALGORITHMS) == {"erato_broken"}
     for name, alg in ALGORITHMS.items():
         assert alg.name == name
-        writer_state = base.MWWriterState if alg.mw else base.SWMRWriterState
-        assert type(alg.new_state("w0", W0)) is writer_state
+        assert type(alg.new_state("w0", W0)) is base.WriterState
+    # mw is declared, not derived, yet always names the row's writer.
+    for alg in (*ALGORITHMS.values(), *EXTRA_ALGORITHMS.values()):
+        assert alg.mw == (alg.writer_step is base.mw_writer_step), alg.name
     assert get_algorithm("erato").mw is False
     assert get_algorithm("erato_broken").name == "erato_broken"

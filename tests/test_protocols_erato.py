@@ -30,7 +30,7 @@ def wack(b, ts):
 
 
 def test_write_broadcast_and_quorum_ack():
-    w = base.SWMRWriterState(W0)
+    w = base.WriterState(W0)
     out = base.swmr_writer_step(w, Invoke(b"v1"), QS3)
     assert list(out.to) == [0, 1, 2]
     m = out.message
@@ -40,14 +40,14 @@ def test_write_broadcast_and_quorum_ack():
     assert base.swmr_writer_step(w, wack(0, 1), QS3).response is None
     out = base.swmr_writer_step(w, wack(1, 1), QS3)
     # Answered on the first acknowledgement quorum.
-    assert out.response == Response(b"v1", Tag(1, 0)) and out.message is None and not w.pending
+    assert out.response == Response(b"v1", Tag(1, 0)) and out.message is None and w.phase == "idle"
     # Trailing ack for the answered write: no send, no response, no change.
     before = deepcopy(w)
     assert base.swmr_writer_step(w, wack(2, 1), QS3) == StepOutput() and w == before
 
 
 def test_fourth_write_acked_by_any_quorum():
-    w = base.SWMRWriterState(W0)
+    w = base.WriterState(W0)
     for k in range(1, 4):
         base.swmr_writer_step(w, Invoke(b"x%d" % k), QS3)
         base.swmr_writer_step(w, wack(0, k), QS3)
@@ -60,7 +60,7 @@ def test_fourth_write_acked_by_any_quorum():
 
 
 def test_stale_write_ack_flagged():
-    w = base.SWMRWriterState(W0)
+    w = base.WriterState(W0)
     base.swmr_writer_step(w, Invoke(b"a"), QS3)
     for b in (0, 1):
         base.swmr_writer_step(w, wack(b, 1), QS3)

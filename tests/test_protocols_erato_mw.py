@@ -34,7 +34,7 @@ def ack(b, tag, value, op=1, r=R0):
 
 
 def test_write_discovers_then_places_max_plus_one():
-    w = base.MWWriterState(W1, 1)
+    w = base.WriterState(W1, 1)
     out = base.mw_writer_step(w, Invoke(b"v"), QS4)
     assert len(out.to) == 4
     assert out.message.kind == MessageKind.WRITE_DISCOVER and out.message.op_seq == 1
@@ -55,7 +55,7 @@ def test_write_discovers_then_places_max_plus_one():
 
 
 def test_write_ignores_stale_phase_acks():
-    w = base.MWWriterState(W1, 1)
+    w = base.WriterState(W1, 1)
     base.mw_writer_step(w, Invoke(b"v"), QS3)
     base.mw_writer_step(w, dack(0, Tag(0, 0), 1), QS3)
     base.mw_writer_step(w, dack(1, Tag(0, 0), 1), QS3)  # now in put phase
@@ -70,11 +70,13 @@ def test_server_write_freshness_guard():
     out = base.relay_server_step(s, req, QS3)
     assert s.tag == Tag(4, 1)
     assert out.message.kind == MessageKind.WRITE_ACK and out.message.op_seq == 2
-    # A replayed request with an old write_op is acknowledged but not adopted.
-    replay = Message(MessageKind.WRITE_REQUEST, W1, W1, 2, Tag(9, 1), b"later")
-    out = base.relay_server_step(s, replay, QS3)
-    assert s.tag == Tag(4, 1) and s.value == b"new"
-    assert out.message.kind == MessageKind.WRITE_ACK
+    # The same writer's earlier put, delivered late: its op_seq and tag are
+    # both lower, as one writer's tags rise with its op_seq.  It is
+    # acknowledged but not adopted.
+    stale = Message(MessageKind.WRITE_REQUEST, W1, W1, 1, Tag(3, 1), b"old")
+    out = base.relay_server_step(s, stale, QS3)
+    assert s.tag == Tag(4, 1) and s.value == b"new" and out.adopted is None
+    assert out.message.kind == MessageKind.WRITE_ACK and out.message.op_seq == 1
 
 
 def test_server_discover_ack_reports_current_tag():

@@ -11,7 +11,7 @@ from quorum_listing import quorum_masks
 
 from regsim.core import Message, MessageKind, Tag, reader, server
 from regsim.quorum import bits, build_majority, build_matrix
-from regsim.views import ViewClass, classify, iterative_analyze
+from regsim.views import ViewClass, _classify_masks, classify, iterative_analyze
 
 
 def quorum_sets(qs):
@@ -101,6 +101,22 @@ def test_iterative_discards_max_holders_then_decides():
     tags = {0: Tag(5, 2), 1: Tag(4, 1), 2: Tag(4, 1)}
     m = iterative_analyze(qs, *view(qs, 0, tags, {0: b"new", 1: b"old", 2: b"old"}))
     assert (m.tag, m.value) == (Tag(4, 1), b"old")
+
+
+def test_a_full_majority_quorum_is_view2_only_with_one_holder_on_an_even_n():
+    # Of a full k-of-n quorum, free = (n - k) + |holders| servers lie
+    # outside it or among the holders.  On an odd n, n - k = k - 1, so one
+    # holder makes free reach k and every non-VIEW1 view is VIEW3.  On an
+    # even n, n - k = k - 2, so free falls short of k with one holder only.
+    # Checked on every quorum and every non-empty holder subset.
+    for n in range(1, 11):
+        qs = build_majority(n)
+        for quorum in quorum_masks(qs):
+            holders = quorum
+            while holders:
+                view2 = _classify_masks(qs, quorum, holders) is ViewClass.VIEW2
+                assert view2 == (n % 2 == 0 and holders.bit_count() == 1 and qs.k > 1), (n, quorum, holders)
+                holders = (holders - 1) & quorum
 
 
 quorum_systems = st.sampled_from(

@@ -37,7 +37,7 @@ from regsim.harness import (
     write_outputs,
 )
 from regsim.metrics import OpStats, summarize
-from regsim.sweep import SweepError, sweep
+from regsim.sweep import SweepError, refuse_bad_sweep, sweep
 
 
 class _InputError(Exception):
@@ -96,6 +96,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         configs = parse_grid(_read_text(args.grid))
+        refuse_bad_sweep(configs, args.parallelism)
         print("sweep: %d runs" % len(configs))
         paths = sweep(configs, Path(args.out_dir), parallelism=args.parallelism)
     except SweepError as exc:

@@ -61,8 +61,10 @@ step returns protocols.base.NOTHING, the one output that decides
 nothing, skips that block; an empty output that is not NOTHING takes it
 and records nothing.
 
-A step sends at most one message, to any number of nodes: its output
-names the Message once beside the ids it goes to (see protocols.base).
+A step sends at most one message, to any number of nodes: its output,
+the plain tuple (message, to, response, adopted) that the loop unpacks
+by position, names the Message once beside the ids it goes to (see
+protocols.base).
 The message's kind, names, op_seq and size are read once per output,
 and only the delay, the destination and the two records are per send.
 Each send's heap entry carries the delivery's dlv record, built at send

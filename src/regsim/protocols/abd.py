@@ -38,7 +38,8 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         state.phase = "query"
         state.acks = {}
         state.ack_mask = 0
-        return StepOutput(Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op), range(qs.n))
+        request = Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op)
+        return request, range(qs.n), None, None
     if event.op_seq < state.read_op or state.phase == "idle" or event.kind != MessageKind.READ_ACK:
         return NOTHING  # stale, trailing, or not an acknowledgement
     bit = event.sender
@@ -54,6 +55,6 @@ def query_reader_step(state: QueryReaderState, event: Event, qs: QuorumSystem) -
         state.acks = {}
         state.ack_mask = 0
         writeback = Message(MessageKind.READ_RELAY, state.pid, state.pid, state.read_op, best.tag, best.value)
-        return StepOutput(writeback, range(qs.n))
+        return writeback, range(qs.n), None, None
     state.phase = "idle"
-    return StepOutput(response=Response(state.chosen.value, state.chosen.tag))
+    return None, (), Response(state.chosen.value, state.chosen.tag), None

@@ -17,8 +17,11 @@ the one message it sends and the node ids it goes to, its response
 Every protocol sends at most one message per step, to any number of
 nodes: range(qs.n) for a broadcast to the servers, (client,) for a
 reply, the servers and then the reader for a relay echoed to the
-reader.  A step returns them as one StepOutput, built at its return;
-the helpers below return their part of it and never change an output.
+reader.  A step returns them as one StepOutput, the plain tuple
+(message, to, response, adopted) built at its return: one is built per
+step, and a named tuple's constructor costs several times a plain
+tuple's.  The helpers below return their part of it and never change an
+output.
 A step that decides nothing returns NOTHING, the one empty output,
 which the simulator skips without a look.  A client ignores a message
 whose op_seq is behind its own counter (a stale one) and a message for
@@ -31,8 +34,8 @@ on a quorum of acks.  An SWMR write is the put alone, 2 exchanges, its
 timestamp its write_op.  An MWMR write first discovers the highest
 timestamp on a quorum, 4 exchanges in all (Attiya, Bar-Noy and Dolev).
 
-Invoke, Response and StepOutput are named tuples, as core's Tag and
-Message are, so each compares equal to the plain tuple of its fields.
+Invoke and Response are named tuples, as core's Tag and Message are,
+so each compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -63,14 +66,9 @@ class Response(NamedTuple):
     tag: Tag
 
 
-class StepOutput(NamedTuple):
-    message: Optional[Message] = None  # the one message the step sends
-    to: Sequence[int] = ()  # the node ids it goes to, empty when message is None
-    response: Optional[Response] = None
-    adopted: Optional[Tag] = None  # the tag a server took over
+StepOutput = tuple[Optional[Message], Sequence[int], Optional[Response], Optional[Tag]]
 
-
-NOTHING = StepOutput()
+NOTHING: StepOutput = (None, (), None, None)
 
 
 # --- writers ---------------------------------------------------------------
@@ -100,7 +98,7 @@ def _put(state: WriterState, tag: Tag, qs: QuorumSystem) -> StepOutput:
     state.acks = {}
     state.ack_mask = 0
     msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, tag, state.value)
-    return StepOutput(msg, range(qs.n))
+    return msg, range(qs.n), None, None
 
 
 def swmr_writer_step(state: WriterState, event: Event, qs: QuorumSystem) -> StepOutput:
@@ -122,7 +120,8 @@ def mw_writer_step(state: WriterState, event: Event, qs: QuorumSystem) -> StepOu
         state.value = event.value
         state.acks = {}
         state.ack_mask = 0
-        return StepOutput(Message(MessageKind.WRITE_DISCOVER, state.pid, state.pid, state.write_op), range(qs.n))
+        discover = Message(MessageKind.WRITE_DISCOVER, state.pid, state.pid, state.write_op)
+        return discover, range(qs.n), None, None
     # An earlier phase's or operation's ack falls through, like a trailing one.
     if event.op_seq < state.write_op:
         return NOTHING
@@ -138,7 +137,7 @@ def mw_writer_step(state: WriterState, event: Event, qs: QuorumSystem) -> StepOu
         state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask):
             state.phase = "idle"
-            return StepOutput(response=Response(state.value, state.tag))
+            return None, (), Response(state.value, state.tag), None
     return NOTHING
 
 
@@ -159,12 +158,13 @@ def handle_writer_message(state: ServerState, msg: Message) -> StepOutput:
     """A server's reply to a writer's WRITE_DISCOVER or WRITE_REQUEST;
     any other message kind is ignored."""
     if msg.kind == MessageKind.WRITE_DISCOVER:
-        return StepOutput(Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag), (msg.client,))
+        ack = Message(MessageKind.DISCOVER_ACK, state.pid, msg.client, msg.op_seq, state.tag)
+        return ack, (msg.client,), None, None
     if msg.kind != MessageKind.WRITE_REQUEST:
         return NOTHING
     adopted = adopt(state, msg)
     ack = Message(MessageKind.WRITE_ACK, state.pid, msg.client, msg.op_seq, state.tag)
-    return StepOutput(ack, (msg.client,), adopted=adopted)
+    return ack, (msg.client,), None, adopted
 
 
 @dataclass
@@ -195,15 +195,15 @@ def relay_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
             if qs.first_contained_mask(mask):
                 state.reads[r] = (ro, 0)  # at most one ack per (reader, read_op)
                 ack = Message(MessageKind.READ_ACK, state.pid, r, ro, state.tag, state.value)
-                return StepOutput(ack, (r,), adopted=adopted)
+                return ack, (r,), None, adopted
             state.reads[r] = (ro, mask)
-        return NOTHING if adopted is None else StepOutput(adopted=adopted)
+        return NOTHING if adopted is None else (None, (), None, adopted)
     if kind == MessageKind.READ_REQUEST:
         relay = Message(MessageKind.READ_RELAY, state.pid, event.client, event.op_seq, state.tag, state.value)
         to = range(qs.n)
         if state.relay_to_reader:
             to = (*to, event.client)
-        return StepOutput(relay, to)
+        return relay, to, None, None
     return handle_writer_message(state, event)
 
 
@@ -216,4 +216,4 @@ def plain_server_step(state: ServerState, event: Event, qs: QuorumSystem) -> Ste
     else:
         return handle_writer_message(state, event)
     ack = Message(MessageKind.READ_ACK, state.pid, event.client, event.op_seq, state.tag, state.value)
-    return StepOutput(ack, (event.client,), adopted=adopted)
+    return ack, (event.client,), None, adopted

@@ -54,7 +54,8 @@ def relay_reader_step(
         state.rr_mask = 0
         state.ra = {}
         state.ra_mask = 0
-        return StepOutput(Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op), range(qs.n))
+        request = Message(MessageKind.READ_REQUEST, state.pid, state.pid, state.read_op)
+        return request, range(qs.n), None, None
     if event.op_seq < state.read_op or state.mode == "idle":
         return NOTHING  # stale or trailing
     bit = event.sender
@@ -78,4 +79,4 @@ def relay_reader_step(
     else:
         return NOTHING
     state.mode = "idle"
-    return StepOutput(response=Response(m.value, m.tag))
+    return None, (), Response(m.value, m.tag), None

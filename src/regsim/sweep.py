@@ -38,10 +38,13 @@ def _cell_name(key: tuple) -> str:
     return "%s_%s_s%d_r%d_w%d_%s" % key
 
 
-def _refuse_pooled_cells(configs: list[ScenarioConfig]) -> None:
-    """Raise ConfigError naming the cell file if two configs of one cell
-    differ in a field other than seed, or are the same config twice:
-    the cell's files and its aggregate row would pool them."""
+def refuse_bad_sweep(configs: list[ScenarioConfig], parallelism: int) -> None:
+    """Raise ConfigError if parallelism is below 1, or, naming the cell
+    file, if two configs of one cell differ in a field other than seed
+    or are the same config twice: the cell's files and its aggregate
+    row would pool them."""
+    if parallelism < 1:
+        raise ConfigError(["sweep: parallelism must be at least 1, got %d" % parallelism])
     first_of_cell: dict[tuple, ScenarioConfig] = {}
     seen: set[ScenarioConfig] = set()
     for config in configs:
@@ -77,14 +80,12 @@ def sweep(
     plus an aggregate CSV across seeds.  Raises SweepError if any run
     violates atomicity or does not finish.  Before any run or file,
     raises ConfigError if parallelism is below 1 or a cell would pool
-    runs that are not one scenario's seeds (see _refuse_pooled_cells).
+    runs that are not one scenario's seeds (see refuse_bad_sweep).
     At most parallelism worker processes run, and never more than there
     are configs or CPUs: a fork pool starts all its workers at once.
     The pool's module, and multiprocessing with it, loads only when more
     than one worker runs."""
-    if parallelism < 1:
-        raise ConfigError(["sweep: parallelism must be at least 1, got %d" % parallelism])
-    _refuse_pooled_cells(configs)
+    refuse_bad_sweep(configs, parallelism)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = min(parallelism, len(configs), os.cpu_count() or 1)

@@ -57,12 +57,12 @@ def reference_run(network, algorithm, qs, workload, crash_schedule=(), seed=0,
 
     def output(name, t, out, exchange, op):
         pid = names.index(name)
-        if out.adopted is not None:
-            trace.add(("tag", t, name, out.adopted.ts, out.adopted.wid))
-        msg = out.message
+        msg, to, response, adopted = out
+        if adopted is not None:
+            trace.add(("tag", t, name, adopted.ts, adopted.wid))
         if msg is not None and msg.kind == MessageKind.WRITE_REQUEST:
             trace.add(("wtag", t, name, running[name], msg.tag.ts, msg.tag.wid))
-        for dst in out.to:
+        for dst in to:
             trace.ops[op].messages += 1
             if msg.client == pid:
                 own_seq[name] = msg.op_seq
@@ -74,10 +74,10 @@ def reference_run(network, algorithm, qs, workload, crash_schedule=(), seed=0,
             to = names[dst]
             trace.add(("snd", t, name, to, msg.kind, names[msg.client], msg.op_seq, arrive))
             push(arrive, "deliver", to, (msg, exchange + 1, op))
-        if out.response is not None:
-            tag = out.response.tag
+        if response is not None:
+            tag = response.tag
             trace.add(("res", t, name, running.pop(name), exchange, tag.ts, tag.wid,
-                       out.response.value.hex()))
+                       response.value.hex()))
 
     while events:
         event = min(events)

@@ -499,7 +499,9 @@ def test_bad_grid_value_exits_2_with_one_line(old, new, message, tmp_path, capsy
     grid = tmp_path / "grid.ini"
     grid.write_text(GRID.replace(old, new))
     assert main(["sweep", str(grid), "--out-dir", str(tmp_path / "sweep")]) == 2
-    assert capsys.readouterr().err == "config error: %s\n" % message
+    printed = capsys.readouterr()
+    assert printed.err == "config error: %s\n" % message
+    assert printed.out == ""
     assert not (tmp_path / "sweep").exists()
 
 
@@ -519,8 +521,9 @@ def test_sweep_parallelism_below_one_exits_2(parallelism, tmp_path, capsys) -> N
     grid.write_text(GRID)
     out = tmp_path / "sweep"
     assert main(["sweep", str(grid), "--out-dir", str(out), "--parallelism", parallelism]) == 2
-    assert capsys.readouterr().err == (
-        "config error: sweep: parallelism must be at least 1, got %s\n" % parallelism)
+    printed = capsys.readouterr()
+    assert printed.err == "config error: sweep: parallelism must be at least 1, got %s\n" % parallelism
+    assert printed.out == ""
     assert not out.exists()
 
 

@@ -30,7 +30,7 @@ from regsim.netsim import (
     run,
 )
 from regsim.protocols import ALGORITHMS, EXTRA_ALGORITHMS, get_algorithm
-from regsim.protocols.base import NOTHING, Invoke, StepOutput
+from regsim.protocols.base import NOTHING, Invoke
 from regsim.quorum import build_majority
 from regsim.trace import replay_wire, trace_to_text
 from regsim.workload import build_workload
@@ -404,18 +404,21 @@ def test_each_send_reads_its_own_message() -> None:
     def stub(empty):
         def writer_step(state, event, qs):
             if isinstance(event, Invoke):
-                return StepOutput(discover, (0, 1, 2))
-            return StepOutput(request, (2, 0)) if event == ack else empty()
+                return discover, (0, 1, 2), None, None
+            return (request, (2, 0), None, None) if event == ack else empty()
 
         def server_step(state, event, qs):
-            return StepOutput(ack, (3,)) if state.pid == 1 and event == discover else empty()
+            return (ack, (3,), None, None) if state.pid == 1 and event == discover else empty()
 
         return dataclasses.replace(ERATO, writer_step=writer_step, server_step=server_step)
 
-    assert StepOutput() is not NOTHING
+    def fresh_empty():
+        return tuple([None, (), None, None])
+
+    assert fresh_empty() == NOTHING and fresh_empty() is not NOTHING
     net = series(3, 0, 1)
     assert net.names[3] == writer(0)
-    trace = run(net, stub(StepOutput), build_majority(3), [WorkItem(0.0, writer(0), b"v" * 100)])
+    trace = run(net, stub(fresh_empty), build_majority(3), [WorkItem(0.0, writer(0), b"v" * 100)])
     paths = net.path_params()
     sends = [r for r in trace.records if r[0] == "snd"]
     assert len(sends) == len(plan)
@@ -457,10 +460,12 @@ def test_a_step_that_decides_nothing_returns_nothing(name, quorums, n_servers) -
     trace = run(net, alg, build_quorum_system(config), build_workload(config),
                 crash_schedule(config), seed=config.seed)
     assert all(op.completed for op in trace.ops.values() if trace.live(op.process))
+    # Every output is the plain tuple (message, to, response, adopted).
+    assert all(type(out) is tuple and len(out) == 4 for out in outputs)
     decided = [out for out in outputs if out is not NOTHING]
     assert len(decided) < len(outputs)
-    assert all(out.message is not None or out.response is not None or out.adopted is not None
-               for out in decided)
+    assert all(message is not None or response is not None or adopted is not None
+               for message, _, response, adopted in decided)
     # A step sends one message or none: to some node ids of the run, or to none.
-    assert all((out.message is None) == (len(out.to) == 0) for out in outputs)
-    assert {dst for out in outputs for dst in out.to} <= set(range(len(net.names)))
+    assert all((message is None) == (len(to) == 0) for message, to, _, _ in outputs)
+    assert {dst for _, to, _, _ in outputs for dst in to} <= set(range(len(net.names)))

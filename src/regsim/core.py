@@ -96,7 +96,7 @@ class Message(NamedTuple):
       DISCOVER_ACK   client(writer), op_seq, tag
 
     client is the reader or writer whose operation the message belongs to,
-    op_seq its per-client sequence counter (read_op / write_op); together
+    op_seq its per-client sequence counter (read_op / op_seq); together
     they attribute every send to exactly one operation.  sender is the
     emitting node, used by relay bookkeeping on the servers.  Both are
     node ids, so a server sender is its own quorum bit.

@@ -59,24 +59,29 @@ def verify_trace(text: str) -> tuple[Trace, Optional[Verdict]]:
     a bare header), or ValueError("line N: ...") at the first fault
     found.  read_header reads line 1, and its scenario passes
     config.validate or a bare header names a known algorithm
-    ("line 1: ...").  Then the text is held to the trace its header
-    says wrote it, whose wire replays (replay_wire):
+    ("line 1: ...").  Then come the parse, the canonical compare and
+    the replay, in that order.  The text is held to the trace its header
+    says wrote it:
     - a scenario header's trace is run_scenario of it: a run is a pure
       function of its config and seed, so the text must be exactly what
       trace_to_text writes for the re-run ("line N: re-run gives ..." at
       the first line that differs).  That one comparison implies the
-      parse, the replay of the parsed wire and the canonical compare,
-      as a parsed text equals the trace it was written from.  Line 1 is
-      compared before the re-run, with the header_line it would write,
-      so a header that is not the canonical one runs nothing;
+      parse and the canonical compare, as a parsed text equals the trace
+      it was written from.  Line 1 is compared before the re-run, with
+      the header_line it would write, so a header that is not the
+      canonical one runs nothing;
     - a bare header names no scenario, so its trace is trace_from_text
-      of the text, whose parse and replay refuse first; then the text
-      must be exactly what trace_to_text writes for it, so every number
-      and node has one spelling, the header keys are in their order and
-      no line is blank ("line N: ... is not canonical" at the first line
-      that differs).
-    The replay, the scenario's validation and the comparison stay out of
-    trace_from_text, which is what a benchmark's re-check times.
+      of the text, whose parse refuses first; then the text must be
+      exactly what trace_to_text writes for it, so every number and node
+      has one spelling, the header keys are in their order and no line
+      is blank ("line N: ... is not canonical" at the first line that
+      differs).
+    Last, the trace's wire replays (replay_wire).  The parser skips blank
+    lines and replay_wire numbers record i as line i + 2, so only a text
+    that passed the compare, one line per record, gets the replay's line
+    numbers right.  The replay, the scenario's validation and the
+    comparison stay out of trace_from_text, which is what a benchmark's
+    re-check times.
     """
     algorithm, seed, config = read_header(text)
     try:
@@ -98,11 +103,11 @@ def verify_trace(text: str) -> tuple[Trace, Optional[Verdict]]:
             raise ValueError("line 1: " + refusal % {"found": found, "want": header})
         result = run_scenario(config)
         trace, verdict = result.trace, result.verdict
-    replay_wire(trace)
     expected = trace_to_text(trace)
     if expected != text:
         lineno, found, want = _first_difference(text, expected)
         raise ValueError("line %d: " % lineno + refusal % {"found": found, "want": want})
+    replay_wire(trace)  # the text is now one line per record, as its line numbers assume
     return trace, verdict
 
 

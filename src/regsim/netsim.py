@@ -193,6 +193,8 @@ def run(
     seed: int = 0,
     cap_s: float = DEFAULT_CAP_S,
 ) -> Trace:
+    if not 0 <= cap_s:  # nan is past no event: the run would have no cap
+        raise ValueError("cap_s %r is not in [0, inf]" % cap_s)
     rng = random.Random("%d:net" % seed)
     trace = Trace(algorithm=algorithm.name, seed=seed)
     records = trace.records
@@ -242,7 +244,7 @@ def run(
 
     current_op: list[Optional[int]] = [None] * len(names)
     # op_seq of each client's latest send of its own; servers stay at 0.
-    # A client advances its counter (read_op, write_op) and sends
+    # A client advances its counter (read_op, op_seq) and sends
     # with the new value in the same step, so a delivery below it belongs
     # to an earlier phase or operation: exactly what the step ignores.
     own_seq = [0] * len(names)

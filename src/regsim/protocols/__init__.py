@@ -38,7 +38,7 @@ class Algorithm:
         if role == "r":
             return self.reader_state(pid)
         if role == "w":
-            return base.WriterState(pid, int(name[1:]))
+            return base.QueryPutState(pid, int(name[1:]))
         return base.ServerState(pid, self.relay_to_reader)
 
 
@@ -52,11 +52,11 @@ ALGORITHMS: dict[str, Algorithm] = {
         erato_mw.eratomw_reader_step, base.mw_writer_step, base.relay_server_step, True,
     ),
     "abd": Algorithm(
-        "abd", False, abd.QueryReaderState,
+        "abd", False, base.QueryPutState,
         abd.query_reader_step, base.swmr_writer_step, base.plain_server_step, False,
     ),
     "abd_mw": Algorithm(
-        "abd_mw", True, abd.QueryReaderState,
+        "abd_mw", True, base.QueryPutState,
         abd.query_reader_step, base.mw_writer_step, base.plain_server_step, False,
     ),
     # Relay-synchronised baselines without the fast path: servers relay

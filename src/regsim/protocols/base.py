@@ -29,10 +29,14 @@ its current operation that arrives after the response; either yields
 NOTHING.  How many exchanges an operation took and how many deliveries
 were stale the simulator measures on the wire (see netsim).
 
-Both writers share one put phase: broadcast the tag and value, answer
-on a quorum of acks.  An SWMR write is the put alone, 2 exchanges, its
-timestamp its write_op.  An MWMR write first discovers the highest
-timestamp on a quorum, 4 exchanges in all (Attiya, Bar-Noy and Dolev).
+Every writer and the abd reader run one query/put client (Attiya,
+Bar-Noy and Dolev; Lynch and Shvartsman): query a quorum for its
+greatest tag, then put a tag/value pair to every server and answer on a
+quorum of acks, 4 exchanges in all.  A multi-writer write puts the next
+timestamp under its own writer id with its own value; an abd read is a
+query followed by a write-back put of the query quorum's greatest pair,
+the same machine under the read message kinds (see abd).  An SWMR write
+is the put alone, 2 exchanges, its timestamp its op_seq.
 
 Invoke and Response are named tuples, as core's Tag and Message are,
 so each compares equal to the plain tuple of its fields.
@@ -41,7 +45,7 @@ so each compares equal to the plain tuple of its fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from regsim.core import (
     INITIAL_TAG,
@@ -71,74 +75,92 @@ StepOutput = tuple[Optional[Message], Sequence[int], Optional[Response], Optiona
 NOTHING: StepOutput = (None, (), None, None)
 
 
-# --- writers ---------------------------------------------------------------
+# --- query/put clients ------------------------------------------------------
 
 
 @dataclass
-class WriterState:
-    """A writer of either model.  write_op advances once per phase, so
-    acknowledgement filtering by op_seq also separates the phases of one
-    operation.  wid is the writer's index, the tiebreak of its tags."""
+class QueryPutState:
+    """A writer of either model or an abd reader.  op_seq advances once
+    per phase, so acknowledgement filtering by op_seq also separates the
+    phases of one operation.  wid is a writer's index, the tiebreak of
+    its tags.  tag and value are the pair the put sends and the response
+    answers with; acks holds the query's replies by sender."""
 
     pid: int
     wid: int = 0
-    write_op: int = 0
-    phase: str = "idle"  # idle | discover | put
-    value: bytes = INITIAL_VALUE
+    op_seq: int = 0
+    phase: str = "idle"  # idle | query | put
+    value: Optional[bytes] = INITIAL_VALUE
     tag: Optional[Tag] = None
     acks: dict[int, Message] = field(default_factory=dict)
     ack_mask: int = 0
 
 
-def _put(state: WriterState, tag: Tag, qs: QuorumSystem) -> StepOutput:
-    """Open the put phase of the write of state.value under tag."""
-    state.tag = tag
-    state.write_op += 1
+# (query, query ack, put, put ack) message kinds of a client's phases.
+Kinds = tuple[str, str, str, str]
+WRITE_KINDS: Kinds = (MessageKind.WRITE_DISCOVER, MessageKind.DISCOVER_ACK,
+                      MessageKind.WRITE_REQUEST, MessageKind.WRITE_ACK)
+# (state, the query quorum's greatest-tag reply) -> the (tag, value) put.
+Pick = Callable[[QueryPutState, Message], tuple[Tag, Optional[bytes]]]
+
+
+def _put(state: QueryPutState, tag: Tag, value: Optional[bytes], kind: str, qs: QuorumSystem) -> StepOutput:
+    """Open the put phase of tag and value."""
+    state.op_seq += 1
     state.phase = "put"
-    state.acks = {}
+    state.tag = tag
+    state.value = value
     state.ack_mask = 0
-    msg = Message(MessageKind.WRITE_REQUEST, state.pid, state.pid, state.write_op, tag, state.value)
-    return msg, range(qs.n), None, None
+    return Message(kind, state.pid, state.pid, state.op_seq, tag, value), range(qs.n), None, None
 
 
-def swmr_writer_step(state: WriterState, event: Event, qs: QuorumSystem) -> StepOutput:
-    """Single writer: the write is the put phase alone, whose acks take
-    mw_writer_step's one ack rule."""
+def query_put_step(state: QueryPutState, event: Event, qs: QuorumSystem, kinds: Kinds, pick: Pick) -> StepOutput:
+    """Query a quorum for its greatest tag, put the pair pick makes of
+    it, answer on the put's ack quorum."""
+    query, query_ack, put, put_ack = kinds
     if isinstance(event, Invoke):
-        assert state.phase == "idle" and event.value is not None
-        state.value = event.value
-        return _put(state, Tag(state.write_op + 1, 0), qs)
-    return mw_writer_step(state, event, qs)
-
-
-def mw_writer_step(state: WriterState, event: Event, qs: QuorumSystem) -> StepOutput:
-    """Writer of several: discover the highest timestamp, then put."""
-    if isinstance(event, Invoke):
-        assert state.phase == "idle" and event.value is not None
-        state.write_op += 1
-        state.phase = "discover"
+        assert state.phase == "idle"
+        state.op_seq += 1
+        state.phase = "query"
         state.value = event.value
         state.acks = {}
         state.ack_mask = 0
-        discover = Message(MessageKind.WRITE_DISCOVER, state.pid, state.pid, state.write_op)
-        return discover, range(qs.n), None, None
+        return Message(query, state.pid, state.pid, state.op_seq), range(qs.n), None, None
     # An earlier phase's or operation's ack falls through, like a trailing one.
-    if event.op_seq < state.write_op:
+    if event.op_seq < state.op_seq:
         return NOTHING
-    if state.phase == "discover" and event.kind == MessageKind.DISCOVER_ACK:
+    if state.phase == "query" and event.kind == query_ack:
         bit = event.sender
         state.acks[bit] = event
         state.ack_mask |= 1 << bit
         quorum = qs.first_contained_mask(state.ack_mask)
         if quorum:
-            max_ts = quorum_extreme(state.acks, quorum, smallest=False).tag.ts
-            return _put(state, Tag(max_ts + 1, state.wid), qs)
-    elif state.phase == "put" and event.kind == MessageKind.WRITE_ACK:
+            tag, value = pick(state, quorum_extreme(state.acks, quorum, smallest=False))
+            return _put(state, tag, value, put, qs)
+    elif state.phase == "put" and event.kind == put_ack:
         state.ack_mask |= 1 << event.sender
         if qs.first_contained_mask(state.ack_mask):
             state.phase = "idle"
             return None, (), Response(state.value, state.tag), None
     return NOTHING
+
+
+def _next_tag(state: QueryPutState, top: Message) -> tuple[Tag, Optional[bytes]]:
+    """A write puts the next timestamp under its writer id, with its value."""
+    return Tag(top.tag.ts + 1, state.wid), state.value
+
+
+def mw_writer_step(state: QueryPutState, event: Event, qs: QuorumSystem) -> StepOutput:
+    """Writer of several: discover the highest timestamp, then put."""
+    return query_put_step(state, event, qs, WRITE_KINDS, _next_tag)
+
+
+def swmr_writer_step(state: QueryPutState, event: Event, qs: QuorumSystem) -> StepOutput:
+    """Single writer: the write is the put phase alone, opened at once."""
+    if isinstance(event, Invoke):
+        assert state.phase == "idle" and event.value is not None
+        return _put(state, Tag(state.op_seq + 1, 0), event.value, MessageKind.WRITE_REQUEST, qs)
+    return query_put_step(state, event, qs, WRITE_KINDS, _next_tag)
 
 
 # --- servers ---------------------------------------------------------------

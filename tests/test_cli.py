@@ -661,6 +661,21 @@ def test_check_refuses_an_edited_bare_trace(edit, message, config_file, tmp_path
     check_refuses(lines, lineno, message, tmp_path, capsys)
 
 
+def test_check_names_a_blank_line_before_a_wire_fault_of_a_bare_trace(tmp_path, capsys) -> None:
+    # The parser skips a blank line, and the replay numbers record i as
+    # line i + 2, so it would name every later line one short (line 284
+    # for this end line, on line 285).  The canonical compare comes first
+    # and names the blank line.
+    config = tmp_path / "cfg.ini"
+    config.write_text("[scenario]\nalgorithm = erato\ntopology = series\nn_servers = 3\nquorums = majority\n"
+                      "n_readers = 2\nn_writers = 1\n[workload]\nops_per_client = 3\n")
+    lines = run_trace_lines(config, tmp_path)
+    lines[0] = "run\talgorithm=erato\tseed=0"
+    edit_field("end", 3, lambda n: "999")(lines)
+    lines.insert(1, "")
+    check_refuses(lines, 2, "'\\n' is not canonical", tmp_path, capsys)
+
+
 @pytest.mark.parametrize("brk", ["\r\n", "\r"])
 def test_check_judges_the_files_own_line_breaks(brk, config_file, tmp_path, capsys) -> None:
     # Read with newline translation, either copy would be the re-run's

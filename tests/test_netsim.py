@@ -214,6 +214,25 @@ def test_a_bad_work_item_or_crash_is_refused_before_any_event(workload, crashes,
         run(series(3, 1, 1), STEPLESS, build_majority(3), [FIRST_WRITE, *workload], crash_schedule=crashes)
 
 
+@pytest.mark.parametrize("cap_s", [math.nan, -1.0], ids=["nan", "negative"])
+def test_a_cap_below_0_or_nan_is_refused_before_any_event(cap_s) -> None:
+    # nan is past no event, so the run would silently have no cap; a cap
+    # below 0 would end the trace before its first event.
+    with pytest.raises(ValueError, match=re.escape("cap_s %r is not in [0, inf]" % cap_s)):
+        run(series(3, 1, 1), STEPLESS, build_majority(3), [FIRST_WRITE], cap_s=cap_s)
+
+
+@pytest.mark.parametrize("cap_s, end", [(0.0, "end\t0.0\tincomplete\t0\t0\n"),
+                                        (math.inf, "end\t0.0246144\tcomplete\t0\t0\n")],
+                         ids=["zero", "inf"])
+def test_a_cap_of_0_stops_at_0_and_inf_sets_none(cap_s, end) -> None:
+    # A cap of 0.0 still takes the events at time 0: w0's write goes out.
+    trace = run(series(3, 1, 1), ERATO, build_majority(3), [FIRST_WRITE], cap_s=cap_s)
+    text = trace_to_text(trace)
+    assert text.endswith(end) and trace.incomplete == (cap_s == 0.0)
+    assert [r[0] for r in trace.records[:5]] == ["inv", "wtag", "snd", "snd", "snd"]
+
+
 def test_a_write_records_the_tag_of_its_write_request() -> None:
     trace = run(series(3, 1, 1), ERATO, build_majority(3),
                 [WorkItem(0.0, writer(0), b"x" * 64), WorkItem(0.5, writer(0), b"y" * 64)])

@@ -19,7 +19,7 @@ def rack(b, tag, value, op):
 
 
 def test_abd_read_is_always_two_round_trips():
-    r = abd.QueryReaderState(R0)
+    r = base.QueryPutState(R0)
     m, to, _, _ = abd.query_reader_step(r, Invoke(), QS3)
     assert len(to) == 3 and m.op_seq == 1
 
@@ -36,12 +36,12 @@ def test_abd_read_is_always_two_round_trips():
 
 
 def test_abd_read_uniform_tags_still_four_exchanges():
-    r = abd.QueryReaderState(R0)
+    r = base.QueryPutState(R0)
     abd.query_reader_step(r, Invoke(), QS3)
     for b in (0, 1):
         m, to, response, _ = abd.query_reader_step(r, rack(b, Tag(1, 0), b"v", 1), QS3)
     # Uniform tags earn no early answer: the write-back goes out anyway.
-    assert response is None and r.phase == "writeback"
+    assert response is None and r.phase == "put"
     assert (m.kind, list(to)) == (MessageKind.READ_RELAY, [0, 1, 2])
     for b in (0, 1):
         _, _, response, _ = abd.query_reader_step(r, rack(b, Tag(1, 0), b"v", 2), QS3)
@@ -143,7 +143,9 @@ def test_registry_contents():
     assert set(EXTRA_ALGORITHMS) == {"erato_broken"}
     for name, alg in ALGORITHMS.items():
         assert alg.name == name
-        assert type(alg.new_state("w0", W0)) is base.WriterState
+        assert type(alg.new_state("w0", W0)) is base.QueryPutState
+        # An abd read runs the multi-writer write's query/put machine.
+        assert (alg.reader_state is base.QueryPutState) == name.startswith("abd"), name
     # mw is declared, not derived, yet always names the row's writer.
     for alg in (*ALGORITHMS.values(), *EXTRA_ALGORITHMS.values()):
         assert alg.mw == (alg.writer_step is base.mw_writer_step), alg.name

@@ -30,7 +30,7 @@ def wack(b, ts):
 
 
 def test_write_broadcast_and_quorum_ack():
-    w = base.WriterState(W0)
+    w = base.QueryPutState(W0)
     m, to, _, adopted = base.swmr_writer_step(w, Invoke(b"v1"), QS3)
     assert list(to) == [0, 1, 2]
     assert m.kind == MessageKind.WRITE_REQUEST and m.tag == Tag(1, 0) and m.value == b"v1"
@@ -47,7 +47,7 @@ def test_write_broadcast_and_quorum_ack():
 
 
 def test_fourth_write_acked_by_any_quorum():
-    w = base.WriterState(W0)
+    w = base.QueryPutState(W0)
     for k in range(1, 4):
         base.swmr_writer_step(w, Invoke(b"x%d" % k), QS3)
         base.swmr_writer_step(w, wack(0, k), QS3)
@@ -60,7 +60,7 @@ def test_fourth_write_acked_by_any_quorum():
 
 
 def test_stale_write_ack_flagged():
-    w = base.WriterState(W0)
+    w = base.QueryPutState(W0)
     base.swmr_writer_step(w, Invoke(b"a"), QS3)
     for b in (0, 1):
         base.swmr_writer_step(w, wack(b, 1), QS3)

@@ -2,8 +2,10 @@
 
 from copy import deepcopy
 
+import pytest
+
 from regsim.core import Message, MessageKind, Tag
-from regsim.protocols import base, get_algorithm
+from regsim.protocols import abd, base, get_algorithm
 from regsim.protocols.base import NOTHING, Invoke, Response
 from regsim.protocols.erato_mw import eratomw_reader_step
 from regsim.protocols.readers import RelayReaderState
@@ -34,7 +36,7 @@ def ack(b, tag, value, op=1, r=R0):
 
 
 def test_write_discovers_then_places_max_plus_one():
-    w = base.WriterState(W1, 1)
+    w = base.QueryPutState(W1, 1)
     m, to, _, _ = base.mw_writer_step(w, Invoke(b"v"), QS4)
     assert len(to) == 4
     assert m.kind == MessageKind.WRITE_DISCOVER and m.op_seq == 1
@@ -53,14 +55,24 @@ def test_write_discovers_then_places_max_plus_one():
     assert response == Response(b"v", Tag(6, 1)) and w.phase == "idle"
 
 
-def test_write_ignores_stale_phase_acks():
-    w = base.WriterState(W1, 1)
-    base.mw_writer_step(w, Invoke(b"v"), QS3)
-    base.mw_writer_step(w, dack(0, Tag(0, 0), 1), QS3)
-    base.mw_writer_step(w, dack(1, Tag(0, 0), 1), QS3)  # now in put phase
+@pytest.mark.parametrize("client", ["mw_write", "abd_read"])
+def test_write_ignores_stale_phase_acks(client):
+    # A query-phase ack that arrives in the put phase changes nothing:
+    # the multi-writer write and the abd read are one query/put client.
+    if client == "mw_write":
+        w, step, invoke, put_tag = base.QueryPutState(W1, 1), base.mw_writer_step, Invoke(b"v"), Tag(1, 1)
+        query_ack = dack
+    else:
+        w, step, invoke, put_tag = base.QueryPutState(R0), abd.query_reader_step, Invoke(), Tag(0, 0)
+        def query_ack(b, tag, op):
+            return ack(b, tag, b"v", op)
+    step(w, invoke, QS3)
+    step(w, query_ack(0, Tag(0, 0), 1), QS3)
+    step(w, query_ack(1, Tag(0, 0), 1), QS3)  # now in put phase
+    assert w.phase == "put"
     before = deepcopy(w)
-    assert base.mw_writer_step(w, dack(2, Tag(9, 9), 1), QS3) is NOTHING and w == before
-    assert w.tag == Tag(1, 1)
+    assert step(w, query_ack(2, Tag(9, 9), 1), QS3) is NOTHING and w == before
+    assert w.tag == put_tag
 
 
 def test_server_write_freshness_guard():
